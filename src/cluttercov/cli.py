@@ -78,7 +78,6 @@ def _scenario_from_args(args) -> ScenarioConfig:
                 clutter=_clutter_from_json(
                     raw.get("clutter", {}), int(raw["N"]) * int(raw["K"]), float(raw["sigma2"])
                 ),
-                q=int(raw.get("q", 1)),
                 seed=int(raw.get("seed", 0)),
                 name=raw.get("name", path.stem),
             )

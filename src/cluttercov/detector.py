@@ -6,14 +6,16 @@ the null it follows a chi-squared law with one complex degree of freedom:
 
     T = 2 |s^H P y|^2 / (sigma2_hat * ||P s||^2)
 
-with P the projection off the top-rank sample eigenvectors. T / 2 is then a
+with P the projection off the top-rank sample eigenvectors V, applied as
+P x = x - V (V^H x) so the p x p projector is never formed. T / 2 is then a
 unit-mean exponential under the null, so the threshold for a false-alarm
 probability p_fa is simply -log(p_fa), and detection compares T / 2 against
 it. The uncalibrated |s^H P y|^2 / ||P s||^2 value is reported alongside for
 transparency.
 
-Only the sample eigenvectors enter the statistic, so shrinkage and clipping
-estimates that share eigenvectors drive identical detectors.
+Only the sample eigenvectors and the noise power enter the statistic, so
+the shrinkage and clipping estimates, which share both, drive identical
+detectors.
 """
 
 from __future__ import annotations
@@ -94,30 +96,27 @@ class DetectionReport:
         }
 
 
-def clutter_projection(decomp: EigenDecomposition, rank: int) -> np.ndarray:
-    """Projection off the span of the top-``rank`` sample eigenvectors.
+def clutter_projection(decomp: EigenDecomposition, rank: int, x: np.ndarray) -> np.ndarray:
+    """P x for P the projection off the span of the top-``rank`` sample eigenvectors.
 
-    Hermitian and idempotent with trace p - rank; rank 0 returns the identity.
+    P x = x - V (V^H x) with V the leading p x rank eigenvector block; P is
+    Hermitian and idempotent with trace p - rank, and rank 0 returns x.
     """
     if not 0 <= rank < decomp.p:
         raise ValueError("rank must satisfy 0 <= rank < p")
     v = decomp.eigenvectors[:, :rank]
-    return np.eye(decomp.p, dtype=complex) - v @ v.conj().T
+    return x - v @ (v.conj().T @ x)
 
 
-def test_statistic(
-    y: np.ndarray, target: SteeringSpec, proj: np.ndarray, noise: NoiseEstimate
-) -> float:
+def test_statistic(y: np.ndarray, ps: np.ndarray, noise: NoiseEstimate) -> float:
     """Chi-squared-calibrated matched-filter statistic of one test snapshot.
 
-    T = 2 |s^H P y|^2 / (sigma2_hat ||P s||^2); under the null with the true
-    clutter rank this converges to a chi-squared law with one complex degree
-    of freedom (mean 2).
+    T = 2 |s^H P y|^2 / (sigma2_hat ||P s||^2) from the projected steering
+    vector ``ps`` = P s; under the null with the true clutter rank this
+    converges to a chi-squared law with one complex degree of freedom (mean 2).
     """
-    s = steering_vector(target)
-    ps = proj @ s
     denom = float(np.real(np.vdot(ps, ps)))
-    if denom <= 1e-12 * target.p:
+    if denom <= 1e-12 * ps.size:
         raise ValueError("target in clutter subspace")
     num = abs(np.vdot(ps, y)) ** 2  # s^H P y with P Hermitian idempotent
     return float(2.0 * num / (noise.sigma2_hat * denom))
@@ -215,8 +214,9 @@ def detect(cube: DataCube, target: SteeringSpec, config: DetectorConfig) -> Dete
     """Full detection pass on a data cube with a designated test snapshot.
 
     Training snapshots (everything but the test column) yield the sample
-    covariance, its eigenvectors the clutter projection, and (unless supplied
-    in the config) the noise power estimate.
+    covariance, its leading eigenvectors the clutter projection of the
+    steering vector, and (unless supplied in the config) the noise power
+    estimate.
     """
     y = cube.test_snapshot()
     train = cube.training()
@@ -234,12 +234,10 @@ def detect(cube: DataCube, target: SteeringSpec, config: DetectorConfig) -> Dete
     if rank is None:
         edge2 = (1.0 + np.sqrt(ratio.gamma)) ** 2
         rank = int(np.count_nonzero(decomp.eigenvalues / noise.sigma2_hat > edge2))
-    proj = clutter_projection(decomp, rank)
-    t_chi2 = test_statistic(y, target, proj, noise)
+    ps = clutter_projection(decomp, rank, steering_vector(target))
+    t_chi2 = test_statistic(y, ps, noise)
     statistic = t_chi2 / 2.0
     thr = config.threshold
-    s = steering_vector(target)
-    ps = proj @ s
     raw = abs(np.vdot(ps, y)) ** 2 / float(np.real(np.vdot(ps, ps)))
     return DetectionReport(
         statistic=statistic,

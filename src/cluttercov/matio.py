@@ -2,8 +2,8 @@
 
 A matrix named ``base`` is stored as ``base.bin`` (little-endian IEEE float64,
 interleaved re/im, column-major) plus ``base.json`` holding
-{"rows", "cols", "dtype": "c128", "layout": "col-major"} and any extra header
-fields (data cubes add "n_snapshots"; estimates ship a separate summary).
+{"rows", "cols", "dtype": "c128", "layout": "col-major"}. Estimates are
+written dense, with a separate summary JSON.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import DataCube
 from .shrinkage import CovarianceEstimate
 
 SIDECAR_REQUIRED = ("rows", "cols", "dtype", "layout")
 
 
-def save_matrix(base, matrix: np.ndarray, extra: dict | None = None) -> tuple[Path, Path]:
+def save_matrix(base, matrix: np.ndarray) -> tuple[Path, Path]:
     """Write a complex matrix blob and its sidecar; returns (bin_path, json_path)."""
     base = Path(base)
     m = np.asarray(matrix, dtype=np.complex128)
@@ -34,8 +33,6 @@ def save_matrix(base, matrix: np.ndarray, extra: dict | None = None) -> tuple[Pa
     json_path = base.with_suffix(".json")
     bin_path.write_bytes(blob.tobytes())
     header = {"rows": rows, "cols": cols, "dtype": "c128", "layout": "col-major"}
-    if extra:
-        header.update(extra)
     json_path.write_text(json.dumps(header, indent=2) + "\n")
     return bin_path, json_path
 
@@ -55,19 +52,6 @@ def load_matrix(base) -> tuple[np.ndarray, dict]:
         raise ValueError("blob size does not match sidecar dimensions")
     m = (blob[0::2] + 1j * blob[1::2]).reshape((rows, cols), order="F")
     return m, header
-
-
-def save_cube(base, cube: DataCube) -> tuple[Path, Path]:
-    """Serialize a data cube; the sidecar carries n_snapshots and test_index."""
-    extra = {"n_snapshots": cube.n_snapshots}
-    if cube.test_index is not None:
-        extra["test_index"] = cube.test_index
-    return save_matrix(base, cube.snapshots, extra=extra)
-
-
-def load_cube(base) -> DataCube:
-    m, header = load_matrix(base)
-    return DataCube(snapshots=m, test_index=header.get("test_index"))
 
 
 def save_estimate(base, estimate: CovarianceEstimate) -> list[Path]:

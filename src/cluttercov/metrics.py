@@ -10,8 +10,6 @@ from scipy import linalg as sla
 from .scenario import SteeringSpec, steering_vector
 from .shrinkage import CovarianceEstimate, SpikedModel, cosine2, stein_shrinker
 
-METRICS_HEADER = ["scenario", "n", "gamma", "rho", "bound", "mvdr_ratio", "stein_loss"]
-
 
 @dataclass(frozen=True)
 class ScnrReport:
@@ -35,17 +33,10 @@ class ScnrReport:
             raise ValueError("rho must lie in (0, 1]")
 
 
-def _as_matrix(m) -> np.ndarray:
-    if isinstance(m, CovarianceEstimate):
-        return m.matrix()
-    return np.asarray(m)
-
-
 def _inverse_apply(estimate, vecs: np.ndarray) -> np.ndarray:
-    """M^{-1} @ vecs, through shared eigenvectors when M is a spectral estimate."""
+    """M^{-1} @ vecs: low rank for a spiked estimate, a dense solve otherwise."""
     if isinstance(estimate, CovarianceEstimate):
-        v = estimate.eigenvectors
-        return v @ ((v.conj().T @ vecs) / estimate.eigenvalues[:, None])
+        return estimate.inverse_apply(vecs)
     m = np.asarray(estimate)
     if not np.all(np.isfinite(m)):
         raise ValueError("invalid matrix")
@@ -110,7 +101,7 @@ def kantorovich_bound(
         s2 = estimate.noise.sigma2_hat
         etas = np.ones(ells.size)
         k = min(estimate.spike_count, ells.size)
-        etas[:k] = estimate.eigenvalues[:k] / s2
+        etas[:k] = estimate.spikes[:k] / s2
     nu_plus = np.empty(ells.size)
     nu_minus = np.empty(ells.size)
     for i, (ell, eta) in enumerate(zip(ells, etas)):
@@ -144,28 +135,55 @@ def mvdr_error_variance(m, target: SteeringSpec) -> float:
     return float(1.0 / quad)
 
 
-def stein_loss(truth, estimate) -> float:
+def stein_loss(truth: np.ndarray, estimate) -> float:
     """Stein loss tr(R^{-1} Rbar - I) - log det(R^{-1} Rbar), nonnegative.
 
     Zero exactly when the estimate equals the truth. Values within fp dust
-    below zero are clamped to 0.
+    below zero are clamped to 0. A spiked ``CovarianceEstimate`` is scored
+    without forming Rbar: with R = L L^H factored once,
+
+        tr(R^{-1} Rbar) = s2 ||L^{-1}||_F^2 + sum_i (lam_i - s2) ||L^{-1} v_i||^2,
+        log det(R^{-1} Rbar) = sum_i log(lam_i / s2) - sum_j log(L_jj^2 / s2),
+
+    which is O(p^2 r) past the factorization. A dense ``estimate`` takes the
+    direct path, the reference the spiked path is tested against.
     """
-    r = _as_matrix(truth)
-    rbar = _as_matrix(estimate)
-    if r.shape != rbar.shape:
-        raise ValueError("shape mismatch")
+    r = np.asarray(truth)
     p = r.shape[0]
     try:
-        cho = sla.cho_factor(r, lower=True)
-        m = sla.cho_solve(cho, rbar)  # R^{-1} Rbar
+        if isinstance(estimate, CovarianceEstimate):
+            if estimate.p != p:
+                raise ValueError("shape mismatch")
+            val = _stein_loss_spiked(r, estimate)
+        else:
+            val = _stein_loss_dense(r, np.asarray(estimate))
     except np.linalg.LinAlgError as exc:
         raise ValueError("truth must be positive definite") from exc
-    sign, logdet = np.linalg.slogdet(m)
-    if sign.real <= 0 or not np.isfinite(logdet):
-        raise ValueError("estimate must be positive definite")
-    val = float(np.real(np.trace(m)) - p - logdet)
     if val < 0:
         if val < -1e-10 * p:
             raise ValueError("stein loss evaluated negative; inputs not PD?")
         val = 0.0
     return val
+
+
+def _stein_loss_spiked(r: np.ndarray, estimate: CovarianceEstimate) -> float:
+    s2 = estimate.noise.sigma2_hat
+    chol = sla.cholesky(r, lower=True)
+    (trtri,) = sla.get_lapack_funcs(("trtri",), (chol,))
+    chol_inv, info = trtri(chol, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular Cholesky factor")
+    quad = np.sum(np.abs(chol_inv @ estimate.vectors) ** 2, axis=0)  # v_i^H R^{-1} v_i
+    trace = s2 * np.sum(np.abs(chol_inv) ** 2) + np.sum((estimate.spikes - s2) * quad)
+    logdet = np.sum(np.log(estimate.spikes / s2)) - np.sum(np.log(np.abs(np.diag(chol)) ** 2 / s2))
+    return float(trace - r.shape[0] - logdet)
+
+
+def _stein_loss_dense(r: np.ndarray, rbar: np.ndarray) -> float:
+    if r.shape != rbar.shape:
+        raise ValueError("shape mismatch")
+    m = sla.cho_solve(sla.cho_factor(r, lower=True), rbar)  # R^{-1} Rbar
+    sign, logdet = np.linalg.slogdet(m)
+    if sign.real <= 0 or not np.isfinite(logdet):
+        raise ValueError("estimate must be positive definite")
+    return float(np.real(np.trace(m)) - r.shape[0] - logdet)

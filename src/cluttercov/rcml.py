@@ -14,9 +14,10 @@ the solution is clipping at the noise floor, which is why this baseline and
 the nonlinear shrinkage estimator detect identical spike sets and deliver
 near-identical SCNR in high dimensions.
 
-The objective is separable and convex, so the ordering constraint is solved
-exactly by pooling adjacent violators; a pooled block S takes the common value
-|S| / sum_{i in S} d_i before clipping to [eps, 1].
+The objective is separable and convex, so each coordinate's minimizer is
+1/d_i. Because d is descending, those minimizers are already ascending, and
+clipping to the common interval [eps, 1] keeps them so: the ordering
+constraint is never active.
 """
 
 from __future__ import annotations
@@ -61,43 +62,18 @@ class RcmlProblem:
         return self.d.size
 
 
-def _pool_adjacent_violators(d: np.ndarray) -> np.ndarray:
-    """Ascending-ordered minimizer of sum_i (d_i lam_i - log lam_i).
-
-    Unconstrained coordinate minimizers are 1/d_i; adjacent order violations
-    are pooled to the block minimizer k / sum(d over block). Exact because the
-    objective is separable convex.
-    """
-    blocks = [(float(di), 1) for di in d]  # (sum of d over block, block size)
-    merged: list[tuple[float, int]] = []
-    for blk in blocks:
-        merged.append(blk)
-        # block value is size/sum; merge while the order constraint is violated
-        while len(merged) > 1 and merged[-2][1] / merged[-2][0] > merged[-1][1] / merged[-1][0]:
-            s2, k2 = merged.pop()
-            s1, k1 = merged.pop()
-            merged.append((s1 + s2, k1 + k2))
-    out = np.empty(d.size)
-    pos = 0
-    for s, k in merged:
-        out[pos : pos + k] = k / s
-        pos += k
-    return out
-
-
 def solve_rcml(problem: RcmlProblem) -> np.ndarray:
     """Optimal whitened inverse eigenvalues, feasible to 1e-10.
 
-    Leading ``rank`` coordinates take the pooled minimizer of
+    Leading ``rank`` coordinates take the coordinate minimizer 1/d_i of
     d_i lam_i - log lam_i clipped to [epsilon, 1]; trailing coordinates are
-    pinned to 1. Clipping to a common interval preserves the ascending order,
-    so the result is exactly optimal, as the projected-gradient oracle in the
-    test suite confirms.
+    pinned to 1. The ordering constraint is inactive (see the module
+    docstring), so the result is exactly optimal, as the projected-gradient
+    oracle in the test suite confirms.
     """
     lam = np.ones(problem.p)
     r = problem.rank
-    if r > 0:
-        lam[:r] = np.clip(_pool_adjacent_violators(problem.d[:r]), problem.epsilon, 1.0)
+    lam[:r] = np.clip(1.0 / problem.d[:r], problem.epsilon, 1.0)
     return lam
 
 
@@ -118,23 +94,18 @@ def rcml_estimate(
     """Clipping estimate: leading ``rank`` eigenvalues floored at the noise power.
 
     Maps the solve_rcml output back to covariance eigenvalues,
-    sigma2_hat * max(1, whitened sample eigenvalue) for the leading modes and
-    sigma2_hat for the rest. Eigenvectors are shared with the decomposition.
+    sigma2_hat * max(1, whitened sample eigenvalue) for the leading modes;
+    the modes that stay above the floor are the estimate's spikes, with
+    vectors shared with the decomposition.
     """
     if not 0 <= rank < decomp.p:
         raise ValueError("rank must satisfy 0 <= rank < p")
     s2 = noise.sigma2_hat
     problem = RcmlProblem(d=decomp.eigenvalues / s2, rank=rank)
-    inv_lam = solve_rcml(problem)
-    lam_bar = s2 / inv_lam  # descending, == s2 exactly where inv_lam == 1
-    spike_count = int(np.count_nonzero(lam_bar > s2))
-    lam_bar[spike_count:] = s2
+    lam = s2 / solve_rcml(problem)[:rank]  # descending
+    spikes = lam[lam > s2]
     return CovarianceEstimate(
-        eigenvalues=lam_bar,
-        eigenvectors=decomp.eigenvectors,
-        noise=noise,
-        spike_count=spike_count,
-        ratio=ratio,
+        noise=noise, spikes=spikes, vectors=decomp.eigenvectors[:, : spikes.size], ratio=ratio
     )
 
 

@@ -50,7 +50,7 @@ class AspectRatio:
             warnings.warn(
                 "n == p: outside the p < n regime, results are best-effort",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # name the caller, not the generated __init__
             )
         object.__setattr__(self, "gamma", g)
 

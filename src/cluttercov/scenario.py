@@ -9,10 +9,10 @@ descriptions:
   Clutter rank equals the scatterer count, which keeps scenes spiked by
   construction.
 * ``ToeplitzClutter``: a scalar-channel impulse response h convolved with a
-  pulse of length q; the clutter covariance is H H^H for the p x q Toeplitz
-  convolution matrix H (white unit-power waveform), or the rank-one outer
-  product of H @ waveform when a deterministic waveform is supplied. Long
-  impulse responses can exceed the spiked-rank budget, which is flagged.
+  white unit-power pulse of length ``pulse_len``; the clutter covariance is
+  H H^H for the p x pulse_len Toeplitz convolution matrix H, so
+  ``pulse_len`` sets the clutter rank. Long pulses can exceed the
+  spiked-rank budget, which is flagged.
 * ``SpikedModel``: direct spectral synthesis of the target spectrum in a
   seeded random unitary basis.
 
@@ -23,7 +23,7 @@ covariance, reproducible per (seed, stream) and byte-identical across runs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,27 +95,20 @@ class ScattererClutter:
 
 @dataclass(frozen=True)
 class ToeplitzClutter:
-    """Scalar-channel impulse response convolved with a length-q pulse.
+    """Scalar-channel impulse response convolved with a white pulse.
 
-    With a white unit-power waveform the clutter covariance is H H^H for the
-    p x q Toeplitz matrix H built from the taps. Passing ``waveform`` (length
-    q) instead computes (H w)(H w)^H for that fixed pulse, a rank-one clutter
-    component.
+    The clutter covariance is H H^H for the p x pulse_len Toeplitz matrix H
+    built from the taps, so ``pulse_len`` sets the clutter rank:
+    min(pulse_len, p) when the first tap is nonzero.
     """
 
     taps: np.ndarray
     pulse_len: int
-    waveform: np.ndarray | None = None
 
     def __post_init__(self):
         taps = np.atleast_1d(np.asarray(self.taps, dtype=complex))
         if self.pulse_len < 1:
             raise ValueError("pulse_len must be positive")
-        if self.waveform is not None:
-            w = np.asarray(self.waveform, dtype=complex)
-            if w.shape != (self.pulse_len,):
-                raise ValueError("waveform must have length pulse_len")
-            object.__setattr__(self, "waveform", w)
         object.__setattr__(self, "taps", taps)
 
 
@@ -131,7 +124,6 @@ class ScenarioConfig:
     n: int
     sigma2: float
     clutter: ClutterSpec = None
-    q: int = 1
     seed: int = 0
     name: str = "custom"
 
@@ -150,15 +142,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class DataCube:
-    """Clutter-plus-noise snapshots (p x n), optionally with ground truth attached.
+    """Clutter-plus-noise snapshots (p x n).
 
     ``test_index`` designates the snapshot held out for detection; the
-    remaining columns are the training data. ``truth`` carries the true
-    covariance (matrix or spiked spectrum) for oracle metrics.
+    remaining columns are the training data.
     """
 
     snapshots: np.ndarray
-    truth: np.ndarray | SpikedModel | None = None
     test_index: int | None = None
 
     def __post_init__(self):
@@ -191,14 +181,14 @@ class DataCube:
         return self.snapshots[:, idx]
 
 
-def _toeplitz_response(taps: np.ndarray, p: int, q: int) -> np.ndarray:
+def _toeplitz_response(taps: np.ndarray, p: int, pulse_len: int) -> np.ndarray:
     h = np.zeros(p, dtype=complex)
     m = min(taps.size, p)
     h[:m] = taps[:m]
-    cols = np.arange(q)
+    cols = np.arange(pulse_len)
     rows = np.arange(p)[:, None]
     idx = rows - cols[None, :]
-    out = np.zeros((p, q), dtype=complex)
+    out = np.zeros((p, pulse_len), dtype=complex)
     valid = (idx >= 0) & (idx < p)
     out[valid] = h[idx[valid]]
     return out
@@ -232,12 +222,8 @@ def synthesize_clutter_covariance(config: ScenarioConfig) -> np.ndarray:
             r_c += (abs(sc.amplitude) ** 2) * np.outer(v, v.conj())
         clutter_rank = clutter.rank
     elif isinstance(clutter, ToeplitzClutter):
-        h_mat = _toeplitz_response(clutter.taps, p, config.q)
-        if clutter.waveform is None:
-            r_c = h_mat @ h_mat.conj().T
-        else:
-            ret = h_mat @ clutter.waveform
-            r_c = np.outer(ret, ret.conj())
+        h_mat = _toeplitz_response(clutter.taps, p, clutter.pulse_len)
+        r_c = h_mat @ h_mat.conj().T
         clutter_rank = int(np.linalg.matrix_rank(r_c, hermitian=True))
     else:
         raise TypeError(f"unsupported clutter description: {type(clutter).__name__}")
@@ -274,7 +260,7 @@ class SnapshotSampler:
     order-insensitive substream of the seed.
     """
 
-    def __init__(self, covariance: np.ndarray, truth=None):
+    def __init__(self, covariance: np.ndarray):
         covariance = np.asarray(covariance)
         decomp = eigh(covariance)
         lam = decomp.eigenvalues
@@ -284,7 +270,6 @@ class SnapshotSampler:
         # eigenvalues below numerical-rank dust are exact zeros of the model
         lam = np.where(lam > 1e-13 * max(lam.max(), 0.0), lam, 0.0)
         self._factor = decomp.eigenvectors * np.sqrt(lam)
-        self._truth = covariance if truth is None else truth
         self.p = covariance.shape[0]
 
     def draw(self, n: int, seed: int, stream: int = 0) -> DataCube:
@@ -294,7 +279,7 @@ class SnapshotSampler:
         rng = substream(seed, stream)
         w = rng.standard_normal((self.p, n)) + 1j * rng.standard_normal((self.p, n))
         snaps = self._factor @ (w / np.sqrt(2.0))
-        return DataCube(snapshots=snaps, truth=self._truth)
+        return DataCube(snapshots=snaps)
 
 
 def sample_snapshots(covariance: np.ndarray, n: int, seed: int) -> DataCube:
@@ -318,7 +303,7 @@ def inject_target(cube: DataCube, spec: SteeringSpec, amplitude: complex) -> Dat
     idx = cube.n_snapshots - 1 if cube.test_index is None else cube.test_index
     snaps = cube.snapshots.copy()
     snaps[:, idx] += amplitude * steering_vector(spec)
-    return DataCube(snapshots=snaps, truth=cube.truth, test_index=idx)
+    return DataCube(snapshots=snaps, test_index=idx)
 
 
 def amplitude_for_snr(snr_db: float, sigma2: float, N: int, K: int) -> float:
@@ -330,11 +315,11 @@ def challenge_synthetic(n: int | None = None, seed: int | None = None) -> Scenar
     """Synthetic stand-in for the 512-dimensional coastal-scene recording.
 
     Mirrors the published scene dimensions: 8 concatenated channels of 64
-    pulses (p = 512), pulse length 1000, noise power 5e-14, and a clutter
-    ridge of 25 ground scatterers whose Doppler tracks sin(theta)/2. Snapshot
-    synthesis is covariance-domain, so no convolution alignment choice is
-    involved; amplitudes are log-spaced to span roughly 10 to 10^4 times the
-    noise floor, matching a strongly spiked spectrum.
+    pulses (p = 512), noise power 5e-14, and a clutter ridge of 25 ground
+    scatterers whose Doppler tracks sin(theta)/2. Snapshot synthesis is
+    covariance-domain, so the recording's pulse length (1000) and convolution
+    alignment do not enter; amplitudes are log-spaced to span roughly 10 to
+    10^4 times the noise floor, matching a strongly spiked spectrum.
     """
     n_eff = 2335 if n is None else n
     seed_eff = 0x5D512 if seed is None else seed
@@ -353,7 +338,6 @@ def challenge_synthetic(n: int | None = None, seed: int | None = None) -> Scenar
         n=n_eff,
         sigma2=sigma2,
         clutter=ScattererClutter(scatterers),
-        q=1000,
         seed=seed_eff,
         name="challenge-synthetic",
     )
@@ -369,8 +353,3 @@ def preset(name: str, n: int | None = None, seed: int | None = None) -> Scenario
     except KeyError:
         raise KeyError(f"unknown scenario preset: {name!r}") from None
     return builder(n=n, seed=seed)
-
-
-def with_samples(config: ScenarioConfig, n: int) -> ScenarioConfig:
-    """Copy of a scene with a different training-sample count."""
-    return replace(config, n=n)

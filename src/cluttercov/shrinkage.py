@@ -80,7 +80,7 @@ class SpikedModel:
             warnings.warn(
                 f"{spikes.size} spikes exceed the 0.1*p = {int(SPIKE_FRACTION_BUDGET * self.p)} budget",
                 ModelOrderWarning,
-                stacklevel=2,
+                stacklevel=3,  # name the caller, not the generated __init__
             )
         object.__setattr__(self, "spikes", spikes)
 
@@ -98,51 +98,58 @@ class SpikedModel:
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Rotation-invariant estimate: shrunk eigenvalues, sample eigenvectors.
+    """Spiked estimate: a noise floor plus r eigenpairs above it.
 
-    eigenvectors is the same array object as the source decomposition's
-    (shared storage, never copied). Entries past spike_count equal the
-    noise floor exactly.
+    The estimate is s2 I + V diag(spikes - s2) V^H with s2 = sigma2_hat,
+    ``spikes`` the r shrunk (or clipped) eigenvalues, descending and strictly
+    above s2, and ``vectors`` the p x r leading block of the sample
+    eigenvectors (a view sharing the decomposition's storage, never copied).
+    Every other eigenvalue equals the floor by construction.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     noise: NoiseEstimate
-    spike_count: int
+    spikes: np.ndarray
+    vectors: np.ndarray
     ratio: AspectRatio | None = None
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        s2 = self.noise.sigma2_hat
-        if self.eigenvectors.shape != (lam.size, lam.size):
-            raise ValueError("eigenvectors must be p x p")
-        if np.any(np.diff(lam) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-        if self.spike_count < 0 or self.spike_count > lam.size:
-            raise ValueError("spike_count out of range")
-        if np.any(lam[self.spike_count:] != s2):
-            raise ValueError("bulk eigenvalues must equal the noise floor exactly")
-        if np.any(lam[: self.spike_count] <= s2):
+        spikes = np.asarray(self.spikes, dtype=float).reshape(-1)
+        v = self.vectors
+        if v.ndim != 2 or v.shape[1] != spikes.size or spikes.size > v.shape[0]:
+            raise ValueError("vectors must be p x r, one column per spike")
+        if np.any(np.diff(spikes) > 0):
+            raise ValueError("spikes must be sorted descending")
+        if np.any(spikes <= self.noise.sigma2_hat):
             raise ValueError("spiked eigenvalues must exceed the noise floor")
-        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "spikes", spikes)
 
     @property
     def p(self) -> int:
-        return self.eigenvalues.size
+        return self.vectors.shape[0]
+
+    @property
+    def spike_count(self) -> int:
+        return self.spikes.size
 
     def matrix(self) -> np.ndarray:
-        """Dense estimate sum_i lambda_i v_i v_i^H."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+        """Dense p x p estimate s2 I + V diag(spikes - s2) V^H, for I/O only."""
+        s2 = self.noise.sigma2_hat
+        v = self.vectors
+        m = (v * (self.spikes - s2)) @ v.conj().T
+        m[np.diag_indices(self.p)] += s2
+        return m
 
-    def inverse_matrix(self) -> np.ndarray:
-        """Dense inverse through the shared eigenvectors."""
-        return (self.eigenvectors / self.eigenvalues) @ self.eigenvectors.conj().T
+    def inverse_apply(self, y: np.ndarray) -> np.ndarray:
+        """Estimate^{-1} y = (y - V((1 - s2/spikes) * (V^H y))) / s2, O(p r) per column."""
+        s2 = self.noise.sigma2_hat
+        v = self.vectors
+        return (y - (v * (1.0 - s2 / self.spikes)) @ (v.conj().T @ y)) / s2
 
     def summary(self) -> dict:
         return {
             "sigma2_hat": self.noise.sigma2_hat,
-            "spike_count": int(self.spike_count),
-            "spiked_eigenvalues": self.eigenvalues[: self.spike_count].tolist(),
+            "spike_count": self.spike_count,
+            "spiked_eigenvalues": self.spikes.tolist(),
             "gamma": None if self.ratio is None else self.ratio.gamma,
         }
 
@@ -298,17 +305,13 @@ def shrink_spectrum(decomp: EigenDecomposition, ratio: AspectRatio) -> Covarianc
     noise = estimate_noise(decomp, ratio)
     g = ratio.gamma
     s2 = noise.sigma2_hat
-    edge2 = (1.0 + np.sqrt(g)) ** 2
     whitened = decomp.eigenvalues / s2
-    spiked = whitened > edge2
-    lam_bar = np.full(decomp.p, s2)
-    for i in np.flatnonzero(spiked):
-        lam_bar[i] = s2 * stein_shrinker(f_map(whitened[i], g), g)
+    detected = whitened[whitened > (1.0 + np.sqrt(g)) ** 2]
+    spikes = np.array([s2 * stein_shrinker(f_map(x, g), g) for x in detected], dtype=float)
     # An eigenvalue exactly at the detection edge shrinks onto the floor;
-    # count only spikes that stayed strictly above it.
-    above = lam_bar > s2
-    lam_bar[~above] = s2
-    r_hat = int(np.count_nonzero(above))
+    # keep only spikes that stayed strictly above it.
+    spikes = spikes[spikes > s2]
+    r_hat = spikes.size
     if r_hat > int(SPIKE_FRACTION_BUDGET * decomp.p):
         warnings.warn(
             f"detected {r_hat} spikes, above the 0.1*p = "
@@ -317,11 +320,7 @@ def shrink_spectrum(decomp: EigenDecomposition, ratio: AspectRatio) -> Covarianc
             stacklevel=2,
         )
     return CovarianceEstimate(
-        eigenvalues=lam_bar,
-        eigenvectors=decomp.eigenvectors,
-        noise=noise,
-        spike_count=r_hat,
-        ratio=ratio,
+        noise=noise, spikes=spikes, vectors=decomp.eigenvectors[:, :r_hat], ratio=ratio
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rmt
-from .detector import DetectorConfig, clutter_projection, detect, theoretical_pd
+from .detector import DetectorConfig, detect, theoretical_pd
 from .metrics import kantorovich_bound, mvdr_error_variance, normalized_scnr_batch, stein_loss
 from .rcml import rcml_estimate
 from .rng import substream
@@ -28,7 +28,6 @@ from .scenario import (
     steering_vector,
     synthesize_clutter_covariance,
     truth_spiked_model,
-    with_samples,
 )
 from .shrinkage import SpikedModel, clt_params, estimate_noise, shrink_spectrum
 
@@ -78,21 +77,16 @@ class KsResult:
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """Monte Carlo plan: scene, trial count, estimators, target, seed."""
+    """Monte Carlo plan: scene, trial count, target, seed."""
 
     scenario: ScenarioConfig
     trials: int = DEFAULT_TRIALS
-    estimators: tuple[str, ...] = ("shrinkage", "rcml")
-    metrics: tuple[str, ...] = ("rho", "bound", "mvdr", "stein")
     seed: int = 0
     target: SteeringSpec | None = None
 
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
-        unknown = set(self.estimators) - {"shrinkage", "rcml"}
-        if unknown:
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
 
     def resolved_target(self) -> SteeringSpec:
         if self.target is not None:
@@ -195,7 +189,10 @@ def verify_clt(
         w *= root[:, None]  # diagonal truth: the eigenvalue law is basis-free
         decomp = rmt.eigh(rmt.sample_covariance(w).matrix)
         est = shrink_spectrum(decomp, ratio)
-        shrunk[t] = est.eigenvalues[: model.r]
+        # a spike the estimator missed sits on the floor
+        k = min(est.spike_count, model.r)
+        shrunk[t] = est.noise.sigma2_hat
+        shrunk[t, :k] = est.spikes[:k]
 
     results = []
     for i, prm in enumerate(params):
@@ -219,17 +216,13 @@ def _steering_matrix(specs: list[SteeringSpec]) -> np.ndarray:
     return np.column_stack([steering_vector(s) for s in specs])
 
 
-def _estimate_both(data: np.ndarray, ratio: rmt.AspectRatio, estimators: tuple[str, ...]):
+def _estimate_both(data: np.ndarray, ratio: rmt.AspectRatio) -> dict:
     decomp = rmt.eigh(rmt.sample_covariance(data).matrix)
-    out = {}
-    shrink = None
-    if "shrinkage" in estimators or "rcml" in estimators:
-        shrink = shrink_spectrum(decomp, ratio)
-    if "shrinkage" in estimators:
-        out["shrinkage"] = shrink
-    if "rcml" in estimators:
-        out["rcml"] = rcml_estimate(decomp, shrink.noise, shrink.spike_count, ratio=ratio)
-    return out
+    shrink = shrink_spectrum(decomp, ratio)
+    return {
+        "shrinkage": shrink,
+        "rcml": rcml_estimate(decomp, shrink.noise, shrink.spike_count, ratio=ratio),
+    }
 
 
 def _format_row(values) -> list[str]:
@@ -274,20 +267,20 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, truth, spiked, sampler
     for value, (n, specs) in zip(values, cases):
         ratio = rmt.AspectRatio(p, n)
         s_mat = _steering_matrix(specs)
-        acc = {name: dict(rho=0.0, mvdr=0.0, stein=0.0) for name in plan.estimators}
+        acc = {name: dict(rho=0.0, mvdr=0.0, stein=0.0) for name in ("shrinkage", "rcml")}
         bound_acc = 0.0
         for t in range(plan.trials):
             cube = sampler.draw(n, plan.seed, stream=t)
-            ests = _estimate_both(cube.snapshots, ratio, plan.estimators)
+            ests = _estimate_both(cube.snapshots, ratio)
             for name, est in ests.items():
                 acc[name]["rho"] += float(
                     np.mean(normalized_scnr_batch(est, truth, s_mat))
                 )
                 acc[name]["mvdr"] += mvdr_error_variance(est, target) / mvdr_truth
                 acc[name]["stein"] += stein_loss(truth, est)
-            some = next(iter(ests.values()))
-            bound_acc += kantorovich_bound(spiked, some, ratio.gamma).lower_bound
-        k = max(plan.trials, 1)
+            bound_acc += kantorovich_bound(spiked, ests["shrinkage"], ratio.gamma).lower_bound
+        k = plan.trials
+        shr, rc = acc["shrinkage"], acc["rcml"]
         row = [
             scn.name,
             axis,
@@ -295,13 +288,13 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, truth, spiked, sampler
             n,
             ratio.gamma,
             plan.trials,
-            acc.get("shrinkage", {}).get("rho", np.nan) / k,
-            acc.get("rcml", {}).get("rho", np.nan) / k,
+            shr["rho"] / k,
+            rc["rho"] / k,
             bound_acc / k,
-            acc.get("shrinkage", {}).get("mvdr", np.nan) / k,
-            acc.get("rcml", {}).get("mvdr", np.nan) / k,
-            acc.get("shrinkage", {}).get("stein", np.nan) / k,
-            acc.get("rcml", {}).get("stein", np.nan) / k,
+            shr["mvdr"] / k,
+            rc["mvdr"] / k,
+            shr["stein"] / k,
+            rc["stein"] / k,
         ]
         rows.append(row)
     return _rows_to_csv(SWEEP_HEADER, rows)

@@ -67,7 +67,7 @@ class TestNormalizedScnr:
             assert vals.max() <= 1.0 + 1e-10
 
     def test_spectral_path_matches_dense(self):
-        # CovarianceEstimate inverse goes through shared eigenvectors
+        # a CovarianceEstimate is inverted through its low-rank form
         p, n = 16, 64
         rng = substream(101, 0)
         data = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
@@ -126,10 +126,8 @@ class TestKantorovichBound:
     def test_plug_in_uses_realized_spikes(self):
         model = SpikedModel(p=32, sigma2=1.0, spikes=np.array([9.0]))
         noise = NoiseEstimate(sigma2_hat=1.0, lambda_med=1.0, mu_med=1.0)
-        lam = np.ones(32)
-        lam[0] = 7.0
         est = CovarianceEstimate(
-            eigenvalues=lam, eigenvectors=np.eye(32, dtype=complex), noise=noise, spike_count=1
+            noise=noise, spikes=np.array([7.0]), vectors=np.eye(32, dtype=complex)[:, :1]
         )
         with_est = kantorovich_bound(model, est, gamma=0.25)
         oracle = kantorovich_bound(model, None, gamma=0.25)
@@ -204,3 +202,23 @@ class TestSteinLoss:
     def test_non_pd_rejected(self):
         with pytest.raises(ValueError):
             stein_loss(np.diag([1.0, -1.0]), np.eye(2))
+
+    @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
+    @pytest.mark.parametrize("spikes", [(), (30.0, 12.0, 6.0)])
+    def test_spiked_path_matches_dense(self, estimator, spikes):
+        p, n = 48, 192
+        ratio = AspectRatio(p, n)
+        model = SpikedModel(p=p, sigma2=1.0, spikes=np.asarray(spikes, dtype=float))
+        rng = substream(105, 0)
+        w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
+        dec = eigh(sample_covariance(np.sqrt(model.spectrum())[:, None] * w).matrix)
+        shrunk = shrink_spectrum(dec, ratio)
+        est = {
+            "shrinkage": shrunk,
+            "rcml": rcml_estimate(dec, shrunk.noise, shrunk.spike_count, ratio=ratio),
+        }[estimator]
+        assert est.spike_count == len(spikes)
+        truth = random_pd(p, 52)
+        dense = stein_loss(truth, est.matrix())
+        assert dense > 0
+        assert stein_loss(truth, est) == pytest.approx(dense, rel=1e-10)

@@ -24,7 +24,7 @@ def project_feasible(lam, rank, epsilon):
     """Euclidean projection onto {epsilon <= x_1 <= ... <= x_rank <= 1, rest = 1}.
 
     L2 pool-adjacent-violators followed by clipping; independent of the
-    production solver, which pools the likelihood objective instead.
+    production solver, which clips the coordinate minimizers directly.
     """
     out = np.ones_like(lam)
     if rank == 0:
@@ -116,7 +116,7 @@ class TestSolveRcml:
             assert np.abs(ours - oracle).max() < 1e-6
 
     def test_pooling_on_unsorted_interior(self):
-        # equal d values force a pooled block; the pooled minimizer is k/sum(d)
+        # tied d values: the ordering holds with equality, each takes 1/d = k/sum(d)
         prob = RcmlProblem(d=np.array([2.0, 2.0, 2.0, 0.5]), rank=3)
         out = solve_rcml(prob)
         np.testing.assert_allclose(out[:3], 0.5)
@@ -136,31 +136,34 @@ class TestRcmlEstimate:
     def test_clipping_values(self):
         dec, noise = self._setup([4.0, 2.5, 0.8, 0.7])
         est = rcml_estimate(dec, noise, rank=2)
-        np.testing.assert_allclose(est.eigenvalues, [4.0, 2.5, 1.0, 1.0])
+        np.testing.assert_allclose(est.spikes, [4.0, 2.5])
+        np.testing.assert_allclose(np.diag(est.matrix()).real, [4.0, 2.5, 1.0, 1.0])
         assert est.spike_count == 2
 
     def test_all_below_floor(self):
         dec, noise = self._setup([0.9, 0.8, 0.7, 0.6])
         est = rcml_estimate(dec, noise, rank=3)
-        np.testing.assert_allclose(est.eigenvalues, 1.0)
+        np.testing.assert_allclose(est.matrix(), np.eye(4))
         assert est.spike_count == 0
 
     def test_identity_input(self):
         sigma2 = 3.0
         dec, noise = self._setup([1.0, 1.0, 1.0], sigma2=sigma2)
         est = rcml_estimate(dec, noise, rank=1)
-        np.testing.assert_allclose(est.eigenvalues, sigma2)
+        np.testing.assert_allclose(est.matrix(), sigma2 * np.eye(3))
         assert est.spike_count == 0
 
     def test_eigenvectors_shared(self):
         dec, noise = self._setup([5.0, 1.0, 0.9])
         est = rcml_estimate(dec, noise, rank=1)
-        assert est.eigenvectors is dec.eigenvectors
+        assert np.shares_memory(est.vectors, dec.eigenvectors)
+        np.testing.assert_array_equal(est.vectors, dec.eigenvectors[:, :1])
 
     def test_physical_scale(self):
         dec, noise = self._setup([6.0, 0.5], sigma2=2.0)
         est = rcml_estimate(dec, noise, rank=1)
-        np.testing.assert_allclose(est.eigenvalues, [12.0, 2.0])
+        np.testing.assert_allclose(est.spikes, [12.0])
+        np.testing.assert_allclose(np.diag(est.matrix()).real, [12.0, 2.0])
 
 
 class TestSteinObjective:
@@ -217,6 +220,6 @@ class TestEquivalenceWithShrinkage:
             shrunk = shrink_spectrum(dec, ratio)
             clipped = rcml_estimate(dec, shrunk.noise, shrunk.spike_count, ratio=ratio)
             assert clipped.spike_count == shrunk.spike_count
-            shrunk_set = set(np.flatnonzero(shrunk.eigenvalues > shrunk.noise.sigma2_hat))
-            clipped_set = set(np.flatnonzero(clipped.eigenvalues > shrunk.noise.sigma2_hat))
-            assert shrunk_set == clipped_set
+            # the modes above the floor are the same sample eigenvectors
+            np.testing.assert_array_equal(clipped.vectors, shrunk.vectors)
+            assert np.all(clipped.spikes > shrunk.noise.sigma2_hat)

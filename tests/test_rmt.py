@@ -35,8 +35,9 @@ class TestAspectRatio:
             AspectRatio(0, 5)
 
     def test_equal_p_n_warns(self):
-        with pytest.warns(RegimeWarning):
+        with pytest.warns(RegimeWarning) as record:
             AspectRatio(16, 16)
+        assert record[0].filename == __file__  # names the caller
 
 
 class TestMpPdf:

@@ -68,7 +68,7 @@ class TestSynthesizeClutterCovariance:
 
     def test_single_unit_tap_hand_eigenvalues(self):
         cfg = ScenarioConfig(
-            N=2, K=2, n=64, sigma2=0.1, clutter=ToeplitzClutter(taps=[1.0], pulse_len=1), q=1
+            N=2, K=2, n=64, sigma2=0.1, clutter=ToeplitzClutter(taps=[1.0], pulse_len=1)
         )
         with pytest.warns(ModelOrderWarning):  # rank 1 > floor(0.1 * 4)
             r = synthesize_clutter_covariance(cfg)
@@ -103,6 +103,11 @@ class TestSynthesizeClutterCovariance:
         lam = eigh(synthesize_clutter_covariance(cfg)).eigenvalues
         assert np.sum(lam > 0.011) == 2
 
+    def test_pulse_len_sets_toeplitz_rank(self):
+        clutter = ToeplitzClutter(taps=[10.0, 5.0, 2.5], pulse_len=8)
+        cfg = ScenarioConfig(N=8, K=16, n=512, sigma2=0.1, clutter=clutter)
+        assert truth_spiked_model(cfg).r == 8
+
     def test_long_impulse_response_warns(self):
         cfg = ScenarioConfig(
             N=4,
@@ -110,7 +115,6 @@ class TestSynthesizeClutterCovariance:
             n=128,
             sigma2=0.1,
             clutter=ToeplitzClutter(taps=np.ones(8), pulse_len=32),
-            q=32,
         )
         with pytest.warns(ModelOrderWarning):
             synthesize_clutter_covariance(cfg)
@@ -207,7 +211,6 @@ class TestPresets:
         cfg = preset("challenge-synthetic")
         assert cfg.p == 512
         assert cfg.N == 8 and cfg.K == 64
-        assert cfg.q == 1000
         assert cfg.sigma2 == 5e-14
         assert cfg.n == 2335
         assert cfg.clutter.rank == 25

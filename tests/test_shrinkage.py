@@ -22,6 +22,7 @@ from cluttercov import (
     shrink_whitened,
     stein_shrinker,
 )
+from cluttercov.rcml import rcml_estimate
 from cluttercov.shrinkage import eta_prime_fd
 from cluttercov.rng import substream
 
@@ -182,7 +183,7 @@ class TestShrinkSpectrum:
         lam = np.full(6, mu)  # whitened spectrum all at the MP median
         est = shrink_spectrum(self._decomp(lam), ratio)
         assert est.spike_count == 0
-        np.testing.assert_allclose(est.eigenvalues, est.noise.sigma2_hat)
+        np.testing.assert_allclose(est.matrix(), est.noise.sigma2_hat * np.eye(6))
 
     def test_single_spike_reference_composition(self):
         # whitened eigenvalues [2.5, ..1..]: spike shrinks to eta(f(2.5)) = 10/7
@@ -195,8 +196,8 @@ class TestShrinkSpectrum:
         whitened_top = lam[0] / s2
         expected = s2 * stein_shrinker(f_map(whitened_top, 0.25), 0.25)
         assert est.spike_count == 1
-        assert est.eigenvalues[0] == pytest.approx(expected, rel=1e-12)
-        np.testing.assert_allclose(est.eigenvalues[1:], s2)
+        assert est.spikes[0] == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(np.diag(est.matrix()).real, [est.spikes[0]] + [s2] * 4)
 
     def test_matches_asymptotic_prediction(self):
         # spikes {5, 3, 2.5}, gamma = 0.2: shrunk values approach eta(beta)
@@ -208,7 +209,7 @@ class TestShrinkSpectrum:
         for t in range(trials):
             data = spiked_snapshots(model, n, substream(13, t))
             est = shrink_spectrum(eigh(sample_covariance(data).matrix), ratio)
-            tops += est.eigenvalues[:3]
+            tops += est.spikes[:3]
         tops /= trials
         for i, ell in enumerate(model.spikes):
             target = clt_params(ell, ratio.gamma).eta_of_beta
@@ -229,7 +230,7 @@ class TestShrinkSpectrum:
             for t in range(trials):
                 data = spiked_snapshots(model, n, substream(14, p, t))
                 est = shrink_spectrum(eigh(sample_covariance(data).matrix), ratio)
-                err += np.abs(est.eigenvalues[:3] - targets).max()
+                err += np.abs(est.spikes[:3] - targets).max()
             errs.append(err / trials)
         assert errs[0] > errs[1] > errs[2]
 
@@ -243,7 +244,9 @@ class TestShrinkSpectrum:
         for c in (0.25, 3.0, 1e6):
             scaled = eigh(sample_covariance(np.sqrt(c) * data).matrix)
             est = shrink_spectrum(scaled, ratio)
-            np.testing.assert_allclose(est.eigenvalues, c * base.eigenvalues, rtol=1e-9)
+            assert est.spike_count == base.spike_count
+            np.testing.assert_allclose(est.spikes, c * base.spikes, rtol=1e-9)
+            assert est.noise.sigma2_hat == pytest.approx(c * base.noise.sigma2_hat, rel=1e-9)
 
     def test_order_preserving(self):
         ratio = AspectRatio(16, 64)
@@ -251,7 +254,8 @@ class TestShrinkSpectrum:
         data = rng.standard_normal((16, 64)) + 1j * rng.standard_normal((16, 64))
         data[:3] *= np.array([5.0, 3.0, 2.0])[:, None]
         est = shrink_spectrum(eigh(sample_covariance(data).matrix), ratio)
-        assert np.all(np.diff(est.eigenvalues) <= 1e-15)
+        spectrum = np.append(est.spikes, est.noise.sigma2_hat)  # spikes, then the floor
+        assert np.all(np.diff(spectrum) <= 1e-15)
 
     def test_budget_warning(self):
         ratio = AspectRatio(10, 40)
@@ -264,9 +268,12 @@ class TestShrinkSpectrum:
         ratio = AspectRatio(12, 48)
         rng = substream(17, 0)
         data = rng.standard_normal((12, 48)) + 1j * rng.standard_normal((12, 48))
+        data[0] *= 4.0  # one spike, so the shared block is not empty
         dec = eigh(sample_covariance(data).matrix)
         est = shrink_spectrum(dec, ratio)
-        assert est.eigenvectors is dec.eigenvectors
+        assert est.spike_count >= 1
+        assert np.shares_memory(est.vectors, dec.eigenvectors)
+        np.testing.assert_array_equal(est.vectors, dec.eigenvectors[:, : est.spike_count])
 
 
 class TestCltParams:
@@ -312,28 +319,58 @@ class TestSpikedModel:
             SpikedModel(p=3, sigma2=1.0, spikes=np.array([5.0, 4.0, 3.0]))
 
     def test_budget_warning(self):
-        with pytest.warns(ModelOrderWarning):
+        with pytest.warns(ModelOrderWarning) as record:
             SpikedModel(p=10, sigma2=1.0, spikes=np.array([5.0, 4.0]))
+        assert record[0].filename == __file__  # names the caller
+
+
+def both_estimates(p, n, spikes, seed):
+    """Shrinkage and clipping estimates from one spiked sample."""
+    model = SpikedModel(p=p, sigma2=1.0, spikes=np.asarray(spikes, dtype=float))
+    dec = eigh(sample_covariance(spiked_snapshots(model, n, substream(18, seed))).matrix)
+    ratio = AspectRatio(p, n)
+    shrunk = shrink_spectrum(dec, ratio)
+    clipped = rcml_estimate(dec, shrunk.noise, shrunk.spike_count, ratio=ratio)
+    return {"shrinkage": shrunk, "rcml": clipped}
 
 
 class TestCovarianceEstimateInvariants:
+    @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
+    def test_dense_form_is_floor_plus_spikes(self, estimator):
+        est = both_estimates(40, 160, [20.0, 8.0], seed=0)[estimator]
+        assert est.spike_count == 2
+        m = est.matrix()
+        assert np.abs(m - m.conj().T).max() < 1e-12 * np.abs(m).max()
+        lam = eigh(m).eigenvalues
+        np.testing.assert_allclose(lam[:2], est.spikes, rtol=1e-12)
+        np.testing.assert_allclose(lam[2:], est.noise.sigma2_hat, rtol=1e-12)
+
+    @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
+    def test_inverse_apply_matches_dense_solve(self, estimator):
+        est = both_estimates(40, 160, [20.0, 8.0], seed=1)[estimator]
+        rng = substream(19, 0)
+        y = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        dense = np.linalg.solve(est.matrix(), y)
+        np.testing.assert_allclose(est.inverse_apply(y), dense, rtol=1e-10)
+        np.testing.assert_allclose(est.inverse_apply(y[:, 0]), dense[:, 0], rtol=1e-10)
+
     def test_bulk_must_sit_on_floor(self):
+        # the bulk is the floor by construction; what remains to reject is a
+        # spike that is not above it, and vectors that do not pair with spikes
         noise = NoiseEstimate(sigma2_hat=1.0, lambda_med=1.0, mu_med=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceed the noise floor"):
             CovarianceEstimate(
-                eigenvalues=np.array([3.0, 1.01, 1.0]),
-                eigenvectors=np.eye(3, dtype=complex),
-                noise=noise,
-                spike_count=1,
+                noise=noise, spikes=np.array([3.0, 1.0]), vectors=np.eye(3, dtype=complex)[:, :2]
             )
+        with pytest.raises(ValueError, match="p x r"):
+            CovarianceEstimate(noise=noise, spikes=[3.0], vectors=np.eye(3, dtype=complex))
 
     def test_summary_fields(self):
         noise = NoiseEstimate(sigma2_hat=1.0, lambda_med=1.0, mu_med=1.0)
         est = CovarianceEstimate(
-            eigenvalues=np.array([3.0, 1.0, 1.0]),
-            eigenvectors=np.eye(3, dtype=complex),
             noise=noise,
-            spike_count=1,
+            spikes=np.array([3.0]),
+            vectors=np.eye(3, dtype=complex)[:, :1],
             ratio=AspectRatio(3, 12),
         )
         s = est.summary()
