@@ -8,7 +8,6 @@ from .rmt import (
     ModelOrderWarning,
     MPLaw,
     RegimeWarning,
-    SampleCovariance,
     eigh,
     mp_cdf,
     mp_median,
@@ -31,7 +30,6 @@ from .shrinkage import (
 )
 from .rcml import RcmlProblem, rcml_estimate, solve_rcml, stein_objective, stein_pivot
 from .scenario import (
-    DataCube,
     Scatterer,
     ScattererClutter,
     ScenarioConfig,
@@ -42,7 +40,6 @@ from .scenario import (
     challenge_synthetic,
     inject_target,
     preset,
-    sample_snapshots,
     steering_vector,
     synthesize_clutter_covariance,
     truth_spiked_model,

@@ -68,12 +68,12 @@ def _scenario_from_args(args) -> ScenarioConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        n_flag = getattr(args, "n", None)
         try:
-            n_val = int(args.n) if getattr(args, "n", None) else int(raw["n"])
             cfg = ScenarioConfig(
                 N=int(raw["N"]),
                 K=int(raw["K"]),
-                n=n_val,
+                n=int(raw["n"]) if n_flag is None else n_flag,
                 sigma2=float(raw["sigma2"]),
                 clutter=_clutter_from_json(
                     raw.get("clutter", {}), int(raw["N"]) * int(raw["K"]), float(raw["sigma2"])
@@ -87,7 +87,10 @@ def _scenario_from_args(args) -> ScenarioConfig:
     name = getattr(args, "scenario", None) or "challenge-synthetic"
     if name not in PRESETS:
         raise ConfigError(f"unknown scenario preset: {name!r}")
-    return preset(name, n=getattr(args, "n", None))
+    try:
+        return preset(name, n=getattr(args, "n", None))
+    except ValueError as exc:
+        raise ConfigError(f"bad scenario: {exc}") from exc
 
 
 def _target_from_args(args, scn: ScenarioConfig) -> SteeringSpec:
@@ -102,7 +105,7 @@ def _target_from_args(args, scn: ScenarioConfig) -> SteeringSpec:
 def _write_manifest(out_dir: Path, args, outputs: list[Path]) -> Path:
     manifest = {
         "command": args.command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "config_path": getattr(args, "config", None),
         "scenario": getattr(args, "scenario", None),
         "seed": getattr(args, "seed", None),
@@ -133,12 +136,12 @@ def _validate_outputs(paths: list[Path]) -> None:
 def _cmd_estimate(args) -> int:
     scn = _scenario_from_args(args)
     seed = scn.seed if args.seed is None else args.seed
-    truth = synthesize_clutter_covariance(scn)
-    cube = SnapshotSampler(truth).draw(scn.n, seed)
     if scn.n < scn.p:
         raise ValueError("insufficient samples")
+    truth = synthesize_clutter_covariance(scn)
+    snapshots = SnapshotSampler(truth).draw(scn.n, seed)
     ratio = rmt.AspectRatio(scn.p, scn.n)
-    decomp = rmt.eigh(rmt.sample_covariance(cube.snapshots).matrix)
+    decomp = rmt.eigh(rmt.sample_covariance(snapshots))
     shrunk = shrink_spectrum(decomp, ratio)
     if args.estimator == "shrinkage":
         est = shrunk
@@ -154,11 +157,11 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, kind=float) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(",") if x)
+        return tuple(kind(x) for x in text.split(",") if x)
     except ValueError as exc:
-        raise ConfigError(f"bad float list: {text!r}") from exc
+        raise ConfigError(f"bad {kind.__name__} list: {text!r}") from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -176,9 +179,11 @@ def _cmd_sweep(args) -> int:
     elif args.axis == "angle" and args.angle_grid:
         values = np.linspace(-np.pi / 3, np.pi / 3, args.angle_grid)
     elif args.axis == "snr":
+        if not (args.snr_step > 0 and args.snr_lo <= args.snr_hi):
+            raise ConfigError("the SNR grid needs --snr-step > 0 and --snr-lo <= --snr-hi")
         values = np.arange(args.snr_lo, args.snr_hi + 1e-9, args.snr_step)
     csv_text = validate.sweep(
-        plan, args.axis, values=values, pfa_list=_parse_float_list(args.pfa), rank=args.rank
+        plan, args.axis, values=values, pfa_list=_parse_list(args.pfa), rank=args.rank
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -195,15 +200,14 @@ def _cmd_detect(args) -> int:
     seed = scn.seed if args.seed is None else args.seed
     target = _target_from_args(args, scn)
     truth = synthesize_clutter_covariance(scn)
-    cube = SnapshotSampler(truth).draw(scn.n + 1, seed)
     amp = amplitude_for_snr(args.snr_db, scn.sigma2, scn.N, scn.K)
-    cube = inject_target(cube, target, amp)
+    snapshots = inject_target(SnapshotSampler(truth).draw(scn.n + 1, seed), target, amp)
     if args.rank == 0 and scn.clutter is not None:
         print(
             "warning: rank 0 disables the clutter projection on a clutter-bearing scene",
             file=sys.stderr,
         )
-    report = detect(cube, target, DetectorConfig(rank=args.rank, p_fa=args.pfa))
+    report = detect(snapshots, target, DetectorConfig(rank=args.rank, p_fa=args.pfa))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "detection.json"
@@ -215,7 +219,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    p_list = [int(x) for x in args.p_list.split(",") if x]
+    p_list = list(_parse_list(args.p_list, int))
     csv_text = validate.bench_scaling(p_list, args.reps, seed=args.seed or 0)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -228,7 +232,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify_clt(args) -> int:
-    spikes = np.asarray(sorted(_parse_float_list(args.spikes), reverse=True))
+    spikes = np.asarray(sorted(_parse_list(args.spikes), reverse=True))
     model = SpikedModel(p=args.p, sigma2=args.sigma2, spikes=spikes * args.sigma2)
     results = validate.verify_clt(
         model, args.gamma, args.p, args.trials, args.seed or 0, ensemble=args.ensemble
@@ -319,12 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad flags, which matches the config error code
         return int(exc.code or 0)
+    args.argv = argv  # recorded in the manifest
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("default")

@@ -16,6 +16,9 @@ transparency.
 Only the sample eigenvectors and the noise power enter the statistic, so
 the shrinkage and clipping estimates, which share both, drive identical
 detectors.
+
+``detect`` takes a plain p x (n + 1) snapshot array: the last column is the
+test snapshot and the n columns before it are the training data.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from scipy import special
 
 from .rmt import AspectRatio, EigenDecomposition
-from .scenario import DataCube, SteeringSpec, steering_vector
+from .scenario import SteeringSpec, steering_vector
 from .shrinkage import NoiseEstimate, SpikedModel, cosine2, estimate_noise
 from . import rmt
 
@@ -40,13 +43,11 @@ class DetectorConfig:
 
     ``rank`` None means "estimate it": the detector counts the training
     eigenvalues above the spike-detection edge, the same count the shrinkage
-    estimator reports. ``noise`` may carry a precomputed noise power; when
-    None it too is estimated from the training snapshots.
+    estimator reports.
     """
 
     rank: int | None
     p_fa: float
-    noise: NoiseEstimate | None = None
 
     def __post_init__(self):
         if self.rank is not None and self.rank < 0:
@@ -64,33 +65,37 @@ class DetectionReport:
     """One detection decision with its calibrated statistic and laws.
 
     ``statistic`` is the exponential-calibrated value (T / 2) compared against
-    ``threshold`` = -log(p_fa); ``chi2_statistic`` is the chi-squared-scaled T
-    and ``raw_statistic`` the unwhitened matched-filter value.
+    ``threshold`` = -log(p_fa) and ``raw_statistic`` the unwhitened
+    matched-filter value; the decision, the false-alarm rate the threshold
+    implies and the chi-squared-scaled T are derived from them.
     """
 
     statistic: float
     threshold: float
-    decision: bool
-    theoretical_pfa: float
-    theoretical_pd: float | None = None
-    chi2_statistic: float | None = None
-    raw_statistic: float | None = None
+    raw_statistic: float
 
     def __post_init__(self):
         if self.statistic < 0:
             raise ValueError("statistic must be nonnegative")
-        if self.decision != (self.statistic > self.threshold):
-            raise ValueError("decision must equal statistic > threshold")
-        if abs(self.theoretical_pfa - np.exp(-self.threshold)) > 1e-12:
-            raise ValueError("theoretical_pfa must equal exp(-threshold)")
+
+    @property
+    def decision(self) -> bool:
+        return bool(self.statistic > self.threshold)
+
+    @property
+    def theoretical_pfa(self) -> float:
+        return float(np.exp(-self.threshold))
+
+    @property
+    def chi2_statistic(self) -> float:
+        return 2.0 * self.statistic
 
     def to_dict(self) -> dict:
         return {
             "statistic": self.statistic,
             "threshold": self.threshold,
-            "decision": bool(self.decision),
+            "decision": self.decision,
             "theoretical_pfa": self.theoretical_pfa,
-            "theoretical_pd": self.theoretical_pd,
             "chi2_statistic": self.chi2_statistic,
             "raw_statistic": self.raw_statistic,
         }
@@ -210,40 +215,31 @@ def theoretical_pd(
     return _pd_series(mean, threshold_for_pfa(p_fa))
 
 
-def detect(cube: DataCube, target: SteeringSpec, config: DetectorConfig) -> DetectionReport:
-    """Full detection pass on a data cube with a designated test snapshot.
+def detect(snapshots: np.ndarray, target: SteeringSpec, config: DetectorConfig) -> DetectionReport:
+    """Full detection pass on p x (n + 1) snapshots whose last column is the test snapshot.
 
-    Training snapshots (everything but the test column) yield the sample
+    The n training columns before it (a view, not a copy) yield the sample
     covariance, its leading eigenvectors the clutter projection of the
-    steering vector, and (unless supplied in the config) the noise power
-    estimate.
+    steering vector, and the noise power estimate. A non-finite test
+    snapshot raises ValueError; non-finite training data fails in ``eigh``.
     """
-    y = cube.test_snapshot()
-    train = cube.training()
-    if cube.test_index is None:
-        train = train[:, :-1]  # last column doubles as the test snapshot
-    if train.shape[1] < cube.p:
+    y, train = snapshots[:, -1], snapshots[:, :-1]
+    p, n = train.shape
+    if n < p:
         raise ValueError("insufficient samples")
-    scm = rmt.sample_covariance(train)
-    decomp = rmt.eigh(scm.matrix)
-    ratio = AspectRatio(cube.p, train.shape[1])
-    noise = config.noise
-    if noise is None:
-        noise = estimate_noise(decomp, ratio)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("test snapshot must be finite")
+    decomp = rmt.eigh(rmt.sample_covariance(train))
+    ratio = AspectRatio(p, n)
+    noise = estimate_noise(decomp, ratio)
     rank = config.rank
     if rank is None:
         edge2 = (1.0 + np.sqrt(ratio.gamma)) ** 2
         rank = int(np.count_nonzero(decomp.eigenvalues / noise.sigma2_hat > edge2))
     ps = clutter_projection(decomp, rank, steering_vector(target))
-    t_chi2 = test_statistic(y, ps, noise)
-    statistic = t_chi2 / 2.0
-    thr = config.threshold
     raw = abs(np.vdot(ps, y)) ** 2 / float(np.real(np.vdot(ps, ps)))
     return DetectionReport(
-        statistic=statistic,
-        threshold=thr,
-        decision=bool(statistic > thr),
-        theoretical_pfa=float(np.exp(-thr)),
-        chi2_statistic=t_chi2,
+        statistic=test_statistic(y, ps, noise) / 2.0,
+        threshold=config.threshold,
         raw_statistic=float(raw),
     )

@@ -2,8 +2,8 @@
 
 Everything downstream (shrinkage, clipping baseline, detector, metrics) is built
 on three primitives: the MP density/median at aspect ratio gamma = p/n, the
-sample covariance of complex snapshots, and a descending-order Hermitian
-eigendecomposition.
+sample covariance of a p x n snapshot array (returned as a plain Hermitian
+p x p array), and a descending-order Hermitian eigendecomposition.
 """
 
 from __future__ import annotations
@@ -108,31 +108,6 @@ class EigenDecomposition:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
-@dataclass(frozen=True)
-class SampleCovariance:
-    """Sample covariance (1/n) sum_k y_k y_k^H of n training snapshots."""
-
-    matrix: np.ndarray
-    n_samples: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("invalid matrix")
-        scale = max(np.abs(m).max(), 1.0)
-        if np.abs(m - m.conj().T).max() > 1e-12 * scale:
-            raise ValueError("matrix must be Hermitian to 1e-12 relative")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
-
-
 def mp_pdf(x, law: MPLaw):
     """Marchenko-Pastur density sqrt((b - x)(x - a)) / (2 pi gamma x) on [a, b].
 
@@ -191,10 +166,12 @@ def mp_median(law: MPLaw) -> float:
     return _mp_median_of_gamma(law.gamma)
 
 
-def sample_covariance(data: np.ndarray) -> SampleCovariance:
-    """Sample covariance (1/n) Y Y^H of snapshot columns Y (p x n).
+def sample_covariance(data: np.ndarray) -> np.ndarray:
+    """Sample covariance (1/n) Y Y^H of snapshot columns Y (p x n), as a Hermitian p x p array.
 
-    n < p is accepted (the matrix is still well defined) but flagged with a
+    The product is symmetrized as (M + M^H)/2, so the result is Hermitian
+    exactly; finiteness is left to ``eigh``, which checks it. n < p is
+    accepted (the matrix is still well defined) but flagged with a
     RegimeWarning: downstream shrinkage refuses such decompositions.
     """
     data = np.asarray(data)
@@ -209,8 +186,7 @@ def sample_covariance(data: np.ndarray) -> SampleCovariance:
             stacklevel=2,
         )
     m = data @ data.conj().T / n
-    m = (m + m.conj().T) / 2.0
-    return SampleCovariance(matrix=m, n_samples=n)
+    return (m + m.conj().T) / 2.0
 
 
 def eigh(matrix: np.ndarray) -> EigenDecomposition:

@@ -16,8 +16,11 @@ descriptions:
 * ``SpikedModel``: direct spectral synthesis of the target spectrum in a
   seeded random unitary basis.
 
-Snapshots are circularly-symmetric complex Gaussian draws with the scene
-covariance, reproducible per (seed, stream) and byte-identical across runs.
+Snapshots are plain p x n arrays of circularly-symmetric complex Gaussian
+draws with the scene covariance, reproducible per (seed, stream) and
+byte-identical across runs. For detection the last column is the test
+snapshot and the others are training data; ``inject_target`` adds the target
+there.
 """
 
 from __future__ import annotations
@@ -140,47 +143,6 @@ class ScenarioConfig:
         return self.N * self.K
 
 
-@dataclass(frozen=True)
-class DataCube:
-    """Clutter-plus-noise snapshots (p x n).
-
-    ``test_index`` designates the snapshot held out for detection; the
-    remaining columns are the training data.
-    """
-
-    snapshots: np.ndarray
-    test_index: int | None = None
-
-    def __post_init__(self):
-        snaps = np.asarray(self.snapshots, dtype=complex)
-        if snaps.ndim != 2:
-            raise ValueError("snapshots must be a p x n matrix")
-        if not np.all(np.isfinite(snaps)):
-            raise ValueError("snapshots must be finite")
-        if self.test_index is not None and not 0 <= self.test_index < snaps.shape[1]:
-            raise ValueError("test_index out of range")
-        object.__setattr__(self, "snapshots", snaps)
-
-    @property
-    def p(self) -> int:
-        return self.snapshots.shape[0]
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.snapshots.shape[1]
-
-    def training(self) -> np.ndarray:
-        """All snapshots except the designated test column."""
-        if self.test_index is None:
-            return self.snapshots
-        return np.delete(self.snapshots, self.test_index, axis=1)
-
-    def test_snapshot(self) -> np.ndarray:
-        """The designated test column (defaults to the last one)."""
-        idx = self.n_snapshots - 1 if self.test_index is None else self.test_index
-        return self.snapshots[:, idx]
-
-
 def _toeplitz_response(taps: np.ndarray, p: int, pulse_len: int) -> np.ndarray:
     h = np.zeros(p, dtype=complex)
     m = min(taps.size, p)
@@ -272,43 +234,44 @@ class SnapshotSampler:
         self._factor = decomp.eigenvectors * np.sqrt(lam)
         self.p = covariance.shape[0]
 
-    def draw(self, n: int, seed: int, stream: int = 0) -> DataCube:
-        """n circular complex Gaussian snapshots with the factored covariance."""
+    def draw(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
+        """p x n circular complex Gaussian snapshots with the factored covariance.
+
+        Real and imaginary parts each carry half the variance. Identical
+        (covariance, n, seed, stream) always reproduces the same array.
+        """
         if n < 1:
             raise ValueError("n must be positive")
         rng = substream(seed, stream)
         w = rng.standard_normal((self.p, n)) + 1j * rng.standard_normal((self.p, n))
-        snaps = self._factor @ (w / np.sqrt(2.0))
-        return DataCube(snapshots=snaps)
+        return self._factor @ (w / np.sqrt(2.0))
 
 
-def sample_snapshots(covariance: np.ndarray, n: int, seed: int) -> DataCube:
-    """n independent draws of CN(0, R): real and imaginary parts of variance 1/2.
+def inject_target(snapshots: np.ndarray, spec: SteeringSpec, amplitude: complex) -> np.ndarray:
+    """Copy of the p x n snapshots with amplitude * steering_vector(spec) added to the last column.
 
-    The covariance is factored through its spectral square root, so
-    rank-deficient R is handled cleanly. Identical (covariance, n, seed)
-    always reproduces the same cube.
+    The last column is the test snapshot; the training columns are untouched.
     """
-    return SnapshotSampler(covariance).draw(n, seed)
-
-
-def inject_target(cube: DataCube, spec: SteeringSpec, amplitude: complex) -> DataCube:
-    """Add amplitude * steering_vector(spec) to the designated test snapshot.
-
-    Training snapshots are untouched. If the cube has no designated test
-    snapshot the last column is designated. Returns a new cube.
-    """
-    if spec.p != cube.p:
-        raise ValueError("steering dimension does not match cube")
-    idx = cube.n_snapshots - 1 if cube.test_index is None else cube.test_index
-    snaps = cube.snapshots.copy()
-    snaps[:, idx] += amplitude * steering_vector(spec)
-    return DataCube(snapshots=snaps, test_index=idx)
+    if snapshots.ndim != 2 or spec.p != snapshots.shape[0]:
+        raise ValueError("steering dimension does not match snapshots")
+    out = snapshots.copy()
+    out[:, -1] += amplitude * steering_vector(spec)
+    return out
 
 
 def amplitude_for_snr(snr_db: float, sigma2: float, N: int, K: int) -> float:
-    """Target amplitude giving |h|^2 * N * K / sigma2 = 10^(snr_db / 10)."""
-    return float(np.sqrt(10.0 ** (snr_db / 10.0) * sigma2 / (N * K)))
+    """Target amplitude giving |h|^2 * N * K / sigma2 = 10^(snr_db / 10).
+
+    Raises ValueError when the amplitude is not finite (a NaN SNR, or one so
+    large that the power overflows).
+    """
+    try:
+        amp = float(np.sqrt(10.0 ** (snr_db / 10.0) * sigma2 / (N * K)))
+    except OverflowError:
+        amp = np.inf
+    if not np.isfinite(amp):
+        raise ValueError(f"SNR {snr_db} dB gives a non-finite target amplitude")
+    return amp
 
 
 def challenge_synthetic(n: int | None = None, seed: int | None = None) -> ScenarioConfig:

@@ -187,7 +187,7 @@ def verify_clt(
         else:
             w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2.0)
         w *= root[:, None]  # diagonal truth: the eigenvalue law is basis-free
-        decomp = rmt.eigh(rmt.sample_covariance(w).matrix)
+        decomp = rmt.eigh(rmt.sample_covariance(w))
         est = shrink_spectrum(decomp, ratio)
         # a spike the estimator missed sits on the floor
         k = min(est.spike_count, model.r)
@@ -217,7 +217,7 @@ def _steering_matrix(specs: list[SteeringSpec]) -> np.ndarray:
 
 
 def _estimate_both(data: np.ndarray, ratio: rmt.AspectRatio) -> dict:
-    decomp = rmt.eigh(rmt.sample_covariance(data).matrix)
+    decomp = rmt.eigh(rmt.sample_covariance(data))
     shrink = shrink_spectrum(decomp, ratio)
     return {
         "shrinkage": shrink,
@@ -270,8 +270,7 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, truth, spiked, sampler
         acc = {name: dict(rho=0.0, mvdr=0.0, stein=0.0) for name in ("shrinkage", "rcml")}
         bound_acc = 0.0
         for t in range(plan.trials):
-            cube = sampler.draw(n, plan.seed, stream=t)
-            ests = _estimate_both(cube.snapshots, ratio)
+            ests = _estimate_both(sampler.draw(n, plan.seed, stream=t), ratio)
             for name, est in ests.items():
                 acc[name]["rho"] += float(
                     np.mean(normalized_scnr_batch(est, truth, s_mat))
@@ -315,10 +314,11 @@ def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None) -> s
         amp = amplitude_for_snr(float(snr_db), scn.sigma2, scn.N, scn.K)
         hits = {pfa: 0 for pfa in pfa_list}
         for t in range(plan.trials):
-            cube = sampler.draw(scn.n + 1, plan.seed, stream=t)
-            cube = inject_target(cube, target, amp)
+            # rebinding frees the last trial's snapshots before the injected copy is made
+            snaps = sampler.draw(scn.n + 1, plan.seed, stream=t)
+            snaps = inject_target(snaps, target, amp)
             for pfa in pfa_list:
-                report = detect(cube, target, DetectorConfig(rank=rank, p_fa=pfa))
+                report = detect(snaps, target, DetectorConfig(rank=rank, p_fa=pfa))
                 hits[pfa] += int(report.decision)
         for pfa in pfa_list:
             pd_theory = theoretical_pd(spiked, target, amp, pfa, ratio_gamma, eigvecs)
@@ -383,23 +383,16 @@ def _timed(fn, reps: int) -> float:
 def bench_scaling(p_list: list[int], reps: int, seed: int = 0) -> str:
     """Time the eigendecomposition and the noise+shrink steps separately.
 
-    Returns a CSV with per-p timings and ratios across consecutive sizes. The
-    timed region is forced single-threaded so the ratios reflect arithmetic
-    growth, not thread scheduling; the MP median is cached before timing, as
-    the estimator relies on precomputed medians.
+    Returns a CSV with per-p timings and ratios across consecutive sizes; the
+    MP median is cached before timing, as the estimator relies on precomputed
+    medians. The BLAS thread count is not set here: it follows
+    OPENBLAS_NUM_THREADS / OMP_NUM_THREADS, so set both to 1 for
+    single-threaded timings whose ratios reflect arithmetic growth.
     """
     if list(p_list) != sorted(p_list):
         raise ValueError("p_list must be ascending")
     if reps < 1:
         raise ValueError("reps must be positive")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover - always present with scipy installed
-        import contextlib
-
-        def threadpool_limits(limits):
-            return contextlib.nullcontext()
-
     rows = []
     prev_eig = prev_shrink = None
     for p in p_list:
@@ -407,11 +400,10 @@ def bench_scaling(p_list: list[int], reps: int, seed: int = 0) -> str:
         z = rng.standard_normal((p, 4 * p)) + 1j * rng.standard_normal((p, 4 * p))
         scm = rmt.sample_covariance(z / np.sqrt(2.0))
         ratio = rmt.AspectRatio(p, 4 * p)
-        decomp = rmt.eigh(scm.matrix)
+        decomp = rmt.eigh(scm)
         estimate_noise(decomp, ratio)  # cache the MP median outside the timed region
-        with threadpool_limits(limits=1):
-            t_eig = _timed(lambda: rmt.eigh(scm.matrix), reps)
-            t_shrink = _timed(lambda: shrink_spectrum(decomp, ratio), reps)
+        t_eig = _timed(lambda: rmt.eigh(scm), reps)
+        t_shrink = _timed(lambda: shrink_spectrum(decomp, ratio), reps)
         eig_ratio = np.nan if prev_eig is None else t_eig / prev_eig
         shrink_ratio = np.nan if prev_shrink is None else t_shrink / prev_shrink
         rows.append([p, reps, t_eig, t_shrink, eig_ratio, shrink_ratio])

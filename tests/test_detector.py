@@ -4,7 +4,7 @@ from scipy import stats
 
 from cluttercov import (
     AspectRatio,
-    DataCube,
+    DetectionReport,
     DetectorConfig,
     NoiseEstimate,
     SpikedModel,
@@ -27,12 +27,13 @@ UNIT_NOISE = NoiseEstimate(sigma2_hat=1.0, lambda_med=1.0, mu_med=1.0)
 
 
 def h0_cubes(p, n_train, trials, seed, spikes=()):
+    """p x (n_train + 1) null snapshots: the last column is the test snapshot."""
     model = SpikedModel(p=p, sigma2=1.0, spikes=np.asarray(spikes, dtype=float))
     root = np.sqrt(model.spectrum())
     for t in range(trials):
         rng = substream(seed, t)
         w = (rng.standard_normal((p, n_train + 1)) + 1j * rng.standard_normal((p, n_train + 1)))
-        yield DataCube(snapshots=root[:, None] * w / np.sqrt(2), test_index=n_train)
+        yield root[:, None] * w / np.sqrt(2)
 
 
 class TestClutterProjection:
@@ -112,7 +113,7 @@ class TestTestStatistic:
         train = root[:, None] * (
             rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
         ) / np.sqrt(2)
-        dec = eigh(sample_covariance(train).matrix)
+        dec = eigh(sample_covariance(train))
         noise = estimate_noise(dec, AspectRatio(p, n))
         spec = SteeringSpec(0.4, 0.2, 8, 8)
         ps = clutter_projection(dec, len(spikes), steering_vector(spec))
@@ -133,7 +134,7 @@ class TestTestStatistic:
         train = root[:, None] * (
             rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
         ) / np.sqrt(2)
-        dec = eigh(sample_covariance(train).matrix)
+        dec = eigh(sample_covariance(train))
         noise = estimate_noise(dec, AspectRatio(p, n))
         spec = SteeringSpec(-0.3, 0.35, 8, 8)
         ps = clutter_projection(dec, 1, steering_vector(spec))
@@ -243,6 +244,19 @@ class TestDetect:
         assert report.theoretical_pfa == pytest.approx(0.05, rel=1e-12)
         assert report.chi2_statistic == pytest.approx(2 * report.statistic, rel=1e-12)
         assert report.raw_statistic is not None
+        assert list(report.to_dict()) == [
+            "statistic", "threshold", "decision", "theoretical_pfa", "chi2_statistic",
+            "raw_statistic",
+        ]
+
+    def test_report_fields_derived(self):
+        report = DetectionReport(statistic=3.0, threshold=threshold_for_pfa(0.1), raw_statistic=1.5)
+        assert report.decision is True
+        assert report.theoretical_pfa == pytest.approx(0.1, rel=1e-12)
+        assert report.chi2_statistic == 6.0
+        assert DetectionReport(statistic=2.0, threshold=2.0, raw_statistic=0.0).decision is False
+        with pytest.raises(ValueError, match="nonnegative"):
+            DetectionReport(statistic=-1.0, threshold=1.0, raw_statistic=0.0)
 
     def test_estimated_rank_default(self):
         # rank None: the detector counts eigenvalues above the detection edge
@@ -261,8 +275,7 @@ class TestDetect:
 
         p, n_train = 32, 256
         cube = next(h0_cubes(p, n_train, 1, seed=208, spikes=(60.0, 30.0)))
-        train = cube.training()
-        dec = eigh(sample_covariance(train).matrix)
+        dec = eigh(sample_covariance(cube[:, :-1]))
         ratio = AspectRatio(p, n_train)
         shrunk = shrink_spectrum(dec, ratio)
         clipped = rcml_estimate(dec, shrunk.noise, shrunk.spike_count, ratio=ratio)
@@ -272,7 +285,26 @@ class TestDetect:
         assert rep_a.statistic == rep_b.statistic
 
     def test_insufficient_training(self):
-        cube = DataCube(snapshots=np.eye(8, dtype=complex), test_index=7)
         spec = SteeringSpec(0.1, 0.1, 2, 4)
         with pytest.raises(ValueError, match="insufficient samples"):
-            detect(cube, spec, DetectorConfig(rank=0, p_fa=0.1))
+            detect(np.eye(8, dtype=complex), spec, DetectorConfig(rank=0, p_fa=0.1))
+
+    def test_nonfinite_test_snapshot_rejected(self):
+        cube = next(h0_cubes(8, 32, 1, seed=209))
+        cube[3, -1] = np.nan
+        with pytest.raises(ValueError, match="test snapshot must be finite"):
+            detect(cube, SteeringSpec(0.1, 0.1, 2, 4), DetectorConfig(rank=0, p_fa=0.1))
+
+    def test_nonfinite_training_rejected(self):
+        cube = next(h0_cubes(8, 32, 1, seed=209))
+        cube[3, 0] = np.inf
+        with pytest.raises(ValueError, match="invalid matrix"), np.errstate(invalid="ignore"):
+            detect(cube, SteeringSpec(0.1, 0.1, 2, 4), DetectorConfig(rank=0, p_fa=0.1))
+
+    def test_training_view_matches_copy(self):
+        # the training block is a view of all but the last column: its SCM
+        # equals the SCM of a contiguous copy bit for bit
+        cube = next(h0_cubes(32, 128, 1, seed=210, spikes=(40.0,)))
+        view, copy = cube[:, :-1], np.ascontiguousarray(cube[:, :-1])
+        assert np.shares_memory(view, cube)
+        np.testing.assert_array_equal(sample_covariance(view), sample_covariance(copy))

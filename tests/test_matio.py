@@ -13,7 +13,7 @@ def small_estimate():
     rng = substream(300, 0)
     data = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
     data[0] *= 5.0
-    return shrink_spectrum(eigh(sample_covariance(data).matrix), AspectRatio(p, n))
+    return shrink_spectrum(eigh(sample_covariance(data)), AspectRatio(p, n))
 
 
 class TestSaveEstimate:

@@ -71,7 +71,7 @@ class TestNormalizedScnr:
         p, n = 16, 64
         rng = substream(101, 0)
         data = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
-        dec = eigh(sample_covariance(data).matrix)
+        dec = eigh(sample_covariance(data))
         est = shrink_spectrum(dec, AspectRatio(p, n))
         r = random_pd(p, 5)
         y = steering_vector(TARGET44)
@@ -118,7 +118,7 @@ class TestKantorovichBound:
         for t in range(100):
             rng = substream(102, t)
             w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
-            est = shrink_spectrum(eigh(sample_covariance(root[:, None] * w).matrix), ratio)
+            est = shrink_spectrum(eigh(sample_covariance(root[:, None] * w)), ratio)
             rho = normalized_scnr(est, truth, target)
             rep = kantorovich_bound(model, est, ratio.gamma, rho=rho)
             assert rep.lower_bound <= rho <= 1.0 + 1e-10
@@ -192,7 +192,7 @@ class TestSteinLoss:
         for t in range(20):
             rng = substream(104, t)
             w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
-            dec = eigh(sample_covariance(root[:, None] * w).matrix)
+            dec = eigh(sample_covariance(root[:, None] * w))
             shrunk = shrink_spectrum(dec, ratio)
             clipped = rcml_estimate(dec, shrunk.noise, shrunk.spike_count, ratio=ratio)
             shrink_losses.append(stein_loss(truth, shrunk))
@@ -211,7 +211,7 @@ class TestSteinLoss:
         model = SpikedModel(p=p, sigma2=1.0, spikes=np.asarray(spikes, dtype=float))
         rng = substream(105, 0)
         w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
-        dec = eigh(sample_covariance(np.sqrt(model.spectrum())[:, None] * w).matrix)
+        dec = eigh(sample_covariance(np.sqrt(model.spectrum())[:, None] * w))
         shrunk = shrink_spectrum(dec, ratio)
         est = {
             "shrinkage": shrunk,

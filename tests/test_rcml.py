@@ -216,7 +216,7 @@ class TestEquivalenceWithShrinkage:
         for t in range(25):
             rng = substream(25, t)
             w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
-            dec = eigh(sample_covariance(root[:, None] * w).matrix)
+            dec = eigh(sample_covariance(root[:, None] * w))
             shrunk = shrink_spectrum(dec, ratio)
             clipped = rcml_estimate(dec, shrunk.noise, shrunk.spike_count, ratio=ratio)
             assert clipped.spike_count == shrunk.spike_count

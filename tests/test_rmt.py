@@ -102,17 +102,17 @@ class TestSampleCovariance:
         y = np.full(p, np.sqrt(1.0), dtype=complex)  # norm^2 = p
         with pytest.warns(RegimeWarning):
             scm = sample_covariance(y[:, None])
-        assert scm.n_samples == 1
-        np.testing.assert_allclose(scm.matrix, np.outer(y, y.conj()), atol=1e-15)
-        assert abs(np.trace(scm.matrix).real - p) < 1e-12
+        np.testing.assert_allclose(scm, np.outer(y, y.conj()), atol=1e-15)
+        assert np.linalg.matrix_rank(scm, hermitian=True) == 1
+        assert abs(np.trace(scm).real - p) < 1e-12
 
     def test_duplicate_snapshots_average_to_same_matrix(self):
         rng = substream(1, 0)
         y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         with pytest.warns(RegimeWarning):
-            one = sample_covariance(y[:, None]).matrix
+            one = sample_covariance(y[:, None])
         with pytest.warns(RegimeWarning):
-            two = sample_covariance(np.column_stack([y, y])).matrix
+            two = sample_covariance(np.column_stack([y, y]))
         np.testing.assert_allclose(one, two, atol=1e-15)
 
     def test_white_noise_trace_recovers_power(self):
@@ -123,7 +123,17 @@ class TestSampleCovariance:
             rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
         )
         scm = sample_covariance(data)
-        assert abs(np.trace(scm.matrix).real / p - sigma2) / sigma2 < 0.05
+        assert abs(np.trace(scm).real / p - sigma2) / sigma2 < 0.05
+
+    def test_exactly_hermitian_array_and_nonfinite_left_to_eigh(self):
+        rng = substream(4, 0)
+        data = rng.standard_normal((6, 30)) + 1j * rng.standard_normal((6, 30))
+        scm = sample_covariance(data)
+        assert isinstance(scm, np.ndarray) and scm.shape == (6, 6)
+        np.testing.assert_array_equal(scm, scm.conj().T)
+        data[2, 7] = np.nan
+        with pytest.raises(ValueError, match="invalid matrix"), np.errstate(invalid="ignore"):
+            eigh(sample_covariance(data))
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="no training samples"):
@@ -143,7 +153,7 @@ class TestSampleCovariance:
             data = np.sqrt(sigma2 / 2) * (
                 rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
             )
-            lam = np.linalg.eigvalsh(sample_covariance(data).matrix)
+            lam = np.linalg.eigvalsh(sample_covariance(data))
             good += bool(lam.min() >= lo and lam.max() <= hi)
         assert good >= 99
 

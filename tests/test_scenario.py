@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluttercov import (
-    DataCube,
     ModelOrderWarning,
     Scatterer,
     ScattererClutter,
@@ -18,7 +17,6 @@ from cluttercov import (
     eigh,
     inject_target,
     preset,
-    sample_snapshots,
     steering_vector,
     synthesize_clutter_covariance,
     truth_spiked_model,
@@ -132,8 +130,8 @@ class TestSynthesizeClutterCovariance:
             ),
         )
         truth = synthesize_clutter_covariance(cfg)
-        cube = sample_snapshots(truth, cfg.n, seed=31)
-        emp = cube.snapshots @ cube.snapshots.conj().T / cfg.n
+        snaps = SnapshotSampler(truth).draw(cfg.n, seed=31)
+        emp = snaps @ snaps.conj().T / cfg.n
         err = np.linalg.norm(emp - truth, 2) / np.linalg.norm(truth, 2)
         assert err < 0.10
 
@@ -141,62 +139,62 @@ class TestSynthesizeClutterCovariance:
 class TestSampleSnapshots:
     def test_identity_covariance_moments(self):
         p, n = 4, 100_000
-        cube = sample_snapshots(np.eye(p), n, seed=32)
-        emp = cube.snapshots @ cube.snapshots.conj().T / n
+        snaps = SnapshotSampler(np.eye(p)).draw(n, seed=32)
+        emp = snaps @ snaps.conj().T / n
         assert np.abs(emp - np.eye(p)).max() < 0.02
 
     def test_seeded_determinism_byte_identical(self):
         r = np.diag([3.0, 1.0, 1.0])
-        a = sample_snapshots(r, 50, seed=33)
-        b = sample_snapshots(r, 50, seed=33)
-        assert a.snapshots.tobytes() == b.snapshots.tobytes()
-        c = sample_snapshots(r, 50, seed=34)
-        assert a.snapshots.tobytes() != c.snapshots.tobytes()
+        a = SnapshotSampler(r).draw(50, seed=33)
+        b = SnapshotSampler(r).draw(50, seed=33)
+        assert a.tobytes() == b.tobytes()
+        c = SnapshotSampler(r).draw(50, seed=34)
+        assert a.tobytes() != c.tobytes()
 
     def test_rank_one_covariance_colinear_snapshots(self):
         v = np.array([1.0, 1j, -1.0, -1j]) / 2.0
         r = np.outer(v, v.conj())
-        cube = sample_snapshots(r, 20, seed=35)
+        snaps = SnapshotSampler(r).draw(20, seed=35)
         for k in range(20):
-            z = cube.snapshots[:, k]
+            z = snaps[:, k]
             # every snapshot proportional to v
             assert np.linalg.norm(z - v * np.vdot(v, z)) < 1e-10
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semi-definite"):
-            sample_snapshots(np.diag([1.0, -0.5]), 10, seed=0)
+            SnapshotSampler(np.diag([1.0, -0.5])).draw(10, seed=0)
 
     def test_circular_symmetry_convention(self):
         # E[z z^T] = 0: real and imaginary parts carry half the power each
-        cube = sample_snapshots(np.eye(2) * 4.0, 200_000, seed=36)
-        z = cube.snapshots
+        z = SnapshotSampler(np.eye(2) * 4.0).draw(200_000, seed=36)
         pseudo = z @ z.T / z.shape[1]
         assert np.abs(pseudo).max() < 0.05
         assert abs(np.mean(np.abs(z[0]) ** 2) - 4.0) < 0.05
 
 
 class TestInjectTarget:
-    def _cube(self, p=8, n=5):
-        return DataCube(snapshots=np.zeros((p, n), dtype=complex))
-
     def test_zero_amplitude_unchanged(self):
-        cube = self._cube()
-        out = inject_target(cube, SteeringSpec(0.2, 0.1, 2, 4), 0.0)
-        np.testing.assert_array_equal(out.snapshots, cube.snapshots)
+        snaps = np.zeros((8, 5), dtype=complex)
+        out = inject_target(snaps, SteeringSpec(0.2, 0.1, 2, 4), 0.0)
+        np.testing.assert_array_equal(out, snaps)
 
     def test_exact_on_noiseless_cube(self):
         spec = SteeringSpec(0.3, -0.2, 2, 4)
-        out = inject_target(self._cube(), spec, 2.0 - 1.0j)
-        np.testing.assert_allclose(out.snapshots[:, -1], (2 - 1j) * steering_vector(spec))
-        assert out.test_index == 4
+        out = inject_target(np.zeros((8, 5), dtype=complex), spec, 2.0 - 1.0j)
+        np.testing.assert_allclose(out[:, -1], (2 - 1j) * steering_vector(spec))
 
     def test_training_untouched(self):
         rng = np.random.default_rng(0)
         snaps = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        cube = DataCube(snapshots=snaps, test_index=2)
-        out = inject_target(cube, SteeringSpec(0.0, 0.0, 2, 4), 1.0)
-        np.testing.assert_array_equal(out.training(), cube.training())
-        assert not np.array_equal(out.snapshots[:, 2], cube.snapshots[:, 2])
+        before = snaps.copy()
+        out = inject_target(snaps, SteeringSpec(0.0, 0.0, 2, 4), 1.0)
+        np.testing.assert_array_equal(out[:, :-1], snaps[:, :-1])
+        assert not np.array_equal(out[:, -1], snaps[:, -1])
+        np.testing.assert_array_equal(snaps, before)  # a copy: the input is not modified
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="steering dimension"):
+            inject_target(np.zeros((6, 5), dtype=complex), SteeringSpec(0.0, 0.0, 2, 4), 1.0)
 
     def test_snr_bookkeeping(self):
         sigma2, N, K = 0.7, 4, 8
@@ -204,6 +202,11 @@ class TestInjectTarget:
             h = amplitude_for_snr(snr_db, sigma2, N, K)
             snr = abs(h) ** 2 * N * K / sigma2
             assert abs(snr - 10 ** (snr_db / 10)) < 1e-12 * snr
+
+    @pytest.mark.parametrize("snr_db", [1e300, 3100.0, np.inf, np.nan])
+    def test_nonfinite_amplitude_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="non-finite"):
+            amplitude_for_snr(snr_db, 0.7, 4, 8)
 
 
 class TestPresets:

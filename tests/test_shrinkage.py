@@ -136,7 +136,7 @@ class TestEstimateNoise:
         rng = substream(0, 0)
         data = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
         with pytest.warns(Warning):
-            dec = eigh(sample_covariance(data).matrix)
+            dec = eigh(sample_covariance(data))
         with pytest.raises(ValueError):
             estimate_noise(dec, AspectRatio(8, 4))
 
@@ -148,7 +148,7 @@ class TestEstimateNoise:
         vals = []
         for t in range(trials):
             data = spiked_snapshots(model, n, substream(11, t))
-            dec = eigh(sample_covariance(data).matrix)
+            dec = eigh(sample_covariance(data))
             vals.append(estimate_noise(dec, ratio).sigma2_hat)
         assert abs(np.mean(vals) - sigma2) / sigma2 < 0.03
 
@@ -159,7 +159,7 @@ class TestEstimateNoise:
         vals = []
         for t in range(trials):
             data = spiked_snapshots(model, n, substream(12, t))
-            dec = eigh(sample_covariance(data).matrix)
+            dec = eigh(sample_covariance(data))
             vals.append(estimate_noise(dec, ratio).sigma2_hat)
         assert abs(np.mean(vals) - sigma2) / sigma2 < 0.03
 
@@ -208,7 +208,7 @@ class TestShrinkSpectrum:
         tops = np.zeros(3)
         for t in range(trials):
             data = spiked_snapshots(model, n, substream(13, t))
-            est = shrink_spectrum(eigh(sample_covariance(data).matrix), ratio)
+            est = shrink_spectrum(eigh(sample_covariance(data)), ratio)
             tops += est.spikes[:3]
         tops /= trials
         for i, ell in enumerate(model.spikes):
@@ -229,7 +229,7 @@ class TestShrinkSpectrum:
             trials = 16
             for t in range(trials):
                 data = spiked_snapshots(model, n, substream(14, p, t))
-                est = shrink_spectrum(eigh(sample_covariance(data).matrix), ratio)
+                est = shrink_spectrum(eigh(sample_covariance(data)), ratio)
                 err += np.abs(est.spikes[:3] - targets).max()
             errs.append(err / trials)
         assert errs[0] > errs[1] > errs[2]
@@ -239,10 +239,10 @@ class TestShrinkSpectrum:
         rng = substream(15, 0)
         data = rng.standard_normal((32, 128)) + 1j * rng.standard_normal((32, 128))
         data[0] *= 4.0
-        dec = eigh(sample_covariance(data).matrix)
+        dec = eigh(sample_covariance(data))
         base = shrink_spectrum(dec, ratio)
         for c in (0.25, 3.0, 1e6):
-            scaled = eigh(sample_covariance(np.sqrt(c) * data).matrix)
+            scaled = eigh(sample_covariance(np.sqrt(c) * data))
             est = shrink_spectrum(scaled, ratio)
             assert est.spike_count == base.spike_count
             np.testing.assert_allclose(est.spikes, c * base.spikes, rtol=1e-9)
@@ -253,7 +253,7 @@ class TestShrinkSpectrum:
         rng = substream(16, 0)
         data = rng.standard_normal((16, 64)) + 1j * rng.standard_normal((16, 64))
         data[:3] *= np.array([5.0, 3.0, 2.0])[:, None]
-        est = shrink_spectrum(eigh(sample_covariance(data).matrix), ratio)
+        est = shrink_spectrum(eigh(sample_covariance(data)), ratio)
         spectrum = np.append(est.spikes, est.noise.sigma2_hat)  # spikes, then the floor
         assert np.all(np.diff(spectrum) <= 1e-15)
 
@@ -269,7 +269,7 @@ class TestShrinkSpectrum:
         rng = substream(17, 0)
         data = rng.standard_normal((12, 48)) + 1j * rng.standard_normal((12, 48))
         data[0] *= 4.0  # one spike, so the shared block is not empty
-        dec = eigh(sample_covariance(data).matrix)
+        dec = eigh(sample_covariance(data))
         est = shrink_spectrum(dec, ratio)
         assert est.spike_count >= 1
         assert np.shares_memory(est.vectors, dec.eigenvectors)
@@ -327,7 +327,7 @@ class TestSpikedModel:
 def both_estimates(p, n, spikes, seed):
     """Shrinkage and clipping estimates from one spiked sample."""
     model = SpikedModel(p=p, sigma2=1.0, spikes=np.asarray(spikes, dtype=float))
-    dec = eigh(sample_covariance(spiked_snapshots(model, n, substream(18, seed))).matrix)
+    dec = eigh(sample_covariance(spiked_snapshots(model, n, substream(18, seed))))
     ratio = AspectRatio(p, n)
     shrunk = shrink_spectrum(dec, ratio)
     clipped = rcml_estimate(dec, shrunk.noise, shrunk.spike_count, ratio=ratio)
