@@ -65,7 +65,6 @@ from .validate import (
     CltSpikeResult,
     KsResult,
     TrialPlan,
-    bench_scaling,
     ks_two_sample,
     sweep,
     verify_clt,

@@ -1,4 +1,4 @@
-"""Command-line entry point: estimate, sweep, detect, bench, verify-clt.
+"""Command-line entry point: estimate, sweep, detect, verify-clt.
 
 Every run is driven by one root seed, writes its outputs under --out-dir, and
 drops a manifest.json recording the command, configuration, seed, and output
@@ -136,6 +136,7 @@ def _validate_outputs(paths: list[Path]) -> None:
 def _cmd_estimate(args) -> int:
     scn = _scenario_from_args(args)
     seed = scn.seed if args.seed is None else args.seed
+    _check_rank(args.rank, scn.p)
     if scn.n < scn.p:
         raise ValueError("insufficient samples")
     truth = synthesize_clutter_covariance(scn)
@@ -157,16 +158,36 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _parse_list(text: str, kind=float) -> tuple:
+def _parse_list(text: str) -> tuple:
     try:
-        return tuple(kind(x) for x in text.split(",") if x)
+        return tuple(float(x) for x in text.split(",") if x)
     except ValueError as exc:
-        raise ConfigError(f"bad {kind.__name__} list: {text!r}") from exc
+        raise ConfigError(f"bad float list: {text!r}") from exc
+
+
+def _check_pfa(values) -> None:
+    for pfa in values:
+        if not 0.0 < pfa < 1.0:
+            raise ConfigError(f"--pfa must lie in (0, 1), got {pfa!r}")
+
+
+def _check_rank(rank: int | None, p: int) -> None:
+    if rank is not None and not 0 <= rank < p:
+        raise ConfigError(f"--rank must satisfy 0 <= rank < p = {p}, got {rank}")
 
 
 def _cmd_sweep(args) -> int:
     scn = _scenario_from_args(args)
     seed = scn.seed if args.seed is None else args.seed
+    if args.trials < 0:
+        raise ConfigError(f"--trials must be nonnegative, got {args.trials}")
+    for flag, rows in (("--doppler-grid", args.doppler_grid), ("--angle-grid", args.angle_grid)):
+        if rows is not None and rows < 1:
+            raise ConfigError(f"{flag} must be positive, got {rows}")
+    pfa_list = _parse_list(args.pfa)
+    if args.axis == "snr":
+        _check_pfa(pfa_list)
+        _check_rank(args.rank, scn.p)
     plan = validate.TrialPlan(
         scenario=scn,
         trials=args.trials,
@@ -174,17 +195,15 @@ def _cmd_sweep(args) -> int:
         target=_target_from_args(args, scn),
     )
     values = None
-    if args.axis == "doppler" and args.doppler_grid:
+    if args.axis == "doppler" and args.doppler_grid is not None:
         values = np.linspace(-0.5, 0.5, args.doppler_grid)
-    elif args.axis == "angle" and args.angle_grid:
+    elif args.axis == "angle" and args.angle_grid is not None:
         values = np.linspace(-np.pi / 3, np.pi / 3, args.angle_grid)
     elif args.axis == "snr":
         if not (args.snr_step > 0 and args.snr_lo <= args.snr_hi):
             raise ConfigError("the SNR grid needs --snr-step > 0 and --snr-lo <= --snr-hi")
         values = np.arange(args.snr_lo, args.snr_hi + 1e-9, args.snr_step)
-    csv_text = validate.sweep(
-        plan, args.axis, values=values, pfa_list=_parse_list(args.pfa), rank=args.rank
-    )
+    csv_text = validate.sweep(plan, args.axis, values=values, pfa_list=pfa_list, rank=args.rank)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"sweep-{args.axis}.csv"
@@ -198,6 +217,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_detect(args) -> int:
     scn = _scenario_from_args(args)
     seed = scn.seed if args.seed is None else args.seed
+    _check_pfa([args.pfa])
+    _check_rank(args.rank, scn.p)
     target = _target_from_args(args, scn)
     truth = synthesize_clutter_covariance(scn)
     amp = amplitude_for_snr(args.snr_db, scn.sigma2, scn.N, scn.K)
@@ -218,21 +239,14 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    p_list = list(_parse_list(args.p_list, int))
-    csv_text = validate.bench_scaling(p_list, args.reps, seed=args.seed or 0)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "bench.csv"
-    csv_path.write_text(csv_text)
-    outputs = [csv_path, _write_manifest(out_dir, args, [csv_path])]
-    _validate_outputs(outputs)
-    print(csv_text, end="")
-    return 0
-
-
 def _cmd_verify_clt(args) -> int:
     spikes = np.asarray(sorted(_parse_list(args.spikes), reverse=True))
+    if spikes.size == 0 or not np.all(spikes > 1.0):
+        raise ConfigError("--spikes needs whitened spikes above the noise floor 1")
+    if args.trials < 2:
+        raise ConfigError(f"--trials must be at least 2, got {args.trials}")
+    if args.p < 1 or not 0.0 < args.gamma <= 1.0 or not args.sigma2 > 0.0:
+        raise ConfigError("verify-clt needs --p >= 1, --gamma in (0, 1] and --sigma2 > 0")
     model = SpikedModel(p=args.p, sigma2=args.sigma2, spikes=spikes * args.sigma2)
     results = validate.verify_clt(
         model, args.gamma, args.p, args.trials, args.seed or 0, ensemble=args.ensemble
@@ -303,12 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--doppler", type=float, default=0.2, help="target Doppler")
     sp.add_argument("--angle-deg", type=float, default=30.0, help="target angle, degrees")
     sp.set_defaults(func=_cmd_detect)
-
-    sp = sub.add_parser("bench", help="scaling benchmark of the estimation steps")
-    add_common(sp, scenario=False)
-    sp.add_argument("--p-list", default="256,512,1024")
-    sp.add_argument("--reps", type=int, default=3)
-    sp.set_defaults(func=_cmd_bench)
 
     sp = sub.add_parser("verify-clt", help="distributional check of the shrunk eigenvalues")
     add_common(sp, scenario=False)

@@ -109,7 +109,7 @@ def clutter_projection(decomp: EigenDecomposition, rank: int, x: np.ndarray) -> 
     """
     if not 0 <= rank < decomp.p:
         raise ValueError("rank must satisfy 0 <= rank < p")
-    v = decomp.eigenvectors[:, :rank]
+    v = decomp.leading(rank)
     return x - v @ (v.conj().T @ x)
 
 

@@ -95,8 +95,8 @@ def rcml_estimate(
 
     Maps the solve_rcml output back to covariance eigenvalues,
     sigma2_hat * max(1, whitened sample eigenvalue) for the leading modes;
-    the modes that stay above the floor are the estimate's spikes, with
-    vectors shared with the decomposition.
+    the modes that stay above the floor are the estimate's spikes, with the
+    decomposition's leading eigenvectors as their vectors.
     """
     if not 0 <= rank < decomp.p:
         raise ValueError("rank must satisfy 0 <= rank < p")
@@ -105,7 +105,7 @@ def rcml_estimate(
     lam = s2 / solve_rcml(problem)[:rank]  # descending
     spikes = lam[lam > s2]
     return CovarianceEstimate(
-        noise=noise, spikes=spikes, vectors=decomp.eigenvectors[:, : spikes.size], ratio=ratio
+        noise=noise, spikes=spikes, vectors=decomp.leading(spikes.size), ratio=ratio
     )
 
 

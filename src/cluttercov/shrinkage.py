@@ -102,9 +102,10 @@ class CovarianceEstimate:
 
     The estimate is s2 I + V diag(spikes - s2) V^H with s2 = sigma2_hat,
     ``spikes`` the r shrunk (or clipped) eigenvalues, descending and strictly
-    above s2, and ``vectors`` the p x r leading block of the sample
-    eigenvectors (a view sharing the decomposition's storage, never copied).
-    Every other eigenvalue equals the floor by construction.
+    above s2, and ``vectors`` the p x r leading sample eigenvectors from
+    ``EigenDecomposition.leading(r)``. For a decomposition from ``eigh`` the
+    estimate owns that block, so it keeps no p x p basis alive. Every other
+    eigenvalue equals the floor by construction.
     """
 
     noise: NoiseEstimate
@@ -320,7 +321,7 @@ def shrink_spectrum(decomp: EigenDecomposition, ratio: AspectRatio) -> Covarianc
             stacklevel=2,
         )
     return CovarianceEstimate(
-        noise=noise, spikes=spikes, vectors=decomp.eigenvectors[:, :r_hat], ratio=ratio
+        noise=noise, spikes=spikes, vectors=decomp.leading(r_hat), ratio=ratio
     )
 
 

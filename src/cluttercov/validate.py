@@ -1,4 +1,4 @@
-"""Monte Carlo validation: KS testing, CLT verification, metric sweeps, scaling benchmarks.
+"""Monte Carlo validation: KS testing, CLT verification and metric sweeps.
 
 Every routine is deterministic given its seed: each trial draws from an
 independent substream keyed by the trial index, so results do not depend on
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .scenario import (
     synthesize_clutter_covariance,
     truth_spiked_model,
 )
-from .shrinkage import SpikedModel, clt_params, estimate_noise, shrink_spectrum
+from .shrinkage import SpikedModel, clt_params, shrink_spectrum
 
 KOLMOGOROV_SERIES_TERMS = 100
 DEFAULT_TRIALS = 1024
@@ -50,7 +49,6 @@ SWEEP_HEADER = [
     "stein_loss_rcml",
 ]
 DETECTION_HEADER = ["snr_db", "p_fa", "empirical_pd", "theoretical_pd", "trials"]
-BENCH_HEADER = ["p", "reps", "eig_seconds", "shrink_seconds", "eig_ratio", "shrink_ratio"]
 
 # marginalization grids: angle spacing of pi/180 rad (179 points), Doppler
 # spacing of pi/50 = 0.0628 in normalized Doppler (16 points; pi/50 rad/PRI
@@ -308,7 +306,7 @@ def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None) -> s
     ratio_gamma = scn.p / scn.n
     eigvecs = None
     if spiked.r:
-        eigvecs = rmt.eigh(truth).eigenvectors[:, : spiked.r]
+        eigvecs = rmt.eigh(truth).leading(spiked.r)
     rows = []
     for snr_db in snr_grid:
         amp = amplitude_for_snr(float(snr_db), scn.sigma2, scn.N, scn.K)
@@ -368,44 +366,3 @@ def sweep(
     spiked = truth_spiked_model(scn, truth)
     sampler = SnapshotSampler(truth)
     return _sweep_estimation(plan, axis, values, truth, spiked, sampler)
-
-
-def _timed(fn, reps: int) -> float:
-    fn()  # warm-up excluded from the measurement
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
-def bench_scaling(p_list: list[int], reps: int, seed: int = 0) -> str:
-    """Time the eigendecomposition and the noise+shrink steps separately.
-
-    Returns a CSV with per-p timings and ratios across consecutive sizes; the
-    MP median is cached before timing, as the estimator relies on precomputed
-    medians. The BLAS thread count is not set here: it follows
-    OPENBLAS_NUM_THREADS / OMP_NUM_THREADS, so set both to 1 for
-    single-threaded timings whose ratios reflect arithmetic growth.
-    """
-    if list(p_list) != sorted(p_list):
-        raise ValueError("p_list must be ascending")
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    rows = []
-    prev_eig = prev_shrink = None
-    for p in p_list:
-        rng = substream(seed, p)
-        z = rng.standard_normal((p, 4 * p)) + 1j * rng.standard_normal((p, 4 * p))
-        scm = rmt.sample_covariance(z / np.sqrt(2.0))
-        ratio = rmt.AspectRatio(p, 4 * p)
-        decomp = rmt.eigh(scm)
-        estimate_noise(decomp, ratio)  # cache the MP median outside the timed region
-        t_eig = _timed(lambda: rmt.eigh(scm), reps)
-        t_shrink = _timed(lambda: shrink_spectrum(decomp, ratio), reps)
-        eig_ratio = np.nan if prev_eig is None else t_eig / prev_eig
-        shrink_ratio = np.nan if prev_shrink is None else t_shrink / prev_shrink
-        rows.append([p, reps, t_eig, t_shrink, eig_ratio, shrink_ratio])
-        prev_eig, prev_shrink = t_eig, t_shrink
-    return _rows_to_csv(BENCH_HEADER, rows)

@@ -81,6 +81,14 @@ DETERMINISTIC = {
          "--snr-lo", "0", "--snr-hi", "10", "--snr-step", "5"],
         "sweep-snr.csv",
     ),
+    "sweep-doppler": (
+        ["sweep", "--axis", "doppler", "--trials", "2", "--seed", "5", "--doppler-grid", "3"],
+        "sweep-doppler.csv",
+    ),
+    "sweep-angle": (
+        ["sweep", "--axis", "angle", "--trials", "2", "--seed", "5", "--angle-grid", "3"],
+        "sweep-angle.csv",
+    ),
     "detect": (["detect", "--seed", "5", "--snr-db", "12", "--pfa", "0.01"], "detection.json"),
     "verify-clt": (
         ["verify-clt", "--p", "20", "--gamma", "0.25", "--trials", "8", "--spikes", "6,4",
@@ -115,6 +123,18 @@ class TestEndToEnd:
         assert lines[0].startswith("scenario,axis,value,n,gamma,trials,rho_shrinkage")
         assert [row.split(",")[3] for row in lines[1:]] == ["32", "64", "96", "128"]
 
+    @pytest.mark.parametrize("axis,grid", [("doppler", [-0.5, 0.0, 0.5]),
+                                           ("angle", [-np.pi / 3, 0.0, np.pi / 3])])
+    def test_sweep_marginal_rows(self, scene, tmp_path, axis, grid):
+        argv, output = DETERMINISTIC[f"sweep-{axis}"]
+        assert _run([*argv, "--config", str(scene)], tmp_path)[0] == 0
+        lines = (tmp_path / output).read_text().splitlines()
+        assert lines[0].startswith("scenario,axis,value,n,gamma,trials,rho_shrinkage")
+        rows = [row.split(",") for row in lines[1:]]
+        assert [row[1] for row in rows] == [axis] * 3
+        np.testing.assert_allclose([float(row[2]) for row in rows], grid, atol=1e-9)
+        assert all(0.0 < float(row[6]) <= 1.0 for row in rows)  # rho_shrinkage
+
     def test_sweep_snr_rows(self, scene, tmp_path):
         argv, output = DETERMINISTIC["sweep-snr"]
         assert _run([*argv, "--config", str(scene)], tmp_path)[0] == 0
@@ -132,14 +152,6 @@ class TestEndToEnd:
         ]
         assert report["decision"] == (report["statistic"] > report["threshold"])
         assert report["chi2_statistic"] == 2 * report["statistic"]
-
-    def test_bench(self, tmp_path):
-        code, manifest = _run(["bench", "--p-list", "8,16", "--reps", "1"], tmp_path)
-        assert code == 0
-        assert manifest["outputs"] == [str(tmp_path / "bench.csv")]
-        lines = (tmp_path / "bench.csv").read_text().splitlines()
-        assert lines[0] == "p,reps,eig_seconds,shrink_seconds,eig_ratio,shrink_ratio"
-        assert [row.split(",")[0] for row in lines[1:]] == ["8", "16"]
 
 
 class TestExitCodes:
@@ -185,5 +197,40 @@ class TestExitCodes:
     def test_zero_n_flag_on_preset_is_config_error(self, tmp_path):
         assert main(["estimate", "--n", "0", "--out-dir", str(tmp_path)]) == 2
 
-    def test_bad_p_list_is_config_error(self, tmp_path):
-        assert main(["bench", "--p-list", "abc", "--out-dir", str(tmp_path)]) == 2
+    # flag values out of range on a 16-dim scene (p = 2 x 8): each is a
+    # configuration error, caught before any work and before any output
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--axis", "n", "--trials", "-1"],
+            ["detect", "--pfa", "2"],
+            ["detect", "--pfa", "0"],
+            ["sweep", "--axis", "snr", "--trials", "1", "--pfa", "2"],
+            ["estimate", "--estimator", "rcml", "--rank", "16"],
+            ["estimate", "--estimator", "rcml", "--rank", "-1"],
+            ["sweep", "--axis", "angle", "--trials", "1", "--angle-grid", "-3"],
+            ["sweep", "--axis", "doppler", "--trials", "1", "--doppler-grid", "0"],
+        ],
+        ids=["sweep-trials", "detect-pfa-2", "detect-pfa-0", "sweep-pfa", "rcml-rank-p",
+             "rcml-rank-negative", "angle-grid", "doppler-grid"],
+    )
+    def test_flag_out_of_range_is_config_error(self, tmp_path, argv):
+        scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0,
+                 "clutter": {"kind": "spiked", "spikes": [6.0, 3.0]}}
+        path = _write(tmp_path, "p16.json", json.dumps(scene))
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--spikes", "0.5"], ["--trials", "1"], ["--gamma", "0"], ["--gamma", "2"], ["--p", "0"],
+         ["--sigma2", "-1"]],
+        ids=["spike-below-floor", "one-trial", "gamma-zero", "gamma-above-one", "p-zero",
+             "negative-sigma2"],
+    )
+    def test_verify_clt_flag_out_of_range_is_config_error(self, tmp_path, flags):
+        argv = ["verify-clt", "--p", "16", "--gamma", "0.25", "--trials", "4", *flags,
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert not (tmp_path / "out").exists()

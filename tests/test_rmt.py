@@ -6,6 +6,7 @@ from scipy import integrate
 
 from cluttercov import (
     AspectRatio,
+    EigenDecomposition,
     MPLaw,
     RegimeWarning,
     eigh,
@@ -139,6 +140,31 @@ class TestSampleCovariance:
         with pytest.raises(ValueError, match="no training samples"):
             sample_covariance(np.empty((4, 0)))
 
+    # p = 150 spans three blocks of the triangle mirror, p = 24 one
+    @pytest.mark.parametrize("p", [24, 150])
+    @pytest.mark.parametrize("kind", ["complex", "real", "one-snapshot", "training-view"])
+    def test_matches_dense_product_and_is_exactly_hermitian(self, kind, p):
+        rng = substream(6, p)
+        data = rng.standard_normal((p, 2 * p + 1))
+        if kind != "real":
+            data = data + 1j * rng.standard_normal((p, 2 * p + 1))
+        if kind == "one-snapshot":
+            data = data[:, 0]
+        elif kind == "training-view":
+            data = data[:, :-1]  # what ``detect`` passes: all but the test column
+            assert not data.flags.c_contiguous
+        y = data.reshape(p, -1)
+        ref = y @ y.conj().T / y.shape[1]
+        if kind == "one-snapshot":
+            with pytest.warns(RegimeWarning):
+                scm = sample_covariance(data)
+        else:
+            scm = sample_covariance(data)
+        assert scm.dtype == (float if kind == "real" else complex)
+        assert np.abs(scm - ref).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_array_equal(scm, scm.conj().T)
+        np.testing.assert_array_equal(np.diagonal(scm).imag, 0.0)
+
     def test_mp_support_containment(self):
         # all eigenvalues inside the 20%-slackened MP support in >= 99% of trials
         p, sigma2 = 50, 1.7
@@ -199,3 +225,76 @@ class TestEigh:
         m = (z + z.conj().T) / 2
         dec = eigh(m)
         assert np.abs(dec.matrix() - m).max() < 1e-8 * np.abs(m).max()
+
+
+def hermitian(p, seed, real=False, spikes=(40.0, 20.0, 10.0)):
+    """A sample-covariance-like Hermitian matrix with a few separated top eigenvalues."""
+    rng = substream(8, p, seed)
+    z = rng.standard_normal((p, 3 * p))
+    if not real:
+        z = z + 1j * rng.standard_normal((p, 3 * p))
+    z[: len(spikes)] *= np.sqrt(np.asarray(spikes[:p]))[:, None]
+    return z @ z.conj().T / (3 * p)
+
+
+class TestLeadingEigenvectors:
+    """The tridiagonal path of ``eigh`` against ``np.linalg.eigh`` as the oracle."""
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 8, 64, 200])
+    def test_eigenvalues_match_eigvalsh(self, p, real):
+        m = hermitian(p, 0, real)
+        ref = np.linalg.eigvalsh(m)[::-1]
+        lam = eigh(m).eigenvalues
+        assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 8, 64, 200])
+    def test_leading_blocks(self, p, real):
+        m = hermitian(p, 1, real)
+        dec = eigh(m)
+        ref_lam, ref_vec = np.linalg.eigh(m)
+        ref_lam, ref_vec = ref_lam[::-1], ref_vec[:, ::-1]
+        scale = np.abs(m).max()
+        for k in sorted({0, 1, p - 1, p}):
+            v = dec.leading(k)
+            assert v.shape == (p, k)
+            assert v.dtype == (float if real else complex)
+            if k == 0:
+                continue
+            assert np.abs(v.conj().T @ v - np.eye(k)).max() <= 1e-10
+            assert np.abs(m @ v - v * dec.eigenvalues[:k]).max() <= 1e-10 * scale
+            if k < p:
+                assert ref_lam[k - 1] - ref_lam[k] > 1e-6 * scale  # an eigengap
+                top = ref_vec[:, :k]
+                proj = v @ v.conj().T - top @ top.conj().T
+                assert np.abs(proj).max() <= 1e-9
+
+    def test_identity_all_ties(self):
+        dec = eigh(np.eye(6))
+        np.testing.assert_array_equal(dec.eigenvalues, np.ones(6))
+        for k in (1, 3, 6):
+            v = dec.leading(k)
+            assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
+
+    def test_out_of_range_k(self):
+        dec = eigh(hermitian(8, 2))
+        for k in (-1, 9):
+            with pytest.raises(ValueError):
+                dec.leading(k)
+
+    def test_full_basis_is_lapack_eigh_of_symmetrized_input(self):
+        # the sampler's factor, and so every draw, rests on this basis
+        m = hermitian(48, 3)
+        m[0, 1] += 1e-13  # within the Hermitian tolerance: symmetrized away
+        dec = eigh(m)
+        dec.leading(5)  # a leading block first leaves the basis unchanged
+        ref = np.linalg.eigh((m + m.conj().T) / 2.0)[1][:, ::-1]
+        np.testing.assert_array_equal(dec.eigenvectors, ref)
+        np.testing.assert_array_equal(dec.leading(5), ref[:, :5])
+
+    def test_explicit_basis_serves_leading(self):
+        vec = np.linalg.qr(hermitian(5, 4))[0]
+        dec = EigenDecomposition(eigenvalues=np.array([5.0, 4.0, 3.0, 2.0, 1.0]), eigenvectors=vec)
+        np.testing.assert_array_equal(dec.leading(2), vec[:, :2])
+        assert dec.leading(0).shape == (5, 0)

@@ -264,16 +264,25 @@ class TestShrinkSpectrum:
             est = shrink_spectrum(self._decomp(lam), ratio)
         assert est.spike_count == 3
 
-    def test_eigenvectors_shared_storage(self):
+    def test_vectors_are_the_leading_eigenvectors(self):
         ratio = AspectRatio(12, 48)
         rng = substream(17, 0)
         data = rng.standard_normal((12, 48)) + 1j * rng.standard_normal((12, 48))
-        data[0] *= 4.0  # one spike, so the shared block is not empty
-        dec = eigh(sample_covariance(data))
+        data[0] *= 4.0  # one spike, so the block is not empty
+        scm = sample_covariance(data)
+        dec = eigh(scm)
         est = shrink_spectrum(dec, ratio)
-        assert est.spike_count >= 1
-        assert np.shares_memory(est.vectors, dec.eigenvectors)
-        np.testing.assert_array_equal(est.vectors, dec.eigenvectors[:, : est.spike_count])
+        r = est.spike_count
+        assert r >= 1
+        # the estimate owns its p x r block; it keeps no p x p basis alive
+        assert est.vectors.flags.owndata and est.vectors.shape == (12, r)
+        np.testing.assert_array_equal(est.vectors, dec.leading(r))
+        # same span as the top-r eigenvectors of an independent solver
+        lam, ref = np.linalg.eigh(scm)
+        assert lam[-r] > lam[-r - 1]  # an eigengap, so the subspace is defined
+        top = ref[:, -r:]
+        np.testing.assert_allclose(top @ top.conj().T, est.vectors @ est.vectors.conj().T,
+                                   atol=1e-12)
 
 
 class TestCltParams:

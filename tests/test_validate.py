@@ -14,7 +14,6 @@ from cluttercov import (
     SpikedModel,
     SteeringSpec,
     TrialPlan,
-    bench_scaling,
     clt_params,
     ks_two_sample,
     shrink_whitened,
@@ -249,17 +248,3 @@ class TestSweep:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             sweep(TrialPlan(scenario=small_scene(), trials=1), "frequency")
-
-
-class TestBenchScaling:
-    def test_single_rep_schema(self):
-        header, rows = parse_csv(bench_scaling([48, 96], reps=1))
-        assert header == ["p", "reps", "eig_seconds", "shrink_seconds", "eig_ratio", "shrink_ratio"]
-        assert len(rows) == 2
-        assert float(rows[0][2]) > 0
-        assert rows[0][4] == "nan"
-        assert float(rows[1][4]) > 0
-
-    def test_requires_ascending(self):
-        with pytest.raises(ValueError):
-            bench_scaling([128, 64], reps=1)
