@@ -17,7 +17,6 @@ from .rmt import (
 from .shrinkage import (
     CltParams,
     CovarianceEstimate,
-    NoiseEstimate,
     SpikedModel,
     clt_params,
     cosine2,
@@ -28,7 +27,7 @@ from .shrinkage import (
     shrink_whitened,
     stein_shrinker,
 )
-from .rcml import RcmlProblem, rcml_estimate, solve_rcml, stein_objective, stein_pivot
+from .rcml import rcml_estimate
 from .scenario import (
     Scatterer,
     ScattererClutter,

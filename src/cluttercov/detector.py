@@ -30,7 +30,7 @@ from scipy import special
 
 from .rmt import AspectRatio, EigenDecomposition
 from .scenario import SteeringSpec, steering_vector
-from .shrinkage import NoiseEstimate, SpikedModel, cosine2, estimate_noise
+from .shrinkage import SpikedModel, cosine2, estimate_noise
 from . import rmt
 
 PD_SERIES_RTOL = 1e-12
@@ -113,7 +113,7 @@ def clutter_projection(decomp: EigenDecomposition, rank: int, x: np.ndarray) -> 
     return x - v @ (v.conj().T @ x)
 
 
-def test_statistic(y: np.ndarray, ps: np.ndarray, noise: NoiseEstimate) -> float:
+def test_statistic(y: np.ndarray, ps: np.ndarray, sigma2_hat: float) -> float:
     """Chi-squared-calibrated matched-filter statistic of one test snapshot.
 
     T = 2 |s^H P y|^2 / (sigma2_hat ||P s||^2) from the projected steering
@@ -124,7 +124,7 @@ def test_statistic(y: np.ndarray, ps: np.ndarray, noise: NoiseEstimate) -> float
     if denom <= 1e-12 * ps.size:
         raise ValueError("target in clutter subspace")
     num = abs(np.vdot(ps, y)) ** 2  # s^H P y with P Hermitian idempotent
-    return float(2.0 * num / (noise.sigma2_hat * denom))
+    return float(2.0 * num / (sigma2_hat * denom))
 
 
 def threshold_for_pfa(p_fa: float) -> float:
@@ -231,15 +231,15 @@ def detect(snapshots: np.ndarray, target: SteeringSpec, config: DetectorConfig) 
         raise ValueError("test snapshot must be finite")
     decomp = rmt.eigh(rmt.sample_covariance(train))
     ratio = AspectRatio(p, n)
-    noise = estimate_noise(decomp, ratio)
+    sigma2_hat = estimate_noise(decomp, ratio)
     rank = config.rank
     if rank is None:
         edge2 = (1.0 + np.sqrt(ratio.gamma)) ** 2
-        rank = int(np.count_nonzero(decomp.eigenvalues / noise.sigma2_hat > edge2))
+        rank = int(np.count_nonzero(decomp.eigenvalues / sigma2_hat > edge2))
     ps = clutter_projection(decomp, rank, steering_vector(target))
     raw = abs(np.vdot(ps, y)) ** 2 / float(np.real(np.vdot(ps, ps)))
     return DetectionReport(
-        statistic=test_statistic(y, ps, noise) / 2.0,
+        statistic=test_statistic(y, ps, sigma2_hat) / 2.0,
         threshold=config.threshold,
         raw_statistic=float(raw),
     )

@@ -13,24 +13,20 @@ from .shrinkage import CovarianceEstimate, SpikedModel, cosine2, stein_shrinker
 
 @dataclass(frozen=True)
 class ScnrReport:
-    """Normalized SCNR together with its Kantorovich lower bound.
+    """Kantorovich lower bound on the normalized SCNR.
 
-    rho is the measured value when available (None when only the bound was
-    evaluated); kappa is the condition number of the whitened mismatch matrix
-    driving the bound.
+    kappa is the condition number of the whitened mismatch matrix driving the
+    bound.
     """
 
     lower_bound: float
     kappa: float
-    rho: float | None = None
 
     def __post_init__(self):
         if not self.kappa >= 1.0:
             raise ValueError("kappa must be >= 1")
         if not 0.0 < self.lower_bound <= 1.0:
             raise ValueError("lower bound must lie in (0, 1]")
-        if self.rho is not None and not 0.0 < self.rho <= 1.0 + 1e-10:
-            raise ValueError("rho must lie in (0, 1]")
 
 
 def _inverse_apply(estimate, vecs: np.ndarray) -> np.ndarray:
@@ -77,7 +73,6 @@ def kantorovich_bound(
     truth_spectrum: SpikedModel,
     estimate: CovarianceEstimate | None,
     gamma: float,
-    rho: float | None = None,
 ) -> ScnrReport:
     """Lower bound on normalized SCNR from the per-spike whitening mismatch.
 
@@ -94,11 +89,11 @@ def kantorovich_bound(
     """
     ells = truth_spectrum.whitened_spikes()
     if ells.size == 0:
-        return ScnrReport(lower_bound=1.0, kappa=1.0, rho=rho)
+        return ScnrReport(lower_bound=1.0, kappa=1.0)
     if estimate is None:
         etas = np.array([stein_shrinker(ell, gamma) for ell in ells])
     else:
-        s2 = estimate.noise.sigma2_hat
+        s2 = estimate.sigma2_hat
         etas = np.ones(ells.size)
         k = min(estimate.spike_count, ells.size)
         etas[:k] = estimate.spikes[:k] / s2
@@ -119,7 +114,7 @@ def kantorovich_bound(
         nu_minus[i] = t / 2.0 - root
     kappa = max(1.0, nu_plus.max()) / min(1.0, nu_minus.min())
     bound = 4.0 * kappa / (kappa + 1.0) ** 2
-    return ScnrReport(lower_bound=float(bound), kappa=float(kappa), rho=rho)
+    return ScnrReport(lower_bound=float(bound), kappa=float(kappa))
 
 
 def mvdr_error_variance(m, target: SteeringSpec) -> float:
@@ -167,7 +162,7 @@ def stein_loss(truth: np.ndarray, estimate) -> float:
 
 
 def _stein_loss_spiked(r: np.ndarray, estimate: CovarianceEstimate) -> float:
-    s2 = estimate.noise.sigma2_hat
+    s2 = estimate.sigma2_hat
     chol = sla.cholesky(r, lower=True)
     (trtri,) = sla.get_lapack_funcs(("trtri",), (chol,))
     chol_inv, info = trtri(chol, lower=1)

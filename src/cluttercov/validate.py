@@ -158,7 +158,9 @@ def verify_clt(
     still carries an O(1/n) location term (Lawley's expansion), so the
     whitened samples sit O(1/sqrt(n)) off zero: about -0.15 sd for ell = 3
     at p = 120, n = 600 (complex), which a KS test over a few hundred trials
-    detects.
+    detects. There the test rejects that correct spike at 28.75% of seeds
+    (40 seeds, both ensembles), so a small p-value at small p does not by
+    itself show a fault in the pipeline.
     """
     if ensemble not in ("real", "complex"):
         raise ValueError("ensemble must be 'real' or 'complex'")
@@ -189,7 +191,7 @@ def verify_clt(
         est = shrink_spectrum(decomp, ratio)
         # a spike the estimator missed sits on the floor
         k = min(est.spike_count, model.r)
-        shrunk[t] = est.noise.sigma2_hat
+        shrunk[t] = est.sigma2_hat
         shrunk[t, :k] = est.spikes[:k]
 
     results = []
@@ -219,7 +221,7 @@ def _estimate_both(data: np.ndarray, ratio: rmt.AspectRatio) -> dict:
     shrink = shrink_spectrum(decomp, ratio)
     return {
         "shrinkage": shrink,
-        "rcml": rcml_estimate(decomp, shrink.noise, shrink.spike_count, ratio=ratio),
+        "rcml": rcml_estimate(decomp, shrink.sigma2_hat, shrink.spike_count, ratio=ratio),
     }
 
 
@@ -357,6 +359,8 @@ def sweep(
         return _sweep_detection(plan, grid, tuple(pfa_list), rank)
     if values is None:
         if axis == "n":
+            if scn.n < scn.p:
+                raise ValueError("insufficient samples")  # no multiple of p fits in n
             values = [k * scn.p for k in range(1, max(2, scn.n // scn.p) + 1) if k * scn.p <= scn.n]
         else:
             values = np.linspace(-0.5, 0.5, 16) if axis == "doppler" else np.linspace(

@@ -3,6 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from cluttercov import (
+    ScenarioConfig,
+    Scatterer,
+    ScattererClutter,
+    SnapshotSampler,
+    synthesize_clutter_covariance,
+)
 from cluttercov.cli import main
 from cluttercov.matio import load_matrix
 
@@ -55,9 +62,31 @@ class TestEstimate:
     def test_unknown_preset_is_config_error(self, tmp_path):
         assert main(["estimate", "--scenario", "no-such-scene", "--out-dir", str(tmp_path)]) == 2
 
-    def test_too_few_samples_is_numeric_failure(self, scene, tmp_path):
-        argv = ["estimate", "--config", str(scene), "--n", "8", "--out-dir", str(tmp_path)]
-        assert main(argv) == 3
+    def test_too_few_samples_is_numeric_failure(self, scene, tmp_path, capsys):
+        # n = 8 < p = 32: the n-sweep's grid of multiples of p would be empty
+        for argv in (["estimate"], ["sweep", "--axis", "n", "--trials", "1"]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--config", str(scene), "--n", "8", "--out-dir", str(out)]) == 3
+            assert "insufficient samples" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_rcml_spike_is_the_top_sample_eigenvalue(self, tmp_path, capsys):
+        # a scatterer 3000 times the noise amplitude: its sample eigenvalue is
+        # about 2.8e8 times the floor, and clipping keeps it as it is
+        strong = {"amplitude": 3000.0, "theta": 0.3, "doppler": 0.1}
+        scene = {**SCENE, "clutter": {"kind": "scatterers", "scatterers": [strong]}}
+        path = _write(tmp_path, "strong.json", json.dumps(scene))
+        argv = ["estimate", "--config", str(path), "--estimator", "rcml", "--out-dir",
+                str(tmp_path / "out")]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        cfg = ScenarioConfig(N=scene["N"], K=scene["K"], n=scene["n"], sigma2=scene["sigma2"],
+                             clutter=ScattererClutter((Scatterer(**strong),)), seed=scene["seed"])
+        y = SnapshotSampler(synthesize_clutter_covariance(cfg)).draw(cfg.n, cfg.seed)
+        top = np.linalg.eigvalsh(y @ y.conj().T / cfg.n)[-1]
+        assert summary["spike_count"] == 1
+        assert summary["spiked_eigenvalues"][0] == pytest.approx(top, rel=1e-12)
+        assert top > 1e8 * summary["sigma2_hat"]
 
 
 def _run(argv, out):
@@ -210,9 +239,12 @@ class TestExitCodes:
             ["estimate", "--estimator", "rcml", "--rank", "-1"],
             ["sweep", "--axis", "angle", "--trials", "1", "--angle-grid", "-3"],
             ["sweep", "--axis", "doppler", "--trials", "1", "--doppler-grid", "0"],
+            ["detect", "--doppler", "0.7"],
+            ["sweep", "--axis", "snr", "--trials", "1", "--doppler", "-0.6"],
         ],
         ids=["sweep-trials", "detect-pfa-2", "detect-pfa-0", "sweep-pfa", "rcml-rank-p",
-             "rcml-rank-negative", "angle-grid", "doppler-grid"],
+             "rcml-rank-negative", "angle-grid", "doppler-grid", "detect-doppler",
+             "sweep-doppler"],
     )
     def test_flag_out_of_range_is_config_error(self, tmp_path, argv):
         scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0,
@@ -225,9 +257,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
         [["--spikes", "0.5"], ["--trials", "1"], ["--gamma", "0"], ["--gamma", "2"], ["--p", "0"],
-         ["--sigma2", "-1"]],
+         ["--sigma2", "-1"], ["--spikes", "1.2"]],
         ids=["spike-below-floor", "one-trial", "gamma-zero", "gamma-above-one", "p-zero",
-             "negative-sigma2"],
+             "negative-sigma2", "spike-below-edge"],  # the edge is 1 + sqrt(0.25) = 1.5
     )
     def test_verify_clt_flag_out_of_range_is_config_error(self, tmp_path, flags):
         argv = ["verify-clt", "--p", "16", "--gamma", "0.25", "--trials", "4", *flags,

@@ -6,7 +6,6 @@ from cluttercov import (
     AspectRatio,
     DetectionReport,
     DetectorConfig,
-    NoiseEstimate,
     SpikedModel,
     SteeringSpec,
     clutter_projection,
@@ -22,8 +21,6 @@ from cluttercov import (
 from cluttercov.detector import _pd_series
 from cluttercov.detector import test_statistic as anmf_statistic
 from cluttercov.rng import substream
-
-UNIT_NOISE = NoiseEstimate(sigma2_hat=1.0, lambda_med=1.0, mu_med=1.0)
 
 
 def h0_cubes(p, n_train, trials, seed, spikes=()):
@@ -76,7 +73,7 @@ class TestTestStatistic:
     def test_matched_snapshot(self):
         spec = SteeringSpec(0.2, 0.1, 4, 4)
         s = steering_vector(spec)
-        t = anmf_statistic(s, s, UNIT_NOISE)  # rank 0: P s = s
+        t = anmf_statistic(s, s, 1.0)  # rank 0: P s = s
         assert t == pytest.approx(2 * 16.0, rel=1e-12)
 
     def test_orthogonal_snapshot_zero(self):
@@ -84,7 +81,7 @@ class TestTestStatistic:
         s = steering_vector(spec)
         y = np.array([1.0, -1.0, 0.0, 0.0], dtype=complex)
         assert abs(np.vdot(s, y)) < 1e-12
-        t = anmf_statistic(y, s, UNIT_NOISE)
+        t = anmf_statistic(y, s, 1.0)
         assert t == pytest.approx(0.0, abs=1e-20)
 
     def test_target_inside_clutter_subspace(self):
@@ -92,15 +89,15 @@ class TestTestStatistic:
         s = steering_vector(spec)
         proj = np.eye(4) - np.outer(s, s.conj()) / np.real(np.vdot(s, s))
         with pytest.raises(ValueError, match="target in clutter subspace"):
-            anmf_statistic(s, proj @ s, UNIT_NOISE)
+            anmf_statistic(s, proj @ s, 1.0)
 
     def test_phase_invariance(self):
         spec = SteeringSpec(0.3, -0.1, 4, 4)
         rng = substream(201, 0)
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         s = steering_vector(spec)
-        base = anmf_statistic(y, s, UNIT_NOISE)
-        rotated = anmf_statistic(np.exp(1.3j) * y, s, UNIT_NOISE)
+        base = anmf_statistic(y, s, 1.0)
+        rotated = anmf_statistic(np.exp(1.3j) * y, s, 1.0)
         assert rotated == pytest.approx(base, rel=1e-12)
 
     def test_h0_mean_is_two(self):
@@ -114,10 +111,10 @@ class TestTestStatistic:
             rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
         ) / np.sqrt(2)
         dec = eigh(sample_covariance(train))
-        noise = estimate_noise(dec, AspectRatio(p, n))
+        sigma2_hat = estimate_noise(dec, AspectRatio(p, n))
         spec = SteeringSpec(0.4, 0.2, 8, 8)
         ps = clutter_projection(dec, len(spikes), steering_vector(spec))
-        denom = noise.sigma2_hat * np.real(np.vdot(ps, ps))
+        denom = sigma2_hat * np.real(np.vdot(ps, ps))
         trials = 100_000
         y = root[:, None] * (
             rng.standard_normal((p, trials)) + 1j * rng.standard_normal((p, trials))
@@ -135,10 +132,10 @@ class TestTestStatistic:
             rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
         ) / np.sqrt(2)
         dec = eigh(sample_covariance(train))
-        noise = estimate_noise(dec, AspectRatio(p, n))
+        sigma2_hat = estimate_noise(dec, AspectRatio(p, n))
         spec = SteeringSpec(-0.3, 0.35, 8, 8)
         ps = clutter_projection(dec, 1, steering_vector(spec))
-        denom = noise.sigma2_hat * np.real(np.vdot(ps, ps))
+        denom = sigma2_hat * np.real(np.vdot(ps, ps))
         trials = 4000
         y = root[:, None] * (
             rng.standard_normal((p, trials)) + 1j * rng.standard_normal((p, trials))
@@ -278,7 +275,7 @@ class TestDetect:
         dec = eigh(sample_covariance(cube[:, :-1]))
         ratio = AspectRatio(p, n_train)
         shrunk = shrink_spectrum(dec, ratio)
-        clipped = rcml_estimate(dec, shrunk.noise, shrunk.spike_count, ratio=ratio)
+        clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
         spec = SteeringSpec(0.8, 0.4, 4, 8)
         rep_a = detect(cube, spec, DetectorConfig(rank=shrunk.spike_count, p_fa=0.01))
         rep_b = detect(cube, spec, DetectorConfig(rank=clipped.spike_count, p_fa=0.01))

@@ -4,7 +4,6 @@ import pytest
 from cluttercov import (
     AspectRatio,
     CovarianceEstimate,
-    NoiseEstimate,
     SpikedModel,
     SteeringSpec,
     eigh,
@@ -120,14 +119,13 @@ class TestKantorovichBound:
             w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
             est = shrink_spectrum(eigh(sample_covariance(root[:, None] * w)), ratio)
             rho = normalized_scnr(est, truth, target)
-            rep = kantorovich_bound(model, est, ratio.gamma, rho=rho)
+            rep = kantorovich_bound(model, est, ratio.gamma)
             assert rep.lower_bound <= rho <= 1.0 + 1e-10
 
     def test_plug_in_uses_realized_spikes(self):
         model = SpikedModel(p=32, sigma2=1.0, spikes=np.array([9.0]))
-        noise = NoiseEstimate(sigma2_hat=1.0, lambda_med=1.0, mu_med=1.0)
         est = CovarianceEstimate(
-            noise=noise, spikes=np.array([7.0]), vectors=np.eye(32, dtype=complex)[:, :1]
+            sigma2_hat=1.0, spikes=np.array([7.0]), vectors=np.eye(32, dtype=complex)[:, :1]
         )
         with_est = kantorovich_bound(model, est, gamma=0.25)
         oracle = kantorovich_bound(model, None, gamma=0.25)
@@ -194,7 +192,7 @@ class TestSteinLoss:
             w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
             dec = eigh(sample_covariance(root[:, None] * w))
             shrunk = shrink_spectrum(dec, ratio)
-            clipped = rcml_estimate(dec, shrunk.noise, shrunk.spike_count, ratio=ratio)
+            clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
             shrink_losses.append(stein_loss(truth, shrunk))
             clip_losses.append(stein_loss(truth, clipped))
         assert np.mean(shrink_losses) <= np.mean(clip_losses)
@@ -215,7 +213,7 @@ class TestSteinLoss:
         shrunk = shrink_spectrum(dec, ratio)
         est = {
             "shrinkage": shrunk,
-            "rcml": rcml_estimate(dec, shrunk.noise, shrunk.spike_count, ratio=ratio),
+            "rcml": rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio),
         }[estimator]
         assert est.spike_count == len(spikes)
         truth = random_pd(p, 52)

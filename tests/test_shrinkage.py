@@ -7,7 +7,6 @@ from cluttercov import (
     AspectRatio,
     CovarianceEstimate,
     ModelOrderWarning,
-    NoiseEstimate,
     SpikedModel,
     clt_params,
     cosine2,
@@ -129,8 +128,7 @@ class TestEstimateNoise:
         from cluttercov import EigenDecomposition
 
         dec = EigenDecomposition(eigenvalues=lam, eigenvectors=dec_vectors)
-        est = estimate_noise(dec, ratio)
-        assert est.sigma2_hat == pytest.approx(2.0, rel=1e-14)
+        assert estimate_noise(dec, ratio) == pytest.approx(2.0, rel=1e-14)
 
     def test_insufficient_samples(self):
         rng = substream(0, 0)
@@ -149,7 +147,7 @@ class TestEstimateNoise:
         for t in range(trials):
             data = spiked_snapshots(model, n, substream(11, t))
             dec = eigh(sample_covariance(data))
-            vals.append(estimate_noise(dec, ratio).sigma2_hat)
+            vals.append(estimate_noise(dec, ratio))
         assert abs(np.mean(vals) - sigma2) / sigma2 < 0.03
 
     def test_spikes_do_not_move_median(self):
@@ -160,14 +158,18 @@ class TestEstimateNoise:
         for t in range(trials):
             data = spiked_snapshots(model, n, substream(12, t))
             dec = eigh(sample_covariance(data))
-            vals.append(estimate_noise(dec, ratio).sigma2_hat)
+            vals.append(estimate_noise(dec, ratio))
         assert abs(np.mean(vals) - sigma2) / sigma2 < 0.03
 
     def test_invariant_exact_ratio(self):
-        est = NoiseEstimate(sigma2_hat=4.0 / 0.8, lambda_med=4.0, mu_med=0.8)
-        assert est.sigma2_hat == 5.0
-        with pytest.raises(ValueError):
-            NoiseEstimate(sigma2_hat=5.0001, lambda_med=4.0, mu_med=0.8)
+        # sigma2_hat is exactly the median sample eigenvalue over the MP median,
+        # the central pair averaged for even p
+        from cluttercov import EigenDecomposition
+
+        ratio = AspectRatio(4, 16)
+        lam = np.array([9.0, 5.0, 3.0, 0.5])
+        dec = EigenDecomposition(eigenvalues=lam, eigenvectors=np.eye(4, dtype=complex))
+        assert estimate_noise(dec, ratio) == 4.0 / mp_median(MPLaw(ratio))
 
 
 class TestShrinkSpectrum:
@@ -183,7 +185,7 @@ class TestShrinkSpectrum:
         lam = np.full(6, mu)  # whitened spectrum all at the MP median
         est = shrink_spectrum(self._decomp(lam), ratio)
         assert est.spike_count == 0
-        np.testing.assert_allclose(est.matrix(), est.noise.sigma2_hat * np.eye(6))
+        np.testing.assert_allclose(est.matrix(), est.sigma2_hat * np.eye(6))
 
     def test_single_spike_reference_composition(self):
         # whitened eigenvalues [2.5, ..1..]: spike shrinks to eta(f(2.5)) = 10/7
@@ -192,7 +194,7 @@ class TestShrinkSpectrum:
         lam = np.array([2.5, 1.02, 1.01, 1.0, 0.99]) * mu
         lam = lam / np.median(lam) * mu  # keep the median pinned so sigma2_hat = 1
         est = shrink_spectrum(self._decomp(lam), ratio)
-        s2 = est.noise.sigma2_hat
+        s2 = est.sigma2_hat
         whitened_top = lam[0] / s2
         expected = s2 * stein_shrinker(f_map(whitened_top, 0.25), 0.25)
         assert est.spike_count == 1
@@ -246,7 +248,7 @@ class TestShrinkSpectrum:
             est = shrink_spectrum(scaled, ratio)
             assert est.spike_count == base.spike_count
             np.testing.assert_allclose(est.spikes, c * base.spikes, rtol=1e-9)
-            assert est.noise.sigma2_hat == pytest.approx(c * base.noise.sigma2_hat, rel=1e-9)
+            assert est.sigma2_hat == pytest.approx(c * base.sigma2_hat, rel=1e-9)
 
     def test_order_preserving(self):
         ratio = AspectRatio(16, 64)
@@ -254,7 +256,7 @@ class TestShrinkSpectrum:
         data = rng.standard_normal((16, 64)) + 1j * rng.standard_normal((16, 64))
         data[:3] *= np.array([5.0, 3.0, 2.0])[:, None]
         est = shrink_spectrum(eigh(sample_covariance(data)), ratio)
-        spectrum = np.append(est.spikes, est.noise.sigma2_hat)  # spikes, then the floor
+        spectrum = np.append(est.spikes, est.sigma2_hat)  # spikes, then the floor
         assert np.all(np.diff(spectrum) <= 1e-15)
 
     def test_budget_warning(self):
@@ -339,7 +341,7 @@ def both_estimates(p, n, spikes, seed):
     dec = eigh(sample_covariance(spiked_snapshots(model, n, substream(18, seed))))
     ratio = AspectRatio(p, n)
     shrunk = shrink_spectrum(dec, ratio)
-    clipped = rcml_estimate(dec, shrunk.noise, shrunk.spike_count, ratio=ratio)
+    clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
     return {"shrinkage": shrunk, "rcml": clipped}
 
 
@@ -352,7 +354,7 @@ class TestCovarianceEstimateInvariants:
         assert np.abs(m - m.conj().T).max() < 1e-12 * np.abs(m).max()
         lam = eigh(m).eigenvalues
         np.testing.assert_allclose(lam[:2], est.spikes, rtol=1e-12)
-        np.testing.assert_allclose(lam[2:], est.noise.sigma2_hat, rtol=1e-12)
+        np.testing.assert_allclose(lam[2:], est.sigma2_hat, rtol=1e-12)
 
     @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
     def test_inverse_apply_matches_dense_solve(self, estimator):
@@ -366,18 +368,21 @@ class TestCovarianceEstimateInvariants:
     def test_bulk_must_sit_on_floor(self):
         # the bulk is the floor by construction; what remains to reject is a
         # spike that is not above it, and vectors that do not pair with spikes
-        noise = NoiseEstimate(sigma2_hat=1.0, lambda_med=1.0, mu_med=1.0)
         with pytest.raises(ValueError, match="exceed the noise floor"):
             CovarianceEstimate(
-                noise=noise, spikes=np.array([3.0, 1.0]), vectors=np.eye(3, dtype=complex)[:, :2]
+                sigma2_hat=1.0, spikes=np.array([3.0, 1.0]), vectors=np.eye(3, dtype=complex)[:, :2]
             )
         with pytest.raises(ValueError, match="p x r"):
-            CovarianceEstimate(noise=noise, spikes=[3.0], vectors=np.eye(3, dtype=complex))
+            CovarianceEstimate(sigma2_hat=1.0, spikes=[3.0], vectors=np.eye(3, dtype=complex))
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0, np.nan])
+    def test_floor_must_be_positive(self, floor):
+        with pytest.raises(ValueError, match="must be positive"):
+            CovarianceEstimate(sigma2_hat=floor, spikes=[], vectors=np.eye(3, dtype=complex)[:, :0])
 
     def test_summary_fields(self):
-        noise = NoiseEstimate(sigma2_hat=1.0, lambda_med=1.0, mu_med=1.0)
         est = CovarianceEstimate(
-            noise=noise,
+            sigma2_hat=1.0,
             spikes=np.array([3.0]),
             vectors=np.eye(3, dtype=complex)[:, :1],
             ratio=AspectRatio(3, 12),
