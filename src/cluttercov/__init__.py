@@ -45,6 +45,7 @@ from .scenario import (
 )
 from .metrics import (
     ScnrReport,
+    TruthFactor,
     kantorovich_bound,
     mvdr_error_variance,
     normalized_scnr,

@@ -23,10 +23,10 @@ test snapshot and the n columns before it are the training data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .rmt import AspectRatio, EigenDecomposition
 from .scenario import SteeringSpec, steering_vector
@@ -140,8 +140,11 @@ def _pd_series(mean: float, delta_threshold: float) -> float:
     The detection statistic under the alternative is |z|^2 with z a unit
     complex Gaussian of squared mean ``mean``; the tail is
     sum_k e^{-mean} mean^k / k! * Q(k + 1, threshold) with Q the regularized
-    upper incomplete gamma. Terms are accumulated until they fall below
-    PD_SERIES_RTOL of the running sum, capped at PD_SERIES_MAX_TERMS.
+    upper incomplete gamma. At integer order Q has the closed form of a
+    Poisson tail, built term by term from Q(1, t) = e^{-t} by
+    Q(k + 1, t) = Q(k, t) + e^{-t} t^k / k!. Terms are accumulated until they
+    fall below PD_SERIES_RTOL of the running sum, capped at
+    PD_SERIES_MAX_TERMS.
     """
     if mean < 0:
         raise ValueError("noncentrality must be nonnegative")
@@ -156,10 +159,13 @@ def _pd_series(mean: float, delta_threshold: float) -> float:
         raise ValueError("noncentrality too large for the series cap")
     total = 0.0
     log_pmf = -mean  # log of Poisson pmf at k = 0
+    log_t = math.log(delta_threshold)
+    upper_gamma = 0.0  # Q(k + 1, t) once the k-th Poisson term of t is added
     for k in range(PD_SERIES_MAX_TERMS):
         if k > 0:
             log_pmf += np.log(mean) - np.log(k)
-        term = np.exp(log_pmf) * special.gammaincc(k + 1, delta_threshold)
+        upper_gamma += math.exp(k * log_t - delta_threshold - math.lgamma(k + 1))
+        term = np.exp(log_pmf) * upper_gamma
         total += term
         # once past the Poisson mode the terms decay monotonically
         if k > mean and term < PD_SERIES_RTOL * max(total, 1e-300):

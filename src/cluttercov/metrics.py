@@ -29,6 +29,47 @@ class ScnrReport:
             raise ValueError("lower bound must lie in (0, 1]")
 
 
+class TruthFactor:
+    """The true covariance R with the factors every metric needs, computed once.
+
+    With R = L L^H (Cholesky), ``chol_inv`` is L^{-1} (LAPACK ``trtri``),
+    ``trace_inv`` = ||L^{-1}||_F^2 = tr(R^{-1}) and ``logdet`` = log det R.
+    A sweep scores every estimate against one R, so it builds this once; a
+    metric handed a plain array factors it on entry. y^H R^{-1} y is then
+    ||L^{-1} y||^2, with no solve. A non-finite or non-positive-definite R
+    raises ValueError.
+    """
+
+    def __init__(self, truth: np.ndarray):
+        r = np.asarray(truth)
+        if r.ndim != 2 or r.shape[0] != r.shape[1] or not np.all(np.isfinite(r)):
+            raise ValueError("truth must be a finite square matrix")
+        try:
+            chol = sla.cholesky(r, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("truth must be positive definite") from exc
+        (trtri,) = sla.get_lapack_funcs(("trtri",), (chol,))
+        chol_inv, info = trtri(chol, lower=1)
+        if info != 0:
+            raise ValueError("truth must be positive definite")
+        self.matrix = r
+        self.chol_inv = chol_inv
+        self.trace_inv = float(np.sum(np.abs(chol_inv) ** 2))
+        self.logdet = float(np.sum(np.log(np.abs(np.diag(chol)) ** 2)))
+
+    @property
+    def p(self) -> int:
+        return self.matrix.shape[0]
+
+    def quad_inv(self, y: np.ndarray) -> np.ndarray:
+        """y^H R^{-1} y for each column of ``y``, as ||L^{-1} y||^2."""
+        return np.sum(np.abs(self.chol_inv @ y) ** 2, axis=0)
+
+
+def _factored(truth) -> TruthFactor:
+    return truth if isinstance(truth, TruthFactor) else TruthFactor(truth)
+
+
 def _inverse_apply(estimate, vecs: np.ndarray) -> np.ndarray:
     """M^{-1} @ vecs: low rank for a spiked estimate, a dense solve otherwise."""
     if isinstance(estimate, CovarianceEstimate):
@@ -39,31 +80,31 @@ def _inverse_apply(estimate, vecs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(m, vecs)
 
 
-def normalized_scnr_batch(estimate, truth: np.ndarray, steerings: np.ndarray) -> np.ndarray:
+def normalized_scnr_batch(estimate, truth, steerings: np.ndarray) -> np.ndarray:
     """Normalized SCNR for every steering column of ``steerings`` (p x m).
 
     For each target vector y the value is
     (y^H Rbar^{-1} y)^2 / ((y^H R^{-1} y) (y^H Rbar^{-1} R Rbar^{-1} y)),
     which is 1 exactly when Rbar is proportional to R and below 1 otherwise.
+    ``truth`` is R as a ``TruthFactor`` or a plain array.
     """
     s = np.asarray(steerings)
     if s.ndim == 1:
         s = s[:, None]
-    truth = np.asarray(truth)
+    truth = _factored(truth)
     try:
         w = _inverse_apply(estimate, s)  # Rbar^{-1} y
-        t = np.linalg.solve(truth, s)  # R^{-1} y
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular covariance input") from exc
     num = np.real(np.sum(s.conj() * w, axis=0)) ** 2
-    den1 = np.real(np.sum(s.conj() * t, axis=0))
-    den2 = np.real(np.sum(w.conj() * (truth @ w), axis=0))
+    den1 = truth.quad_inv(s)
+    den2 = np.real(np.sum(w.conj() * (truth.matrix @ w), axis=0))
     if np.any(den1 <= 0) or np.any(den2 <= 0):
         raise ValueError("covariance inputs must be positive definite")
     return num / (den1 * den2)
 
 
-def normalized_scnr(estimate, truth: np.ndarray, target: SteeringSpec) -> float:
+def normalized_scnr(estimate, truth, target: SteeringSpec) -> float:
     """Normalized SCNR of an estimate against the true covariance at one target."""
     y = steering_vector(target)
     return float(normalized_scnr_batch(estimate, truth, y)[0])
@@ -118,42 +159,44 @@ def kantorovich_bound(
 
 
 def mvdr_error_variance(m, target: SteeringSpec) -> float:
-    """Beamformer error variance 1 / |s^H M^{-1} s| at the target steering vector."""
+    """Beamformer error variance 1 / |s^H M^{-1} s| at the target steering vector.
+
+    ``m`` is a ``CovarianceEstimate`` (inverted through its low-rank form) or
+    a covariance as a ``TruthFactor`` or a plain array, which must be
+    positive definite.
+    """
     s = steering_vector(target)
-    try:
-        w = _inverse_apply(m, s[:, None])[:, 0]
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular matrix") from exc
-    quad = abs(np.vdot(s, w))
+    if isinstance(m, CovarianceEstimate):
+        quad = abs(np.vdot(s, m.inverse_apply(s[:, None])[:, 0]))
+    else:
+        quad = float(_factored(m).quad_inv(s))
     if quad <= 0 or not np.isfinite(quad):
         raise ValueError("matrix must be positive definite")
     return float(1.0 / quad)
 
 
-def stein_loss(truth: np.ndarray, estimate) -> float:
+def stein_loss(truth, estimate) -> float:
     """Stein loss tr(R^{-1} Rbar - I) - log det(R^{-1} Rbar), nonnegative.
 
     Zero exactly when the estimate equals the truth. Values within fp dust
-    below zero are clamped to 0. A spiked ``CovarianceEstimate`` is scored
-    without forming Rbar: with R = L L^H factored once,
+    below zero are clamped to 0. ``truth`` is R as a ``TruthFactor`` or a
+    plain array. A spiked ``CovarianceEstimate`` is scored in closed form
+    from the factor, without forming Rbar: with R = L L^H,
 
         tr(R^{-1} Rbar) = s2 ||L^{-1}||_F^2 + sum_i (lam_i - s2) ||L^{-1} v_i||^2,
-        log det(R^{-1} Rbar) = sum_i log(lam_i / s2) - sum_j log(L_jj^2 / s2),
+        log det(R^{-1} Rbar) = sum_i log(lam_i / s2) + p log s2 - log det R,
 
-    which is O(p^2 r) past the factorization. A dense ``estimate`` takes the
-    direct path, the reference the spiked path is tested against.
+    which is O(p^2 r). A dense ``estimate`` takes the direct path, the
+    reference the spiked path is tested against.
     """
-    r = np.asarray(truth)
-    p = r.shape[0]
-    try:
-        if isinstance(estimate, CovarianceEstimate):
-            if estimate.p != p:
-                raise ValueError("shape mismatch")
-            val = _stein_loss_spiked(r, estimate)
-        else:
-            val = _stein_loss_dense(r, np.asarray(estimate))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("truth must be positive definite") from exc
+    truth = _factored(truth)
+    p = truth.p
+    if isinstance(estimate, CovarianceEstimate):
+        if estimate.p != p:
+            raise ValueError("shape mismatch")
+        val = _stein_loss_spiked(truth, estimate)
+    else:
+        val = _stein_loss_dense(truth.matrix, np.asarray(estimate))
     if val < 0:
         if val < -1e-10 * p:
             raise ValueError("stein loss evaluated negative; inputs not PD?")
@@ -161,17 +204,12 @@ def stein_loss(truth: np.ndarray, estimate) -> float:
     return val
 
 
-def _stein_loss_spiked(r: np.ndarray, estimate: CovarianceEstimate) -> float:
+def _stein_loss_spiked(truth: TruthFactor, estimate: CovarianceEstimate) -> float:
     s2 = estimate.sigma2_hat
-    chol = sla.cholesky(r, lower=True)
-    (trtri,) = sla.get_lapack_funcs(("trtri",), (chol,))
-    chol_inv, info = trtri(chol, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("singular Cholesky factor")
-    quad = np.sum(np.abs(chol_inv @ estimate.vectors) ** 2, axis=0)  # v_i^H R^{-1} v_i
-    trace = s2 * np.sum(np.abs(chol_inv) ** 2) + np.sum((estimate.spikes - s2) * quad)
-    logdet = np.sum(np.log(estimate.spikes / s2)) - np.sum(np.log(np.abs(np.diag(chol)) ** 2 / s2))
-    return float(trace - r.shape[0] - logdet)
+    quad = truth.quad_inv(estimate.vectors)  # v_i^H R^{-1} v_i
+    trace = s2 * truth.trace_inv + np.sum((estimate.spikes - s2) * quad)
+    logdet = np.sum(np.log(estimate.spikes / s2)) + truth.p * np.log(s2) - truth.logdet
+    return float(trace - truth.p - logdet)
 
 
 def _stein_loss_dense(r: np.ndarray, rbar: np.ndarray) -> float:

@@ -1,8 +1,9 @@
 """Marchenko-Pastur law, sample covariance, and the Hermitian eigendecomposition contract.
 
 Everything downstream (shrinkage, clipping baseline, detector, metrics) is built
-on three primitives: the MP density/median at aspect ratio gamma = p/n, the
-sample covariance of a p x n snapshot array (a Hermitian rank-n update,
+on three primitives: the MP density, CDF and median at aspect ratio
+gamma = p/n, all in closed form (the median by Newton's method on the CDF),
+the sample covariance of a p x n snapshot array (a Hermitian rank-n update,
 returned as a plain Hermitian p x p array), and a descending-order Hermitian
 eigendecomposition. The estimators need every eigenvalue but only the r
 leading eigenvectors, so ``eigh`` does one Householder tridiagonal reduction
@@ -13,12 +14,13 @@ asks for them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, linalg, optimize
+from scipy import linalg
 from scipy.linalg import blas, lapack
 
 
@@ -32,6 +34,7 @@ class ModelOrderWarning(UserWarning):
 
 SPIKE_FRACTION_BUDGET = 0.1  # max clutter rank as a fraction of dimension
 _MIRROR_BLOCK = 64  # rows per step of the in-place triangle mirror
+_MEDIAN_MAX_STEPS = 100  # cap on Newton steps for the MP median, which takes under ten
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,11 @@ class EigenDecomposition:
     basis. One built by ``eigh`` holds its Householder reduction instead:
     ``leading(k)`` solves the tridiagonal for only the k vectors (MRRR,
     LAPACK ``dstemr``) and back-transforms them through the stored
-    reflectors in O(p^2 k), and the returned block is the caller's own. The
-    full basis is ``np.linalg.eigh`` of the symmetrized matrix, computed on
-    first access. Only the snapshot sampler reads it: its factor fixes every
+    reflectors in O(p^2 k). The block is kept, so a second ``leading(k)``
+    with k no larger (the shrinkage and clipping estimates of one sample
+    covariance ask for the same r) copies it instead of solving again; every
+    returned block is the caller's own. The full basis is ``np.linalg.eigh``
+    of the symmetrized matrix, computed on first access. Only the snapshot sampler reads it: its factor fixes every
     random draw, so it keeps the LAPACK basis the recorded outputs were made
     with, which a ``leading(p)`` basis would not match on the degenerate
     noise floor. Once built, that basis also serves ``leading`` and the
@@ -124,6 +129,7 @@ class EigenDecomposition:
         self._basis = eigenvectors
         # (packed, d, e, tau): see ``eigh`` for the layout of ``packed``
         self._reduction = _reduction
+        self._leading = None  # the last block ``leading`` solved for
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -141,7 +147,7 @@ class EigenDecomposition:
             # np.linalg.eigh reads only the lower triangle, which ``packed``
             # keeps equal to the symmetrized matrix
             self._basis = np.linalg.eigh(packed)[1][:, ::-1].copy()
-            self._reduction = None
+            self._reduction = self._leading = None
         return self._basis
 
     def leading(self, k: int) -> np.ndarray:
@@ -151,6 +157,8 @@ class EigenDecomposition:
             raise ValueError("k must satisfy 0 <= k <= p")
         if self._basis is not None:
             return self._basis[:, :k]
+        if self._leading is not None and k <= self._leading.shape[1]:
+            return self._leading[:, :k].copy()
         packed, d, e, tau = self._reduction
         if k == 0:
             return np.zeros((p, 0), dtype=packed.dtype)
@@ -172,7 +180,8 @@ class EigenDecomposition:
                 raise np.linalg.LinAlgError(f"?unmqr failed with info = {info}")
             vec[1:] = out
         # the reduction was of the Fortran view packed.T = conj(A)
-        return vec.conj()
+        self._leading = vec.conj()
+        return self._leading.copy()
 
     def matrix(self) -> np.ndarray:
         """Reconstruct sum_i lambda_i v_i v_i^H."""
@@ -195,44 +204,73 @@ def mp_pdf(x, law: MPLaw):
     return out
 
 
-def mp_cdf(x: float, law: MPLaw) -> float:
-    """CDF of the MP law by adaptive quadrature of the closed-form density."""
-    a, b = law.support_lo, law.support_hi
+def _mp_cdf_of_gamma(x: float, gamma: float) -> float:
+    a = (1.0 - math.sqrt(gamma)) ** 2
+    b = (1.0 + math.sqrt(gamma)) ** 2
     if x <= a:
         return 0.0
     if x >= b:
         return 1.0
-    val, _ = integrate.quad(
-        lambda t: mp_pdf(t, law), a, x, epsabs=1e-13, epsrel=1e-13, limit=200
-    )
-    return float(val)
+    # asin(u) = atan2(c u, c sqrt(1 - u^2)) for any c > 0. For both
+    # arguments 1 - u^2 factors through the edges, (b - x)(x - a) times a
+    # constant (sqrt(ab) = 1 - gamma), so neither atan2 loses accuracy as x
+    # nears a or b, where asin is ill-conditioned.
+    s2 = 2.0 * math.sqrt((b - x) * (x - a))
+    val = (
+        s2 / 2.0
+        + (1.0 + gamma) * math.atan2(2.0 * x - a - b, s2)
+        - (1.0 - gamma) * math.atan2((a + b) * x - 2.0 * a * b, (1.0 - gamma) * s2)
+        + math.pi * gamma
+    ) / (2.0 * math.pi * gamma)
+    return min(max(val, 0.0), 1.0)
+
+
+def mp_cdf(x: float, law: MPLaw) -> float:
+    """CDF of the MP law in closed form.
+
+    With a, b the support edges, for a < x < b
+
+        F(x) = [sqrt((b - x)(x - a)) + (1 + gamma) asin((2x - a - b) / (b - a))
+                - (1 - gamma) asin(((a + b) x - 2ab) / (x (b - a))) + pi gamma]
+               / (2 pi gamma),
+
+    0 at or below a and 1 at or above b. Each asin is evaluated as an atan2
+    of the same angle, which keeps full accuracy next to the edges.
+    """
+    return _mp_cdf_of_gamma(float(x), law.gamma)
 
 
 @lru_cache(maxsize=256)
 def _mp_median_of_gamma(gamma: float) -> float:
-    # Bisection on the quadrature CDF; the density is smooth inside the
-    # support so brentq converges in ~50 evaluations.
-    a = (1.0 - np.sqrt(gamma)) ** 2
-    b = (1.0 + np.sqrt(gamma)) ** 2
-
-    def density(t):
-        return np.sqrt((b - t) * (t - a)) / (2.0 * np.pi * gamma * t)
-
-    def cdf_minus_half(x):
-        val, _ = integrate.quad(density, a, x, epsabs=1e-13, epsrel=1e-13, limit=200)
-        return val - 0.5
-
-    lo = a + 1e-14 * b
-    hi = b - 1e-14 * b
-    return float(optimize.brentq(cdf_minus_half, lo, hi, xtol=1e-13, rtol=1e-15))
+    # Newton on F(x) - 1/2 with F' the MP density, from the mean 1 (the
+    # median sits just below it); a step that leaves the bracket known to
+    # hold the root bisects it instead.
+    a = (1.0 - math.sqrt(gamma)) ** 2
+    b = (1.0 + math.sqrt(gamma)) ** 2
+    lo, hi, x = a, b, 1.0
+    for _ in range(_MEDIAN_MAX_STEPS):
+        f = _mp_cdf_of_gamma(x, gamma) - 0.5
+        if f == 0.0:
+            break
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        density = math.sqrt((b - x) * (x - a)) / (2.0 * math.pi * gamma * x)
+        step = f / density
+        nxt = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+        done = abs(nxt - x) <= 1e-15 * x
+        x = nxt
+        if done:
+            break
+    return x
 
 
 def mp_median(law: MPLaw) -> float:
-    """Median of the MP law: the m with CDF(m) = 1/2, to 1e-10 absolute.
+    """Median of the MP law: the m with CDF(m) = 1/2, to 1e-12 relative.
 
-    Computed by bisection on the quadrature CDF and cached per gamma, so
-    repeated noise-power estimates at a fixed aspect ratio pay the quadrature
-    once (the estimation step itself stays O(p)).
+    Found by a bracketed Newton iteration on the closed-form CDF, whose
+    derivative is the density, and cached per gamma.
     """
     return _mp_median_of_gamma(law.gamma)
 

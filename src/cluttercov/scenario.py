@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rmt import SPIKE_FRACTION_BUDGET, ModelOrderWarning, eigh
-from .rng import substream
+from .rng import complex_normal, substream
 from .shrinkage import SpikedModel
 
 
@@ -242,9 +242,7 @@ class SnapshotSampler:
         """
         if n < 1:
             raise ValueError("n must be positive")
-        rng = substream(seed, stream)
-        w = rng.standard_normal((self.p, n)) + 1j * rng.standard_normal((self.p, n))
-        return self._factor @ (w / np.sqrt(2.0))
+        return self._factor @ complex_normal(substream(seed, stream), self.p, n)
 
 
 def inject_target(snapshots: np.ndarray, spec: SteeringSpec, amplitude: complex) -> np.ndarray:

@@ -15,9 +15,15 @@ import numpy as np
 
 from . import rmt
 from .detector import DetectorConfig, detect, theoretical_pd
-from .metrics import kantorovich_bound, mvdr_error_variance, normalized_scnr_batch, stein_loss
+from .metrics import (
+    TruthFactor,
+    kantorovich_bound,
+    mvdr_error_variance,
+    normalized_scnr_batch,
+    stein_loss,
+)
 from .rcml import rcml_estimate
-from .rng import substream
+from .rng import complex_normal, substream
 from .scenario import (
     ScenarioConfig,
     SnapshotSampler,
@@ -185,7 +191,7 @@ def verify_clt(
         if ensemble == "real":
             w = rng.standard_normal((p, n))
         else:
-            w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2.0)
+            w = complex_normal(rng, p, n)
         w *= root[:, None]  # diagonal truth: the eigenvalue law is basis-free
         decomp = rmt.eigh(rmt.sample_covariance(w))
         est = shrink_spectrum(decomp, ratio)
@@ -263,6 +269,7 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, truth, spiked, sampler
             for v in values
         ]
 
+    truth = TruthFactor(truth)  # every metric below scores against this one R
     mvdr_truth = mvdr_error_variance(truth, target)
     for value, (n, specs) in zip(values, cases):
         ratio = rmt.AspectRatio(p, n)

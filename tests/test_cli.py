@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import cluttercov
 
 from cluttercov import (
     ScenarioConfig,
@@ -266,3 +272,17 @@ class TestExitCodes:
                 "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 2
         assert not (tmp_path / "out").exists()
+
+
+class TestImport:
+    def test_cli_loads_only_the_linalg_layer_of_scipy(self):
+        # the MP CDF, its median and the Pd series are closed forms; none
+        # of these subpackages may come back through an import
+        heavy = ["scipy.integrate", "scipy.optimize", "scipy.special", "scipy.stats"]
+        src = str(Path(cluttercov.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = f"import sys, cluttercov.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.strip() == "[]"

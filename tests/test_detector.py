@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from cluttercov import (
     AspectRatio,
@@ -178,6 +178,19 @@ class TestTheoreticalPd:
             ours = _pd_series(mean, thr)
             oracle = stats.ncx2(df=2, nc=2 * mean).sf(2 * thr)
             assert ours == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+    def test_series_matches_incomplete_gamma_series(self):
+        # the same Poisson mixture with Q(k + 1, t) from scipy's gammaincc
+        # instead of the recurrence, summed well past the series' stopping
+        # rule, whose dropped tail is a few PD_SERIES_RTOL at mean 900
+        def reference(mean, thr):
+            k = np.arange(int(mean + 40.0 * np.sqrt(mean) + 60.0))
+            log_pmf = -mean + k * np.log(mean) - special.gammaln(k + 1)
+            return float(np.sum(np.exp(log_pmf) * special.gammaincc(k + 1, thr)))
+
+        for mean in (1e-6, 0.5, 3.0, 40.0, 300.0, 900.0):
+            for thr in (0.01, 2.0, 4.6, 6.9, 13.8, 50.0):
+                assert _pd_series(mean, thr) == pytest.approx(reference(mean, thr), rel=1e-11)
 
     def test_monotone_in_amplitude_and_pfa(self):
         model = SpikedModel(p=16, sigma2=1.0, spikes=np.array([]))

@@ -4,8 +4,14 @@ import pytest
 from cluttercov import (
     AspectRatio,
     CovarianceEstimate,
+    Scatterer,
+    ScattererClutter,
+    ScenarioConfig,
+    SnapshotSampler,
     SpikedModel,
     SteeringSpec,
+    TruthFactor,
+    challenge_synthetic,
     eigh,
     kantorovich_bound,
     mvdr_error_variance,
@@ -16,7 +22,9 @@ from cluttercov import (
     steering_vector,
     stein_loss,
     stein_shrinker,
+    synthesize_clutter_covariance,
 )
+from cluttercov.metrics import _stein_loss_dense
 from cluttercov.rcml import rcml_estimate
 from cluttercov.rng import substream
 
@@ -220,3 +228,87 @@ class TestSteinLoss:
         dense = stein_loss(truth, est.matrix())
         assert dense > 0
         assert stein_loss(truth, est) == pytest.approx(dense, rel=1e-10)
+
+
+def scene_estimates(scn, n, seed):
+    """True covariance of a scene and both estimates from one draw of n snapshots."""
+    truth = synthesize_clutter_covariance(scn)
+    data = SnapshotSampler(truth).draw(n, seed)
+    dec = eigh(sample_covariance(data))
+    ratio = AspectRatio(scn.p, n)
+    shrunk = shrink_spectrum(dec, ratio)
+    clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
+    return truth, {"shrinkage": shrunk, "rcml": clipped}
+
+
+P32_SCENE = ScenarioConfig(
+    N=4, K=8, n=128, sigma2=1.0, seed=3,
+    clutter=ScattererClutter((Scatterer(8.0, 0.3, 0.1), Scatterer(5.0, -0.4, -0.2))),
+)
+
+
+@pytest.fixture(scope="module", params=["challenge", "p32"])
+def scene(request):
+    if request.param == "challenge":
+        scn, n = challenge_synthetic(), 1024
+    else:
+        scn, n = P32_SCENE, 128
+    truth, ests = scene_estimates(scn, n, seed=7)
+    targets = [SteeringSpec(th, fd, scn.N, scn.K) for th in (-0.6, 0.0, 0.5) for fd in (-0.3, 0.2)]
+    return truth, ests, targets
+
+
+class TestTruthFactor:
+    """Each metric scores alike from a TruthFactor and from the plain array."""
+
+    @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
+    def test_stein_loss(self, scene, estimator):
+        truth, ests, _ = scene
+        est = ests[estimator]
+        assert est.spike_count > 0
+        from_factor = stein_loss(TruthFactor(truth), est)
+        assert from_factor == stein_loss(truth, est)
+        assert from_factor == pytest.approx(_stein_loss_dense(truth, est.matrix()), rel=1e-10)
+
+    @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
+    def test_normalized_scnr_batch(self, scene, estimator):
+        truth, ests, targets = scene
+        est = ests[estimator]
+        s = np.column_stack([steering_vector(t) for t in targets])
+        from_factor = normalized_scnr_batch(est, TruthFactor(truth), s)
+        np.testing.assert_array_equal(from_factor, normalized_scnr_batch(est, truth, s))
+        w = est.inverse_apply(s)
+        ref = np.real(np.sum(s.conj() * w, axis=0)) ** 2 / (
+            np.real(np.sum(s.conj() * np.linalg.solve(truth, s), axis=0))
+            * np.real(np.sum(w.conj() * (truth @ w), axis=0))
+        )
+        np.testing.assert_allclose(from_factor, ref, rtol=1e-10)
+
+    def test_mvdr_error_variance(self, scene):
+        truth, _, targets = scene
+        factor = TruthFactor(truth)
+        for target in targets:
+            from_factor = mvdr_error_variance(factor, target)
+            assert from_factor == mvdr_error_variance(truth, target)
+            s = steering_vector(target)
+            assert 1.0 / from_factor == pytest.approx(
+                np.vdot(s, np.linalg.solve(truth, s)).real, rel=1e-10
+            )
+
+    @pytest.mark.parametrize(
+        "bad", [np.diag([2.0, 1.0, -1.0, 3.0]), np.diag([2.0, np.nan, 1.0, 3.0])],
+        ids=["indefinite", "nan"],
+    )
+    def test_bad_truth_rejected_in_both_forms(self, bad):
+        est = CovarianceEstimate(
+            sigma2_hat=1.0, spikes=np.array([3.0]), vectors=np.eye(4, dtype=complex)[:, :1]
+        )
+        target = SteeringSpec(0.1, 0.1, 2, 2)
+        with pytest.raises(ValueError):
+            TruthFactor(bad)
+        with pytest.raises(ValueError):
+            stein_loss(bad, est)
+        with pytest.raises(ValueError):
+            normalized_scnr(est, bad, target)
+        with pytest.raises(ValueError):
+            mvdr_error_variance(bad, target)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
 from cluttercov import (
     AspectRatio,
@@ -15,6 +17,7 @@ from cluttercov import (
     mp_pdf,
     sample_covariance,
 )
+from cluttercov import rmt
 from cluttercov.rng import substream
 
 
@@ -95,6 +98,56 @@ class TestMpMedian:
         lam = np.linalg.eigvalsh(w @ w.conj().T / n)
         emp = np.median(lam)
         assert abs(emp - mp_median(law_of(1, 2))) / emp < 0.01
+
+
+# (p, n) with p / n the oracle gammas 1e-3, 0.2193, 0.5, 0.9 and 1
+ORACLE_RATIOS = [(1, 1000), (2193, 10000), (1, 2), (9, 10), (1, 1)]
+
+
+def oracle_law(p, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)  # gamma = 1
+        return law_of(p, n)
+
+
+def quad_cdf(x, law):
+    """MP CDF by adaptive quadrature of the density, independent of the closed form.
+
+    The integral is split at the midpoint of [a, x], so that each piece has
+    at most one square-root edge singularity (two on one piece cost quad
+    about 3e-10 at gamma = 1).
+    """
+    a, b = law.support_lo, law.support_hi
+    if x <= a:
+        return 0.0
+    x = min(x, b)
+    mid = 0.5 * (a + x)
+    return sum(
+        integrate.quad(lambda t: mp_pdf(t, law), lo, hi, epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+        for lo, hi in ((a, mid), (mid, x))
+    )
+
+
+class TestMpOracles:
+    """The closed-form CDF and the Newton median against quadrature oracles."""
+
+    @pytest.mark.parametrize("p,n", ORACLE_RATIOS)
+    def test_cdf_matches_quadrature(self, p, n):
+        law = oracle_law(p, n)
+        a, b = law.support_lo, law.support_hi
+        fractions = [1e-9, 1e-6, 1e-3, 0.01, *np.linspace(0.05, 0.95, 19), 0.99, 1 - 1e-6]
+        xs = [a - 0.1, a, *(a + f * (b - a) for f in fractions), b, b + 0.1]
+        for x in xs:
+            assert abs(mp_cdf(x, law) - quad_cdf(x, law)) < 1e-11, x
+
+    @pytest.mark.parametrize("p,n", ORACLE_RATIOS)
+    def test_median_matches_root_of_quadrature(self, p, n):
+        law = oracle_law(p, n)
+        ref = optimize.brentq(
+            lambda x: quad_cdf(x, law) - 0.5, law.support_lo, law.support_hi,
+            xtol=1e-15, rtol=1e-15,
+        )
+        assert abs(mp_median(law) - ref) <= 1e-12 * ref
 
 
 class TestSampleCovariance:
@@ -276,6 +329,28 @@ class TestLeadingEigenvectors:
         for k in (1, 3, 6):
             v = dec.leading(k)
             assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
+
+    def test_repeated_leading_solves_once_and_returns_caller_owned_blocks(self, monkeypatch):
+        solves = []
+        tridiagonal = rmt.linalg.eigh_tridiagonal
+        monkeypatch.setattr(
+            rmt.linalg, "eigh_tridiagonal", lambda *a, **k: solves.append(1) or tridiagonal(*a, **k)
+        )
+        dec = eigh(hermitian(40, 5))
+        first = dec.leading(6)
+        again = dec.leading(6)
+        fewer = dec.leading(3)
+        assert len(solves) == 1
+        np.testing.assert_array_equal(again, first)
+        np.testing.assert_array_equal(fewer, first[:, :3])
+        for a, b in ((first, again), (first, fewer), (again, fewer)):
+            assert not np.shares_memory(a, b)
+        again[:] = 0.0  # a caller writing its block leaves later blocks intact
+        fewer[:] = 0.0
+        np.testing.assert_array_equal(dec.leading(6), first)
+        more = dec.leading(8)  # a larger block is solved afresh
+        assert len(solves) == 2
+        assert np.abs(np.abs(np.sum(more[:, :6].conj() * first, axis=0)) - 1.0).max() < 1e-10
 
     def test_out_of_range_k(self):
         dec = eigh(hermitian(8, 2))

@@ -21,6 +21,8 @@ from cluttercov import (
     synthesize_clutter_covariance,
     truth_spiked_model,
 )
+from cluttercov import scenario
+from cluttercov.rng import complex_normal, substream
 from cluttercov.validate import ANGLE_MARGIN_GRID, DOPPLER_MARGIN_GRID
 
 
@@ -170,6 +172,25 @@ class TestSampleSnapshots:
         pseudo = z @ z.T / z.shape[1]
         assert np.abs(pseudo).max() < 0.05
         assert abs(np.mean(np.abs(z[0]) ** 2) - 4.0) < 0.05
+
+
+def old_complex_draw(rng, p, n):
+    """The draw expression the in-place ``complex_normal`` replaced."""
+    return (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2.0)
+
+
+class TestComplexNormal:
+    def test_bitwise_equal_to_the_expression(self):
+        ours = complex_normal(substream(37, 4), 24, 50)
+        ref = old_complex_draw(substream(37, 4), 24, 50)
+        assert ours.dtype == ref.dtype and ours.shape == (24, 50)
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_sampler_draw_pinned_to_the_expression(self, monkeypatch):
+        sampler = SnapshotSampler(synthesize_clutter_covariance(challenge_synthetic()))
+        ours = sampler.draw(64, seed=38, stream=2)
+        monkeypatch.setattr(scenario, "complex_normal", old_complex_draw)
+        assert ours.tobytes() == sampler.draw(64, seed=38, stream=2).tobytes()
 
 
 class TestInjectTarget:

@@ -20,6 +20,7 @@ from cluttercov import (
     sweep,
     verify_clt,
 )
+from cluttercov import validate
 from cluttercov.rng import substream
 from cluttercov.validate import DETECTION_HEADER, SWEEP_HEADER
 
@@ -105,6 +106,21 @@ class TestVerifyClt:
         assert len(res) == 1
         assert res[0].ks.n1 == 2
         assert 0.0 <= res[0].ks.p_value <= 1.0
+
+    def test_complex_draw_pinned_to_the_expression(self, monkeypatch):
+        # the in-place draw gives bit for bit the samples of the expression
+        # (a + 1j * b) / sqrt(2) it replaced
+        model = SpikedModel(p=24, sigma2=2.0, spikes=np.array([30.0, 12.0]))
+        ours = verify_clt(model, gamma=0.25, p=24, trials=3, seed=5)
+        monkeypatch.setattr(
+            validate,
+            "complex_normal",
+            lambda rng, p, n: (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n)))
+            / np.sqrt(2.0),
+        )
+        ref = verify_clt(model, gamma=0.25, p=24, trials=3, seed=5)
+        for a, b in zip(ours, ref):
+            assert a.samples.tobytes() == b.samples.tobytes()
 
     def test_subcritical_rejected(self):
         model = SpikedModel(p=40, sigma2=1.0, spikes=np.array([1.3]))
