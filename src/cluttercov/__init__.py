@@ -20,6 +20,7 @@ from .shrinkage import (
     SpikedModel,
     clt_params,
     cosine2,
+    detect_spikes,
     estimate_noise,
     f_map,
     g_map,

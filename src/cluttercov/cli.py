@@ -41,6 +41,8 @@ class ConfigError(Exception):
 
 
 def _clutter_from_json(spec: dict, p: int, sigma2: float):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"clutter must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "spiked":
         return SpikedModel(p=p, sigma2=sigma2, spikes=np.asarray(spec["spikes"], dtype=float))
@@ -249,7 +251,10 @@ def _cmd_verify_clt(args) -> int:
     spikes = np.asarray(sorted(_parse_list(args.spikes), reverse=True))
     if spikes.size == 0 or not np.all(spikes > edge):
         raise ConfigError(f"--spikes needs whitened spikes above the detection edge {edge:.6g}")
-    model = SpikedModel(p=args.p, sigma2=args.sigma2, spikes=spikes * args.sigma2)
+    try:
+        model = SpikedModel(p=args.p, sigma2=args.sigma2, spikes=spikes * args.sigma2)
+    except ValueError as exc:
+        raise ConfigError(f"bad --spikes: {exc}") from exc
     results = validate.verify_clt(
         model, args.gamma, args.p, args.trials, args.seed or 0, ensemble=args.ensemble
     )
@@ -274,6 +279,17 @@ def _cmd_verify_clt(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a nonnegative integer, as numpy's SeedSequence requires."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cluttercov",
@@ -283,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, scenario=True):
-        sp.add_argument("--seed", type=int, default=None, help="root seed (default: scenario seed)")
+        sp.add_argument("--seed", type=_seed, default=None,
+                        help="root seed, a nonnegative integer (default: scenario seed)")
         sp.add_argument("--out-dir", default="cluttercov-out", help="output directory")
         if scenario:
             sp.add_argument("--scenario", default=None, help="preset scene name")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .rmt import AspectRatio, EigenDecomposition
 from .scenario import SteeringSpec, steering_vector
-from .shrinkage import SpikedModel, cosine2, estimate_noise
+from .shrinkage import SpikedModel, cosine2, detect_spikes
 from . import rmt
 
 PD_SERIES_RTOL = 1e-12
@@ -41,9 +41,9 @@ PD_SERIES_MAX_TERMS = 10_000
 class DetectorConfig:
     """Detection setup: clutter rank for the projection, target false-alarm rate.
 
-    ``rank`` None means "estimate it": the detector counts the training
-    eigenvalues above the spike-detection edge, the same count the shrinkage
-    estimator reports.
+    ``rank`` None means "estimate it": the detector takes the count of
+    ``shrinkage.detect_spikes``, the rule the shrinkage estimator detects its
+    spikes by.
     """
 
     rank: int | None
@@ -237,11 +237,8 @@ def detect(snapshots: np.ndarray, target: SteeringSpec, config: DetectorConfig) 
         raise ValueError("test snapshot must be finite")
     decomp = rmt.eigh(rmt.sample_covariance(train))
     ratio = AspectRatio(p, n)
-    sigma2_hat = estimate_noise(decomp, ratio)
-    rank = config.rank
-    if rank is None:
-        edge2 = (1.0 + np.sqrt(ratio.gamma)) ** 2
-        rank = int(np.count_nonzero(decomp.eigenvalues / sigma2_hat > edge2))
+    sigma2_hat, detected = detect_spikes(decomp, ratio)
+    rank = detected.size if config.rank is None else config.rank
     ps = clutter_projection(decomp, rank, steering_vector(target))
     raw = abs(np.vdot(ps, y)) ** 2 / float(np.real(np.vdot(ps, ps)))
     return DetectionReport(

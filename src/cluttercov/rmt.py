@@ -8,8 +8,8 @@ returned as a plain Hermitian p x p array), and a descending-order Hermitian
 eigendecomposition. The estimators need every eigenvalue but only the r
 leading eigenvectors, so ``eigh`` does one Householder tridiagonal reduction
 (O(p^3), about a third of a full ``np.linalg.eigh``), takes all eigenvalues
-from the tridiagonal in O(p^2), and computes eigenvectors only when a caller
-asks for them.
+from the tridiagonal in O(p^2), and returns an ``EigenDecomposition`` that
+computes leading eigenvectors only when asked, never a full p x p basis.
 """
 
 from __future__ import annotations
@@ -87,48 +87,24 @@ class MPLaw:
 
 
 class EigenDecomposition:
-    """Spectral factorization of a Hermitian matrix, eigenvalues descending.
+    """All eigenvalues of a Hermitian matrix, descending, and its leading eigenvectors on request.
 
-    ``eigenvalues`` holds all p eigenvalues. ``leading(k)`` returns the p x k
-    unit eigenvectors paired with ``eigenvalues[:k]`` and ``eigenvectors``
-    the full p x p basis, column i paired with eigenvalues[i]. Ties may take
-    any orthonormal basis of their eigenspace. Orthonormality
-    (max |V^H V - I| < 1e-10) and reconstruction to 1e-8 relative are
-    contractual and exercised by the test suite rather than recomputed on
-    every construction.
-
-    A decomposition built from explicit ``eigenvectors`` serves both from that
-    basis. One built by ``eigh`` holds its Householder reduction instead:
-    ``leading(k)`` solves the tridiagonal for only the k vectors (MRRR,
-    LAPACK ``dstemr``) and back-transforms them through the stored
-    reflectors in O(p^2 k). The block is kept, so a second ``leading(k)``
-    with k no larger (the shrinkage and clipping estimates of one sample
-    covariance ask for the same r) copies it instead of solving again; every
-    returned block is the caller's own. The full basis is ``np.linalg.eigh``
-    of the symmetrized matrix, computed on first access. Only the snapshot sampler reads it: its factor fixes every
-    random draw, so it keeps the LAPACK basis the recorded outputs were made
-    with, which a ``leading(p)`` basis would not match on the degenerate
-    noise floor. Once built, that basis also serves ``leading`` and the
-    reduction is released.
+    Only ``eigh`` builds one, from its Householder reduction to tridiagonal
+    form. ``leading(k)`` returns the p x k unit eigenvectors paired with
+    ``eigenvalues[:k]``: it solves the tridiagonal for only those k vectors
+    (MRRR, LAPACK ``dstemr``) and back-transforms them through the stored
+    reflectors in O(p^2 k). Ties may take any orthonormal basis of their
+    eigenspace. Orthonormality (max |V^H V - I| < 1e-10) and reconstruction
+    through ``leading(p)`` to 1e-8 relative are contractual and exercised by
+    the test suite rather than recomputed on every construction. The block
+    is kept, so a second ``leading(k)`` with k no larger (the shrinkage and
+    clipping estimates of one sample covariance ask for the same r) copies
+    it instead of solving again; every returned block is the caller's own.
     """
 
-    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
-                 *, _reduction: tuple | None = None):
-        lam = np.asarray(eigenvalues, dtype=float)
-        if lam.ndim != 1:
-            raise ValueError("eigenvalues must be length p")
-        if (eigenvectors is None) == (_reduction is None):
-            raise ValueError("exactly one of eigenvectors and a reduction is required")
-        if eigenvectors is not None:
-            eigenvectors = np.asarray(eigenvectors)
-            if eigenvectors.shape != (lam.size, lam.size):
-                raise ValueError("eigenvalues must be length p, eigenvectors p x p")
-        if np.any(np.diff(lam) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-        self._eigenvalues = lam
-        self._basis = eigenvectors
-        # (packed, d, e, tau): see ``eigh`` for the layout of ``packed``
-        self._reduction = _reduction
+    def __init__(self, eigenvalues: np.ndarray, reduction: tuple):
+        self._eigenvalues = eigenvalues
+        self._reduction = reduction  # (packed, d, e, tau): see ``eigh`` for ``packed``
         self._leading = None  # the last block ``leading`` solved for
 
     @property
@@ -139,24 +115,11 @@ class EigenDecomposition:
     def p(self) -> int:
         return self._eigenvalues.size
 
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """The full p x p eigenvector basis, built on first access."""
-        if self._basis is None:
-            packed = self._reduction[0]
-            # np.linalg.eigh reads only the lower triangle, which ``packed``
-            # keeps equal to the symmetrized matrix
-            self._basis = np.linalg.eigh(packed)[1][:, ::-1].copy()
-            self._reduction = self._leading = None
-        return self._basis
-
     def leading(self, k: int) -> np.ndarray:
         """The p x k unit eigenvectors of the k largest eigenvalues, in descending order."""
         p = self.p
         if not 0 <= k <= p:
             raise ValueError("k must satisfy 0 <= k <= p")
-        if self._basis is not None:
-            return self._basis[:, :k]
         if self._leading is not None and k <= self._leading.shape[1]:
             return self._leading[:, :k].copy()
         packed, d, e, tau = self._reduction
@@ -182,10 +145,6 @@ class EigenDecomposition:
         # the reduction was of the Fortran view packed.T = conj(A)
         self._leading = vec.conj()
         return self._leading.copy()
-
-    def matrix(self) -> np.ndarray:
-        """Reconstruct sum_i lambda_i v_i v_i^H."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
 def mp_pdf(x, law: MPLaw):
@@ -316,14 +275,12 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
     error of covariance averaging. One blocked Householder reduction to
     tridiagonal form (``zhetrd``, ``dsytrd`` for real input) then yields all
     eigenvalues through ``dsterf``; eigenvectors are left to
-    ``EigenDecomposition.leading`` and ``.eigenvectors``, which compute them
-    only when asked.
+    ``EigenDecomposition.leading``, which computes only the ones asked for.
 
     The reduction runs in place on the Fortran view of the symmetrized
-    matrix, which is its transpose conj(A). Its reflectors fill the upper
-    triangle of the C-ordered array; the lower triangle is not referenced and
-    keeps A, and the diagonal is restored, so the one p x p buffer holds both
-    the reflectors and the matrix the full basis is later computed from.
+    matrix, which is its transpose conj(A). It leaves the tridiagonal and the
+    reflectors in the upper triangle of the C-ordered array, the only part
+    ``leading`` reads.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -339,7 +296,6 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
     del mh
     packed /= 2.0
     p = packed.shape[0]
-    diagonal = packed.diagonal().copy()
     if np.iscomplexobj(packed):
         reduce, lwork = lapack.zhetrd, lapack.zhetrd_lwork(p, lower=1)[0].real
     else:
@@ -347,7 +303,6 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
     reduced, d, e, tau, info = reduce(packed.T, lower=1, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal reduction failed with info = {info}")
-    packed = reduced.T  # ``packed`` itself unless the wrapper had to copy
-    np.fill_diagonal(packed, diagonal)
     lam = linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
-    return EigenDecomposition(lam[::-1].copy(), _reduction=(packed, d, e, tau))
+    # ``reduced.T`` is ``packed`` itself unless the wrapper had to copy
+    return EigenDecomposition(lam[::-1].copy(), (reduced.T, d, e, tau))

@@ -75,11 +75,23 @@ def steering_vector(spec: SteeringSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scatterer:
-    """Point clutter scatterer: complex power |amplitude|^2 along its steering vector."""
+    """Point clutter scatterer: complex power |amplitude|^2 along its steering vector.
+
+    Fields are converted to finite floats and ``doppler`` must lie in [-1/2, 1/2].
+    """
 
     amplitude: float
     theta: float
     doppler: float
+
+    def __post_init__(self):
+        for name in ("amplitude", "theta", "doppler"):
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ValueError(f"scatterer {name} must be finite")
+            object.__setattr__(self, name, value)
+        if not -0.5 <= self.doppler <= 0.5:
+            raise ValueError("normalized Doppler must lie in [-1/2, 1/2]")
 
 
 @dataclass(frozen=True)
@@ -137,6 +149,8 @@ class ScenarioConfig:
             raise ValueError("n must be positive")
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @property
     def p(self) -> int:
@@ -218,20 +232,24 @@ def truth_spiked_model(config: ScenarioConfig, covariance: np.ndarray | None = N
 class SnapshotSampler:
     """Factored sampler for repeated draws from one true covariance.
 
-    The spectral square root is computed once; each draw uses an independent,
-    order-insensitive substream of the seed.
+    The spectral square root V diag(sqrt(lam)) is computed once, with lam the
+    ``eigh`` eigenvalues and V the full ``np.linalg.eigh`` basis of the
+    symmetrized covariance. Each draw uses an independent, order-insensitive
+    substream of the seed.
     """
 
     def __init__(self, covariance: np.ndarray):
         covariance = np.asarray(covariance)
-        decomp = eigh(covariance)
-        lam = decomp.eigenvalues
+        lam = eigh(covariance).eigenvalues
         tol = 1e-10 * max(lam.max(), 0.0) if lam.size else 0.0
         if lam.min() < -max(tol, 1e-30):
             raise ValueError("covariance is not positive semi-definite")
         # eigenvalues below numerical-rank dust are exact zeros of the model
         lam = np.where(lam > 1e-13 * max(lam.max(), 0.0), lam, 0.0)
-        self._factor = decomp.eigenvectors * np.sqrt(lam)
+        # LAPACK's basis fixes every recorded draw; a ``leading(p)`` basis
+        # differs from it on the degenerate noise floor
+        basis = np.linalg.eigh((covariance + covariance.conj().T) / 2.0)[1][:, ::-1]
+        self._factor = basis * np.sqrt(lam)
         self.p = covariance.shape[0]
 
     def draw(self, n: int, seed: int, stream: int = 0) -> np.ndarray:

@@ -83,8 +83,7 @@ class CovarianceEstimate:
     The estimate is s2 I + V diag(spikes - s2) V^H with s2 = sigma2_hat,
     ``spikes`` the r shrunk (or clipped) eigenvalues, descending and strictly
     above s2, and ``vectors`` the p x r leading sample eigenvectors from
-    ``EigenDecomposition.leading(r)``. For a decomposition from ``eigh`` the
-    estimate owns that block, so it keeps no p x p basis alive. Every other
+    ``EigenDecomposition.leading(r)``, a block the estimate owns. Every other
     eigenvalue equals the floor by construction.
     """
 
@@ -279,18 +278,28 @@ def estimate_noise(decomp: EigenDecomposition, ratio: AspectRatio) -> float:
     return lam_med / mu_med
 
 
+def detect_spikes(decomp: EigenDecomposition, ratio: AspectRatio) -> tuple[float, np.ndarray]:
+    """Noise power sigma2_hat and the whitened sample eigenvalues detected as spikes.
+
+    The spikes are the sample eigenvalues divided by sigma2_hat that lie
+    strictly above the bulk edge (1 + sqrt(gamma))^2, descending. The
+    shrinkage estimator and the detector's estimated rank both use this rule.
+    """
+    s2 = estimate_noise(decomp, ratio)
+    whitened = decomp.eigenvalues / s2
+    return s2, whitened[whitened > (1.0 + np.sqrt(ratio.gamma)) ** 2]
+
+
 def shrink_spectrum(decomp: EigenDecomposition, ratio: AspectRatio) -> CovarianceEstimate:
     """Full shrinkage pass: noise power, spike detection, Stein shrinkage.
 
-    Whitened eigenvalues strictly above (1 + sqrt(gamma))^2 are shrunk through
+    The spikes ``detect_spikes`` finds are shrunk through
     stein_shrinker(f_map(.)); the rest are set to the estimated noise floor.
     A spike count above the 0.1 * p budget raises ModelOrderWarning but the
     estimate is still produced.
     """
-    s2 = estimate_noise(decomp, ratio)
+    s2, detected = detect_spikes(decomp, ratio)
     g = ratio.gamma
-    whitened = decomp.eigenvalues / s2
-    detected = whitened[whitened > (1.0 + np.sqrt(g)) ** 2]
     spikes = np.array([s2 * stein_shrinker(f_map(x, g), g) for x in detected], dtype=float)
     # An eigenvalue exactly at the detection edge shrinks onto the floor;
     # keep only spikes that stayed strictly above it.

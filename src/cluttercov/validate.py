@@ -306,11 +306,9 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, truth, spiked, sampler
     return _rows_to_csv(SWEEP_HEADER, rows)
 
 
-def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None) -> str:
+def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
+                     truth, spiked, sampler) -> str:
     scn = plan.scenario
-    truth = synthesize_clutter_covariance(scn)
-    spiked = truth_spiked_model(scn, truth)
-    sampler = SnapshotSampler(truth)
     target = plan.resolved_target()
     ratio_gamma = scn.p / scn.n
     eigvecs = None
@@ -361,11 +359,10 @@ def sweep(
         header = DETECTION_HEADER if axis == "snr" else SWEEP_HEADER
         return _rows_to_csv(header, [])
     scn = plan.scenario
-    if axis == "snr":
-        grid = np.arange(-10.0, 30.0 + 1e-9, 4.0) if values is None else values
-        return _sweep_detection(plan, grid, tuple(pfa_list), rank)
     if values is None:
-        if axis == "n":
+        if axis == "snr":
+            values = np.arange(-10.0, 30.0 + 1e-9, 4.0)
+        elif axis == "n":
             if scn.n < scn.p:
                 raise ValueError("insufficient samples")  # no multiple of p fits in n
             values = [k * scn.p for k in range(1, max(2, scn.n // scn.p) + 1) if k * scn.p <= scn.n]
@@ -376,4 +373,6 @@ def sweep(
     truth = synthesize_clutter_covariance(scn)
     spiked = truth_spiked_model(scn, truth)
     sampler = SnapshotSampler(truth)
+    if axis == "snr":
+        return _sweep_detection(plan, values, tuple(pfa_list), rank, truth, spiked, sampler)
     return _sweep_estimation(plan, axis, values, truth, spiked, sampler)

@@ -247,10 +247,13 @@ class TestExitCodes:
             ["sweep", "--axis", "doppler", "--trials", "1", "--doppler-grid", "0"],
             ["detect", "--doppler", "0.7"],
             ["sweep", "--axis", "snr", "--trials", "1", "--doppler", "-0.6"],
+            ["estimate", "--seed", "-1"],
+            ["detect", "--seed", "-1"],
+            ["sweep", "--axis", "n", "--trials", "1", "--seed", "-1"],
         ],
         ids=["sweep-trials", "detect-pfa-2", "detect-pfa-0", "sweep-pfa", "rcml-rank-p",
              "rcml-rank-negative", "angle-grid", "doppler-grid", "detect-doppler",
-             "sweep-doppler"],
+             "sweep-doppler", "estimate-seed", "detect-seed", "sweep-seed"],
     )
     def test_flag_out_of_range_is_config_error(self, tmp_path, argv):
         scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0,
@@ -263,15 +266,42 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
         [["--spikes", "0.5"], ["--trials", "1"], ["--gamma", "0"], ["--gamma", "2"], ["--p", "0"],
-         ["--sigma2", "-1"], ["--spikes", "1.2"]],
+         ["--sigma2", "-1"], ["--spikes", "1.2"], ["--seed", "-1"],
+         ["--p", "4", "--gamma", "0.5", "--spikes", "5,4,3,3.5"]],
         ids=["spike-below-floor", "one-trial", "gamma-zero", "gamma-above-one", "p-zero",
-             "negative-sigma2", "spike-below-edge"],  # the edge is 1 + sqrt(0.25) = 1.5
+             "negative-sigma2", "spike-below-edge",  # the edge is 1 + sqrt(0.25) = 1.5
+             "negative-seed", "as-many-spikes-as-p"],
     )
     def test_verify_clt_flag_out_of_range_is_config_error(self, tmp_path, flags):
         argv = ["verify-clt", "--p", "16", "--gamma", "0.25", "--trials", "4", *flags,
                 "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 2
         assert not (tmp_path / "out").exists()
+
+
+    # malformed fields of a scenario JSON: each a configuration error, raised
+    # while the scene is read and before any output
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"clutter": [1]},
+            {"clutter": {"kind": "scatterers",
+                         "scatterers": [{"amplitude": "abc", "theta": 0.1, "doppler": 0.1}]}},
+            {"clutter": {"kind": "scatterers",
+                         "scatterers": [{"amplitude": 1.0, "theta": 0.1, "doppler": 0.9}]}},
+            {"clutter": {"kind": "scatterers",
+                         "scatterers": [{"amplitude": np.nan, "theta": 0.1, "doppler": 0.1}]}},
+            {"seed": -1},
+        ],
+        ids=["clutter-not-object", "amplitude-string", "doppler-out-of-range", "amplitude-nan",
+             "negative-seed"],
+    )
+    def test_malformed_scene_is_config_error(self, tmp_path, fields):
+        scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0, **fields}
+        path = _write(tmp_path, "bad.json", json.dumps(scene))
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestImport:

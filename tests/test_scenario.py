@@ -162,6 +162,23 @@ class TestSampleSnapshots:
             # every snapshot proportional to v
             assert np.linalg.norm(z - v * np.vdot(v, z)) < 1e-10
 
+    def test_factor_is_lapack_basis_of_symmetrized_input(self):
+        # every draw rests on this factor: LAPACK's full basis of (R + R^H)/2,
+        # reversed, times the square roots of the clipped ``eigh`` eigenvalues
+        rng = substream(39, 0)
+        z = rng.standard_normal((48, 24)) + 1j * rng.standard_normal((48, 24))
+        r = z @ z.conj().T / 24  # rank 24, so the clip zeroes half the spectrum
+        r[0, 1] += 1e-13  # within the Hermitian tolerance: symmetrized away
+        lam = eigh(r).eigenvalues
+        lam = np.where(lam > 1e-13 * lam.max(), lam, 0.0)
+        assert np.count_nonzero(lam) == 24
+        ref = np.linalg.eigh((r + r.conj().T) / 2.0)[1][:, ::-1] * np.sqrt(lam)
+        sampler = SnapshotSampler(r)
+        assert sampler._factor.shape == ref.shape
+        assert sampler._factor.tobytes() == ref.tobytes()
+        draw = ref @ complex_normal(substream(40, 2), 48, 16)
+        assert sampler.draw(16, seed=40, stream=2).tobytes() == draw.tobytes()
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semi-definite"):
             SnapshotSampler(np.diag([1.0, -0.5])).draw(10, seed=0)

@@ -10,6 +10,7 @@ from cluttercov import (
     SpikedModel,
     clt_params,
     cosine2,
+    detect_spikes,
     eigh,
     estimate_noise,
     f_map,
@@ -124,10 +125,7 @@ class TestEstimateNoise:
         ratio = AspectRatio(6, 24)
         mu = mp_median(MPLaw(ratio))
         lam = np.full(6, 2 * mu)
-        dec_vectors = np.eye(6, dtype=complex)
-        from cluttercov import EigenDecomposition
-
-        dec = EigenDecomposition(eigenvalues=lam, eigenvectors=dec_vectors)
+        dec = eigh(np.diag(lam).astype(complex))
         assert estimate_noise(dec, ratio) == pytest.approx(2.0, rel=1e-14)
 
     def test_insufficient_samples(self):
@@ -164,20 +162,15 @@ class TestEstimateNoise:
     def test_invariant_exact_ratio(self):
         # sigma2_hat is exactly the median sample eigenvalue over the MP median,
         # the central pair averaged for even p
-        from cluttercov import EigenDecomposition
-
         ratio = AspectRatio(4, 16)
         lam = np.array([9.0, 5.0, 3.0, 0.5])
-        dec = EigenDecomposition(eigenvalues=lam, eigenvectors=np.eye(4, dtype=complex))
+        dec = eigh(np.diag(lam).astype(complex))
         assert estimate_noise(dec, ratio) == 4.0 / mp_median(MPLaw(ratio))
 
 
 class TestShrinkSpectrum:
     def _decomp(self, eigenvalues):
-        from cluttercov import EigenDecomposition
-
-        lam = np.asarray(eigenvalues, dtype=float)
-        return EigenDecomposition(eigenvalues=lam, eigenvectors=np.eye(lam.size, dtype=complex))
+        return eigh(np.diag(np.asarray(eigenvalues, dtype=float)).astype(complex))
 
     def test_bulk_only_gives_scaled_identity(self):
         ratio = AspectRatio(6, 24)
@@ -259,6 +252,16 @@ class TestShrinkSpectrum:
         spectrum = np.append(est.spikes, est.sigma2_hat)  # spikes, then the floor
         assert np.all(np.diff(spectrum) <= 1e-15)
 
+    def test_detect_spikes_is_the_edge_rule(self):
+        # whitened eigenvalues strictly above (1 + sqrt(1/4))^2 = 2.25; 2.2 is not
+        ratio = AspectRatio(10, 40)
+        lam = np.array([40.0, 30.0, 20.0, 1.0, 0.95, 0.9, 0.88, 0.86, 0.84, 0.82])
+        s2 = np.median(lam) / mp_median(MPLaw(ratio))
+        lam[3] = 2.2 * s2  # the median is unchanged
+        got_s2, detected = detect_spikes(self._decomp(lam), ratio)
+        assert got_s2 == s2
+        np.testing.assert_array_equal(detected, lam[:3] / s2)
+
     def test_budget_warning(self):
         ratio = AspectRatio(10, 40)
         lam = np.array([40.0, 30.0, 20.0, 1.0, 0.95, 0.9, 0.88, 0.86, 0.84, 0.82])
@@ -276,9 +279,13 @@ class TestShrinkSpectrum:
         est = shrink_spectrum(dec, ratio)
         r = est.spike_count
         assert r >= 1
-        # the estimate owns its p x r block; it keeps no p x p basis alive
-        assert est.vectors.flags.owndata and est.vectors.shape == (12, r)
-        np.testing.assert_array_equal(est.vectors, dec.leading(r))
+        clipped = rcml_estimate(dec, est.sigma2_hat, r, ratio=ratio)
+        assert clipped.spike_count == r
+        # each estimate owns its p x r block; neither keeps a p x p basis alive
+        for e in (est, clipped):
+            assert e.vectors.flags.owndata and e.vectors.shape == (12, r)
+            np.testing.assert_array_equal(e.vectors, dec.leading(r))
+        assert not np.shares_memory(est.vectors, clipped.vectors)
         # same span as the top-r eigenvectors of an independent solver
         lam, ref = np.linalg.eigh(scm)
         assert lam[-r] > lam[-r - 1]  # an eigengap, so the subspace is defined
