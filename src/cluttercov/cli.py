@@ -184,7 +184,7 @@ def _cmd_sweep(args) -> int:
     if args.trials < 0:
         raise ConfigError(f"--trials must be nonnegative, got {args.trials}")
     for flag, rows in (("--doppler-grid", args.doppler_grid), ("--angle-grid", args.angle_grid)):
-        if rows is not None and rows < 1:
+        if rows < 1:
             raise ConfigError(f"{flag} must be positive, got {rows}")
     pfa_list = _parse_list(args.pfa)
     if args.axis == "snr":
@@ -196,10 +196,10 @@ def _cmd_sweep(args) -> int:
         seed=seed,
         target=_target_from_args(args, scn),
     )
-    values = None
-    if args.axis == "doppler" and args.doppler_grid is not None:
+    values = None  # the n axis defaults to multiples of p up to the scene's n
+    if args.axis == "doppler":
         values = np.linspace(-0.5, 0.5, args.doppler_grid)
-    elif args.axis == "angle" and args.angle_grid is not None:
+    elif args.axis == "angle":
         values = np.linspace(-np.pi / 3, np.pi / 3, args.angle_grid)
     elif args.axis == "snr":
         if not (args.snr_step > 0 and args.snr_lo <= args.snr_hi):
@@ -317,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--axis", choices=["n", "doppler", "angle", "snr"], required=True)
     sp.add_argument("--trials", type=int, default=validate.DEFAULT_TRIALS)
-    sp.add_argument("--doppler-grid", type=int, default=None, help="rows for a Doppler sweep")
-    sp.add_argument("--angle-grid", type=int, default=None, help="rows for an angle sweep")
+    sp.add_argument("--doppler-grid", type=int, default=16, help="rows for a Doppler sweep")
+    sp.add_argument("--angle-grid", type=int, default=16, help="rows for an angle sweep")
     sp.add_argument("--pfa", default="1e-2", help="comma-separated false-alarm rates (snr axis)")
     sp.add_argument("--snr-lo", type=float, default=-10.0)
     sp.add_argument("--snr-hi", type=float, default=30.0)

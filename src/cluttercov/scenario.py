@@ -77,7 +77,8 @@ def steering_vector(spec: SteeringSpec) -> np.ndarray:
 class Scatterer:
     """Point clutter scatterer: complex power |amplitude|^2 along its steering vector.
 
-    Fields are converted to finite floats and ``doppler`` must lie in [-1/2, 1/2].
+    Fields are converted to finite floats, the power must be finite too, and
+    ``doppler`` must lie in [-1/2, 1/2].
     """
 
     amplitude: float
@@ -90,6 +91,10 @@ class Scatterer:
             if not np.isfinite(value):
                 raise ValueError(f"scatterer {name} must be finite")
             object.__setattr__(self, name, value)
+        try:
+            self.amplitude ** 2
+        except OverflowError:
+            raise ValueError("scatterer power |amplitude|^2 must be finite") from None
         if not -0.5 <= self.doppler <= 0.5:
             raise ValueError("normalized Doppler must lie in [-1/2, 1/2]")
 
@@ -114,7 +119,8 @@ class ToeplitzClutter:
 
     The clutter covariance is H H^H for the p x pulse_len Toeplitz matrix H
     built from the taps, so ``pulse_len`` sets the clutter rank:
-    min(pulse_len, p) when the first tap is nonzero.
+    min(pulse_len, p) when the first tap is nonzero. An infinite tap is
+    rejected here; a NaN tap is left to the numeric checks downstream.
     """
 
     taps: np.ndarray
@@ -124,6 +130,8 @@ class ToeplitzClutter:
         taps = np.atleast_1d(np.asarray(self.taps, dtype=complex))
         if self.pulse_len < 1:
             raise ValueError("pulse_len must be positive")
+        if np.any(np.isinf(taps)):
+            raise ValueError("taps must not be infinite")
         object.__setattr__(self, "taps", taps)
 
 
@@ -147,8 +155,8 @@ class ScenarioConfig:
             raise ValueError("N and K must be positive")
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -158,13 +166,14 @@ class ScenarioConfig:
 
 
 def _toeplitz_response(taps: np.ndarray, p: int, pulse_len: int) -> np.ndarray:
+    """The first min(pulse_len, p) columns of H; the columns past p are zero."""
     h = np.zeros(p, dtype=complex)
     m = min(taps.size, p)
     h[:m] = taps[:m]
-    cols = np.arange(pulse_len)
+    cols = np.arange(min(pulse_len, p))
     rows = np.arange(p)[:, None]
     idx = rows - cols[None, :]
-    out = np.zeros((p, pulse_len), dtype=complex)
+    out = np.zeros((p, cols.size), dtype=complex)
     valid = (idx >= 0) & (idx < p)
     out[valid] = h[idx[valid]]
     return out

@@ -52,6 +52,8 @@ class SpikedModel:
             raise ValueError("sigma2 must be positive")
         if spikes.size >= self.p:
             raise ValueError("spike count must be < p")
+        if not np.all(np.isfinite(spikes)):
+            raise ValueError("spikes must be finite")
         if np.any(np.diff(spikes) > 0):
             raise ValueError("spikes must be sorted descending")
         if spikes.size and not np.all(spikes > self.sigma2):

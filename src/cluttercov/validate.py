@@ -2,7 +2,10 @@
 
 Every routine is deterministic given its seed: each trial draws from an
 independent substream keyed by the trial index, so results do not depend on
-execution order, and aggregations are plain commutative reductions.
+execution order, and aggregations are plain commutative reductions. Sweep
+rows that train on one snapshot count share each trial's draw and estimates,
+so a sweep costs its distinct training sizes times its trials, not its rows
+times its trials.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -81,22 +85,16 @@ class KsResult:
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """Monte Carlo plan: scene, trial count, target, seed."""
+    """Monte Carlo plan: scene, target, trial count, seed."""
 
     scenario: ScenarioConfig
+    target: SteeringSpec
     trials: int = DEFAULT_TRIALS
     seed: int = 0
-    target: SteeringSpec | None = None
 
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
-
-    def resolved_target(self) -> SteeringSpec:
-        if self.target is not None:
-            return self.target
-        return SteeringSpec(theta=np.deg2rad(30.0), doppler=0.2,
-                            N=self.scenario.N, K=self.scenario.K)
 
 
 def _kolmogorov_sf(lam: float) -> float:
@@ -252,64 +250,50 @@ def _rows_to_csv(header: list[str], rows: list[list]) -> str:
 
 def _sweep_estimation(plan: TrialPlan, axis: str, values, truth, spiked, sampler) -> str:
     scn = plan.scenario
-    p = scn.p
-    rows = []
-    target = plan.resolved_target()
+    target = plan.target
     if axis == "n":
-        n_values = [int(v) for v in values]
-        cases = [(n, [target]) for n in n_values]
+        cases = [(v, int(v), [target]) for v in values]
     elif axis == "doppler":
         cases = [
-            (scn.n, [SteeringSpec(th, float(v), scn.N, scn.K) for th in ANGLE_MARGIN_GRID])
+            (v, scn.n, [SteeringSpec(th, float(v), scn.N, scn.K) for th in ANGLE_MARGIN_GRID])
             for v in values
         ]
     else:  # angle
         cases = [
-            (scn.n, [SteeringSpec(float(v), fd, scn.N, scn.K) for fd in DOPPLER_MARGIN_GRID])
+            (v, scn.n, [SteeringSpec(float(v), fd, scn.N, scn.K) for fd in DOPPLER_MARGIN_GRID])
             for v in values
         ]
 
     truth = TruthFactor(truth)  # every metric below scores against this one R
     mvdr_truth = mvdr_error_variance(truth, target)
-    for value, (n, specs) in zip(values, cases):
-        ratio = rmt.AspectRatio(p, n)
-        s_mat = _steering_matrix(specs)
-        acc = {name: dict(rho=0.0, mvdr=0.0, stein=0.0) for name in ("shrinkage", "rcml")}
-        bound_acc = 0.0
+    rows = []
+    for n, group in groupby(cases, key=lambda case: case[1]):
+        group = list(group)
+        ratio = rmt.AspectRatio(scn.p, n)
+        sums = [dict.fromkeys(SWEEP_HEADER[6:], 0.0) for _ in group]  # the averaged columns
         for t in range(plan.trials):
             ests = _estimate_both(sampler.draw(n, plan.seed, stream=t), ratio)
+            bound = kantorovich_bound(spiked, ests["shrinkage"], ratio.gamma)
+            trial = {"scnr_bound": bound.lower_bound}
             for name, est in ests.items():
-                acc[name]["rho"] += float(
-                    np.mean(normalized_scnr_batch(est, truth, s_mat))
-                )
-                acc[name]["mvdr"] += mvdr_error_variance(est, target) / mvdr_truth
-                acc[name]["stein"] += stein_loss(truth, est)
-            bound_acc += kantorovich_bound(spiked, ests["shrinkage"], ratio.gamma).lower_bound
-        k = plan.trials
-        shr, rc = acc["shrinkage"], acc["rcml"]
-        row = [
-            scn.name,
-            axis,
-            float(value),
-            n,
-            ratio.gamma,
-            plan.trials,
-            shr["rho"] / k,
-            rc["rho"] / k,
-            bound_acc / k,
-            shr["mvdr"] / k,
-            rc["mvdr"] / k,
-            shr["stein"] / k,
-            rc["stein"] / k,
-        ]
-        rows.append(row)
+                trial[f"mvdr_ratio_{name}"] = mvdr_error_variance(est, target) / mvdr_truth
+                trial[f"stein_loss_{name}"] = stein_loss(truth, est)
+            for (_, _, specs), row_sums in zip(group, sums):
+                s_mat = _steering_matrix(specs)
+                for name, est in ests.items():
+                    trial[f"rho_{name}"] = float(np.mean(normalized_scnr_batch(est, truth, s_mat)))
+                for col in row_sums:
+                    row_sums[col] += trial[col]
+        for (value, _, _), row_sums in zip(group, sums):
+            rows.append([scn.name, axis, float(value), n, ratio.gamma, plan.trials,
+                         *(total / plan.trials for total in row_sums.values())])
     return _rows_to_csv(SWEEP_HEADER, rows)
 
 
 def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
                      truth, spiked, sampler) -> str:
     scn = plan.scenario
-    target = plan.resolved_target()
+    target = plan.target
     ratio_gamma = scn.p / scn.n
     eigvecs = None
     if spiked.r:
@@ -351,6 +335,11 @@ def sweep(
     detector and reports empirical versus asymptotic detection probability
     for each requested false-alarm rate.
 
+    Rows at one training size share each trial's draw and both estimates, so
+    every row of a Doppler or angle sweep carries the same bound, MVDR and
+    Stein columns, and the Monte Carlo work scales with the distinct training
+    sizes times the trials. Every axis but "n" needs its grid ``values``.
+
     A zero-trial plan short-circuits to a header-only table.
     """
     if axis not in ("n", "doppler", "angle", "snr"):
@@ -360,16 +349,11 @@ def sweep(
         return _rows_to_csv(header, [])
     scn = plan.scenario
     if values is None:
-        if axis == "snr":
-            values = np.arange(-10.0, 30.0 + 1e-9, 4.0)
-        elif axis == "n":
-            if scn.n < scn.p:
-                raise ValueError("insufficient samples")  # no multiple of p fits in n
-            values = [k * scn.p for k in range(1, max(2, scn.n // scn.p) + 1) if k * scn.p <= scn.n]
-        else:
-            values = np.linspace(-0.5, 0.5, 16) if axis == "doppler" else np.linspace(
-                -np.pi / 3, np.pi / 3, 16
-            )
+        if axis != "n":
+            raise ValueError(f"the {axis} axis needs its grid values")
+        if scn.n < scn.p:
+            raise ValueError("insufficient samples")  # no multiple of p fits in n
+        values = [k * scn.p for k in range(1, max(2, scn.n // scn.p) + 1) if k * scn.p <= scn.n]
     truth = synthesize_clutter_covariance(scn)
     spiked = truth_spiked_model(scn, truth)
     sampler = SnapshotSampler(truth)

@@ -292,9 +292,14 @@ class TestExitCodes:
             {"clutter": {"kind": "scatterers",
                          "scatterers": [{"amplitude": np.nan, "theta": 0.1, "doppler": 0.1}]}},
             {"seed": -1},
+            {"clutter": {"kind": "scatterers",
+                         "scatterers": [{"amplitude": 1e200, "theta": 0.1, "doppler": 0.1}]}},
+            {"sigma2": np.inf},
+            {"clutter": {"kind": "spiked", "spikes": [np.inf]}},
+            {"clutter": {"kind": "toeplitz", "taps": [[np.inf, 0.0]], "pulse_len": 1}},
         ],
         ids=["clutter-not-object", "amplitude-string", "doppler-out-of-range", "amplitude-nan",
-             "negative-seed"],
+             "negative-seed", "power-overflow", "sigma2-inf", "spike-inf", "tap-inf"],
     )
     def test_malformed_scene_is_config_error(self, tmp_path, fields):
         scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0, **fields}

@@ -119,6 +119,16 @@ class TestSynthesizeClutterCovariance:
         with pytest.warns(ModelOrderWarning):
             synthesize_clutter_covariance(cfg)
 
+    def test_pulse_longer_than_p_gives_the_same_covariance(self):
+        # columns of H at p and beyond are zero; none of them is built
+        def covariance(pulse_len):
+            clutter = ToeplitzClutter(taps=[10.0, 5.0 - 2.0j, 2.5], pulse_len=pulse_len)
+            cfg = ScenarioConfig(N=2, K=8, n=64, sigma2=0.1, clutter=clutter)
+            with pytest.warns(ModelOrderWarning):
+                return synthesize_clutter_covariance(cfg)
+
+        np.testing.assert_array_equal(covariance(10**12), covariance(16))
+
     def test_empirical_covariance_matches_truth(self):
         # spectral-norm agreement within 10% at n = 50 p
         cfg = challenge_synthetic(n=64 * 50)

@@ -16,6 +16,7 @@ from cluttercov import (
     TrialPlan,
     clt_params,
     ks_two_sample,
+    shrink_spectrum,
     shrink_whitened,
     sweep,
     verify_clt,
@@ -197,9 +198,15 @@ def small_scene(n=None):
     )
 
 
+def plan_for(scene, **kwargs):
+    """A plan aimed at the CLI's default target: 30 degrees, normalized Doppler 0.2."""
+    target = SteeringSpec(theta=np.deg2rad(30.0), doppler=0.2, N=scene.N, K=scene.K)
+    return TrialPlan(scenario=scene, target=target, **kwargs)
+
+
 class TestSweep:
     def test_zero_trials_header_only(self):
-        plan = TrialPlan(scenario=small_scene(), trials=0, seed=0)
+        plan = plan_for(small_scene(), trials=0, seed=0)
         header, rows = parse_csv(sweep(plan, "n"))
         assert header == SWEEP_HEADER
         assert rows == []
@@ -208,7 +215,7 @@ class TestSweep:
         assert rows == []
 
     def test_n_axis_estimators_agree(self):
-        plan = TrialPlan(scenario=small_scene(), trials=6, seed=5)
+        plan = plan_for(small_scene(), trials=6, seed=5)
         header, rows = parse_csv(sweep(plan, "n"))
         assert header == SWEEP_HEADER
         assert [int(r[3]) for r in rows] == [32, 64, 96, 128, 160]
@@ -234,7 +241,7 @@ class TestSweep:
             )),
             seed=11, name="ridge",
         )
-        plan = TrialPlan(scenario=cfg, trials=4, seed=6)
+        plan = plan_for(cfg, trials=4, seed=6)
         values = np.linspace(-0.5, 0.5, 21)
         header, rows = parse_csv(sweep(plan, "doppler", values=values))
         rho = np.array([float(r[6]) for r in rows])
@@ -243,14 +250,14 @@ class TestSweep:
         assert rho[ridge].min() < rho[~ridge].mean() - 0.02
 
     def test_determinism_byte_identical(self):
-        plan = TrialPlan(scenario=small_scene(n=64), trials=3, seed=7)
+        plan = plan_for(small_scene(n=64), trials=3, seed=7)
         a = sweep(plan, "n", values=[64])
         b = sweep(plan, "n", values=[64])
         assert a == b
 
     def test_snr_axis_schema(self):
         cfg = ScenarioConfig(N=2, K=8, n=64, sigma2=1.0, seed=3, name="clean")
-        plan = TrialPlan(scenario=cfg, trials=50, seed=8)
+        plan = plan_for(cfg, trials=50, seed=8)
         header, rows = parse_csv(
             sweep(plan, "snr", values=[0.0, 10.0], pfa_list=(1e-1, 1e-2), rank=0)
         )
@@ -261,6 +268,34 @@ class TestSweep:
             assert 0.0 <= emp <= 1.0
             assert 0.0 <= theo <= 1.0
 
+    @pytest.mark.parametrize("axis", ["doppler", "angle"])
+    @pytest.mark.parametrize("values", [[], [0.2], [-0.3, 0.0, 0.3]])
+    def test_rows_share_each_trial_estimate(self, monkeypatch, axis, values):
+        # every row trains on the scene's n: one draw and one estimate pair per trial
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return shrink_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(validate, "shrink_spectrum", counted)
+        sweep(plan_for(small_scene(), trials=2, seed=3), axis, values=values)
+        assert len(calls) == (2 if values else 0)
+
+    @pytest.mark.parametrize("axis", ["doppler", "angle"])
+    def test_each_row_equals_its_one_value_sweep(self, axis):
+        plan = plan_for(small_scene(), trials=2, seed=3)
+        values = [-0.3, 0.1, 0.45]
+        header, *rows = sweep(plan, axis, values=values).splitlines()
+        assert len(rows) == len(values)
+        for value, row in zip(values, rows):
+            assert sweep(plan, axis, values=[value]).splitlines() == [header, row]
+
+    @pytest.mark.parametrize("axis", ["doppler", "angle", "snr"])
+    def test_grid_axis_needs_values(self, axis):
+        with pytest.raises(ValueError, match="grid values"):
+            sweep(plan_for(small_scene(), trials=1), axis)
+
     def test_bad_axis(self):
         with pytest.raises(ValueError):
-            sweep(TrialPlan(scenario=small_scene(), trials=1), "frequency")
+            sweep(plan_for(small_scene(), trials=1), "frequency")
