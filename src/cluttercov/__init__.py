@@ -33,6 +33,7 @@ from .scenario import (
     Scatterer,
     ScattererClutter,
     ScenarioConfig,
+    SceneOverflowError,
     SnapshotSampler,
     SteeringSpec,
     ToeplitzClutter,

@@ -23,6 +23,7 @@ from .rcml import rcml_estimate
 from .scenario import (
     PRESETS,
     ScenarioConfig,
+    SceneOverflowError,
     Scatterer,
     ScattererClutter,
     SnapshotSampler,
@@ -141,10 +142,10 @@ def _cmd_estimate(args) -> int:
     _check_rank(args.rank, scn.p)
     if scn.n < scn.p:
         raise ValueError("insufficient samples")
-    truth = synthesize_clutter_covariance(scn)
-    snapshots = SnapshotSampler(truth).draw(scn.n, seed)
+    sampler = SnapshotSampler(synthesize_clutter_covariance(scn))
     ratio = rmt.AspectRatio(scn.p, scn.n)
-    decomp = rmt.eigh(rmt.sample_covariance(snapshots))
+    # no name holds the draw or the SCM: each is freed once the next step returns
+    decomp = rmt.eigh(rmt.sample_covariance(sampler.draw(scn.n, seed)))
     shrunk = shrink_spectrum(decomp, ratio)
     if args.estimator == "shrinkage":
         est = shrunk
@@ -369,7 +370,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, SceneOverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, np.linalg.LinAlgError, KeyError) as exc:

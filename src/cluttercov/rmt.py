@@ -33,7 +33,7 @@ class ModelOrderWarning(UserWarning):
 
 
 SPIKE_FRACTION_BUDGET = 0.1  # max clutter rank as a fraction of dimension
-_MIRROR_BLOCK = 64  # rows per step of the in-place triangle mirror
+_MIRROR_BLOCK = 64  # rows per step of the SCM mirror and of eigh's symmetrize-and-check pass
 _MEDIAN_MAX_STEPS = 100  # cap on Newton steps for the MP median, which takes under ten
 
 
@@ -262,10 +262,40 @@ def sample_covariance(data: np.ndarray) -> np.ndarray:
     scm = rank_n_update(1.0 / n, data.T, trans=2, lower=1).T
     for i in range(0, p, _MIRROR_BLOCK):
         j = min(i + _MIRROR_BLOCK, p)
-        scm[j:, i:j] = scm[i:j, j:].conj().T
+        for k in range(j, p, _MIRROR_BLOCK):  # square tiles keep the scratch small
+            scm[k : k + _MIRROR_BLOCK, i:j] = scm[i:j, k : k + _MIRROR_BLOCK].conj().T
         block = scm[i:j, i:j]
         block[...] = np.triu(block) + np.triu(block, 1).conj().T
     return scm
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """(m + m^H) / 2 as a new C-ordered array, after the checks ``eigh`` states.
+
+    Built ``_MIRROR_BLOCK`` rows at a time; besides the result, the only
+    scratch is one block of rows.
+    """
+    p = m.shape[0]
+    # all rows first: no arithmetic below sees a non-finite entry, and no
+    # maximum drops a NaN
+    for i in range(0, p, _MIRROR_BLOCK):
+        if not np.isfinite(m[i : i + _MIRROR_BLOCK]).all():
+            raise ValueError("invalid matrix")
+    packed = np.empty((p, p), dtype=m.dtype)
+    scratch = np.empty((min(_MIRROR_BLOCK, p), p), dtype=m.dtype)
+    scale, skew = 1.0, 0.0
+    for i in range(0, p, _MIRROR_BLOCK):
+        j = min(i + _MIRROR_BLOCK, p)
+        rows, sym, tmp = m[i:j], packed[i:j], scratch[: j - i]
+        np.conjugate(m[:, i:j].T, out=sym)  # rows i:j of m^H
+        # each |.| lands in the real parts of the scratch block, not in a new array
+        scale = max(scale, np.abs(rows, out=tmp).real.max())
+        skew = max(skew, np.abs(np.subtract(rows, sym, out=tmp), out=tmp).real.max())
+        sym += rows
+        sym /= 2.0
+    if skew > 1e-10 * scale:
+        raise ValueError("invalid matrix")
+    return packed
 
 
 def eigh(matrix: np.ndarray) -> EigenDecomposition:
@@ -277,24 +307,23 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
     eigenvalues through ``dsterf``; eigenvectors are left to
     ``EigenDecomposition.leading``, which computes only the ones asked for.
 
+    A non-finite entry, or a skew max |A - A^H| above 1e-10 max(max |A|, 1),
+    raises ValueError("invalid matrix"). The checks and the symmetrized copy
+    run ``_MIRROR_BLOCK`` rows at a time, so besides the input the working
+    set is that one p x p copy plus one ``_MIRROR_BLOCK`` x p block of
+    scratch (or the reduction's workspace, which is smaller), never a
+    full-size temporary.
+
     The reduction runs in place on the Fortran view of the symmetrized
     matrix, which is its transpose conj(A). It leaves the tridiagonal and the
     reflectors in the upper triangle of the C-ordered array, the only part
     ``leading`` reads.
     """
     m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("invalid matrix")
-    if not np.all(np.isfinite(m)):
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError("invalid matrix")
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
-    scale = max(np.abs(m).max(), 1.0)
-    mh = m.conj().T
-    if np.abs(m - mh).max() > 1e-10 * scale:
-        raise ValueError("invalid matrix")
-    packed = np.add(m, mh, order="C")
-    del mh
-    packed /= 2.0
+    packed = _symmetrized(m)
     p = packed.shape[0]
     if np.iscomplexobj(packed):
         reduce, lwork = lapack.zhetrd, lapack.zhetrd_lwork(p, lower=1)[0].real

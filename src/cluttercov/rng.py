@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_FILL_CHUNK = 1 << 16  # standard normals per step of the complex fill (512 KiB)
+
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Generator for a named substream of a root seed.
@@ -20,10 +22,17 @@ def complex_normal(rng: np.random.Generator, p: int, n: int) -> np.ndarray:
 
     The real parts take the first p x n standard normals of ``rng`` and the
     imaginary parts the next, the order of (a + 1j * b) / sqrt(2), to which
-    the result is bitwise equal; filling one complex array and dividing it in
-    place saves that expression's two complex temporaries.
+    the result is bitwise equal. Both parts are filled a block of rows at a
+    time from one reused scratch block of about 64 Ki floats (one row when n
+    is larger), and the division runs in place. So the working set is the
+    p x n complex output plus that block, not the output plus a p x n float
+    draw.
     """
     w = np.empty((p, n), dtype=complex)
-    w.real = rng.standard_normal((p, n))
-    w.imag = rng.standard_normal((p, n))
+    rows = max(1, min(_FILL_CHUNK // max(n, 1), p))
+    block = np.empty((rows, n))
+    for part in (w.real, w.imag):
+        for i in range(0, p, rows):
+            j = min(i + rows, p)
+            part[i:j] = rng.standard_normal(out=block[: j - i])
     return np.divide(w, np.sqrt(2.0), out=w)

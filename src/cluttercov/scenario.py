@@ -119,8 +119,8 @@ class ToeplitzClutter:
 
     The clutter covariance is H H^H for the p x pulse_len Toeplitz matrix H
     built from the taps, so ``pulse_len`` sets the clutter rank:
-    min(pulse_len, p) when the first tap is nonzero. An infinite tap is
-    rejected here; a NaN tap is left to the numeric checks downstream.
+    min(pulse_len, p) when the first tap is nonzero. Every tap must be
+    finite.
     """
 
     taps: np.ndarray
@@ -130,12 +130,16 @@ class ToeplitzClutter:
         taps = np.atleast_1d(np.asarray(self.taps, dtype=complex))
         if self.pulse_len < 1:
             raise ValueError("pulse_len must be positive")
-        if np.any(np.isinf(taps)):
-            raise ValueError("taps must not be infinite")
+        if not np.all(np.isfinite(taps)):
+            raise ValueError("taps must be finite")
         object.__setattr__(self, "taps", taps)
 
 
 ClutterSpec = ScattererClutter | ToeplitzClutter | SpikedModel | None
+
+
+class SceneOverflowError(ValueError):
+    """A scene of finite numbers whose covariance overflows the float range."""
 
 
 @dataclass(frozen=True)
@@ -184,34 +188,43 @@ def synthesize_clutter_covariance(config: ScenarioConfig) -> np.ndarray:
 
     Emits ModelOrderWarning when the clutter construction yields rank above
     0.1 * p, in which case the scene is no longer spiked in the modeled sense.
+    Raises ``SceneOverflowError``, a ValueError, when R has an entry past the
+    float range, as clutter of finite but huge amplitudes can give.
     """
     p = config.p
     r_c = np.zeros((p, p), dtype=complex)
     clutter_rank = 0
     clutter = config.clutter
-    if clutter is None:
-        pass
-    elif isinstance(clutter, SpikedModel):
-        if clutter.p != p or clutter.sigma2 != config.sigma2:
-            raise ValueError("spiked shortcut must match scene dimension and noise power")
-        rng = substream(config.seed, 0xBA515)
-        z = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-        basis, _ = np.linalg.qr(z)
-        excess = clutter.spikes - clutter.sigma2
-        u = basis[:, : clutter.r]
-        r_c = (u * excess) @ u.conj().T
-        clutter_rank = clutter.r
-    elif isinstance(clutter, ScattererClutter):
-        for sc in clutter.scatterers:
-            v = steering_vector(SteeringSpec(sc.theta, sc.doppler, config.N, config.K))
-            r_c += (abs(sc.amplitude) ** 2) * np.outer(v, v.conj())
-        clutter_rank = clutter.rank
-    elif isinstance(clutter, ToeplitzClutter):
-        h_mat = _toeplitz_response(clutter.taps, p, clutter.pulse_len)
-        r_c = h_mat @ h_mat.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        if clutter is None:
+            pass
+        elif isinstance(clutter, SpikedModel):
+            if clutter.p != p or clutter.sigma2 != config.sigma2:
+                raise ValueError("spiked shortcut must match scene dimension and noise power")
+            rng = substream(config.seed, 0xBA515)
+            z = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+            basis, _ = np.linalg.qr(z)
+            excess = clutter.spikes - clutter.sigma2
+            u = basis[:, : clutter.r]
+            r_c = (u * excess) @ u.conj().T
+            clutter_rank = clutter.r
+        elif isinstance(clutter, ScattererClutter):
+            for sc in clutter.scatterers:
+                v = steering_vector(SteeringSpec(sc.theta, sc.doppler, config.N, config.K))
+                r_c += (abs(sc.amplitude) ** 2) * np.outer(v, v.conj())
+            clutter_rank = clutter.rank
+        elif isinstance(clutter, ToeplitzClutter):
+            h_mat = _toeplitz_response(clutter.taps, p, clutter.pulse_len)
+            r_c = h_mat @ h_mat.conj().T
+        else:
+            raise TypeError(f"unsupported clutter description: {type(clutter).__name__}")
+        covariance = (r_c + r_c.conj().T) / 2.0 + config.sigma2 * np.eye(p)
+    if not np.all(np.isfinite(covariance)):
+        raise SceneOverflowError(
+            f"scene {config.name!r}: the clutter covariance overflows the float range"
+        )
+    if isinstance(clutter, ToeplitzClutter):
         clutter_rank = int(np.linalg.matrix_rank(r_c, hermitian=True))
-    else:
-        raise TypeError(f"unsupported clutter description: {type(clutter).__name__}")
     if clutter_rank > int(SPIKE_FRACTION_BUDGET * p):
         warnings.warn(
             f"clutter rank {clutter_rank} exceeds the 0.1*p = "
@@ -219,8 +232,7 @@ def synthesize_clutter_covariance(config: ScenarioConfig) -> np.ndarray:
             ModelOrderWarning,
             stacklevel=2,
         )
-    r_c = (r_c + r_c.conj().T) / 2.0
-    return r_c + config.sigma2 * np.eye(p)
+    return covariance
 
 
 def truth_spiked_model(config: ScenarioConfig, covariance: np.ndarray | None = None) -> SpikedModel:

@@ -6,6 +6,12 @@ execution order, and aggregations are plain commutative reductions. Sweep
 rows that train on one snapshot count share each trial's draw and estimates,
 so a sweep costs its distinct training sizes times its trials, not its rows
 times its trials.
+
+Each array of a trial lives only while a step still needs it: the snapshots
+until their sample covariance is formed, the sample covariance until
+``rmt.eigh`` has copied it, and nothing of one trial but its few scalars
+and p x r estimate vectors into the next draw. So a trial's working set is
+the largest of its steps, not their sum.
 """
 
 from __future__ import annotations
@@ -158,6 +164,10 @@ def verify_clt(
     throughout, which keeps the CLT's p/n - gamma = o(n^{-1/2}) side condition
     trivially satisfied.
 
+    A trial's working set is p x n + p x p entries: the snapshots and their
+    sample covariance. The snapshots are dropped once that is formed, so
+    ``rmt.eigh`` holds only it, its symmetrized copy and block-sized scratch.
+
     The centring is asymptotic. At moderate p the sample spike eigenvalue
     still carries an O(1/n) location term (Lawley's expansion), so the
     whitened samples sit O(1/sqrt(n)) off zero: about -0.15 sd for ell = 3
@@ -186,13 +196,12 @@ def verify_clt(
     shrunk = np.empty((trials, model.r))
     for t in range(trials):
         rng = substream(seed, t)
-        if ensemble == "real":
-            w = rng.standard_normal((p, n))
-        else:
-            w = complex_normal(rng, p, n)
+        w = rng.standard_normal((p, n)) if ensemble == "real" else complex_normal(rng, p, n)
         w *= root[:, None]  # diagonal truth: the eigenvalue law is basis-free
-        decomp = rmt.eigh(rmt.sample_covariance(w))
-        est = shrink_spectrum(decomp, ratio)
+        scm = rmt.sample_covariance(w)
+        del w  # the snapshots are done once the SCM is formed
+        est = shrink_spectrum(rmt.eigh(scm), ratio)
+        del scm  # so only the small estimate is alive at the next draw
         # a spike the estimator missed sits on the floor
         k = min(est.spike_count, model.r)
         shrunk[t] = est.sigma2_hat
@@ -220,8 +229,7 @@ def _steering_matrix(specs: list[SteeringSpec]) -> np.ndarray:
     return np.column_stack([steering_vector(s) for s in specs])
 
 
-def _estimate_both(data: np.ndarray, ratio: rmt.AspectRatio) -> dict:
-    decomp = rmt.eigh(rmt.sample_covariance(data))
+def _estimate_both(decomp: rmt.EigenDecomposition, ratio: rmt.AspectRatio) -> dict:
     shrink = shrink_spectrum(decomp, ratio)
     return {
         "shrinkage": shrink,
@@ -272,7 +280,10 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, truth, spiked, sampler
         ratio = rmt.AspectRatio(scn.p, n)
         sums = [dict.fromkeys(SWEEP_HEADER[6:], 0.0) for _ in group]  # the averaged columns
         for t in range(plan.trials):
-            ests = _estimate_both(sampler.draw(n, plan.seed, stream=t), ratio)
+            # no name holds the draw or the SCM: each is freed once the next step returns
+            ests = _estimate_both(
+                rmt.eigh(rmt.sample_covariance(sampler.draw(n, plan.seed, stream=t))), ratio
+            )
             bound = kantorovich_bound(spiked, ests["shrinkage"], ratio.gamma)
             trial = {"scnr_bound": bound.lower_bound}
             for name, est in ests.items():
@@ -303,12 +314,12 @@ def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
         amp = amplitude_for_snr(float(snr_db), scn.sigma2, scn.N, scn.K)
         hits = {pfa: 0 for pfa in pfa_list}
         for t in range(plan.trials):
-            # rebinding frees the last trial's snapshots before the injected copy is made
-            snaps = sampler.draw(scn.n + 1, plan.seed, stream=t)
-            snaps = inject_target(snaps, target, amp)
+            # the draw is freed once its injected copy is made
+            snaps = inject_target(sampler.draw(scn.n + 1, plan.seed, stream=t), target, amp)
             for pfa in pfa_list:
                 report = detect(snaps, target, DetectorConfig(rank=rank, p_fa=pfa))
                 hits[pfa] += int(report.decision)
+            del snaps  # the injected copy is gone before the next draw
         for pfa in pfa_list:
             pd_theory = theoretical_pd(spiked, target, amp, pfa, ratio_gamma, eigvecs)
             emp = hits[pfa] / plan.trials if plan.trials else float("nan")
@@ -320,7 +331,7 @@ def sweep(
     plan: TrialPlan,
     axis: str,
     values=None,
-    pfa_list: tuple[float, ...] = (1e-2,),
+    pfa_list: tuple[float, ...] | None = None,
     rank: int | None = None,
 ) -> str:
     """Monte Carlo sweep along one axis; returns the CSV text.
@@ -338,7 +349,14 @@ def sweep(
     Rows at one training size share each trial's draw and both estimates, so
     every row of a Doppler or angle sweep carries the same bound, MVDR and
     Stein columns, and the Monte Carlo work scales with the distinct training
-    sizes times the trials. Every axis but "n" needs its grid ``values``.
+    sizes times the trials. Every axis but "n" needs its grid ``values``, and
+    the "snr" axis its false-alarm rates ``pfa_list``.
+
+    Besides the truth and the sampler's factor, held for the whole sweep, a
+    trial's working set peaks at its draw: the p x n unit draw and its
+    coloured product. The "snr" axis also holds the injected copy of the p x (n + 1)
+    draw while it detects, and ``detect`` copies the training columns for
+    the rank-n update.
 
     A zero-trial plan short-circuits to a header-only table.
     """
@@ -354,6 +372,8 @@ def sweep(
         if scn.n < scn.p:
             raise ValueError("insufficient samples")  # no multiple of p fits in n
         values = [k * scn.p for k in range(1, max(2, scn.n // scn.p) + 1) if k * scn.p <= scn.n]
+    if axis == "snr" and pfa_list is None:
+        raise ValueError("the snr axis needs its false-alarm rates")
     truth = synthesize_clutter_covariance(scn)
     spiked = truth_spiked_model(scn, truth)
     sampler = SnapshotSampler(truth)

@@ -108,6 +108,14 @@ def _write(tmp_path, name, text):
     return path
 
 
+# finite scene numbers whose covariance overflows the float range at p = 16
+OVERFLOWING_TAPS = {"clutter": {"kind": "toeplitz", "taps": [[1e200, 0.0]], "pulse_len": 1}}
+OVERFLOWING_SCATTERERS = {"clutter": {"kind": "scatterers", "scatterers": [
+    {"amplitude": 1.3e154, "theta": 0.1, "doppler": 0.1},
+    {"amplitude": 1.3e154, "theta": -0.2, "doppler": 0.3},
+]}}
+
+
 # (argv, data file) for each command whose output is deterministic at a fixed seed
 DETERMINISTIC = {
     "sweep-n": (["sweep", "--axis", "n", "--trials", "2", "--seed", "5"], "sweep-n.csv"),
@@ -200,12 +208,6 @@ class TestExitCodes:
         path = _write(tmp_path, "floor.json", json.dumps(scene))
         assert main(["estimate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
 
-    def test_nan_taps_are_numeric_failure(self, tmp_path):
-        text = ('{"N": 2, "K": 8, "n": 64, "sigma2": 1.0, "clutter": '
-                '{"kind": "toeplitz", "taps": [[NaN, 0.0]], "pulse_len": 1}}')
-        path = _write(tmp_path, "nan.json", text)
-        assert main(["estimate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
-
     @pytest.mark.parametrize("snr_db", ["1e300", "nan"])
     def test_nonfinite_target_amplitude_is_numeric_failure(self, scene, tmp_path, snr_db):
         argv = ["detect", "--config", str(scene), "--snr-db", snr_db, "--out-dir", str(tmp_path)]
@@ -297,15 +299,33 @@ class TestExitCodes:
             {"sigma2": np.inf},
             {"clutter": {"kind": "spiked", "spikes": [np.inf]}},
             {"clutter": {"kind": "toeplitz", "taps": [[np.inf, 0.0]], "pulse_len": 1}},
+            {"clutter": {"kind": "toeplitz", "taps": [[np.nan, 0.0]], "pulse_len": 1}},
+            OVERFLOWING_TAPS,
+            OVERFLOWING_SCATTERERS,
         ],
         ids=["clutter-not-object", "amplitude-string", "doppler-out-of-range", "amplitude-nan",
-             "negative-seed", "power-overflow", "sigma2-inf", "spike-inf", "tap-inf"],
+             "negative-seed", "power-overflow", "sigma2-inf", "spike-inf", "tap-inf", "tap-nan",
+             "covariance-overflow-taps", "covariance-overflow-scatterers"],
     )
     def test_malformed_scene_is_config_error(self, tmp_path, fields):
         scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0, **fields}
         path = _write(tmp_path, "bad.json", json.dumps(scene))
         out = tmp_path / "out"
         assert main(["estimate", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields", [OVERFLOWING_TAPS, OVERFLOWING_SCATTERERS],
+                             ids=["taps", "scatterers"])
+    @pytest.mark.parametrize(
+        "command", [["detect"], ["sweep", "--axis", "n", "--trials", "1"]], ids=["detect", "sweep"]
+    )
+    def test_overflowing_covariance_is_config_error_in_every_command(self, tmp_path, capsys,
+                                                                     fields, command):
+        scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0, **fields}
+        path = _write(tmp_path, "bad.json", json.dumps(scene))
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(path), "--out-dir", str(out)]) == 2
+        assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -285,6 +285,108 @@ class TestEigh:
         assert np.abs(reconstruct(dec) - m).max() < 1e-8 * np.abs(m).max()
 
 
+B = rmt._MIRROR_BLOCK
+P_PARTIAL = 2 * B + 5  # two full blocks of eigh's row pass and a partial one
+
+
+def exactly_hermitian(p, seed, real=False):
+    rng = substream(9, p, seed)
+    z = rng.standard_normal((p, p))
+    if not real:
+        z = z + 1j * rng.standard_normal((p, p))
+    return (z + z.conj().T) / 2  # entry (j, i) is the exact conjugate of (i, j)
+
+
+def spy_on_reduction(monkeypatch):
+    """Copies of the symmetrized matrices ``eigh`` hands to the tridiagonal reduction."""
+    seen = []
+    for name in ("zhetrd", "dsytrd"):
+        real = getattr(rmt.lapack, name)
+
+        def spy(a, *args, real=real, **kwargs):
+            seen.append(a.T.copy())  # ``a`` is the Fortran view of the C-ordered copy
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(rmt.lapack, name, spy)
+    return seen
+
+
+class TestBlockedEigh:
+    """The row-block symmetrize-and-check pass of ``eigh``."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("p", [1, B - 1, B, B + 1, P_PARTIAL])
+    def test_packed_matrix_is_bitwise_the_symmetrized_input(self, monkeypatch, p, real):
+        # a general product, so the input carries a rounding-level skew
+        rng = substream(10, p, int(real))
+        z = rng.standard_normal((p, 2 * p))
+        if not real:
+            z = z + 1j * rng.standard_normal((p, 2 * p))
+        m = z @ z.conj().T / (2 * p)
+        seen = spy_on_reduction(monkeypatch)
+        dec = eigh(m)
+        want = (m + m.conj().T) / 2
+        assert len(seen) == 1 and seen[0].dtype == want.dtype
+        assert seen[0].tobytes() == want.tobytes(order="C")
+        np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(want)[::-1],
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_fortran_ordered_and_integer_input(self):
+        m = exactly_hermitian(P_PARTIAL, 0)
+        assert eigh(np.asfortranarray(m)).eigenvalues.tobytes() == eigh(m).eigenvalues.tobytes()
+        ints = np.arange(9).reshape(3, 3)
+        ints = ints + ints.T
+        np.testing.assert_allclose(eigh(ints).eigenvalues, np.linalg.eigvalsh(ints)[::-1],
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "real,value",
+        [(False, np.nan), (False, np.inf), (False, -np.inf), (False, complex(0.0, np.nan)),
+         (True, np.nan), (True, np.inf), (True, -np.inf)],
+        ids=["complex-nan", "complex-inf", "complex-neg-inf", "complex-imag-nan",
+             "real-nan", "real-inf", "real-neg-inf"],
+    )
+    @pytest.mark.parametrize(
+        "where",
+        [(3, P_PARTIAL - 2), (P_PARTIAL - 2, 3), (P_PARTIAL - 1, P_PARTIAL - 1), (2 * B + 1, B)],
+        ids=["upper", "lower", "last-block-diagonal", "last-block-lower"],
+    )
+    def test_nonfinite_entry_rejected_wherever_it_sits(self, where, real, value):
+        # an entry below the first block also enters that block's mirror, where
+        # a maximum would drop a NaN: the finiteness check must see every row
+        m = exactly_hermitian(P_PARTIAL, 1, real=real)
+        m[where] = value
+        with pytest.raises(ValueError, match="invalid matrix"):
+            eigh(m)
+
+    @pytest.mark.parametrize("gain", [1e-3, 1.0, 1e3], ids=["scale-floor", "unit", "large"])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_skew_threshold_is_relative_to_max_abs_or_one(self, gain, real):
+        m = exactly_hermitian(P_PARTIAL, 2, real=real) * gain
+        scale = max(np.abs(m).max(), 1.0)
+        i, j = P_PARTIAL - 1, 1  # an off-diagonal entry of the partial last block
+        below, above = m.copy(), m.copy()
+        below[i, j] += 0.99e-10 * scale
+        above[i, j] += 1.01e-10 * scale
+        assert np.abs(below - below.conj().T).max() < 1e-10 * scale
+        assert np.abs(above - above.conj().T).max() > 1e-10 * scale
+        eigh(below)
+        with pytest.raises(ValueError, match="invalid matrix"):
+            eigh(above)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 4), (4,)])
+    def test_empty_or_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="invalid matrix"):
+            eigh(np.zeros(shape))
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_working_set_is_one_copy_plus_one_block(self, peak_bytes, real):
+        p = 8 * B + 5
+        m = exactly_hermitian(p, 3, real=real)
+        budget = (p * p + B * p) * m.itemsize
+        assert peak_bytes(eigh, m) <= 1.1 * budget
+
+
 def hermitian(p, seed, real=False, spikes=(40.0, 20.0, 10.0)):
     """A sample-covariance-like Hermitian matrix with a few separated top eigenvalues."""
     rng = substream(8, p, seed)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from cluttercov import (
     Scatterer,
     ScattererClutter,
     ScenarioConfig,
+    SceneOverflowError,
     SnapshotSampler,
     SpikedModel,
     SteeringSpec,
@@ -21,6 +24,7 @@ from cluttercov import (
     synthesize_clutter_covariance,
     truth_spiked_model,
 )
+from cluttercov import rng as rng_module
 from cluttercov import scenario
 from cluttercov.rng import complex_normal, substream
 from cluttercov.validate import ANGLE_MARGIN_GRID, DOPPLER_MARGIN_GRID
@@ -129,6 +133,31 @@ class TestSynthesizeClutterCovariance:
 
         np.testing.assert_array_equal(covariance(10**12), covariance(16))
 
+    @pytest.mark.parametrize("tap", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_nonfinite_tap_rejected(self, tap):
+        with pytest.raises(ValueError, match="taps must be finite"):
+            ToeplitzClutter(taps=[1.0, tap], pulse_len=2)
+
+    @pytest.mark.parametrize(
+        "clutter",
+        [
+            ToeplitzClutter(taps=[1e200, 0.0], pulse_len=1),
+            ScattererClutter((
+                Scatterer(amplitude=1.3e154, theta=0.1, doppler=0.1),
+                Scatterer(amplitude=1.3e154, theta=-0.2, doppler=0.3),
+            )),
+        ],
+        ids=["taps", "scatterers"],
+    )
+    def test_overflowing_covariance_is_named_without_a_warning(self, clutter):
+        # every scene number is finite; R = R_c + sigma2 I is not
+        cfg = ScenarioConfig(N=2, K=8, n=64, sigma2=1.0, clutter=clutter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SceneOverflowError, match="overflows"):
+                synthesize_clutter_covariance(cfg)
+        assert issubclass(SceneOverflowError, ValueError)
+
     def test_empirical_covariance_matches_truth(self):
         # spectral-norm agreement within 10% at n = 50 p
         cfg = challenge_synthetic(n=64 * 50)
@@ -206,12 +235,36 @@ def old_complex_draw(rng, p, n):
     return (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2.0)
 
 
+def two_call_complex_draw(rng, p, n):
+    """The unblocked in-place build: each part filled by one p x n draw."""
+    w = np.empty((p, n), dtype=complex)
+    w.real = rng.standard_normal((p, n))
+    w.imag = rng.standard_normal((p, n))
+    return np.divide(w, np.sqrt(2.0), out=w)
+
+
 class TestComplexNormal:
     def test_bitwise_equal_to_the_expression(self):
         ours = complex_normal(substream(37, 4), 24, 50)
         ref = old_complex_draw(substream(37, 4), 24, 50)
         assert ours.dtype == ref.dtype and ours.shape == (24, 50)
         assert ours.tobytes() == ref.tobytes()
+
+    # with a 96-element chunk: several rows a block, a partial last block,
+    # one row a block (n above the chunk), and degenerate shapes
+    @pytest.mark.parametrize("p,n", [(24, 50), (7, 11), (5, 97), (3, 400), (1, 1), (0, 3), (3, 0)])
+    def test_blocked_fill_bitwise_equal_to_the_two_call_build(self, monkeypatch, p, n):
+        monkeypatch.setattr(rng_module, "_FILL_CHUNK", 96)
+        ours = complex_normal(substream(41, p, n), p, n)
+        ref = two_call_complex_draw(substream(41, p, n), p, n)
+        assert ours.shape == (p, n) and ours.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("p,n", [(256, 512), (4, 3 * rng_module._FILL_CHUNK)],
+                             ids=["many-rows-a-chunk", "n-above-the-chunk"])
+    def test_working_set_is_the_output_plus_one_chunk(self, peak_bytes, p, n):
+        chunk = max(rng_module._FILL_CHUNK // n, 1) * n * 8
+        budget = p * n * 16 + chunk
+        assert peak_bytes(complex_normal, substream(42, 0), p, n) <= 1.1 * budget
 
     def test_sampler_draw_pinned_to_the_expression(self, monkeypatch):
         sampler = SnapshotSampler(synthesize_clutter_covariance(challenge_synthetic()))

@@ -123,6 +123,14 @@ class TestVerifyClt:
         for a, b in zip(ours, ref):
             assert a.samples.tobytes() == b.samples.tobytes()
 
+    def test_working_set_is_one_trial_of_snapshots_and_their_scm(self, peak_bytes):
+        # a trial's snapshots are dropped once their SCM is formed, and
+        # nothing of it but the estimate is alive at the next draw
+        p, n = 256, 512
+        model = SpikedModel(p=p, sigma2=1.0, spikes=np.array([5.0, 3.0, 2.5]))
+        budget = (p * n + p * p) * 16
+        assert peak_bytes(verify_clt, model, p / n, p, 3, 0) <= 1.1 * budget
+
     def test_subcritical_rejected(self):
         model = SpikedModel(p=40, sigma2=1.0, spikes=np.array([1.3]))
         with pytest.raises(ValueError, match="sub-critical"):
@@ -295,6 +303,10 @@ class TestSweep:
     def test_grid_axis_needs_values(self, axis):
         with pytest.raises(ValueError, match="grid values"):
             sweep(plan_for(small_scene(), trials=1), axis)
+
+    def test_snr_axis_needs_false_alarm_rates(self):
+        with pytest.raises(ValueError, match="false-alarm rates"):
+            sweep(plan_for(small_scene(), trials=1), "snr", values=[0.0])
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
