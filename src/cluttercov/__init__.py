@@ -30,6 +30,7 @@ from .shrinkage import (
 )
 from .rcml import rcml_estimate
 from .scenario import (
+    ConfigError,
     Scatterer,
     ScattererClutter,
     ScenarioConfig,
@@ -50,7 +51,6 @@ from .metrics import (
     TruthFactor,
     kantorovich_bound,
     mvdr_error_variance,
-    normalized_scnr,
     normalized_scnr_batch,
     stein_loss,
 )

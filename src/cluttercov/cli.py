@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -22,6 +23,7 @@ from .detector import DetectorConfig, detect
 from .rcml import rcml_estimate
 from .scenario import (
     PRESETS,
+    ConfigError,
     ScenarioConfig,
     SceneOverflowError,
     Scatterer,
@@ -32,13 +34,10 @@ from .scenario import (
     amplitude_for_snr,
     inject_target,
     preset,
+    steering_vector,
     synthesize_clutter_covariance,
 )
 from .shrinkage import SpikedModel, shrink_spectrum
-
-
-class ConfigError(Exception):
-    """Bad flags, missing files, or malformed scenario JSON."""
 
 
 def _clutter_from_json(spec: dict, p: int, sigma2: float):
@@ -152,6 +151,8 @@ def _cmd_estimate(args) -> int:
     else:
         rank = shrunk.spike_count if args.rank is None else args.rank
         est = rcml_estimate(decomp, shrunk.sigma2_hat, rank, ratio=ratio)
+    # the draw is in R's eigenbasis; the written estimate is in the original frame
+    est = dataclasses.replace(est, vectors=sampler.basis @ est.vectors)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = matio.save_estimate(out_dir / f"estimate-{args.estimator}", est)
@@ -223,15 +224,17 @@ def _cmd_detect(args) -> int:
     _check_pfa([args.pfa])
     _check_rank(args.rank, scn.p)
     target = _target_from_args(args, scn)
-    truth = synthesize_clutter_covariance(scn)
+    sampler = SnapshotSampler(synthesize_clutter_covariance(scn))
+    # the draw is in R's eigenbasis, so the steering vector is rotated into it
+    steering = sampler.to_eigenbasis(steering_vector(target))
     amp = amplitude_for_snr(args.snr_db, scn.sigma2, scn.N, scn.K)
-    snapshots = inject_target(SnapshotSampler(truth).draw(scn.n + 1, seed), target, amp)
+    snapshots = inject_target(sampler.draw(scn.n + 1, seed), steering, amp)
     if args.rank == 0 and scn.clutter is not None:
         print(
             "warning: rank 0 disables the clutter projection on a clutter-bearing scene",
             file=sys.stderr,
         )
-    report = detect(snapshots, target, DetectorConfig(rank=args.rank, p_fa=args.pfa))
+    report = detect(snapshots, steering, DetectorConfig(rank=args.rank, p_fa=args.pfa))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "detection.json"

@@ -18,7 +18,11 @@ the shrinkage and clipping estimates, which share both, drive identical
 detectors.
 
 ``detect`` takes a plain p x (n + 1) snapshot array: the last column is the
-test snapshot and the n columns before it are the training data.
+test snapshot and the n columns before it are the training data. Its
+steering vector is a plain p-vector in the frame of those snapshots; the
+statistic is invariant when both are rotated by one unitary, so snapshots
+drawn in R's eigenbasis pair with the rotated steering vector V^H s.
+``theoretical_pd`` works in the original frame of R's eigenvectors.
 """
 
 from __future__ import annotations
@@ -221,16 +225,18 @@ def theoretical_pd(
     return _pd_series(mean, threshold_for_pfa(p_fa))
 
 
-def detect(snapshots: np.ndarray, target: SteeringSpec, config: DetectorConfig) -> DetectionReport:
+def detect(snapshots: np.ndarray, steering: np.ndarray, config: DetectorConfig) -> DetectionReport:
     """Full detection pass on p x (n + 1) snapshots whose last column is the test snapshot.
 
     The n training columns before it (a view, not a copy) yield the sample
     covariance, its leading eigenvectors the clutter projection of the
-    steering vector, and the noise power estimate. A non-finite test
+    steering p-vector, and the noise power estimate. A non-finite test
     snapshot raises ValueError; non-finite training data fails in ``eigh``.
     """
     y, train = snapshots[:, -1], snapshots[:, :-1]
     p, n = train.shape
+    if np.shape(steering) != (p,):
+        raise ValueError("steering dimension does not match snapshots")
     if n < p:
         raise ValueError("insufficient samples")
     if not np.all(np.isfinite(y)):
@@ -239,7 +245,7 @@ def detect(snapshots: np.ndarray, target: SteeringSpec, config: DetectorConfig) 
     ratio = AspectRatio(p, n)
     sigma2_hat, detected = detect_spikes(decomp, ratio)
     rank = detected.size if config.rank is None else config.rank
-    ps = clutter_projection(decomp, rank, steering_vector(target))
+    ps = clutter_projection(decomp, rank, steering)
     raw = abs(np.vdot(ps, y)) ** 2 / float(np.real(np.vdot(ps, ps)))
     return DetectionReport(
         statistic=test_statistic(y, ps, sigma2_hat) / 2.0,

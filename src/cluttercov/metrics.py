@@ -1,4 +1,11 @@
-"""Scalar performance metrics: normalized SCNR, its bounds, MVDR variance, Stein loss."""
+"""Scalar performance metrics: normalized SCNR, its bounds, MVDR variance, Stein loss.
+
+The SCNR and MVDR metrics take steering vectors as plain p-vectors (or the
+columns of a p x m matrix), in the frame of the truth and the estimate.
+Every metric is invariant when R, the estimate and the steering vectors are
+rotated together by one unitary, so a caller may score in R's eigenbasis,
+with R = diag(lam) and each steering vector s rotated to V^H s.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .scenario import SteeringSpec, steering_vector
 from .shrinkage import CovarianceEstimate, SpikedModel, cosine2, stein_shrinker
 
 
@@ -104,12 +110,6 @@ def normalized_scnr_batch(estimate, truth, steerings: np.ndarray) -> np.ndarray:
     return num / (den1 * den2)
 
 
-def normalized_scnr(estimate, truth, target: SteeringSpec) -> float:
-    """Normalized SCNR of an estimate against the true covariance at one target."""
-    y = steering_vector(target)
-    return float(normalized_scnr_batch(estimate, truth, y)[0])
-
-
 def kantorovich_bound(
     truth_spectrum: SpikedModel,
     estimate: CovarianceEstimate | None,
@@ -158,14 +158,14 @@ def kantorovich_bound(
     return ScnrReport(lower_bound=float(bound), kappa=float(kappa))
 
 
-def mvdr_error_variance(m, target: SteeringSpec) -> float:
-    """Beamformer error variance 1 / |s^H M^{-1} s| at the target steering vector.
+def mvdr_error_variance(m, steering: np.ndarray) -> float:
+    """Beamformer error variance 1 / |s^H M^{-1} s| at the steering p-vector s.
 
     ``m`` is a ``CovarianceEstimate`` (inverted through its low-rank form) or
     a covariance as a ``TruthFactor`` or a plain array, which must be
     positive definite.
     """
-    s = steering_vector(target)
+    s = np.asarray(steering)
     if isinstance(m, CovarianceEstimate):
         quad = abs(np.vdot(s, m.inverse_apply(s[:, None])[:, 0]))
     else:

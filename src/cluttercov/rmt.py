@@ -125,10 +125,15 @@ class EigenDecomposition:
         packed, d, e, tau = self._reduction
         if k == 0:
             return np.zeros((p, 0), dtype=packed.dtype)
+        # scipy's ?stemr wrapper returns a p x p block for any k; the p x k
+        # result is allocated before it and the block freed at once, so the
+        # block's memory is not left as a hole below a live array
+        vec = np.empty((p, k), dtype=packed.dtype)
         z = linalg.eigh_tridiagonal(
             d, e, select="i", select_range=(p - k, p - 1), lapack_driver="stemr"
         )[1]
-        vec = z[:, ::-1].astype(packed.dtype)
+        vec[...] = z[:, ::-1]
+        del z
         if p > 1:
             # ?unmtr with uplo = L is ?unmqr on rows 1: with the reflectors
             # stored from row 1 of the reduced (Fortran-ordered) matrix. That

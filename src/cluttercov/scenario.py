@@ -18,9 +18,12 @@ descriptions:
 
 Snapshots are plain p x n arrays of circularly-symmetric complex Gaussian
 draws with the scene covariance, reproducible per (seed, stream) and
-byte-identical across runs. For detection the last column is the test
-snapshot and the others are training data; ``inject_target`` adds the target
-there.
+byte-identical across runs. ``SnapshotSampler`` returns them in the
+eigenbasis V of the scene's R = V diag(lam) V^H, as V^H X, in O(pn) rather
+than the O(p^2 n) product with V: ``basis @ draw`` rotates them back, and
+``to_eigenbasis(s)`` = V^H s takes a vector into their frame. For detection
+the last column is the test snapshot and the others are training data;
+``inject_target`` adds the target there.
 """
 
 from __future__ import annotations
@@ -138,6 +141,14 @@ class ToeplitzClutter:
 ClutterSpec = ScattererClutter | ToeplitzClutter | SpikedModel | None
 
 
+class ConfigError(Exception):
+    """Input the program cannot run as given.
+
+    Bad flags, missing files, malformed scenario JSON, or a scene that no
+    model of the program fits.
+    """
+
+
 class SceneOverflowError(ValueError):
     """A scene of finite numbers whose covariance overflows the float range."""
 
@@ -239,7 +250,9 @@ def truth_spiked_model(config: ScenarioConfig, covariance: np.ndarray | None = N
     """Exact spiked description of a scene's true covariance.
 
     Eigenvalues above sigma2 (to 1e-6 relative) are the spikes; for scenes
-    built from scatterers or a spiked shortcut the cut is exact.
+    built from scatterers or a spiked shortcut the cut is exact. Clutter that
+    lifts all p eigenvalues leaves no noise floor for the model, which raises
+    ``ConfigError`` naming the clutter rank.
     """
     if isinstance(config.clutter, SpikedModel):
         return config.clutter
@@ -247,16 +260,25 @@ def truth_spiked_model(config: ScenarioConfig, covariance: np.ndarray | None = N
         covariance = synthesize_clutter_covariance(config)
     lam = eigh(covariance).eigenvalues
     spikes = lam[lam > config.sigma2 * (1.0 + 1e-6)]
+    if spikes.size >= config.p:
+        raise ConfigError(
+            f"scene {config.name!r}: clutter rank {spikes.size} fills all p = {config.p} "
+            "dimensions, so the spiked truth has no noise floor; the clutter rank must be below p"
+        )
     return SpikedModel(p=config.p, sigma2=config.sigma2, spikes=spikes)
 
 
 class SnapshotSampler:
-    """Factored sampler for repeated draws from one true covariance.
+    """Sampler for repeated draws from one true covariance, in its eigenbasis.
 
-    The spectral square root V diag(sqrt(lam)) is computed once, with lam the
-    ``eigh`` eigenvalues and V the full ``np.linalg.eigh`` basis of the
-    symmetrized covariance. Each draw uses an independent, order-insensitive
-    substream of the seed.
+    Holds V, the full ``np.linalg.eigh`` basis of the symmetrized covariance
+    (``basis``, columns in descending eigenvalue order), the ``eigh``
+    eigenvalues lam of R (``eigenvalues``) and the square roots of their
+    clipped values (``root``). A draw is diag(root) Z for white Z, the
+    snapshots V diag(root) Z expressed in V: ``basis @ draw`` rotates them
+    back, and ``to_eigenbasis`` takes a vector into the frame of the draws,
+    in which R is diag(eigenvalues). Each draw uses an independent,
+    order-insensitive substream of the seed.
     """
 
     def __init__(self, covariance: np.ndarray):
@@ -265,34 +287,46 @@ class SnapshotSampler:
         tol = 1e-10 * max(lam.max(), 0.0) if lam.size else 0.0
         if lam.min() < -max(tol, 1e-30):
             raise ValueError("covariance is not positive semi-definite")
+        self.eigenvalues = lam
         # eigenvalues below numerical-rank dust are exact zeros of the model
-        lam = np.where(lam > 1e-13 * max(lam.max(), 0.0), lam, 0.0)
+        self.root = np.sqrt(np.where(lam > 1e-13 * max(lam.max(), 0.0), lam, 0.0))
         # LAPACK's basis fixes every recorded draw; a ``leading(p)`` basis
         # differs from it on the degenerate noise floor
-        basis = np.linalg.eigh((covariance + covariance.conj().T) / 2.0)[1][:, ::-1]
-        self._factor = basis * np.sqrt(lam)
+        self.basis = np.linalg.eigh((covariance + covariance.conj().T) / 2.0)[1][:, ::-1]
         self.p = covariance.shape[0]
 
     def draw(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
-        """p x n circular complex Gaussian snapshots with the factored covariance.
+        """p x n circular complex Gaussian snapshots of covariance diag(lam), scaled in place.
 
-        Real and imaginary parts each carry half the variance. Identical
+        These are the snapshots of R expressed in ``basis``. Real and
+        imaginary parts each carry half the variance. Identical
         (covariance, n, seed, stream) always reproduces the same array.
         """
         if n < 1:
             raise ValueError("n must be positive")
-        return self._factor @ complex_normal(substream(seed, stream), self.p, n)
+        z = complex_normal(substream(seed, stream), self.p, n)
+        z *= self.root[:, None]
+        return z
+
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """V^H x for a p-vector or the columns of a p x m matrix.
+
+        Computed as (x^H V)^H, so no conjugate copy of the p x p basis is made.
+        """
+        x = np.asarray(x)
+        return (x.conj().T @ self.basis).conj().T
 
 
-def inject_target(snapshots: np.ndarray, spec: SteeringSpec, amplitude: complex) -> np.ndarray:
-    """Copy of the p x n snapshots with amplitude * steering_vector(spec) added to the last column.
+def inject_target(snapshots: np.ndarray, steering: np.ndarray, amplitude: complex) -> np.ndarray:
+    """Copy of the p x n snapshots with amplitude * steering added to the last column.
 
     The last column is the test snapshot; the training columns are untouched.
+    ``steering`` is a p-vector in the frame of the snapshots.
     """
-    if snapshots.ndim != 2 or spec.p != snapshots.shape[0]:
+    if snapshots.ndim != 2 or np.shape(steering) != snapshots.shape[:1]:
         raise ValueError("steering dimension does not match snapshots")
     out = snapshots.copy()
-    out[:, -1] += amplitude * steering_vector(spec)
+    out[:, -1] += amplitude * steering
     return out
 
 

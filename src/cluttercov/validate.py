@@ -12,6 +12,15 @@ until their sample covariance is formed, the sample covariance until
 ``rmt.eigh`` has copied it, and nothing of one trial but its few scalars
 and p x r estimate vectors into the next draw. So a trial's working set is
 the largest of its steps, not their sum.
+
+The sweeps run every trial in the eigenbasis V of the scene's R: the
+sampler draws there in O(pn), one p x n array scaled in place, the metrics
+score against diag(lam), and each steering vector enters once per sweep as
+V^H s. Both estimators keep the sample eigenvectors and every metric is
+invariant under that common rotation, so the rows equal those of the
+original frame up to roundoff. ``verify_clt`` draws with a diagonal truth
+directly, and the detection probability ``theoretical_pd`` works in the
+original frame.
 """
 
 from __future__ import annotations
@@ -225,10 +234,6 @@ def verify_clt(
     return results
 
 
-def _steering_matrix(specs: list[SteeringSpec]) -> np.ndarray:
-    return np.column_stack([steering_vector(s) for s in specs])
-
-
 def _estimate_both(decomp: rmt.EigenDecomposition, ratio: rmt.AspectRatio) -> dict:
     shrink = shrink_spectrum(decomp, ratio)
     return {
@@ -256,7 +261,7 @@ def _rows_to_csv(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _sweep_estimation(plan: TrialPlan, axis: str, values, truth, spiked, sampler) -> str:
+def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> str:
     scn = plan.scenario
     target = plan.target
     if axis == "n":
@@ -272,11 +277,17 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, truth, spiked, sampler
             for v in values
         ]
 
-    truth = TruthFactor(truth)  # every metric below scores against this one R
-    mvdr_truth = mvdr_error_variance(truth, target)
+    # the trials run in R's eigenbasis: the truth is diag(lam), and each
+    # steering vector is rotated into that frame once per sweep
+    truth = TruthFactor(np.diag(sampler.eigenvalues.astype(complex)))
+    s_target = sampler.to_eigenbasis(steering_vector(target))
+    mvdr_truth = mvdr_error_variance(truth, s_target)
     rows = []
     for n, group in groupby(cases, key=lambda case: case[1]):
-        group = list(group)
+        group = [
+            (value, sampler.to_eigenbasis(np.column_stack([steering_vector(s) for s in specs])))
+            for value, _, specs in group
+        ]
         ratio = rmt.AspectRatio(scn.p, n)
         sums = [dict.fromkeys(SWEEP_HEADER[6:], 0.0) for _ in group]  # the averaged columns
         for t in range(plan.trials):
@@ -287,15 +298,14 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, truth, spiked, sampler
             bound = kantorovich_bound(spiked, ests["shrinkage"], ratio.gamma)
             trial = {"scnr_bound": bound.lower_bound}
             for name, est in ests.items():
-                trial[f"mvdr_ratio_{name}"] = mvdr_error_variance(est, target) / mvdr_truth
+                trial[f"mvdr_ratio_{name}"] = mvdr_error_variance(est, s_target) / mvdr_truth
                 trial[f"stein_loss_{name}"] = stein_loss(truth, est)
-            for (_, _, specs), row_sums in zip(group, sums):
-                s_mat = _steering_matrix(specs)
+            for (_, s_mat), row_sums in zip(group, sums):
                 for name, est in ests.items():
                     trial[f"rho_{name}"] = float(np.mean(normalized_scnr_batch(est, truth, s_mat)))
                 for col in row_sums:
                     row_sums[col] += trial[col]
-        for (value, _, _), row_sums in zip(group, sums):
+        for (value, _), row_sums in zip(group, sums):
             rows.append([scn.name, axis, float(value), n, ratio.gamma, plan.trials,
                          *(total / plan.trials for total in row_sums.values())])
     return _rows_to_csv(SWEEP_HEADER, rows)
@@ -309,15 +319,16 @@ def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
     eigvecs = None
     if spiked.r:
         eigvecs = rmt.eigh(truth).leading(spiked.r)
+    s_target = sampler.to_eigenbasis(steering_vector(target))  # the frame of the draws
     rows = []
     for snr_db in snr_grid:
         amp = amplitude_for_snr(float(snr_db), scn.sigma2, scn.N, scn.K)
         hits = {pfa: 0 for pfa in pfa_list}
         for t in range(plan.trials):
             # the draw is freed once its injected copy is made
-            snaps = inject_target(sampler.draw(scn.n + 1, plan.seed, stream=t), target, amp)
+            snaps = inject_target(sampler.draw(scn.n + 1, plan.seed, stream=t), s_target, amp)
             for pfa in pfa_list:
-                report = detect(snaps, target, DetectorConfig(rank=rank, p_fa=pfa))
+                report = detect(snaps, s_target, DetectorConfig(rank=rank, p_fa=pfa))
                 hits[pfa] += int(report.decision)
             del snaps  # the injected copy is gone before the next draw
         for pfa in pfa_list:
@@ -352,11 +363,11 @@ def sweep(
     sizes times the trials. Every axis but "n" needs its grid ``values``, and
     the "snr" axis its false-alarm rates ``pfa_list``.
 
-    Besides the truth and the sampler's factor, held for the whole sweep, a
-    trial's working set peaks at its draw: the p x n unit draw and its
-    coloured product. The "snr" axis also holds the injected copy of the p x (n + 1)
-    draw while it detects, and ``detect`` copies the training columns for
-    the rank-n update.
+    Besides the truth, the sampler's basis and the rotated steering
+    vectors, held for the whole sweep, a trial's working set peaks at its
+    draw: one p x n array, scaled in place. The "snr" axis also holds the
+    injected copy of the p x (n + 1) draw while it detects, and ``detect``
+    copies the training columns for the rank-n update.
 
     A zero-trial plan short-circuits to a header-only table.
     """
@@ -379,4 +390,5 @@ def sweep(
     sampler = SnapshotSampler(truth)
     if axis == "snr":
         return _sweep_detection(plan, values, tuple(pfa_list), rank, truth, spiked, sampler)
-    return _sweep_estimation(plan, axis, values, truth, spiked, sampler)
+    del truth  # the estimation trials score against the sampler's diag(lam) instead
+    return _sweep_estimation(plan, axis, values, spiked, sampler)

@@ -10,14 +10,26 @@ import pytest
 import cluttercov
 
 from cluttercov import (
+    AspectRatio,
+    DetectorConfig,
     ScenarioConfig,
     Scatterer,
     ScattererClutter,
     SnapshotSampler,
+    SteeringSpec,
+    amplitude_for_snr,
+    detect,
+    eigh,
+    inject_target,
+    rcml_estimate,
+    sample_covariance,
+    shrink_spectrum,
+    steering_vector,
     synthesize_clutter_covariance,
 )
 from cluttercov.cli import main
 from cluttercov.matio import load_matrix
+from cluttercov.rng import complex_normal, substream
 
 SCENE = {
     "N": 4,
@@ -65,6 +77,25 @@ class TestEstimate:
         np.testing.assert_allclose(lam[:2], summary["spiked_eigenvalues"], rtol=1e-10)
         np.testing.assert_allclose(lam[2:], summary["sigma2_hat"], rtol=1e-10)
 
+    @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
+    def test_estimate_is_written_in_the_original_frame(self, scene, tmp_path, estimator):
+        # the sampler draws in R's eigenbasis; the written estimate must equal
+        # the one estimated from the same snapshots coloured in R's own frame
+        out = tmp_path / "out"
+        argv = ["estimate", "--config", str(scene), "--estimator", estimator, "--out-dir", str(out)]
+        assert main(argv) == 0
+        m, _ = load_matrix(out / f"estimate-{estimator}")
+        cfg = _scene_config()
+        sampler = SnapshotSampler(synthesize_clutter_covariance(cfg))
+        factor = sampler.basis * sampler.root  # the dense colouring V diag(sqrt(lam))
+        dec = eigh(sample_covariance(factor @ complex_normal(substream(cfg.seed, 0), cfg.p, cfg.n)))
+        ratio = AspectRatio(cfg.p, cfg.n)
+        est = shrink_spectrum(dec, ratio)
+        if estimator == "rcml":
+            est = rcml_estimate(dec, est.sigma2_hat, est.spike_count, ratio=ratio)
+        ref = est.matrix()
+        assert np.abs(m - ref).max() <= 1e-9 * np.abs(ref).max()
+
     def test_unknown_preset_is_config_error(self, tmp_path):
         assert main(["estimate", "--scenario", "no-such-scene", "--out-dir", str(tmp_path)]) == 2
 
@@ -93,6 +124,13 @@ class TestEstimate:
         assert summary["spike_count"] == 1
         assert summary["spiked_eigenvalues"][0] == pytest.approx(top, rel=1e-12)
         assert top > 1e8 * summary["sigma2_hat"]
+
+
+def _scene_config():
+    """The ``SCENE`` JSON as a ``ScenarioConfig``."""
+    clutter = ScattererClutter(tuple(Scatterer(**sc) for sc in SCENE["clutter"]["scatterers"]))
+    return ScenarioConfig(N=SCENE["N"], K=SCENE["K"], n=SCENE["n"], sigma2=SCENE["sigma2"],
+                          clutter=clutter, seed=SCENE["seed"])
 
 
 def _run(argv, out):
@@ -195,6 +233,20 @@ class TestEndToEnd:
         ]
         assert report["decision"] == (report["statistic"] > report["threshold"])
         assert report["chi2_statistic"] == 2 * report["statistic"]
+
+    def test_detect_statistic_is_the_original_frame_statistic(self, scene, tmp_path):
+        argv = ["detect", "--config", str(scene), "--snr-db", "5", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "detection.json").read_text())
+        cfg = _scene_config()
+        sampler = SnapshotSampler(synthesize_clutter_covariance(cfg))
+        s = steering_vector(SteeringSpec(np.deg2rad(30.0), 0.2, cfg.N, cfg.K))  # the CLI default
+        white = complex_normal(substream(cfg.seed, 0), cfg.p, cfg.n + 1)
+        snaps = inject_target((sampler.basis * sampler.root) @ white, s,
+                              amplitude_for_snr(5.0, cfg.sigma2, cfg.N, cfg.K))
+        ref = detect(snaps, s, DetectorConfig(rank=None, p_fa=1e-3))
+        assert report["statistic"] == pytest.approx(ref.statistic, rel=1e-9)
+        assert report["raw_statistic"] == pytest.approx(ref.raw_statistic, rel=1e-9)
 
 
 class TestExitCodes:
@@ -327,6 +379,25 @@ class TestExitCodes:
         assert main([*command, "--config", str(path), "--out-dir", str(out)]) == 2
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_clutter_filling_every_dimension_is_config_error_in_sweeps(self, tmp_path, capsys):
+        # Toeplitz clutter of pulse length 40 > p = 32 lifts every eigenvalue:
+        # the sweeps' spiked truth has no noise floor, while estimate and
+        # detect need none
+        scene = {"N": 4, "K": 8, "n": 64, "sigma2": 1,
+                 "clutter": {"kind": "toeplitz", "taps": [[3, 1]], "pulse_len": 40}}
+        path = _write(tmp_path, "full-rank.json", json.dumps(scene))
+        for axis in ("n", "snr", "doppler", "angle"):
+            out = tmp_path / f"sweep-{axis}"
+            argv = ["sweep", "--axis", axis, "--trials", "1", "--doppler-grid", "2",
+                    "--angle-grid", "2", "--config", str(path), "--out-dir", str(out)]
+            assert main(argv) == 2, axis
+            err = capsys.readouterr().err
+            assert "configuration error" in err and "clutter rank 32" in err and "p = 32" in err
+            assert not out.exists()
+        for command in (["estimate"], ["detect"]):
+            assert main([*command, "--config", str(path), "--out-dir", str(tmp_path / "ok")]) == 0
 
 
 class TestImport:

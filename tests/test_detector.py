@@ -222,30 +222,30 @@ class TestDetect:
     def test_false_alarm_calibration(self):
         # empirical false-alarm rate within the 2-sigma binomial band at 1e4 trials
         p, n_train, trials, pfa = 32, 128, 10_000, 0.1
-        spec = SteeringSpec(0.5, 0.25, 4, 8)
+        s = steering_vector(SteeringSpec(0.5, 0.25, 4, 8))
         hits = 0
         for cube in h0_cubes(p, n_train, trials, seed=204):
-            report = detect(cube, spec, DetectorConfig(rank=0, p_fa=pfa))
+            report = detect(cube, s, DetectorConfig(rank=0, p_fa=pfa))
             hits += int(report.decision)
         rate = hits / trials
         assert 0.094 <= rate <= 0.106
 
     def test_strong_target_detected(self):
         p, n_train, trials = 32, 128, 400
-        spec = SteeringSpec(np.deg2rad(30.0), 0.2, 4, 8)
+        s = steering_vector(SteeringSpec(np.deg2rad(30.0), 0.2, 4, 8))
         sigma2 = 1.0
         amp = np.sqrt(10 ** (30 / 10) * sigma2 / p)
         hits = 0
         for cube in h0_cubes(p, n_train, trials, seed=205):
-            cube = inject_target(cube, spec, amp)
-            report = detect(cube, spec, DetectorConfig(rank=0, p_fa=1e-3))
+            cube = inject_target(cube, s, amp)
+            report = detect(cube, s, DetectorConfig(rank=0, p_fa=1e-3))
             hits += int(report.decision)
         assert hits / trials >= 0.99
 
     def test_report_invariants(self):
         cube = next(h0_cubes(16, 64, 1, seed=206))
-        spec = SteeringSpec(0.2, 0.2, 4, 4)
-        report = detect(cube, spec, DetectorConfig(rank=0, p_fa=0.05))
+        s = steering_vector(SteeringSpec(0.2, 0.2, 4, 4))
+        report = detect(cube, s, DetectorConfig(rank=0, p_fa=0.05))
         assert report.decision == (report.statistic > report.threshold)
         assert report.theoretical_pfa == pytest.approx(0.05, rel=1e-12)
         assert report.chi2_statistic == pytest.approx(2 * report.statistic, rel=1e-12)
@@ -274,9 +274,9 @@ class TestDetect:
         dec = eigh(sample_covariance(cube[:, :-1]))
         detected = detect_spikes(dec, AspectRatio(p, n_train))[1]
         assert detected.size == shrink_spectrum(dec, AspectRatio(p, n_train)).spike_count == 2
-        spec = SteeringSpec(0.8, 0.4, 4, 8)
-        r_none = detect(cube, spec, DetectorConfig(rank=None, p_fa=0.1))
-        r_true = detect(cube, spec, DetectorConfig(rank=2, p_fa=0.1))
+        s = steering_vector(SteeringSpec(0.8, 0.4, 4, 8))
+        r_none = detect(cube, s, DetectorConfig(rank=None, p_fa=0.1))
+        r_true = detect(cube, s, DetectorConfig(rank=2, p_fa=0.1))
         assert r_none.statistic == r_true.statistic
 
     def test_statistic_identical_for_both_estimators(self):
@@ -290,27 +290,35 @@ class TestDetect:
         ratio = AspectRatio(p, n_train)
         shrunk = shrink_spectrum(dec, ratio)
         clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
-        spec = SteeringSpec(0.8, 0.4, 4, 8)
-        rep_a = detect(cube, spec, DetectorConfig(rank=shrunk.spike_count, p_fa=0.01))
-        rep_b = detect(cube, spec, DetectorConfig(rank=clipped.spike_count, p_fa=0.01))
+        s = steering_vector(SteeringSpec(0.8, 0.4, 4, 8))
+        rep_a = detect(cube, s, DetectorConfig(rank=shrunk.spike_count, p_fa=0.01))
+        rep_b = detect(cube, s, DetectorConfig(rank=clipped.spike_count, p_fa=0.01))
         assert rep_a.statistic == rep_b.statistic
 
     def test_insufficient_training(self):
-        spec = SteeringSpec(0.1, 0.1, 2, 4)
+        s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
         with pytest.raises(ValueError, match="insufficient samples"):
-            detect(np.eye(8, dtype=complex), spec, DetectorConfig(rank=0, p_fa=0.1))
+            detect(np.eye(8, dtype=complex), s, DetectorConfig(rank=0, p_fa=0.1))
 
     def test_nonfinite_test_snapshot_rejected(self):
         cube = next(h0_cubes(8, 32, 1, seed=209))
         cube[3, -1] = np.nan
+        s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
         with pytest.raises(ValueError, match="test snapshot must be finite"):
-            detect(cube, SteeringSpec(0.1, 0.1, 2, 4), DetectorConfig(rank=0, p_fa=0.1))
+            detect(cube, s, DetectorConfig(rank=0, p_fa=0.1))
 
     def test_nonfinite_training_rejected(self):
         cube = next(h0_cubes(8, 32, 1, seed=209))
         cube[3, 0] = np.inf
+        s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
         with pytest.raises(ValueError, match="invalid matrix"), np.errstate(invalid="ignore"):
-            detect(cube, SteeringSpec(0.1, 0.1, 2, 4), DetectorConfig(rank=0, p_fa=0.1))
+            detect(cube, s, DetectorConfig(rank=0, p_fa=0.1))
+
+    @pytest.mark.parametrize("shape", [(6,), (8, 1)], ids=["short", "column"])
+    def test_steering_dimension_mismatch_rejected(self, shape):
+        cube = next(h0_cubes(8, 32, 1, seed=209))
+        with pytest.raises(ValueError, match="steering dimension"):
+            detect(cube, np.ones(shape, dtype=complex), DetectorConfig(rank=0, p_fa=0.1))
 
     def test_training_view_matches_copy(self):
         # the training block is a view of all but the last column: its SCM

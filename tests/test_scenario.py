@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluttercov import (
+    ConfigError,
     ModelOrderWarning,
     Scatterer,
     ScattererClutter,
@@ -112,6 +114,15 @@ class TestSynthesizeClutterCovariance:
         cfg = ScenarioConfig(N=8, K=16, n=512, sigma2=0.1, clutter=clutter)
         assert truth_spiked_model(cfg).r == 8
 
+    @pytest.mark.parametrize("pulse_len", [32, 40])
+    def test_clutter_filling_every_dimension_has_no_spiked_truth(self, pulse_len):
+        clutter = ToeplitzClutter(taps=[3.0 + 1.0j], pulse_len=pulse_len)
+        cfg = ScenarioConfig(N=4, K=8, n=64, sigma2=1.0, clutter=clutter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelOrderWarning)
+            with pytest.raises(ConfigError, match="clutter rank 32 fills all p = 32"):
+                truth_spiked_model(cfg)
+
     def test_long_impulse_response_warns(self):
         cfg = ScenarioConfig(
             N=4,
@@ -159,8 +170,7 @@ class TestSynthesizeClutterCovariance:
         assert issubclass(SceneOverflowError, ValueError)
 
     def test_empirical_covariance_matches_truth(self):
-        # spectral-norm agreement within 10% at n = 50 p
-        cfg = challenge_synthetic(n=64 * 50)
+        # spectral-norm agreement within 10% at n = 50 p, in the original frame
         cfg = ScenarioConfig(
             N=4, K=16, n=64 * 50, sigma2=1e-3,
             clutter=ScattererClutter(
@@ -171,16 +181,33 @@ class TestSynthesizeClutterCovariance:
             ),
         )
         truth = synthesize_clutter_covariance(cfg)
-        snaps = SnapshotSampler(truth).draw(cfg.n, seed=31)
+        sampler = SnapshotSampler(truth)
+        snaps = sampler.basis @ sampler.draw(cfg.n, seed=31)
         emp = snaps @ snaps.conj().T / cfg.n
         err = np.linalg.norm(emp - truth, 2) / np.linalg.norm(truth, 2)
         assert err < 0.10
 
 
+def random_covariance(seed, p, rank):
+    """A p x p covariance of the given rank, from a seeded complex draw."""
+    rng = substream(seed, 0)
+    z = rng.standard_normal((p, rank)) + 1j * rng.standard_normal((p, rank))
+    return z @ z.conj().T / rank
+
+
+def dense_colouring_draw(covariance, n, seed, stream):
+    """The original-frame draw V diag(sqrt(lam)) @ Z, with the sampler's V and clipped lam."""
+    lam = eigh(covariance).eigenvalues
+    lam = np.where(lam > 1e-13 * lam.max(), lam, 0.0)
+    factor = np.linalg.eigh((covariance + covariance.conj().T) / 2.0)[1][:, ::-1] * np.sqrt(lam)
+    return factor @ complex_normal(substream(seed, stream), covariance.shape[0], n)
+
+
 class TestSampleSnapshots:
     def test_identity_covariance_moments(self):
         p, n = 4, 100_000
-        snaps = SnapshotSampler(np.eye(p)).draw(n, seed=32)
+        sampler = SnapshotSampler(np.eye(p))
+        snaps = sampler.basis @ sampler.draw(n, seed=32)
         emp = snaps @ snaps.conj().T / n
         assert np.abs(emp - np.eye(p)).max() < 0.02
 
@@ -195,28 +222,51 @@ class TestSampleSnapshots:
     def test_rank_one_covariance_colinear_snapshots(self):
         v = np.array([1.0, 1j, -1.0, -1j]) / 2.0
         r = np.outer(v, v.conj())
-        snaps = SnapshotSampler(r).draw(20, seed=35)
+        sampler = SnapshotSampler(r)
+        snaps = sampler.basis @ sampler.draw(20, seed=35)
         for k in range(20):
             z = snaps[:, k]
             # every snapshot proportional to v
             assert np.linalg.norm(z - v * np.vdot(v, z)) < 1e-10
 
-    def test_factor_is_lapack_basis_of_symmetrized_input(self):
-        # every draw rests on this factor: LAPACK's full basis of (R + R^H)/2,
-        # reversed, times the square roots of the clipped ``eigh`` eigenvalues
-        rng = substream(39, 0)
-        z = rng.standard_normal((48, 24)) + 1j * rng.standard_normal((48, 24))
-        r = z @ z.conj().T / 24  # rank 24, so the clip zeroes half the spectrum
+    def test_basis_root_and_draw_pinned_to_their_expressions(self):
+        # every draw rests on these: LAPACK's full basis of (R + R^H)/2,
+        # reversed, and the square roots of the clipped ``eigh`` eigenvalues
+        r = random_covariance(39, 48, 24)  # rank 24, so the clip zeroes half the spectrum
         r[0, 1] += 1e-13  # within the Hermitian tolerance: symmetrized away
         lam = eigh(r).eigenvalues
-        lam = np.where(lam > 1e-13 * lam.max(), lam, 0.0)
-        assert np.count_nonzero(lam) == 24
-        ref = np.linalg.eigh((r + r.conj().T) / 2.0)[1][:, ::-1] * np.sqrt(lam)
+        clipped = np.where(lam > 1e-13 * lam.max(), lam, 0.0)
+        assert np.count_nonzero(clipped) == 24
+        basis = np.linalg.eigh((r + r.conj().T) / 2.0)[1][:, ::-1]
         sampler = SnapshotSampler(r)
-        assert sampler._factor.shape == ref.shape
-        assert sampler._factor.tobytes() == ref.tobytes()
-        draw = ref @ complex_normal(substream(40, 2), 48, 16)
+        assert sampler.basis.shape == basis.shape and sampler.basis.tobytes() == basis.tobytes()
+        assert sampler.eigenvalues.tobytes() == lam.tobytes()
+        assert sampler.root.tobytes() == np.sqrt(clipped).tobytes()
+        draw = complex_normal(substream(40, 2), 48, 16) * np.sqrt(clipped)[:, None]
         assert sampler.draw(16, seed=40, stream=2).tobytes() == draw.tobytes()
+
+    @pytest.mark.parametrize("rank", [48, 24], ids=["full-rank", "rank-deficient"])
+    def test_draw_is_the_dense_colouring_in_the_eigenbasis(self, rank):
+        r = random_covariance(43, 48, rank)
+        sampler = SnapshotSampler(r)
+        ours = sampler.basis @ sampler.draw(16, seed=44, stream=3)
+        ref = dense_colouring_draw(r, 16, seed=44, stream=3)
+        assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_to_eigenbasis_is_the_conjugate_transpose_product(self):
+        r = random_covariance(45, 32, 32)
+        sampler = SnapshotSampler(r)
+        x = complex_normal(substream(46, 0), 32, 5)
+        np.testing.assert_allclose(sampler.to_eigenbasis(x), sampler.basis.conj().T @ x,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sampler.to_eigenbasis(x[:, 0]), sampler.basis.conj().T @ x[:, 0],
+                                   rtol=0, atol=1e-14)
+        # in that frame R is diagonal: V^H R V = diag(lam)
+        rotated = sampler.to_eigenbasis(sampler.to_eigenbasis(r).conj().T)
+        np.testing.assert_allclose(rotated, np.diag(sampler.eigenvalues),
+                                   rtol=0, atol=1e-12 * sampler.eigenvalues.max())
+        with pytest.raises(ValueError):
+            sampler.to_eigenbasis(np.ones(31))
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semi-definite"):
@@ -224,10 +274,34 @@ class TestSampleSnapshots:
 
     def test_circular_symmetry_convention(self):
         # E[z z^T] = 0: real and imaginary parts carry half the power each
-        z = SnapshotSampler(np.eye(2) * 4.0).draw(200_000, seed=36)
+        r = np.array([[4.0, 1.0 + 1.0j], [1.0 - 1.0j, 3.0]])
+        sampler = SnapshotSampler(r)
+        z = sampler.basis @ sampler.draw(200_000, seed=36)
         pseudo = z @ z.T / z.shape[1]
         assert np.abs(pseudo).max() < 0.05
         assert abs(np.mean(np.abs(z[0]) ** 2) - 4.0) < 0.05
+
+    def test_draw_working_set_is_the_output_plus_one_chunk(self, peak_bytes):
+        p, n = 256, 512
+        sampler = SnapshotSampler(random_covariance(47, p, p))
+        chunk = max(rng_module._FILL_CHUNK // n, 1) * n * 8
+        assert peak_bytes(sampler.draw, n, 48) <= 1.1 * p * n * 16 + chunk
+
+    def test_sampler_holds_one_p_by_p_array(self):
+        # the basis V is the only p x p array a sampler keeps; the rest are p-vectors
+        p = 256
+        r = random_covariance(49, p, p)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            sampler = SnapshotSampler(r)
+            held = tracemalloc.get_traced_memory()[0] - live
+        finally:
+            tracemalloc.stop()
+        assert sampler.basis.shape == (p, p)
+        big = [k for k, v in vars(sampler).items() if isinstance(v, np.ndarray) and v.size >= p * p]
+        assert big == ["basis"]
+        assert held <= 1.1 * sampler.basis.nbytes
 
 
 def old_complex_draw(rng, p, n):
@@ -276,26 +350,27 @@ class TestComplexNormal:
 class TestInjectTarget:
     def test_zero_amplitude_unchanged(self):
         snaps = np.zeros((8, 5), dtype=complex)
-        out = inject_target(snaps, SteeringSpec(0.2, 0.1, 2, 4), 0.0)
+        out = inject_target(snaps, steering_vector(SteeringSpec(0.2, 0.1, 2, 4)), 0.0)
         np.testing.assert_array_equal(out, snaps)
 
     def test_exact_on_noiseless_cube(self):
-        spec = SteeringSpec(0.3, -0.2, 2, 4)
-        out = inject_target(np.zeros((8, 5), dtype=complex), spec, 2.0 - 1.0j)
-        np.testing.assert_allclose(out[:, -1], (2 - 1j) * steering_vector(spec))
+        s = steering_vector(SteeringSpec(0.3, -0.2, 2, 4))
+        out = inject_target(np.zeros((8, 5), dtype=complex), s, 2.0 - 1.0j)
+        np.testing.assert_allclose(out[:, -1], (2 - 1j) * s)
 
     def test_training_untouched(self):
         rng = np.random.default_rng(0)
         snaps = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
         before = snaps.copy()
-        out = inject_target(snaps, SteeringSpec(0.0, 0.0, 2, 4), 1.0)
+        out = inject_target(snaps, steering_vector(SteeringSpec(0.0, 0.0, 2, 4)), 1.0)
         np.testing.assert_array_equal(out[:, :-1], snaps[:, :-1])
         assert not np.array_equal(out[:, -1], snaps[:, -1])
         np.testing.assert_array_equal(snaps, before)  # a copy: the input is not modified
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize("shape", [(8,), (6, 1)], ids=["long", "column"])
+    def test_dimension_mismatch_rejected(self, shape):
         with pytest.raises(ValueError, match="steering dimension"):
-            inject_target(np.zeros((6, 5), dtype=complex), SteeringSpec(0.0, 0.0, 2, 4), 1.0)
+            inject_target(np.zeros((6, 5), dtype=complex), np.ones(shape), 1.0)
 
     def test_snr_bookkeeping(self):
         sigma2, N, K = 0.7, 4, 8

@@ -8,22 +8,44 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cluttercov import (
+    AspectRatio,
+    DetectorConfig,
     Scatterer,
     ScattererClutter,
     ScenarioConfig,
+    SnapshotSampler,
     SpikedModel,
     SteeringSpec,
     TrialPlan,
+    TruthFactor,
+    amplitude_for_snr,
     clt_params,
+    detect,
+    eigh,
+    inject_target,
+    kantorovich_bound,
     ks_two_sample,
+    mvdr_error_variance,
+    normalized_scnr_batch,
+    rcml_estimate,
+    sample_covariance,
     shrink_spectrum,
     shrink_whitened,
+    steering_vector,
+    stein_loss,
     sweep,
+    synthesize_clutter_covariance,
+    truth_spiked_model,
     verify_clt,
 )
 from cluttercov import validate
-from cluttercov.rng import substream
-from cluttercov.validate import DETECTION_HEADER, SWEEP_HEADER
+from cluttercov.rng import complex_normal, substream
+from cluttercov.validate import (
+    ANGLE_MARGIN_GRID,
+    DETECTION_HEADER,
+    DOPPLER_MARGIN_GRID,
+    SWEEP_HEADER,
+)
 
 
 def lawley_location(ells, i, p, n):
@@ -311,3 +333,107 @@ class TestSweep:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             sweep(plan_for(small_scene(), trials=1), "frequency")
+
+
+def dense_colouring_factor(r):
+    """V diag(sqrt(lam)): the sampler's basis and clipped eigenvalues, multiplied out."""
+    lam = eigh(r).eigenvalues
+    lam = np.where(lam > 1e-13 * lam.max(), lam, 0.0)
+    return np.linalg.eigh((r + r.conj().T) / 2.0)[1][:, ::-1] * np.sqrt(lam)
+
+
+def original_frame_rows(plan, axis, values):
+    """The averaged sweep columns, computed in the scene's own frame.
+
+    Each trial colours its white draw with the dense factor V diag(sqrt(lam)),
+    every metric scores against R itself and the steering vectors enter
+    unrotated: the pipeline the eigenbasis sweep must reproduce.
+    """
+    scn = plan.scenario
+    r = synthesize_clutter_covariance(scn)
+    spiked = truth_spiked_model(scn, r)
+    factor = dense_colouring_factor(r)
+    truth = TruthFactor(r)
+    s = steering_vector(plan.target)
+    mvdr_truth = mvdr_error_variance(truth, s)
+    rows = []
+    for value in values:
+        if axis == "n":
+            n, specs = int(value), [plan.target]
+        elif axis == "doppler":
+            n, specs = scn.n, [SteeringSpec(th, value, scn.N, scn.K) for th in ANGLE_MARGIN_GRID]
+        else:
+            n, specs = scn.n, [SteeringSpec(value, fd, scn.N, scn.K) for fd in DOPPLER_MARGIN_GRID]
+        s_mat = np.column_stack([steering_vector(spec) for spec in specs])
+        ratio = AspectRatio(scn.p, n)
+        total = np.zeros(7)
+        for t in range(plan.trials):
+            dec = eigh(sample_covariance(factor @ complex_normal(substream(plan.seed, t), scn.p, n)))
+            shrunk = shrink_spectrum(dec, ratio)
+            clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
+            total += [
+                np.mean(normalized_scnr_batch(shrunk, truth, s_mat)),
+                np.mean(normalized_scnr_batch(clipped, truth, s_mat)),
+                kantorovich_bound(spiked, shrunk, ratio.gamma).lower_bound,
+                mvdr_error_variance(shrunk, s) / mvdr_truth,
+                mvdr_error_variance(clipped, s) / mvdr_truth,
+                stein_loss(truth, shrunk),
+                stein_loss(truth, clipped),
+            ]
+        rows.append(total / plan.trials)
+    return np.array(rows)
+
+
+class TestEigenbasisEquivalence:
+    """The eigenbasis sweep equals the original-frame pipeline up to roundoff."""
+
+    @pytest.mark.parametrize(
+        "axis,values",
+        [("n", [64, 160]), ("doppler", [-0.3, 0.1, 0.45]), ("angle", [-0.6, 0.5])],
+    )
+    def test_sweep_rows_match_the_original_frame(self, axis, values):
+        plan = plan_for(small_scene(), trials=2, seed=4)
+        header, rows = parse_csv(sweep(plan, axis, values=values))
+        ours = np.array([[float(v) for v in row[6:]] for row in rows])
+        assert header[6:] == SWEEP_HEADER[6:] and ours.shape == (len(values), 7)
+        np.testing.assert_allclose(ours, original_frame_rows(plan, axis, values), rtol=1e-9, atol=0)
+
+    def test_snr_rows_match_the_original_frame(self):
+        # the empirical Pd of each (SNR, p_fa) cell counts the same detections
+        # as the original-frame pipeline: coloured draw, unrotated steering
+        scn = small_scene()
+        plan = plan_for(scn, trials=4, seed=4)
+        snr_grid, pfa_list = [-6.0, -3.0, 0.0, 3.0], (1e-1, 1e-2)
+        header, rows = parse_csv(sweep(plan, "snr", values=snr_grid, pfa_list=pfa_list))
+        factor = dense_colouring_factor(synthesize_clutter_covariance(scn))
+        s = steering_vector(plan.target)
+        want = []
+        for snr_db in snr_grid:
+            amp = amplitude_for_snr(snr_db, scn.sigma2, scn.N, scn.K)
+            hits = dict.fromkeys(pfa_list, 0)
+            for t in range(plan.trials):
+                white = complex_normal(substream(plan.seed, t), scn.p, scn.n + 1)
+                snaps = inject_target(factor @ white, s, amp)
+                for pfa in pfa_list:
+                    hits[pfa] += detect(snaps, s, DetectorConfig(rank=None, p_fa=pfa)).decision
+            want += [hits[pfa] for pfa in pfa_list]
+        got = [round(float(row[2]) * plan.trials) for row in rows]
+        assert got == want and 0 < sum(want) < len(want) * plan.trials
+
+    @pytest.mark.parametrize("rank", [None, 2, 0])
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_detect_statistic_matches_the_original_frame(self, rank, stream):
+        scn = small_scene()
+        plan = plan_for(scn)
+        r = synthesize_clutter_covariance(scn)
+        sampler = SnapshotSampler(r)
+        s = steering_vector(plan.target)
+        amp = 0.4
+        config = DetectorConfig(rank=rank, p_fa=1e-2)
+        white = complex_normal(substream(12, stream), scn.p, scn.n + 1)
+        original = detect(inject_target(dense_colouring_factor(r) @ white, s, amp), s, config)
+        s_rot = sampler.to_eigenbasis(s)
+        rotated = detect(inject_target(sampler.draw(scn.n + 1, 12, stream), s_rot, amp), s_rot, config)
+        assert rotated.statistic == pytest.approx(original.statistic, rel=1e-9)
+        assert rotated.raw_statistic == pytest.approx(original.raw_statistic, rel=1e-9)
+        assert rotated.decision == original.decision
