@@ -47,6 +47,7 @@ from .scenario import (
     truth_spiked_model,
 )
 from .metrics import (
+    DiagonalTruth,
     ScnrReport,
     TruthFactor,
     kantorovich_bound,

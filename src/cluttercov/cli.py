@@ -1,7 +1,8 @@
 """Command-line entry point: estimate, sweep, detect, verify-clt.
 
 Every run is driven by one root seed, writes its outputs under --out-dir, and
-drops a manifest.json recording the command, configuration, seed, and output
+drops a manifest.json recording the command, configuration, the seed the run
+used (``--seed``, else the scene's seed, or 0 for verify-clt) and output
 paths, so reruns with the same manifest inputs reproduce identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
@@ -104,13 +105,14 @@ def _target_from_args(args, scn: ScenarioConfig) -> SteeringSpec:
         raise ConfigError(f"bad target: {exc}") from exc
 
 
-def _write_manifest(out_dir: Path, args, outputs: list[Path]) -> Path:
+def _write_manifest(out_dir: Path, args, seed: int, outputs: list[Path]) -> Path:
+    """manifest.json with the seed the run used: ``--seed``, or its default when omitted."""
     manifest = {
         "command": args.command,
         "argv": args.argv,
         "config_path": getattr(args, "config", None),
         "scenario": getattr(args, "scenario", None),
-        "seed": getattr(args, "seed", None),
+        "seed": seed,
         "outputs": [str(p) for p in outputs],
         "tool_version": __version__,
     }
@@ -156,7 +158,7 @@ def _cmd_estimate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = matio.save_estimate(out_dir / f"estimate-{args.estimator}", est)
-    outputs.append(_write_manifest(out_dir, args, outputs))
+    outputs.append(_write_manifest(out_dir, args, seed, outputs))
     _validate_outputs(outputs)
     print(json.dumps(est.summary()))
     return 0
@@ -212,7 +214,7 @@ def _cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"sweep-{args.axis}.csv"
     csv_path.write_text(csv_text)
-    outputs = [csv_path, _write_manifest(out_dir, args, [csv_path])]
+    outputs = [csv_path, _write_manifest(out_dir, args, seed, [csv_path])]
     _validate_outputs(outputs)
     print(csv_path)
     return 0
@@ -228,18 +230,20 @@ def _cmd_detect(args) -> int:
     # the draw is in R's eigenbasis, so the steering vector is rotated into it
     steering = sampler.to_eigenbasis(steering_vector(target))
     amp = amplitude_for_snr(args.snr_db, scn.sigma2, scn.N, scn.K)
-    snapshots = inject_target(sampler.draw(scn.n + 1, seed), steering, amp)
+    # the training block and the test cell are views of one draw
+    w = sampler.draw(scn.n + 1, seed)
+    y = inject_target(w[:, scn.n], steering, amp)
     if args.rank == 0 and scn.clutter is not None:
         print(
             "warning: rank 0 disables the clutter projection on a clutter-bearing scene",
             file=sys.stderr,
         )
-    report = detect(snapshots, steering, DetectorConfig(rank=args.rank, p_fa=args.pfa))
+    report = detect(w[:, : scn.n], y, steering, DetectorConfig(rank=args.rank, p_fa=args.pfa))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "detection.json"
     report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    outputs = [report_path, _write_manifest(out_dir, args, [report_path])]
+    outputs = [report_path, _write_manifest(out_dir, args, seed, [report_path])]
     _validate_outputs(outputs)
     print(json.dumps(report.to_dict()))
     return 0
@@ -259,8 +263,9 @@ def _cmd_verify_clt(args) -> int:
         model = SpikedModel(p=args.p, sigma2=args.sigma2, spikes=spikes * args.sigma2)
     except ValueError as exc:
         raise ConfigError(f"bad --spikes: {exc}") from exc
+    seed = 0 if args.seed is None else args.seed
     results = validate.verify_clt(
-        model, args.gamma, args.p, args.trials, args.seed or 0, ensemble=args.ensemble
+        model, args.gamma, args.p, args.trials, seed, ensemble=args.ensemble
     )
     payload = [
         {
@@ -277,7 +282,7 @@ def _cmd_verify_clt(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "clt-verification.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
-    outputs = [path, _write_manifest(out_dir, args, [path])]
+    outputs = [path, _write_manifest(out_dir, args, seed, [path])]
     _validate_outputs(outputs)
     print(json.dumps(payload))
     return 0
@@ -303,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, scenario=True):
+        default_seed = "scenario seed" if scenario else "0"
         sp.add_argument("--seed", type=_seed, default=None,
-                        help="root seed, a nonnegative integer (default: scenario seed)")
+                        help=f"root seed, a nonnegative integer (default: {default_seed})")
         sp.add_argument("--out-dir", default="cluttercov-out", help="output directory")
         if scenario:
             sp.add_argument("--scenario", default=None, help="preset scene name")

@@ -17,12 +17,14 @@ Only the sample eigenvectors and the noise power enter the statistic, so
 the shrinkage and clipping estimates, which share both, drive identical
 detectors.
 
-``detect`` takes a plain p x (n + 1) snapshot array: the last column is the
-test snapshot and the n columns before it are the training data. Its
-steering vector is a plain p-vector in the frame of those snapshots; the
-statistic is invariant when both are rotated by one unitary, so snapshots
-drawn in R's eigenbasis pair with the rotated steering vector V^H s.
-``theoretical_pd`` works in the original frame of R's eigenvectors.
+``detect`` takes the p x n training block and the test cell y apart, as
+the two views ``w[:, :n]`` and ``w[:, n]`` of one draw of n + 1 snapshots
+(with the target added to y by ``inject_target``), and reads the training
+block in place. Its steering vector is a plain p-vector in the frame of
+those snapshots; the statistic is invariant when all are rotated by one
+unitary, so snapshots drawn in R's eigenbasis pair with the rotated
+steering vector V^H s. ``theoretical_pd`` works in the original frame of
+R's eigenvectors.
 """
 
 from __future__ import annotations
@@ -225,16 +227,24 @@ def theoretical_pd(
     return _pd_series(mean, threshold_for_pfa(p_fa))
 
 
-def detect(snapshots: np.ndarray, steering: np.ndarray, config: DetectorConfig) -> DetectionReport:
-    """Full detection pass on p x (n + 1) snapshots whose last column is the test snapshot.
+def detect(
+    train: np.ndarray, y: np.ndarray, steering: np.ndarray, config: DetectorConfig
+) -> DetectionReport:
+    """Full detection pass: p x n training snapshots ``train``, test snapshot ``y``.
 
-    The n training columns before it (a view, not a copy) yield the sample
-    covariance, its leading eigenvectors the clutter projection of the
-    steering p-vector, and the noise power estimate. A non-finite test
-    snapshot raises ValueError; non-finite training data fails in ``eigh``.
+    The training block yields the sample covariance, its leading
+    eigenvectors the clutter projection of the steering p-vector, and the
+    noise power estimate. ``train`` is never copied when it is contiguous
+    in either order, as the training view ``w[:, :n]`` of a column-major
+    draw is: besides its inputs, a call holds the p x p sample covariance
+    and its reduction, not a second p x n block. A non-finite test snapshot
+    raises ValueError; non-finite training data fails in ``eigh``.
     """
-    y, train = snapshots[:, -1], snapshots[:, :-1]
-    p, n = train.shape
+    if np.ndim(train) != 2:
+        raise ValueError("training snapshots must be a p x n array")
+    p, n = np.shape(train)
+    if np.shape(y) != (p,):
+        raise ValueError("test snapshot dimension does not match the training data")
     if np.shape(steering) != (p,):
         raise ValueError("steering dimension does not match snapshots")
     if n < p:

@@ -4,7 +4,9 @@ The SCNR and MVDR metrics take steering vectors as plain p-vectors (or the
 columns of a p x m matrix), in the frame of the truth and the estimate.
 Every metric is invariant when R, the estimate and the steering vectors are
 rotated together by one unitary, so a caller may score in R's eigenbasis,
-with R = diag(lam) and each steering vector s rotated to V^H s.
+with R = diag(lam) and each steering vector s rotated to V^H s. There a
+``DiagonalTruth`` scores against lam itself, in O(p) per vector, with no
+p x p array; a dense R goes through the factors of a ``TruthFactor``.
 """
 
 from __future__ import annotations
@@ -71,9 +73,54 @@ class TruthFactor:
         """y^H R^{-1} y for each column of ``y``, as ||L^{-1} y||^2."""
         return np.sum(np.abs(self.chol_inv @ y) ** 2, axis=0)
 
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """R w for a p-vector or the columns of a p x m matrix."""
+        return self.matrix @ w
 
-def _factored(truth) -> TruthFactor:
-    return truth if isinstance(truth, TruthFactor) else TruthFactor(truth)
+
+class DiagonalTruth:
+    """A diagonal true covariance R = diag(lam), scored from the p-vector lam alone.
+
+    The metrics' interface of a ``TruthFactor`` in O(p) per vector:
+    y^H R^{-1} y = sum |y|^2 / lam, tr(R^{-1}) = sum 1 / lam,
+    log det R = sum log lam and R w = lam * w. No p x p array is held; only
+    ``matrix``, which builds diag(lam) on each use, serves a dense estimate.
+    A non-finite or non-positive lam raises ValueError.
+    """
+
+    def __init__(self, eigenvalues: np.ndarray):
+        lam = np.asarray(eigenvalues, dtype=float)
+        if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
+            raise ValueError("truth must be a finite nonempty vector of eigenvalues")
+        if not np.all(lam > 0.0):
+            raise ValueError("truth must be positive definite")
+        self.eigenvalues = lam
+        self.trace_inv = float(np.sum(1.0 / lam))
+        self.logdet = float(np.sum(np.log(lam)))
+
+    @property
+    def p(self) -> int:
+        return self.eigenvalues.size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.diag(self.eigenvalues)
+
+    def _column(self, x: np.ndarray) -> np.ndarray:
+        """lam shaped to broadcast down the columns of ``x``."""
+        return self.eigenvalues.reshape((-1,) + (1,) * (np.ndim(x) - 1))
+
+    def quad_inv(self, y: np.ndarray) -> np.ndarray:
+        """y^H R^{-1} y for each column of ``y``, as sum |y|^2 / lam."""
+        return np.sum(np.abs(y) ** 2 / self._column(y), axis=0)
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """R w = lam * w for a p-vector or the columns of a p x m matrix."""
+        return self._column(w) * w
+
+
+def _factored(truth) -> TruthFactor | DiagonalTruth:
+    return truth if isinstance(truth, (TruthFactor, DiagonalTruth)) else TruthFactor(truth)
 
 
 def _inverse_apply(estimate, vecs: np.ndarray) -> np.ndarray:
@@ -92,7 +139,8 @@ def normalized_scnr_batch(estimate, truth, steerings: np.ndarray) -> np.ndarray:
     For each target vector y the value is
     (y^H Rbar^{-1} y)^2 / ((y^H R^{-1} y) (y^H Rbar^{-1} R Rbar^{-1} y)),
     which is 1 exactly when Rbar is proportional to R and below 1 otherwise.
-    ``truth`` is R as a ``TruthFactor`` or a plain array.
+    ``truth`` is R as a ``TruthFactor``, a ``DiagonalTruth`` or a plain
+    array.
     """
     s = np.asarray(steerings)
     if s.ndim == 1:
@@ -104,7 +152,7 @@ def normalized_scnr_batch(estimate, truth, steerings: np.ndarray) -> np.ndarray:
         raise ValueError("singular covariance input") from exc
     num = np.real(np.sum(s.conj() * w, axis=0)) ** 2
     den1 = truth.quad_inv(s)
-    den2 = np.real(np.sum(w.conj() * (truth.matrix @ w), axis=0))
+    den2 = np.real(np.sum(w.conj() * truth.apply(w), axis=0))
     if np.any(den1 <= 0) or np.any(den2 <= 0):
         raise ValueError("covariance inputs must be positive definite")
     return num / (den1 * den2)
@@ -162,8 +210,8 @@ def mvdr_error_variance(m, steering: np.ndarray) -> float:
     """Beamformer error variance 1 / |s^H M^{-1} s| at the steering p-vector s.
 
     ``m`` is a ``CovarianceEstimate`` (inverted through its low-rank form) or
-    a covariance as a ``TruthFactor`` or a plain array, which must be
-    positive definite.
+    a covariance as a ``TruthFactor``, a ``DiagonalTruth`` or a plain array,
+    which must be positive definite.
     """
     s = np.asarray(steering)
     if isinstance(m, CovarianceEstimate):
@@ -179,14 +227,16 @@ def stein_loss(truth, estimate) -> float:
     """Stein loss tr(R^{-1} Rbar - I) - log det(R^{-1} Rbar), nonnegative.
 
     Zero exactly when the estimate equals the truth. Values within fp dust
-    below zero are clamped to 0. ``truth`` is R as a ``TruthFactor`` or a
-    plain array. A spiked ``CovarianceEstimate`` is scored in closed form
-    from the factor, without forming Rbar: with R = L L^H,
+    below zero are clamped to 0. ``truth`` is R as a ``TruthFactor``, a
+    ``DiagonalTruth`` or a plain array. A spiked ``CovarianceEstimate`` is
+    scored in closed form from the truth's y^H R^{-1} y, tr(R^{-1}) and
+    log det R, without forming Rbar:
 
-        tr(R^{-1} Rbar) = s2 ||L^{-1}||_F^2 + sum_i (lam_i - s2) ||L^{-1} v_i||^2,
+        tr(R^{-1} Rbar) = s2 tr(R^{-1}) + sum_i (lam_i - s2) v_i^H R^{-1} v_i,
         log det(R^{-1} Rbar) = sum_i log(lam_i / s2) + p log s2 - log det R,
 
-    which is O(p^2 r). A dense ``estimate`` takes the direct path, the
+    which is O(p^2 r) through a ``TruthFactor`` and O(pr) through a
+    ``DiagonalTruth``. A dense ``estimate`` takes the direct path, the
     reference the spiked path is tested against.
     """
     truth = _factored(truth)
@@ -204,7 +254,7 @@ def stein_loss(truth, estimate) -> float:
     return val
 
 
-def _stein_loss_spiked(truth: TruthFactor, estimate: CovarianceEstimate) -> float:
+def _stein_loss_spiked(truth, estimate: CovarianceEstimate) -> float:
     s2 = estimate.sigma2_hat
     quad = truth.quad_inv(estimate.vectors)  # v_i^H R^{-1} v_i
     trace = s2 * truth.trace_inv + np.sum((estimate.spikes - s2) * quad)

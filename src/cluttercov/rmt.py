@@ -243,14 +243,19 @@ def sample_covariance(data: np.ndarray) -> np.ndarray:
     """Sample covariance (1/n) Y Y^H of snapshot columns Y (p x n), as a Hermitian p x p array.
 
     Formed by one Hermitian rank-n update (BLAS ``zherk``, ``dsyrk`` for real
-    data), half the flops of a general product. The update runs on Y^T,
-    which a C-ordered Y passes without a copy: it gives (Y^T)^H Y^T =
-    conj(Y Y^H) in its lower triangle, whose transpose is the upper triangle
-    of Y Y^H. That is mirrored into the lower one in place, so the result is
-    Hermitian exactly with a real diagonal. Finiteness is left to ``eigh``,
-    which checks it. n < p is accepted (the matrix is still well defined) but
-    flagged with a RegimeWarning: downstream shrinkage refuses such
-    decompositions.
+    data), half the flops of a general product, and never on a copy of Y
+    when Y is contiguous in either order. A column-major Y, such as the
+    training block ``w[:, :n]`` of a ``complex_normal`` draw, is the
+    update's own operand: it gives Y Y^H in the lower triangle of a
+    Fortran-ordered result. A row-major Y runs on Y^T, which is then
+    column-major: (Y^T)^H Y^T = conj(Y Y^H) in the lower triangle, whose
+    transpose is the upper triangle of Y Y^H in a C-ordered result. Any
+    other layout is copied by the BLAS wrapper on that second path. The
+    two paths give bitwise the same matrix. The filled triangle is mirrored
+    into the other in place, so the result is Hermitian exactly with a real
+    diagonal. Finiteness is left to ``eigh``, which checks it. n < p is
+    accepted (the matrix is still well defined) but flagged with a
+    RegimeWarning: downstream shrinkage refuses such decompositions.
     """
     data = np.asarray(data)
     if data.ndim == 1:
@@ -264,12 +269,19 @@ def sample_covariance(data: np.ndarray) -> np.ndarray:
             stacklevel=2,
         )
     rank_n_update = blas.zherk if np.iscomplexobj(data) else blas.dsyrk
-    scm = rank_n_update(1.0 / n, data.T, trans=2, lower=1).T
+    if data.flags.f_contiguous:
+        # Y Y^H in the lower triangle of a Fortran-ordered array, whose
+        # C-ordered transpose holds conj(Y Y^H) in its upper triangle
+        scm = rank_n_update(1.0 / n, data, trans=0, lower=1)
+        upper = scm.T
+    else:
+        scm = upper = rank_n_update(1.0 / n, data.T, trans=2, lower=1).T
+    # mirroring ``upper`` makes it Hermitian, and with it ``scm``, its transpose
     for i in range(0, p, _MIRROR_BLOCK):
         j = min(i + _MIRROR_BLOCK, p)
         for k in range(j, p, _MIRROR_BLOCK):  # square tiles keep the scratch small
-            scm[k : k + _MIRROR_BLOCK, i:j] = scm[i:j, k : k + _MIRROR_BLOCK].conj().T
-        block = scm[i:j, i:j]
+            upper[k : k + _MIRROR_BLOCK, i:j] = upper[i:j, k : k + _MIRROR_BLOCK].conj().T
+        block = upper[i:j, i:j]
         block[...] = np.triu(block) + np.triu(block, 1).conj().T
     return scm
 

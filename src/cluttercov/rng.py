@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_FILL_CHUNK = 1 << 16  # standard normals per step of the complex fill (512 KiB)
+_FILL_CHUNK = 1 << 17  # standard normals per step of the complex fill (1 MiB)
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -18,17 +18,21 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def complex_normal(rng: np.random.Generator, p: int, n: int) -> np.ndarray:
-    """p x n circular complex Gaussian draws of unit variance, built in place.
+    """p x n circular complex Gaussian draws of unit variance, column-major, built in place.
 
     The real parts take the first p x n standard normals of ``rng`` and the
-    imaginary parts the next, the order of (a + 1j * b) / sqrt(2), to which
-    the result is bitwise equal. Both parts are filled a block of rows at a
-    time from one reused scratch block of about 64 Ki floats (one row when n
-    is larger), and the division runs in place. So the working set is the
+    imaginary parts the next, both in row-major order, the order of
+    (a + 1j * b) / sqrt(2), to which the result is bitwise equal. Only the
+    layout differs: the array is Fortran-ordered, so each column (one
+    snapshot) and every leading block of columns is contiguous, and a
+    training block ``w[:, :n]`` or a test cell ``w[:, n]`` is a view that
+    BLAS reads without a copy. Both parts are filled a block of rows at a
+    time from one reused scratch block of about 128 Ki floats (one row when
+    n is larger), and the division runs in place. So the working set is the
     p x n complex output plus that block, not the output plus a p x n float
     draw.
     """
-    w = np.empty((p, n), dtype=complex)
+    w = np.empty((p, n), dtype=complex, order="F")
     rows = max(1, min(_FILL_CHUNK // max(n, 1), p))
     block = np.empty((rows, n))
     for part in (w.real, w.imag):

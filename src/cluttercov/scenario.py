@@ -18,12 +18,17 @@ descriptions:
 
 Snapshots are plain p x n arrays of circularly-symmetric complex Gaussian
 draws with the scene covariance, reproducible per (seed, stream) and
-byte-identical across runs. ``SnapshotSampler`` returns them in the
-eigenbasis V of the scene's R = V diag(lam) V^H, as V^H X, in O(pn) rather
-than the O(p^2 n) product with V: ``basis @ draw`` rotates them back, and
-``to_eigenbasis(s)`` = V^H s takes a vector into their frame. For detection
-the last column is the test snapshot and the others are training data;
-``inject_target`` adds the target there.
+byte-identical across runs. They are column-major, one contiguous column
+per snapshot, so any leading block of columns is a contiguous view.
+``SnapshotSampler`` returns them in the eigenbasis V of the scene's
+R = V diag(lam) V^H, as V^H X, in O(pn) rather than the O(p^2 n) product
+with V: ``basis @ draw`` rotates them back, and ``to_eigenbasis(s)`` = V^H s
+takes a vector into their frame.
+
+Detection draws n + 1 snapshots w and splits them without copying: the
+training block w[:, :n] and the test cell w[:, n]. ``inject_target``
+returns the test cell plus the target as a new p-vector, so the draw itself,
+training block and test cell alike, is never modified.
 """
 
 from __future__ import annotations
@@ -299,7 +304,10 @@ class SnapshotSampler:
         """p x n circular complex Gaussian snapshots of covariance diag(lam), scaled in place.
 
         These are the snapshots of R expressed in ``basis``. Real and
-        imaginary parts each carry half the variance. Identical
+        imaginary parts each carry half the variance. The array is
+        column-major, as ``complex_normal`` builds it, so ``draw(n + 1)``
+        splits into the training block ``[:, :n]`` and the test cell
+        ``[:, n]`` as contiguous views, neither of them a copy. Identical
         (covariance, n, seed, stream) always reproduces the same array.
         """
         if n < 1:
@@ -317,16 +325,19 @@ class SnapshotSampler:
         return (x.conj().T @ self.basis).conj().T
 
 
-def inject_target(snapshots: np.ndarray, steering: np.ndarray, amplitude: complex) -> np.ndarray:
-    """Copy of the p x n snapshots with amplitude * steering added to the last column.
+def inject_target(y: np.ndarray, steering: np.ndarray, amplitude: complex) -> np.ndarray:
+    """The test cell plus the target, y + amplitude * steering, as a new p-vector.
 
-    The last column is the test snapshot; the training columns are untouched.
-    ``steering`` is a p-vector in the frame of the snapshots.
+    ``y`` is the test snapshot and ``steering`` a p-vector in its frame. The
+    sum is built in the one output vector, so ``y``, typically the column
+    ``w[:, n]`` of a draw whose training block ``w[:, :n]`` is read in
+    place, is left as it was.
     """
-    if snapshots.ndim != 2 or np.shape(steering) != snapshots.shape[:1]:
-        raise ValueError("steering dimension does not match snapshots")
-    out = snapshots.copy()
-    out[:, -1] += amplitude * steering
+    y = np.asarray(y)
+    if y.ndim != 1 or np.shape(steering) != y.shape:
+        raise ValueError("steering dimension does not match the test snapshot")
+    out = np.multiply(amplitude, steering, dtype=np.result_type(y, steering, amplitude))
+    out += y
     return out
 
 

@@ -15,7 +15,8 @@ the largest of its steps, not their sum.
 
 The sweeps run every trial in the eigenbasis V of the scene's R: the
 sampler draws there in O(pn), one p x n array scaled in place, the metrics
-score against diag(lam), and each steering vector enters once per sweep as
+score against lam through a ``DiagonalTruth`` (no p x p truth is alive
+during the trials), and each steering vector enters once per sweep as
 V^H s. Both estimators keep the sample eigenvectors and every metric is
 invariant under that common rotation, so the rows equal those of the
 original frame up to roundoff. ``verify_clt`` draws with a diagonal truth
@@ -35,7 +36,7 @@ import numpy as np
 from . import rmt
 from .detector import DetectorConfig, detect, theoretical_pd
 from .metrics import (
-    TruthFactor,
+    DiagonalTruth,
     kantorovich_bound,
     mvdr_error_variance,
     normalized_scnr_batch,
@@ -279,7 +280,7 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
 
     # the trials run in R's eigenbasis: the truth is diag(lam), and each
     # steering vector is rotated into that frame once per sweep
-    truth = TruthFactor(np.diag(sampler.eigenvalues.astype(complex)))
+    truth = DiagonalTruth(sampler.eigenvalues)
     s_target = sampler.to_eigenbasis(steering_vector(target))
     mvdr_truth = mvdr_error_variance(truth, s_target)
     rows = []
@@ -312,25 +313,23 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
 
 
 def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
-                     truth, spiked, sampler) -> str:
+                     eigvecs, spiked, sampler) -> str:
     scn = plan.scenario
     target = plan.target
     ratio_gamma = scn.p / scn.n
-    eigvecs = None
-    if spiked.r:
-        eigvecs = rmt.eigh(truth).leading(spiked.r)
     s_target = sampler.to_eigenbasis(steering_vector(target))  # the frame of the draws
     rows = []
     for snr_db in snr_grid:
         amp = amplitude_for_snr(float(snr_db), scn.sigma2, scn.N, scn.K)
         hits = {pfa: 0 for pfa in pfa_list}
         for t in range(plan.trials):
-            # the draw is freed once its injected copy is made
-            snaps = inject_target(sampler.draw(scn.n + 1, plan.seed, stream=t), s_target, amp)
+            # the training block and the test cell are views of one draw
+            w = sampler.draw(scn.n + 1, plan.seed, stream=t)
+            y = inject_target(w[:, scn.n], s_target, amp)
             for pfa in pfa_list:
-                report = detect(snaps, s_target, DetectorConfig(rank=rank, p_fa=pfa))
+                report = detect(w[:, : scn.n], y, s_target, DetectorConfig(rank=rank, p_fa=pfa))
                 hits[pfa] += int(report.decision)
-            del snaps  # the injected copy is gone before the next draw
+            del w, y  # so two draws are never alive at once
         for pfa in pfa_list:
             pd_theory = theoretical_pd(spiked, target, amp, pfa, ratio_gamma, eigvecs)
             emp = hits[pfa] / plan.trials if plan.trials else float("nan")
@@ -363,11 +362,15 @@ def sweep(
     sizes times the trials. Every axis but "n" needs its grid ``values``, and
     the "snr" axis its false-alarm rates ``pfa_list``.
 
-    Besides the truth, the sampler's basis and the rotated steering
+    Besides the sampler's basis, its eigenvalues and the rotated steering
     vectors, held for the whole sweep, a trial's working set peaks at its
-    draw: one p x n array, scaled in place. The "snr" axis also holds the
-    injected copy of the p x (n + 1) draw while it detects, and ``detect``
-    copies the training columns for the rank-n update.
+    draw: one p x n array, scaled in place. R itself is dropped once the
+    sampler and the spiked truth are built (the "snr" axis first takes its r
+    leading eigenvectors for ``theoretical_pd``). The "snr" axis splits its
+    p x (n + 1) draw into the training view ``[:, :n]``, which ``detect``
+    reads in place, and the test cell ``[:, n]``, to which
+    ``inject_target`` adds the target in a new p-vector; nothing of the
+    draw is copied.
 
     A zero-trial plan short-circuits to a header-only table.
     """
@@ -388,7 +391,10 @@ def sweep(
     truth = synthesize_clutter_covariance(scn)
     spiked = truth_spiked_model(scn, truth)
     sampler = SnapshotSampler(truth)
+    # of R the snr axis keeps its r leading vectors, for theoretical_pd; the
+    # estimation trials score against the sampler's lam instead
+    eigvecs = rmt.eigh(truth).leading(spiked.r) if axis == "snr" and spiked.r else None
+    del truth
     if axis == "snr":
-        return _sweep_detection(plan, values, tuple(pfa_list), rank, truth, spiked, sampler)
-    del truth  # the estimation trials score against the sampler's diag(lam) instead
+        return _sweep_detection(plan, values, tuple(pfa_list), rank, eigvecs, spiked, sampler)
     return _sweep_estimation(plan, axis, values, spiked, sampler)

@@ -197,6 +197,22 @@ class TestEndToEnd:
             runs.append((out / output).read_bytes())
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("name", ["sweep-n", "detect", "verify-clt"])
+    def test_manifest_records_the_default_seed(self, scene, tmp_path, name):
+        # with --seed omitted a run uses the scene's seed (0 for verify-clt):
+        # the manifest records that seed, and the output is the explicit flag's
+        argv, output = DETERMINISTIC[name]
+        i = argv.index("--seed")
+        argv = argv[:i] + argv[i + 2:]
+        default = 0 if argv[0] == "verify-clt" else SCENE["seed"]
+        if argv[0] != "verify-clt":
+            argv = [*argv, "--config", str(scene)]
+        code, manifest = _run(argv, tmp_path / "implicit")
+        assert code == 0 and manifest["seed"] == default
+        assert _run([*argv, "--seed", str(default)], tmp_path / "explicit")[0] == 0
+        implicit = (tmp_path / "implicit" / output).read_bytes()
+        assert implicit == (tmp_path / "explicit" / output).read_bytes()
+
     def test_sweep_n_rows(self, scene, tmp_path):
         argv, output = DETERMINISTIC["sweep-n"]
         assert _run([*argv, "--config", str(scene)], tmp_path)[0] == 0
@@ -242,9 +258,9 @@ class TestEndToEnd:
         sampler = SnapshotSampler(synthesize_clutter_covariance(cfg))
         s = steering_vector(SteeringSpec(np.deg2rad(30.0), 0.2, cfg.N, cfg.K))  # the CLI default
         white = complex_normal(substream(cfg.seed, 0), cfg.p, cfg.n + 1)
-        snaps = inject_target((sampler.basis * sampler.root) @ white, s,
-                              amplitude_for_snr(5.0, cfg.sigma2, cfg.N, cfg.K))
-        ref = detect(snaps, s, DetectorConfig(rank=None, p_fa=1e-3))
+        snaps = (sampler.basis * sampler.root) @ white
+        y = inject_target(snaps[:, -1], s, amplitude_for_snr(5.0, cfg.sigma2, cfg.N, cfg.K))
+        ref = detect(snaps[:, :-1], y, s, DetectorConfig(rank=None, p_fa=1e-3))
         assert report["statistic"] == pytest.approx(ref.statistic, rel=1e-9)
         assert report["raw_statistic"] == pytest.approx(ref.raw_statistic, rel=1e-9)
 

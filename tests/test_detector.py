@@ -225,7 +225,7 @@ class TestDetect:
         s = steering_vector(SteeringSpec(0.5, 0.25, 4, 8))
         hits = 0
         for cube in h0_cubes(p, n_train, trials, seed=204):
-            report = detect(cube, s, DetectorConfig(rank=0, p_fa=pfa))
+            report = detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=0, p_fa=pfa))
             hits += int(report.decision)
         rate = hits / trials
         assert 0.094 <= rate <= 0.106
@@ -237,15 +237,15 @@ class TestDetect:
         amp = np.sqrt(10 ** (30 / 10) * sigma2 / p)
         hits = 0
         for cube in h0_cubes(p, n_train, trials, seed=205):
-            cube = inject_target(cube, s, amp)
-            report = detect(cube, s, DetectorConfig(rank=0, p_fa=1e-3))
+            y = inject_target(cube[:, -1], s, amp)
+            report = detect(cube[:, :-1], y, s, DetectorConfig(rank=0, p_fa=1e-3))
             hits += int(report.decision)
         assert hits / trials >= 0.99
 
     def test_report_invariants(self):
         cube = next(h0_cubes(16, 64, 1, seed=206))
         s = steering_vector(SteeringSpec(0.2, 0.2, 4, 4))
-        report = detect(cube, s, DetectorConfig(rank=0, p_fa=0.05))
+        report = detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=0, p_fa=0.05))
         assert report.decision == (report.statistic > report.threshold)
         assert report.theoretical_pfa == pytest.approx(0.05, rel=1e-12)
         assert report.chi2_statistic == pytest.approx(2 * report.statistic, rel=1e-12)
@@ -275,8 +275,8 @@ class TestDetect:
         detected = detect_spikes(dec, AspectRatio(p, n_train))[1]
         assert detected.size == shrink_spectrum(dec, AspectRatio(p, n_train)).spike_count == 2
         s = steering_vector(SteeringSpec(0.8, 0.4, 4, 8))
-        r_none = detect(cube, s, DetectorConfig(rank=None, p_fa=0.1))
-        r_true = detect(cube, s, DetectorConfig(rank=2, p_fa=0.1))
+        r_none = detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=None, p_fa=0.1))
+        r_true = detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=2, p_fa=0.1))
         assert r_none.statistic == r_true.statistic
 
     def test_statistic_identical_for_both_estimators(self):
@@ -291,39 +291,70 @@ class TestDetect:
         shrunk = shrink_spectrum(dec, ratio)
         clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
         s = steering_vector(SteeringSpec(0.8, 0.4, 4, 8))
-        rep_a = detect(cube, s, DetectorConfig(rank=shrunk.spike_count, p_fa=0.01))
-        rep_b = detect(cube, s, DetectorConfig(rank=clipped.spike_count, p_fa=0.01))
+        train, y = cube[:, :-1], cube[:, -1]
+        rep_a = detect(train, y, s, DetectorConfig(rank=shrunk.spike_count, p_fa=0.01))
+        rep_b = detect(train, y, s, DetectorConfig(rank=clipped.spike_count, p_fa=0.01))
         assert rep_a.statistic == rep_b.statistic
 
     def test_insufficient_training(self):
         s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
         with pytest.raises(ValueError, match="insufficient samples"):
-            detect(np.eye(8, dtype=complex), s, DetectorConfig(rank=0, p_fa=0.1))
+            detect(np.eye(8, 7, dtype=complex), np.ones(8, dtype=complex), s,
+                   DetectorConfig(rank=0, p_fa=0.1))
 
     def test_nonfinite_test_snapshot_rejected(self):
         cube = next(h0_cubes(8, 32, 1, seed=209))
         cube[3, -1] = np.nan
         s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
         with pytest.raises(ValueError, match="test snapshot must be finite"):
-            detect(cube, s, DetectorConfig(rank=0, p_fa=0.1))
+            detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=0, p_fa=0.1))
 
     def test_nonfinite_training_rejected(self):
         cube = next(h0_cubes(8, 32, 1, seed=209))
         cube[3, 0] = np.inf
         s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
         with pytest.raises(ValueError, match="invalid matrix"), np.errstate(invalid="ignore"):
-            detect(cube, s, DetectorConfig(rank=0, p_fa=0.1))
+            detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=0, p_fa=0.1))
 
     @pytest.mark.parametrize("shape", [(6,), (8, 1)], ids=["short", "column"])
     def test_steering_dimension_mismatch_rejected(self, shape):
         cube = next(h0_cubes(8, 32, 1, seed=209))
         with pytest.raises(ValueError, match="steering dimension"):
-            detect(cube, np.ones(shape, dtype=complex), DetectorConfig(rank=0, p_fa=0.1))
+            detect(cube[:, :-1], cube[:, -1], np.ones(shape, dtype=complex),
+                   DetectorConfig(rank=0, p_fa=0.1))
+
+    def test_test_snapshot_and_training_shapes_checked(self):
+        cube = next(h0_cubes(8, 32, 1, seed=209))
+        s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
+        config = DetectorConfig(rank=0, p_fa=0.1)
+        with pytest.raises(ValueError, match="test snapshot dimension"):
+            detect(cube[:, :-1], cube[:-1, -1], s, config)
+        with pytest.raises(ValueError, match="p x n"):
+            detect(cube[:, 0], cube[:, -1], s, config)
 
     def test_training_view_matches_copy(self):
         # the training block is a view of all but the last column: its SCM
-        # equals the SCM of a contiguous copy bit for bit
+        # equals the SCM of a contiguous copy in either order bit for bit,
+        # and in a column-major draw that view is itself contiguous
         cube = next(h0_cubes(32, 128, 1, seed=210, spikes=(40.0,)))
-        view, copy = cube[:, :-1], np.ascontiguousarray(cube[:, :-1])
+        view = cube[:, :-1]
         assert np.shares_memory(view, cube)
-        np.testing.assert_array_equal(sample_covariance(view), sample_covariance(copy))
+        want = sample_covariance(view).tobytes(order="C")
+        for copy in (np.ascontiguousarray(view), np.asfortranarray(view)):
+            assert sample_covariance(copy).tobytes(order="C") == want
+        draw = np.asfortranarray(cube)
+        train = draw[:, :-1]
+        assert train.flags.f_contiguous and np.shares_memory(train, draw)
+        assert sample_covariance(train).tobytes(order="C") == want
+
+    def test_working_set_is_the_scm_and_its_reduction(self, peak_bytes):
+        # the training view of a column-major draw is read in place: above its
+        # inputs a call holds the p x p SCM and eigh's reduced copy of it, plus
+        # block-sized scratch, and no copy of the p x n training block (which
+        # alone would add 8.4 MB here)
+        p, n = 512, 1024
+        draw = np.asfortranarray(next(h0_cubes(p, n, 1, seed=211, spikes=(40.0, 20.0))))
+        s = steering_vector(SteeringSpec(0.3, 0.1, 8, 64))
+        config = DetectorConfig(rank=None, p_fa=0.01)
+        scm = p * p * 16
+        assert peak_bytes(detect, draw[:, :-1], draw[:, -1], s, config) <= 1.25 * 2 * scm

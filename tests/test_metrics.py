@@ -4,6 +4,7 @@ import pytest
 from cluttercov import (
     AspectRatio,
     CovarianceEstimate,
+    DiagonalTruth,
     Scatterer,
     ScattererClutter,
     ScenarioConfig,
@@ -319,3 +320,71 @@ class TestTruthFactor:
             scnr_at(est, bad, target)
         with pytest.raises(ValueError):
             mvdr_error_variance(bad, steering_vector(target))
+
+
+@pytest.fixture(scope="module", params=["challenge", "p32"])
+def eigenbasis_scene(request):
+    """R's eigenvalues, both estimates and steering vectors, all in R's eigenbasis."""
+    scn, n = (challenge_synthetic(), 1024) if request.param == "challenge" else (P32_SCENE, 128)
+    sampler = SnapshotSampler(synthesize_clutter_covariance(scn))
+    dec = eigh(sample_covariance(sampler.draw(n, 7)))
+    ratio = AspectRatio(scn.p, n)
+    shrunk = shrink_spectrum(dec, ratio)
+    clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
+    targets = [SteeringSpec(th, fd, scn.N, scn.K) for th in (-0.6, 0.0, 0.5) for fd in (-0.3, 0.2)]
+    s = sampler.to_eigenbasis(np.column_stack([steering_vector(t) for t in targets]))
+    return sampler.eigenvalues, {"shrinkage": shrunk, "rcml": clipped}, s
+
+
+class TestDiagonalTruth:
+    """A DiagonalTruth scores as the dense diag(lam) does, to 1e-12, from lam alone."""
+
+    @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
+    def test_stein_loss(self, eigenbasis_scene, estimator):
+        lam, ests, _ = eigenbasis_scene
+        est = ests[estimator]
+        assert est.spike_count > 0
+        dense = stein_loss(TruthFactor(np.diag(lam.astype(complex))), est)
+        assert stein_loss(DiagonalTruth(lam), est) == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
+    def test_normalized_scnr_batch(self, eigenbasis_scene, estimator):
+        lam, ests, s = eigenbasis_scene
+        est = ests[estimator]
+        dense = normalized_scnr_batch(est, TruthFactor(np.diag(lam.astype(complex))), s)
+        np.testing.assert_allclose(normalized_scnr_batch(est, DiagonalTruth(lam), s), dense,
+                                   rtol=1e-12, atol=0)
+
+    def test_mvdr_error_variance(self, eigenbasis_scene):
+        lam, _, s = eigenbasis_scene
+        dense, diagonal = TruthFactor(np.diag(lam.astype(complex))), DiagonalTruth(lam)
+        for col in s.T:
+            assert mvdr_error_variance(diagonal, col) == pytest.approx(
+                mvdr_error_variance(dense, col), rel=1e-12
+            )
+
+    def test_closed_forms_from_lam(self):
+        lam = np.array([5.0, 2.0, 0.5])
+        truth = DiagonalTruth(lam)
+        y = np.array([[1.0, 2j], [1j, 0.0], [-1.0, 1.0]])
+        np.testing.assert_allclose(truth.quad_inv(y), [1 / 5 + 1 / 2 + 2, 4 / 5 + 2], rtol=1e-15)
+        np.testing.assert_allclose(truth.apply(y), lam[:, None] * y, rtol=0)
+        np.testing.assert_allclose(truth.apply(y[:, 0]), lam * y[:, 0], rtol=0)
+        assert truth.trace_inv == pytest.approx(1 / 5 + 1 / 2 + 2, rel=1e-15)
+        assert truth.logdet == pytest.approx(np.log(5.0), rel=1e-15)
+        np.testing.assert_array_equal(truth.matrix, np.diag(lam))
+
+    def test_holds_no_p_by_p_array(self):
+        p = 256
+        truth = DiagonalTruth(np.linspace(1.0, 10.0, p))
+        assert truth.p == p
+        assert all(np.size(v) <= p for v in vars(truth).values())
+
+    @pytest.mark.parametrize(
+        "bad", [[2.0, 1.0, -1.0, 3.0], [2.0, 0.0, 1.0, 3.0], [2.0, np.nan, 1.0, 3.0], [],
+                np.eye(2)],
+        ids=["negative", "zero", "nan", "empty", "matrix"],
+    )
+    def test_bad_eigenvalues_rejected(self, bad):
+        with pytest.raises(ValueError):
+            DiagonalTruth(bad)

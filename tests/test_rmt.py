@@ -194,12 +194,20 @@ class TestSampleCovariance:
 
     # p = 150 spans three blocks of the triangle mirror, p = 24 one
     @pytest.mark.parametrize("p", [24, 150])
-    @pytest.mark.parametrize("kind", ["complex", "real", "one-snapshot", "training-view"])
+    @pytest.mark.parametrize(
+        "kind", ["complex", "real", "one-snapshot", "training-view", "fortran", "fortran-real"]
+    )
     def test_matches_dense_product_and_is_exactly_hermitian(self, kind, p):
         rng = substream(6, p)
         data = rng.standard_normal((p, 2 * p + 1))
-        if kind != "real":
+        if not kind.endswith("real"):
             data = data + 1j * rng.standard_normal((p, 2 * p + 1))
+        if kind.startswith("fortran"):
+            # a column-major block is the rank-n update's own operand: bitwise
+            # the result of the row-major path
+            c_order = sample_covariance(data)
+            data = np.asfortranarray(data)
+            assert sample_covariance(data).tobytes(order="C") == c_order.tobytes(order="C")
         if kind == "one-snapshot":
             data = data[:, 0]
         elif kind == "training-view":
@@ -212,7 +220,7 @@ class TestSampleCovariance:
                 scm = sample_covariance(data)
         else:
             scm = sample_covariance(data)
-        assert scm.dtype == (float if kind == "real" else complex)
+        assert scm.dtype == (float if kind.endswith("real") else complex)
         assert np.abs(scm - ref).max() <= 1e-13 * np.abs(ref).max()
         np.testing.assert_array_equal(scm, scm.conj().T)
         np.testing.assert_array_equal(np.diagonal(scm).imag, 0.0)

@@ -281,6 +281,14 @@ class TestSampleSnapshots:
         assert np.abs(pseudo).max() < 0.05
         assert abs(np.mean(np.abs(z[0]) ** 2) - 4.0) < 0.05
 
+    def test_training_block_and_test_cell_are_contiguous_views(self):
+        n = 40
+        w = SnapshotSampler(random_covariance(52, 16, 16)).draw(n + 1, seed=53)
+        train, y = w[:, :n], w[:, n]
+        assert w.flags.f_contiguous
+        assert train.flags.f_contiguous and y.flags.c_contiguous
+        assert np.shares_memory(train, w) and np.shares_memory(y, w)
+
     def test_draw_working_set_is_the_output_plus_one_chunk(self, peak_bytes):
         p, n = 256, 512
         sampler = SnapshotSampler(random_covariance(47, p, p))
@@ -319,10 +327,13 @@ def two_call_complex_draw(rng, p, n):
 
 class TestComplexNormal:
     def test_bitwise_equal_to_the_expression(self):
+        # the values and their RNG order are those of (a + 1j * b) / sqrt(2)
+        # with a, b drawn row-major; only the layout is column-major
         ours = complex_normal(substream(37, 4), 24, 50)
         ref = old_complex_draw(substream(37, 4), 24, 50)
         assert ours.dtype == ref.dtype and ours.shape == (24, 50)
-        assert ours.tobytes() == ref.tobytes()
+        assert ours.flags.f_contiguous and not ours.flags.c_contiguous
+        assert ours.tobytes(order="C") == ref.tobytes()
 
     # with a 96-element chunk: several rows a block, a partial last block,
     # one row a block (n above the chunk), and degenerate shapes
@@ -349,28 +360,38 @@ class TestComplexNormal:
 
 class TestInjectTarget:
     def test_zero_amplitude_unchanged(self):
-        snaps = np.zeros((8, 5), dtype=complex)
-        out = inject_target(snaps, steering_vector(SteeringSpec(0.2, 0.1, 2, 4)), 0.0)
-        np.testing.assert_array_equal(out, snaps)
+        y = np.zeros(8, dtype=complex)
+        out = inject_target(y, steering_vector(SteeringSpec(0.2, 0.1, 2, 4)), 0.0)
+        np.testing.assert_array_equal(out, y)
 
     def test_exact_on_noiseless_cube(self):
         s = steering_vector(SteeringSpec(0.3, -0.2, 2, 4))
-        out = inject_target(np.zeros((8, 5), dtype=complex), s, 2.0 - 1.0j)
-        np.testing.assert_allclose(out[:, -1], (2 - 1j) * s)
+        out = inject_target(np.zeros(8, dtype=complex), s, 2.0 - 1.0j)
+        np.testing.assert_allclose(out, (2 - 1j) * s)
 
-    def test_training_untouched(self):
-        rng = np.random.default_rng(0)
-        snaps = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        before = snaps.copy()
-        out = inject_target(snaps, steering_vector(SteeringSpec(0.0, 0.0, 2, 4)), 1.0)
-        np.testing.assert_array_equal(out[:, :-1], snaps[:, :-1])
-        assert not np.array_equal(out[:, -1], snaps[:, -1])
-        np.testing.assert_array_equal(snaps, before)  # a copy: the input is not modified
+    @pytest.mark.parametrize("amp", [0.7, 2.0 - 1.0j])
+    def test_bitwise_the_sum(self, amp):
+        y = complex_normal(substream(54, 0), 8, 1)[:, 0]
+        s = steering_vector(SteeringSpec(0.4, 0.3, 2, 4))
+        assert inject_target(y, s, amp).tobytes() == (y + amp * s).tobytes()
 
-    @pytest.mark.parametrize("shape", [(8,), (6, 1)], ids=["long", "column"])
-    def test_dimension_mismatch_rejected(self, shape):
+    def test_training_untouched(self, peak_bytes):
+        # the test cell of a draw gains the target in a new p-vector; the draw,
+        # its training block and its test cell alike, is left as it was
+        p, n = 512, 64
+        w = SnapshotSampler(np.diag(np.linspace(1.0, 4.0, p))).draw(n + 1, seed=55)
+        before = w.copy()
+        s = steering_vector(SteeringSpec(0.1, 0.2, 8, 64))
+        assert peak_bytes(inject_target, w[:, n], s, 0.7) <= p * 16 + 1024
+        out = inject_target(w[:, n], s, 0.7)
+        assert out.shape == (p,) and not np.shares_memory(out, w)
+        assert w.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("y_shape,shape", [((6,), (8,)), ((6,), (6, 1)), ((6, 5), (6,))],
+                             ids=["long", "column", "snapshot-block"])
+    def test_dimension_mismatch_rejected(self, y_shape, shape):
         with pytest.raises(ValueError, match="steering dimension"):
-            inject_target(np.zeros((6, 5), dtype=complex), np.ones(shape), 1.0)
+            inject_target(np.zeros(y_shape, dtype=complex), np.ones(shape), 1.0)
 
     def test_snr_bookkeeping(self):
         sigma2, N, K = 0.7, 4, 8

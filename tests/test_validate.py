@@ -412,10 +412,11 @@ class TestEigenbasisEquivalence:
             amp = amplitude_for_snr(snr_db, scn.sigma2, scn.N, scn.K)
             hits = dict.fromkeys(pfa_list, 0)
             for t in range(plan.trials):
-                white = complex_normal(substream(plan.seed, t), scn.p, scn.n + 1)
-                snaps = inject_target(factor @ white, s, amp)
+                snaps = factor @ complex_normal(substream(plan.seed, t), scn.p, scn.n + 1)
+                y = inject_target(snaps[:, -1], s, amp)
                 for pfa in pfa_list:
-                    hits[pfa] += detect(snaps, s, DetectorConfig(rank=None, p_fa=pfa)).decision
+                    config = DetectorConfig(rank=None, p_fa=pfa)
+                    hits[pfa] += detect(snaps[:, :-1], y, s, config).decision
             want += [hits[pfa] for pfa in pfa_list]
         got = [round(float(row[2]) * plan.trials) for row in rows]
         assert got == want and 0 < sum(want) < len(want) * plan.trials
@@ -430,10 +431,11 @@ class TestEigenbasisEquivalence:
         s = steering_vector(plan.target)
         amp = 0.4
         config = DetectorConfig(rank=rank, p_fa=1e-2)
-        white = complex_normal(substream(12, stream), scn.p, scn.n + 1)
-        original = detect(inject_target(dense_colouring_factor(r) @ white, s, amp), s, config)
+        snaps = dense_colouring_factor(r) @ complex_normal(substream(12, stream), scn.p, scn.n + 1)
+        original = detect(snaps[:, :-1], inject_target(snaps[:, -1], s, amp), s, config)
         s_rot = sampler.to_eigenbasis(s)
-        rotated = detect(inject_target(sampler.draw(scn.n + 1, 12, stream), s_rot, amp), s_rot, config)
+        w = sampler.draw(scn.n + 1, 12, stream)
+        rotated = detect(w[:, :-1], inject_target(w[:, -1], s_rot, amp), s_rot, config)
         assert rotated.statistic == pytest.approx(original.statistic, rel=1e-9)
         assert rotated.raw_statistic == pytest.approx(original.raw_statistic, rel=1e-9)
         assert rotated.decision == original.decision
