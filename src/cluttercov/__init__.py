@@ -9,9 +9,7 @@ from .rmt import (
     MPLaw,
     RegimeWarning,
     eigh,
-    mp_cdf,
     mp_median,
-    mp_pdf,
     sample_covariance,
 )
 from .shrinkage import (
@@ -25,7 +23,6 @@ from .shrinkage import (
     f_map,
     g_map,
     shrink_spectrum,
-    shrink_whitened,
     stein_shrinker,
 )
 from .rcml import rcml_estimate
@@ -48,8 +45,6 @@ from .scenario import (
 )
 from .metrics import (
     DiagonalTruth,
-    ScnrReport,
-    TruthFactor,
     kantorovich_bound,
     mvdr_error_variance,
     normalized_scnr_batch,

@@ -140,6 +140,8 @@ def _validate_outputs(paths: list[Path]) -> None:
 def _cmd_estimate(args) -> int:
     scn = _scenario_from_args(args)
     seed = scn.seed if args.seed is None else args.seed
+    if args.rank is not None and args.estimator != "rcml":
+        raise ConfigError("--rank applies to --estimator rcml only")
     _check_rank(args.rank, scn.p)
     if scn.n < scn.p:
         raise ValueError("insufficient samples")
@@ -172,6 +174,8 @@ def _parse_list(text: str) -> tuple:
 
 
 def _check_pfa(values) -> None:
+    if not values:
+        raise ConfigError("--pfa needs at least one false-alarm rate")
     for pfa in values:
         if not 0.0 < pfa < 1.0:
             raise ConfigError(f"--pfa must lie in (0, 1), got {pfa!r}")

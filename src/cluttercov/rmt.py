@@ -1,8 +1,8 @@
 """Marchenko-Pastur law, sample covariance, and the Hermitian eigendecomposition contract.
 
 Everything downstream (shrinkage, clipping baseline, detector, metrics) is built
-on three primitives: the MP density, CDF and median at aspect ratio
-gamma = p/n, all in closed form (the median by Newton's method on the CDF),
+on three primitives: the MP CDF and median at aspect ratio gamma = p/n,
+both in closed form (the median by Newton's method on the CDF),
 the sample covariance of a p x n snapshot array (a Hermitian rank-n update,
 returned as a plain Hermitian p x p array), and a descending-order Hermitian
 eigendecomposition. The estimators need every eigenvalue but only the r
@@ -152,23 +152,18 @@ class EigenDecomposition:
         return self._leading.copy()
 
 
-def mp_pdf(x, law: MPLaw):
-    """Marchenko-Pastur density sqrt((b - x)(x - a)) / (2 pi gamma x) on [a, b].
-
-    Total function: returns 0 outside the support. Accepts scalars or arrays.
-    """
-    a, b, g = law.support_lo, law.support_hi, law.gamma
-    x = np.asarray(x, dtype=float)
-    inside = (x > a) & (x < b)
-    out = np.zeros_like(x)
-    xs = x[inside]
-    out[inside] = np.sqrt((b - xs) * (xs - a)) / (2.0 * np.pi * g * xs)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _mp_cdf_of_gamma(x: float, gamma: float) -> float:
+    """CDF of the MP law at aspect ratio gamma, in closed form.
+
+    With a, b the support edges, for a < x < b
+
+        F(x) = [sqrt((b - x)(x - a)) + (1 + gamma) asin((2x - a - b) / (b - a))
+                - (1 - gamma) asin(((a + b) x - 2ab) / (x (b - a))) + pi gamma]
+               / (2 pi gamma),
+
+    0 at or below a and 1 at or above b. Each asin is evaluated as an atan2
+    of the same angle, which keeps full accuracy next to the edges.
+    """
     a = (1.0 - math.sqrt(gamma)) ** 2
     b = (1.0 + math.sqrt(gamma)) ** 2
     if x <= a:
@@ -187,21 +182,6 @@ def _mp_cdf_of_gamma(x: float, gamma: float) -> float:
         + math.pi * gamma
     ) / (2.0 * math.pi * gamma)
     return min(max(val, 0.0), 1.0)
-
-
-def mp_cdf(x: float, law: MPLaw) -> float:
-    """CDF of the MP law in closed form.
-
-    With a, b the support edges, for a < x < b
-
-        F(x) = [sqrt((b - x)(x - a)) + (1 + gamma) asin((2x - a - b) / (b - a))
-                - (1 - gamma) asin(((a + b) x - 2ab) / (x (b - a))) + pi gamma]
-               / (2 pi gamma),
-
-    0 at or below a and 1 at or above b. Each asin is evaluated as an atan2
-    of the same angle, which keeps full accuracy next to the edges.
-    """
-    return _mp_cdf_of_gamma(float(x), law.gamma)
 
 
 @lru_cache(maxsize=256)

@@ -160,9 +160,8 @@ class CltParams:
         ell, g = self.ell, self.gamma
         if not ell > 1.0 + np.sqrt(g):
             raise ValueError("sub-critical spike")
-        beta = ell + g * ell / (ell - 1.0)
         alpha2 = 2.0 * ell**2 * (1.0 - g / (ell - 1.0) ** 2)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", g_map(ell, g))
         object.__setattr__(self, "alpha2", alpha2)
         object.__setattr__(self, "eta_of_beta", stein_shrinker(ell, g))
         object.__setattr__(self, "eta_prime", _stein_prime(ell, g) / _g_prime(ell, g))
@@ -226,13 +225,6 @@ def stein_shrinker(ell: float, gamma: float) -> float:
         raise ValueError("inside bulk")
     c2 = cosine2(ell, gamma)
     return ell / (c2 + (1.0 - c2) * ell)
-
-
-def shrink_whitened(lam: float, gamma: float) -> float:
-    """Whitened shrinkage map: stein_shrinker(f_map(lam)) above the bulk edge, 1 below."""
-    if lam > (1.0 + np.sqrt(gamma)) ** 2:
-        return stein_shrinker(f_map(lam, gamma), gamma)
-    return 1.0
 
 
 def _g_prime(ell: float, gamma: float) -> float:
@@ -323,13 +315,3 @@ def clt_params(ell: float, gamma: float) -> CltParams:
     """Central-limit parameters for one super-critical population spike."""
     return CltParams(ell=float(ell), gamma=float(gamma))
 
-
-def eta_prime_fd(ell: float, gamma: float, rel_step: float = 1e-6) -> float:
-    """Finite-difference check of the analytic shrinker slope at beta = g_map(ell).
-
-    Central difference of shrink_whitened at beta with relative step
-    rel_step; agrees with the analytic chain-rule value to ~1e-6 relative.
-    """
-    beta = g_map(ell, gamma)
-    h = rel_step * beta
-    return (shrink_whitened(beta + h, gamma) - shrink_whitened(beta - h, gamma)) / (2.0 * h)

@@ -15,13 +15,13 @@ the largest of its steps, not their sum.
 
 The sweeps run every trial in the eigenbasis V of the scene's R: the
 sampler draws there in O(pn), one p x n array scaled in place, the metrics
-score against lam through a ``DiagonalTruth`` (no p x p truth is alive
-during the trials), and each steering vector enters once per sweep as
-V^H s. Both estimators keep the sample eigenvectors and every metric is
-invariant under that common rotation, so the rows equal those of the
-original frame up to roundoff. ``verify_clt`` draws with a diagonal truth
-directly, and the detection probability ``theoretical_pd`` works in the
-original frame.
+score each spiked estimate against lam through a ``DiagonalTruth`` (no
+p x p truth is alive during the trials), and each steering vector enters
+once per sweep as V^H s. Both estimators keep the sample eigenvectors and
+every metric is invariant under that common rotation, so the rows equal
+those of the original frame up to roundoff. ``verify_clt`` draws with a
+diagonal truth directly, and the detection probability ``theoretical_pd``
+works in the original frame.
 """
 
 from __future__ import annotations
@@ -296,8 +296,7 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
             ests = _estimate_both(
                 rmt.eigh(rmt.sample_covariance(sampler.draw(n, plan.seed, stream=t))), ratio
             )
-            bound = kantorovich_bound(spiked, ests["shrinkage"], ratio.gamma)
-            trial = {"scnr_bound": bound.lower_bound}
+            trial = {"scnr_bound": kantorovich_bound(spiked, ests["shrinkage"], ratio.gamma)}
             for name, est in ests.items():
                 trial[f"mvdr_ratio_{name}"] = mvdr_error_variance(est, s_target) / mvdr_truth
                 trial[f"stein_loss_{name}"] = stein_loss(truth, est)
@@ -321,18 +320,18 @@ def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
     rows = []
     for snr_db in snr_grid:
         amp = amplitude_for_snr(float(snr_db), scn.sigma2, scn.N, scn.K)
-        hits = {pfa: 0 for pfa in pfa_list}
+        hits = [0] * len(pfa_list)  # by position: a rate listed twice is two rows
         for t in range(plan.trials):
             # the training block and the test cell are views of one draw
             w = sampler.draw(scn.n + 1, plan.seed, stream=t)
             y = inject_target(w[:, scn.n], s_target, amp)
-            for pfa in pfa_list:
+            for i, pfa in enumerate(pfa_list):
                 report = detect(w[:, : scn.n], y, s_target, DetectorConfig(rank=rank, p_fa=pfa))
-                hits[pfa] += int(report.decision)
+                hits[i] += int(report.decision)
             del w, y  # so two draws are never alive at once
-        for pfa in pfa_list:
+        for pfa, hit in zip(pfa_list, hits):
             pd_theory = theoretical_pd(spiked, target, amp, pfa, ratio_gamma, eigvecs)
-            emp = hits[pfa] / plan.trials if plan.trials else float("nan")
+            emp = hit / plan.trials if plan.trials else float("nan")
             rows.append([float(snr_db), float(pfa), emp, pd_theory, plan.trials])
     return _rows_to_csv(DETECTION_HEADER, rows)
 
@@ -360,7 +359,8 @@ def sweep(
     every row of a Doppler or angle sweep carries the same bound, MVDR and
     Stein columns, and the Monte Carlo work scales with the distinct training
     sizes times the trials. Every axis but "n" needs its grid ``values``, and
-    the "snr" axis its false-alarm rates ``pfa_list``.
+    the "snr" axis a nonempty ``pfa_list`` of false-alarm rates, one row per
+    entry at each SNR (a rate listed twice gives two equal rows).
 
     Besides the sampler's basis, its eigenvalues and the rotated steering
     vectors, held for the whole sweep, a trial's working set peaks at its
@@ -386,7 +386,7 @@ def sweep(
         if scn.n < scn.p:
             raise ValueError("insufficient samples")  # no multiple of p fits in n
         values = [k * scn.p for k in range(1, max(2, scn.n // scn.p) + 1) if k * scn.p <= scn.n]
-    if axis == "snr" and pfa_list is None:
+    if axis == "snr" and (pfa_list is None or len(pfa_list) == 0):
         raise ValueError("the snr axis needs its false-alarm rates")
     truth = synthesize_clutter_covariance(scn)
     spiked = truth_spiked_model(scn, truth)

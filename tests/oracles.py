@@ -1,0 +1,73 @@
+"""Independent reference implementations that only the tests need.
+
+Each is the direct, unoptimized form of something the package computes
+another way: the Marchenko-Pastur density (the package has only its closed
+CDF), the whitened shrinkage map and its finite-difference slope (the
+package has the analytic slope), and a dense true covariance read through
+solves (the package scores against R's eigenvalues only).
+"""
+
+import numpy as np
+
+from cluttercov import f_map, g_map, stein_shrinker
+
+
+def mp_pdf(x, law):
+    """Marchenko-Pastur density sqrt((b - x)(x - a)) / (2 pi gamma x) on [a, b].
+
+    Total function: returns 0 outside the support. Accepts scalars or arrays.
+    """
+    a, b, g = law.support_lo, law.support_hi, law.gamma
+    x = np.asarray(x, dtype=float)
+    inside = (x > a) & (x < b)
+    out = np.zeros_like(x)
+    xs = x[inside]
+    out[inside] = np.sqrt((b - xs) * (xs - a)) / (2.0 * np.pi * g * xs)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def shrink_whitened(lam, gamma):
+    """Whitened shrinkage map: stein_shrinker(f_map(lam)) above the bulk edge, 1 below."""
+    if lam > (1.0 + np.sqrt(gamma)) ** 2:
+        return stein_shrinker(f_map(lam, gamma), gamma)
+    return 1.0
+
+
+def eta_prime_fd(ell, gamma, rel_step=1e-6):
+    """Slope of ``shrink_whitened`` at beta = g_map(ell), by central difference.
+
+    The relative step is ``rel_step``; it agrees with the analytic chain-rule
+    value to ~1e-6 relative.
+    """
+    beta = g_map(ell, gamma)
+    h = rel_step * beta
+    return (shrink_whitened(beta + h, gamma) - shrink_whitened(beta - h, gamma)) / (2.0 * h)
+
+
+class DenseTruth:
+    """A dense true covariance R, read by the metrics as they read a ``DiagonalTruth``.
+
+    Every attribute comes from a direct solve or determinant of the p x p
+    array: y^H R^{-1} y by ``np.linalg.solve``, tr(R^{-1}) from the inverse
+    and log det R by ``slogdet``. It checks nothing, so a metric's own
+    checks see an indefinite R as it is.
+    """
+
+    def __init__(self, r):
+        self.matrix = np.asarray(r)
+        self.trace_inv = float(np.real(np.trace(np.linalg.inv(self.matrix))))
+        self.logdet = float(np.linalg.slogdet(self.matrix)[1])
+
+    @property
+    def p(self):
+        return self.matrix.shape[0]
+
+    def quad_inv(self, y):
+        """y^H R^{-1} y for a p-vector or each column of a p x m matrix."""
+        return np.real(np.sum(np.conj(y) * np.linalg.solve(self.matrix, y), axis=0))
+
+    def apply(self, w):
+        """R w for a p-vector or the columns of a p x m matrix."""
+        return self.matrix @ w

@@ -311,8 +311,11 @@ class TestExitCodes:
             ["detect", "--pfa", "2"],
             ["detect", "--pfa", "0"],
             ["sweep", "--axis", "snr", "--trials", "1", "--pfa", "2"],
+            ["sweep", "--axis", "snr", "--trials", "1", "--pfa", ","],
             ["estimate", "--estimator", "rcml", "--rank", "16"],
             ["estimate", "--estimator", "rcml", "--rank", "-1"],
+            ["estimate", "--estimator", "shrinkage", "--rank", "2"],
+            ["estimate", "--rank", "2"],
             ["sweep", "--axis", "angle", "--trials", "1", "--angle-grid", "-3"],
             ["sweep", "--axis", "doppler", "--trials", "1", "--doppler-grid", "0"],
             ["detect", "--doppler", "0.7"],
@@ -321,8 +324,9 @@ class TestExitCodes:
             ["detect", "--seed", "-1"],
             ["sweep", "--axis", "n", "--trials", "1", "--seed", "-1"],
         ],
-        ids=["sweep-trials", "detect-pfa-2", "detect-pfa-0", "sweep-pfa", "rcml-rank-p",
-             "rcml-rank-negative", "angle-grid", "doppler-grid", "detect-doppler",
+        ids=["sweep-trials", "detect-pfa-2", "detect-pfa-0", "sweep-pfa", "sweep-pfa-empty",
+             "rcml-rank-p", "rcml-rank-negative", "shrinkage-rank", "default-estimator-rank",
+             "angle-grid", "doppler-grid", "detect-doppler",
              "sweep-doppler", "estimate-seed", "detect-seed", "sweep-seed"],
     )
     def test_flag_out_of_range_is_config_error(self, tmp_path, argv):
@@ -332,6 +336,11 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([*argv, "--config", str(path), "--out-dir", str(out)]) == 2
         assert not out.exists()
+
+    def test_rank_names_the_estimator_it_applies_to(self, tmp_path, capsys):
+        argv = ["estimate", "--rank", "2", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "--rank applies to --estimator rcml" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",

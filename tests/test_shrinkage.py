@@ -19,12 +19,11 @@ from cluttercov import (
     MPLaw,
     sample_covariance,
     shrink_spectrum,
-    shrink_whitened,
     stein_shrinker,
 )
 from cluttercov.rcml import rcml_estimate
-from cluttercov.shrinkage import eta_prime_fd
 from cluttercov.rng import substream
+from oracles import eta_prime_fd, shrink_whitened
 
 
 def spiked_snapshots(model: SpikedModel, n: int, rng) -> np.ndarray:

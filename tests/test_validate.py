@@ -17,7 +17,6 @@ from cluttercov import (
     SpikedModel,
     SteeringSpec,
     TrialPlan,
-    TruthFactor,
     amplitude_for_snr,
     clt_params,
     detect,
@@ -30,7 +29,6 @@ from cluttercov import (
     rcml_estimate,
     sample_covariance,
     shrink_spectrum,
-    shrink_whitened,
     steering_vector,
     stein_loss,
     sweep,
@@ -46,6 +44,7 @@ from cluttercov.validate import (
     DOPPLER_MARGIN_GRID,
     SWEEP_HEADER,
 )
+from oracles import DenseTruth, shrink_whitened
 
 
 def lawley_location(ells, i, p, n):
@@ -298,6 +297,16 @@ class TestSweep:
             assert 0.0 <= emp <= 1.0
             assert 0.0 <= theo <= 1.0
 
+    def test_repeated_false_alarm_rate_counts_each_row_once(self):
+        # a rate listed twice gives two rows, each equal to the single-rate row
+        spiked = SpikedModel(p=16, sigma2=1.0, spikes=np.array([6.0, 3.0]))
+        cfg = ScenarioConfig(N=2, K=8, n=64, sigma2=1.0, clutter=spiked, seed=3, name="p16")
+        plan = plan_for(cfg, trials=20, seed=8)
+        _, single = parse_csv(sweep(plan, "snr", values=[20.0], pfa_list=(1e-1,)))
+        _, twice = parse_csv(sweep(plan, "snr", values=[20.0], pfa_list=(1e-1, 1e-1)))
+        assert twice == single * 2
+        assert 0.0 < float(single[0][2]) <= 1.0
+
     @pytest.mark.parametrize("axis", ["doppler", "angle"])
     @pytest.mark.parametrize("values", [[], [0.2], [-0.3, 0.0, 0.3]])
     def test_rows_share_each_trial_estimate(self, monkeypatch, axis, values):
@@ -326,9 +335,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="grid values"):
             sweep(plan_for(small_scene(), trials=1), axis)
 
-    def test_snr_axis_needs_false_alarm_rates(self):
+    @pytest.mark.parametrize("pfa_list", [None, ()], ids=["none", "empty"])
+    def test_snr_axis_needs_false_alarm_rates(self, pfa_list):
         with pytest.raises(ValueError, match="false-alarm rates"):
-            sweep(plan_for(small_scene(), trials=1), "snr", values=[0.0])
+            sweep(plan_for(small_scene(), trials=1), "snr", values=[0.0], pfa_list=pfa_list)
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
@@ -346,14 +356,15 @@ def original_frame_rows(plan, axis, values):
     """The averaged sweep columns, computed in the scene's own frame.
 
     Each trial colours its white draw with the dense factor V diag(sqrt(lam)),
-    every metric scores against R itself and the steering vectors enter
-    unrotated: the pipeline the eigenbasis sweep must reproduce.
+    every metric scores against R itself, read through dense solves, and
+    the steering vectors enter unrotated: the pipeline the eigenbasis sweep
+    must reproduce.
     """
     scn = plan.scenario
     r = synthesize_clutter_covariance(scn)
     spiked = truth_spiked_model(scn, r)
     factor = dense_colouring_factor(r)
-    truth = TruthFactor(r)
+    truth = DenseTruth(r)
     s = steering_vector(plan.target)
     mvdr_truth = mvdr_error_variance(truth, s)
     rows = []
@@ -374,7 +385,7 @@ def original_frame_rows(plan, axis, values):
             total += [
                 np.mean(normalized_scnr_batch(shrunk, truth, s_mat)),
                 np.mean(normalized_scnr_batch(clipped, truth, s_mat)),
-                kantorovich_bound(spiked, shrunk, ratio.gamma).lower_bound,
+                kantorovich_bound(spiked, shrunk, ratio.gamma),
                 mvdr_error_variance(shrunk, s) / mvdr_truth,
                 mvdr_error_variance(clipped, s) / mvdr_truth,
                 stein_loss(truth, shrunk),
