@@ -186,16 +186,42 @@ def _check_rank(rank: int | None, p: int) -> None:
         raise ConfigError(f"--rank must satisfy 0 <= rank < p = {p}, got {rank}")
 
 
+# sweep flags that one axis alone reads: flag -> (that axis, its default)
+_SWEEP_AXIS_FLAGS = {
+    "--doppler-grid": ("doppler", 16),
+    "--angle-grid": ("angle", 16),
+    "--pfa": ("snr", "1e-2"),
+    "--snr-lo": ("snr", -10.0),
+    "--snr-hi": ("snr", 30.0),
+    "--snr-step": ("snr", 4.0),
+    "--rank": ("snr", None),
+}
+
+
+def _apply_axis_flags(args) -> None:
+    """Default the flags of the chosen axis; a flag given for another axis is a config error."""
+    for flag, (axis, default) in _SWEEP_AXIS_FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if args.axis == axis:
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+        elif getattr(args, dest) is not None:
+            raise ConfigError(f"{flag} applies to --axis {axis} only")
+
+
 def _cmd_sweep(args) -> int:
+    _apply_axis_flags(args)
     scn = _scenario_from_args(args)
     seed = scn.seed if args.seed is None else args.seed
     if args.trials < 0:
         raise ConfigError(f"--trials must be nonnegative, got {args.trials}")
-    for flag, rows in (("--doppler-grid", args.doppler_grid), ("--angle-grid", args.angle_grid)):
+    if args.axis in ("doppler", "angle"):
+        rows = getattr(args, f"{args.axis}_grid")
         if rows < 1:
-            raise ConfigError(f"{flag} must be positive, got {rows}")
-    pfa_list = _parse_list(args.pfa)
+            raise ConfigError(f"--{args.axis}-grid must be positive, got {rows}")
+    pfa_list = None
     if args.axis == "snr":
+        pfa_list = _parse_list(args.pfa)
         _check_pfa(pfa_list)
         _check_rank(args.rank, scn.p)
     plan = validate.TrialPlan(
@@ -331,13 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--axis", choices=["n", "doppler", "angle", "snr"], required=True)
     sp.add_argument("--trials", type=int, default=validate.DEFAULT_TRIALS)
-    sp.add_argument("--doppler-grid", type=int, default=16, help="rows for a Doppler sweep")
-    sp.add_argument("--angle-grid", type=int, default=16, help="rows for an angle sweep")
-    sp.add_argument("--pfa", default="1e-2", help="comma-separated false-alarm rates (snr axis)")
-    sp.add_argument("--snr-lo", type=float, default=-10.0)
-    sp.add_argument("--snr-hi", type=float, default=30.0)
-    sp.add_argument("--snr-step", type=float, default=4.0)
-    sp.add_argument("--rank", type=int, default=None, help="projection rank (snr axis)")
+    # each flag below is read by one axis, and given for another is a
+    # configuration error; its default (_SWEEP_AXIS_FLAGS) applies there only
+    sp.add_argument("--doppler-grid", type=int, help="rows of the doppler axis (default 16)")
+    sp.add_argument("--angle-grid", type=int, help="rows of the angle axis (default 16)")
+    sp.add_argument("--pfa", help="comma-separated false-alarm rates (snr axis; default 1e-2)")
+    sp.add_argument("--snr-lo", type=float, help="lowest SNR in dB (snr axis; default -10)")
+    sp.add_argument("--snr-hi", type=float, help="highest SNR in dB (snr axis; default 30)")
+    sp.add_argument("--snr-step", type=float, help="SNR step in dB (snr axis; default 4)")
+    sp.add_argument("--rank", type=int, help="projection rank (snr axis; default: estimated)")
     sp.add_argument("--doppler", type=float, default=0.2, help="target Doppler")
     sp.add_argument("--angle-deg", type=float, default=30.0, help="target angle, degrees")
     sp.set_defaults(func=_cmd_sweep)

@@ -33,7 +33,7 @@ class ModelOrderWarning(UserWarning):
 
 
 SPIKE_FRACTION_BUDGET = 0.1  # max clutter rank as a fraction of dimension
-_MIRROR_BLOCK = 64  # rows per step of the SCM mirror and of eigh's symmetrize-and-check pass
+_MIRROR_BLOCK = 64  # tile side of the SCM mirror and of the symmetrize-and-check pass
 _MEDIAN_MAX_STEPS = 100  # cap on Newton steps for the MP median, which takes under ten
 
 
@@ -266,30 +266,48 @@ def sample_covariance(data: np.ndarray) -> np.ndarray:
     return scm
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """(m + m^H) / 2 as a new C-ordered array, after the checks ``eigh`` states.
+def symmetrized(m: np.ndarray) -> np.ndarray:
+    """(m + m^H) / 2 of a square array as a new C-ordered array, after the checks ``eigh`` states.
 
-    Built ``_MIRROR_BLOCK`` rows at a time; besides the result, the only
-    scratch is one block of rows.
+    Complex input stays complex and any other input becomes float, so a
+    real matrix keeps a real result. The pass runs over pairs of
+    ``_MIRROR_BLOCK`` square tiles, (I, J) and its mirror (J, I): each pair
+    is checked finite before any arithmetic on it but |.|, and both result
+    tiles are formed while the pair is in cache. Besides the result, the
+    only scratch is two tiles, one of the result's dtype and one real.
+    Every entry is the same expression, so the result is bitwise
+    (m + m^H) / 2.
     """
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     p = m.shape[0]
-    # all rows first: no arithmetic below sees a non-finite entry, and no
-    # maximum drops a NaN
-    for i in range(0, p, _MIRROR_BLOCK):
-        if not np.isfinite(m[i : i + _MIRROR_BLOCK]).all():
-            raise ValueError("invalid matrix")
     packed = np.empty((p, p), dtype=m.dtype)
-    scratch = np.empty((min(_MIRROR_BLOCK, p), p), dtype=m.dtype)
+    side = min(_MIRROR_BLOCK, p)
+    diff_tile, abs_tile = np.empty((side, side), dtype=m.dtype), np.empty((side, side))
     scale, skew = 1.0, 0.0
     for i in range(0, p, _MIRROR_BLOCK):
-        j = min(i + _MIRROR_BLOCK, p)
-        rows, sym, tmp = m[i:j], packed[i:j], scratch[: j - i]
-        np.conjugate(m[:, i:j].T, out=sym)  # rows i:j of m^H
-        # each |.| lands in the real parts of the scratch block, not in a new array
-        scale = max(scale, np.abs(rows, out=tmp).real.max())
-        skew = max(skew, np.abs(np.subtract(rows, sym, out=tmp), out=tmp).real.max())
-        sym += rows
-        sym /= 2.0
+        rows = slice(i, min(i + _MIRROR_BLOCK, p))
+        for k in range(i, p, _MIRROR_BLOCK):
+            cols = slice(k, min(k + _MIRROR_BLOCK, p))
+            upper, lower = m[rows, cols], m[cols, rows]
+            h, w = upper.shape
+            diff, mag = diff_tile[:h, :w], abs_tile[:h, :w]
+            # |.| of a NaN or infinite entry is NaN or infinite, and both
+            # maxima carry it to this check
+            big = np.maximum(np.abs(upper, out=mag).max(), np.abs(lower, out=mag.T).max())
+            if not np.isfinite(big):
+                raise ValueError("invalid matrix")
+            scale = max(scale, big)
+            # |lower - upper^H| is the transpose of |upper - lower^H|: one bound covers both
+            sym = packed[rows, cols]
+            np.conjugate(lower.T, out=sym)
+            skew = max(skew, np.abs(np.subtract(upper, sym, out=diff), out=mag).max())
+            sym += upper
+            sym /= 2.0
+            if k != i:
+                sym = packed[cols, rows]
+                np.conjugate(upper.T, out=sym)
+                sym += lower
+                sym /= 2.0
     if skew > 1e-10 * scale:
         raise ValueError("invalid matrix")
     return packed
@@ -306,10 +324,9 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
 
     A non-finite entry, or a skew max |A - A^H| above 1e-10 max(max |A|, 1),
     raises ValueError("invalid matrix"). The checks and the symmetrized copy
-    run ``_MIRROR_BLOCK`` rows at a time, so besides the input the working
-    set is that one p x p copy plus one ``_MIRROR_BLOCK`` x p block of
-    scratch (or the reduction's workspace, which is smaller), never a
-    full-size temporary.
+    run over pairs of ``_MIRROR_BLOCK`` square tiles (``symmetrized``), so
+    besides the input the working set is that one p x p copy plus two tiles
+    of scratch, or the reduction's workspace, never a full-size temporary.
 
     The reduction runs in place on the Fortran view of the symmetrized
     matrix, which is its transpose conj(A). It leaves the tridiagonal and the
@@ -319,8 +336,7 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError("invalid matrix")
-    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
-    packed = _symmetrized(m)
+    packed = symmetrized(m)
     p = packed.shape[0]
     if np.iscomplexobj(packed):
         reduce, lwork = lapack.zhetrd, lapack.zhetrd_lwork(p, lower=1)[0].real

@@ -17,7 +17,9 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
-def complex_normal(rng: np.random.Generator, p: int, n: int) -> np.ndarray:
+def complex_normal(
+    rng: np.random.Generator, p: int, n: int, row_scale: np.ndarray | None = None
+) -> np.ndarray:
     """p x n circular complex Gaussian draws of unit variance, column-major, built in place.
 
     The real parts take the first p x n standard normals of ``rng`` and the
@@ -28,15 +30,35 @@ def complex_normal(rng: np.random.Generator, p: int, n: int) -> np.ndarray:
     training block ``w[:, :n]`` or a test cell ``w[:, n]`` is a view that
     BLAS reads without a copy. Both parts are filled a block of rows at a
     time from one reused scratch block of about 128 Ki floats (one row when
-    n is larger), and the division runs in place. So the working set is the
-    p x n complex output plus that block, not the output plus a p x n float
-    draw.
+    n is larger). So the working set is the p x n complex output plus that
+    block, not the output plus a p x n float draw.
+
+    Given the p-vector ``row_scale``, row i is multiplied by
+    ``row_scale[i]``, bitwise as ``complex_normal(rng, p, n) *
+    row_scale[:, None]``. Both scalings run on each scratch block while it
+    is in cache, not as passes over the output, and reproduce numpy's
+    complex arithmetic: the complex / real division by sqrt(2) multiplies
+    each part by the rounded 1 / sqrt(2), and the complex * real product by
+    s scales each part by s unless s = 0, where it gives a * 0 - b * 0 and
+    a * 0 + b * 0, to which the rows of zero scale are rebuilt. The
+    division alone would turn an exact -0.0 normal, which the generator
+    draws with probability about 2^-53, into +0.0 beside some signs of the
+    other part; that sign of zero is not reproduced.
     """
     w = np.empty((p, n), dtype=complex, order="F")
     rows = max(1, min(_FILL_CHUNK // max(n, 1), p))
     block = np.empty((rows, n))
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for part in (w.real, w.imag):
         for i in range(0, p, rows):
             j = min(i + rows, p)
-            part[i:j] = rng.standard_normal(out=block[: j - i])
-    return np.divide(w, np.sqrt(2.0), out=w)
+            draw = rng.standard_normal(out=block[: j - i])
+            draw *= inv_sqrt2
+            if row_scale is not None:
+                draw *= row_scale[i:j, None]
+            part[i:j] = draw
+    if row_scale is not None:
+        zero = np.flatnonzero(row_scale == 0)
+        re, im = w.real[zero], w.imag[zero]
+        w.real[zero], w.imag[zero] = re - im, re + im
+    return w

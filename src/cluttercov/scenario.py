@@ -38,9 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rmt import SPIKE_FRACTION_BUDGET, ModelOrderWarning, eigh
+from .rmt import SPIKE_FRACTION_BUDGET, ModelOrderWarning, eigh, symmetrized
 from .rng import complex_normal, substream
 from .shrinkage import SpikedModel
+
+_SYNTHESIS_ROWS = 64  # rows per step of the covariance synthesis
 
 
 @dataclass(frozen=True)
@@ -206,14 +208,25 @@ def synthesize_clutter_covariance(config: ScenarioConfig) -> np.ndarray:
     0.1 * p, in which case the scene is no longer spiked in the modeled sense.
     Raises ``SceneOverflowError``, a ValueError, when R has an entry past the
     float range, as clutter of finite but huge amplitudes can give.
+
+    R is bitwise (R_c + R_c^H) / 2 + sigma2 * I, with R_c the sum of the
+    |a|^2 v v^H in scatterer order, H H^H, or U diag(spikes - sigma2) U^H.
+    Every Monte Carlo output rests on those bits: the sampler's basis of the
+    degenerate noise floor is whatever LAPACK returns for them, and a change
+    of R at roundoff (7e-16 relative, from one product in place of the sum
+    of 25 scatterers) moves the noise-floor coordinates of V^H s by more
+    than their size. So the sum and the symmetrization are formed
+    ``_SYNTHESIS_ROWS`` rows at a time, entry for entry the same
+    expressions, and besides R_c and R the working set is a few such row
+    blocks (and, for Toeplitz clutter, the p x pulse_len response).
     """
     p = config.p
-    r_c = np.zeros((p, p), dtype=complex)
-    clutter_rank = 0
     clutter = config.clutter
+    clutter_rank = 0
+    row_blocks = [slice(i, min(i + _SYNTHESIS_ROWS, p)) for i in range(0, p, _SYNTHESIS_ROWS)]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         if clutter is None:
-            pass
+            r_c = np.zeros((p, p), dtype=complex)
         elif isinstance(clutter, SpikedModel):
             if clutter.p != p or clutter.sigma2 != config.sigma2:
                 raise ValueError("spiked shortcut must match scene dimension and noise power")
@@ -225,16 +238,29 @@ def synthesize_clutter_covariance(config: ScenarioConfig) -> np.ndarray:
             r_c = (u * excess) @ u.conj().T
             clutter_rank = clutter.r
         elif isinstance(clutter, ScattererClutter):
+            r_c = np.zeros((p, p), dtype=complex)
+            term = np.empty((min(_SYNTHESIS_ROWS, p), p), dtype=complex)
             for sc in clutter.scatterers:
                 v = steering_vector(SteeringSpec(sc.theta, sc.doppler, config.N, config.K))
-                r_c += (abs(sc.amplitude) ** 2) * np.outer(v, v.conj())
+                power, v_conj = abs(sc.amplitude) ** 2, v.conj()
+                for rows in row_blocks:
+                    # rows of |a|^2 v v^H: the entries of np.outer(v, v.conj()), scaled
+                    block = np.multiply(v[rows, None], v_conj, out=term[: rows.stop - rows.start])
+                    block *= power
+                    r_c[rows] += block
+            del term
             clutter_rank = clutter.rank
         elif isinstance(clutter, ToeplitzClutter):
             h_mat = _toeplitz_response(clutter.taps, p, clutter.pulse_len)
             r_c = h_mat @ h_mat.conj().T
+            del h_mat
         else:
             raise TypeError(f"unsupported clutter description: {type(clutter).__name__}")
-        covariance = (r_c + r_c.conj().T) / 2.0 + config.sigma2 * np.eye(p)
+        covariance = np.empty((p, p), dtype=complex)
+        for rows in row_blocks:
+            block = np.add(r_c[rows], r_c[:, rows].conj().T, out=covariance[rows])
+            block /= 2.0
+            block += config.sigma2 * np.eye(rows.stop - rows.start, p, k=rows.start)
     if not np.all(np.isfinite(covariance)):
         raise SceneOverflowError(
             f"scene {config.name!r}: the clutter covariance overflows the float range"
@@ -284,6 +310,12 @@ class SnapshotSampler:
     back, and ``to_eigenbasis`` takes a vector into the frame of the draws,
     in which R is diag(eigenvalues). Each draw uses an independent,
     order-insensitive substream of the seed.
+
+    V is the sampler's one p x p array, and draws never read it. It lives
+    until ``release_basis``: a Monte Carlo sweep rotates every vector it
+    scores with ``to_eigenbasis`` and then releases V, so its trials hold
+    p-vectors of the sampler only. ``estimate`` keeps V to rotate its
+    estimate back.
     """
 
     def __init__(self, covariance: np.ndarray):
@@ -295,34 +327,41 @@ class SnapshotSampler:
         self.eigenvalues = lam
         # eigenvalues below numerical-rank dust are exact zeros of the model
         self.root = np.sqrt(np.where(lam > 1e-13 * max(lam.max(), 0.0), lam, 0.0))
-        # LAPACK's basis fixes every recorded draw; a ``leading(p)`` basis
-        # differs from it on the degenerate noise floor
-        self.basis = np.linalg.eigh((covariance + covariance.conj().T) / 2.0)[1][:, ::-1]
+        # LAPACK's basis of the bits of (R + R^H) / 2 fixes every recorded
+        # draw; a ``leading(p)`` basis differs from it on the degenerate
+        # noise floor. ``symmetrized`` forms those bits in one pass.
+        self.basis = np.linalg.eigh(symmetrized(covariance))[1][:, ::-1]
         self.p = covariance.shape[0]
 
     def draw(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
-        """p x n circular complex Gaussian snapshots of covariance diag(lam), scaled in place.
+        """p x n circular complex Gaussian snapshots of covariance diag(lam), scaled as drawn.
 
         These are the snapshots of R expressed in ``basis``. Real and
-        imaginary parts each carry half the variance. The array is
-        column-major, as ``complex_normal`` builds it, so ``draw(n + 1)``
-        splits into the training block ``[:, :n]`` and the test cell
-        ``[:, n]`` as contiguous views, neither of them a copy. Identical
-        (covariance, n, seed, stream) always reproduces the same array.
+        imaginary parts each carry half the variance. ``complex_normal``
+        scales each block of rows by ``root`` as it fills the array, which
+        is column-major, so ``draw(n + 1)`` splits into the training block
+        ``[:, :n]`` and the test cell ``[:, n]`` as contiguous views,
+        neither of them a copy. Identical (covariance, n, seed, stream)
+        always reproduces the same array.
         """
         if n < 1:
             raise ValueError("n must be positive")
-        z = complex_normal(substream(seed, stream), self.p, n)
-        z *= self.root[:, None]
-        return z
+        return complex_normal(substream(seed, stream), self.p, n, self.root)
 
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """V^H x for a p-vector or the columns of a p x m matrix.
 
-        Computed as (x^H V)^H, so no conjugate copy of the p x p basis is made.
+        Computed as (x^H V)^H, so no conjugate copy of the p x p basis is
+        made. Raises RuntimeError once the basis is released.
         """
+        if self.basis is None:
+            raise RuntimeError("the sampler's basis was released")
         x = np.asarray(x)
         return (x.conj().T @ self.basis).conj().T
+
+    def release_basis(self) -> None:
+        """Drop V. Draws go on as before; ``to_eigenbasis`` raises from here on."""
+        self.basis = None
 
 
 def inject_target(y: np.ndarray, steering: np.ndarray, amplitude: complex) -> np.ndarray:

@@ -11,17 +11,20 @@ Each array of a trial lives only while a step still needs it: the snapshots
 until their sample covariance is formed, the sample covariance until
 ``rmt.eigh`` has copied it, and nothing of one trial but its few scalars
 and p x r estimate vectors into the next draw. So a trial's working set is
-the largest of its steps, not their sum.
+the largest of its steps, not their sum. Around the trials a sweep holds
+vectors only: R is dropped once the sampler and the spiked truth are
+built, and the sampler's p x p basis V once every steering vector the
+sweep scores is rotated into it, before the first draw.
 
 The sweeps run every trial in the eigenbasis V of the scene's R: the
-sampler draws there in O(pn), one p x n array scaled in place, the metrics
-score each spiked estimate against lam through a ``DiagonalTruth`` (no
-p x p truth is alive during the trials), and each steering vector enters
-once per sweep as V^H s. Both estimators keep the sample eigenvectors and
-every metric is invariant under that common rotation, so the rows equal
-those of the original frame up to roundoff. ``verify_clt`` draws with a
-diagonal truth directly, and the detection probability ``theoretical_pd``
-works in the original frame.
+sampler draws there in O(pn), one p x n array scaled as it is filled, the
+metrics score each spiked estimate against lam through a ``DiagonalTruth``
+(no p x p truth is alive during the trials), and each steering vector
+enters once per sweep as V^H s. Both estimators keep the sample
+eigenvectors and every metric is invariant under that common rotation, so
+the rows equal those of the original frame up to roundoff. ``verify_clt``
+draws with a diagonal truth directly, and the detection probability
+``theoretical_pd`` works in the original frame.
 """
 
 from __future__ import annotations
@@ -176,7 +179,7 @@ def verify_clt(
 
     A trial's working set is p x n + p x p entries: the snapshots and their
     sample covariance. The snapshots are dropped once that is formed, so
-    ``rmt.eigh`` holds only it, its symmetrized copy and block-sized scratch.
+    ``rmt.eigh`` holds only it, its symmetrized copy and tile-sized scratch.
 
     The centring is asymptotic. At moderate p the sample spike eigenvalue
     still carries an O(1/n) location term (Lawley's expansion), so the
@@ -206,8 +209,12 @@ def verify_clt(
     shrunk = np.empty((trials, model.r))
     for t in range(trials):
         rng = substream(seed, t)
-        w = rng.standard_normal((p, n)) if ensemble == "real" else complex_normal(rng, p, n)
-        w *= root[:, None]  # diagonal truth: the eigenvalue law is basis-free
+        # diagonal truth: the eigenvalue law is basis-free
+        if ensemble == "real":
+            w = rng.standard_normal((p, n))
+            w *= root[:, None]
+        else:
+            w = complex_normal(rng, p, n, root)
         scm = rmt.sample_covariance(w)
         del w  # the snapshots are done once the SCM is formed
         est = shrink_spectrum(rmt.eigh(scm), ratio)
@@ -264,31 +271,31 @@ def _rows_to_csv(header: list[str], rows: list[list]) -> str:
 
 def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> str:
     scn = plan.scenario
-    target = plan.target
-    if axis == "n":
-        cases = [(v, int(v), [target]) for v in values]
-    elif axis == "doppler":
-        cases = [
-            (v, scn.n, [SteeringSpec(th, float(v), scn.N, scn.K) for th in ANGLE_MARGIN_GRID])
-            for v in values
-        ]
-    else:  # angle
-        cases = [
-            (v, scn.n, [SteeringSpec(float(v), fd, scn.N, scn.K) for fd in DOPPLER_MARGIN_GRID])
-            for v in values
-        ]
 
-    # the trials run in R's eigenbasis: the truth is diag(lam), and each
-    # steering vector is rotated into that frame once per sweep
+    def rotated(specs):
+        return sampler.to_eigenbasis(np.column_stack([steering_vector(s) for s in specs]))
+
+    # the trials run in R's eigenbasis: the truth is diag(lam), and every
+    # steering vector enters that frame here, before the first draw
+    if axis == "n":
+        column = rotated([plan.target])  # one rotation serves every row and the MVDR columns
+        s_target = column[:, 0]
+        cases = [(v, int(v), column) for v in values]
+    else:
+        s_target = sampler.to_eigenbasis(steering_vector(plan.target))
+        if axis == "doppler":
+            specs = [[SteeringSpec(th, float(v), scn.N, scn.K) for th in ANGLE_MARGIN_GRID]
+                     for v in values]
+        else:  # angle
+            specs = [[SteeringSpec(float(v), fd, scn.N, scn.K) for fd in DOPPLER_MARGIN_GRID]
+                     for v in values]
+        cases = [(v, scn.n, rotated(row_specs)) for v, row_specs in zip(values, specs)]
+    sampler.release_basis()  # the trials read lam, root and the rotated vectors only
     truth = DiagonalTruth(sampler.eigenvalues)
-    s_target = sampler.to_eigenbasis(steering_vector(target))
     mvdr_truth = mvdr_error_variance(truth, s_target)
     rows = []
     for n, group in groupby(cases, key=lambda case: case[1]):
-        group = [
-            (value, sampler.to_eigenbasis(np.column_stack([steering_vector(s) for s in specs])))
-            for value, _, specs in group
-        ]
+        group = [(value, s_mat) for value, _, s_mat in group]
         ratio = rmt.AspectRatio(scn.p, n)
         sums = [dict.fromkeys(SWEEP_HEADER[6:], 0.0) for _ in group]  # the averaged columns
         for t in range(plan.trials):
@@ -317,6 +324,7 @@ def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
     target = plan.target
     ratio_gamma = scn.p / scn.n
     s_target = sampler.to_eigenbasis(steering_vector(target))  # the frame of the draws
+    sampler.release_basis()  # the trials read root and the rotated target only
     rows = []
     for snr_db in snr_grid:
         amp = amplitude_for_snr(float(snr_db), scn.sigma2, scn.N, scn.K)
@@ -362,15 +370,19 @@ def sweep(
     the "snr" axis a nonempty ``pfa_list`` of false-alarm rates, one row per
     entry at each SNR (a rate listed twice gives two equal rows).
 
-    Besides the sampler's basis, its eigenvalues and the rotated steering
-    vectors, held for the whole sweep, a trial's working set peaks at its
-    draw: one p x n array, scaled in place. R itself is dropped once the
-    sampler and the spiked truth are built (the "snr" axis first takes its r
-    leading eigenvectors for ``theoretical_pd``). The "snr" axis splits its
-    p x (n + 1) draw into the training view ``[:, :n]``, which ``detect``
-    reads in place, and the test cell ``[:, n]``, to which
+    Through its trials a sweep holds the sampler's eigenvalues and draw
+    scale, the spiked truth, the rotated steering vectors (each Doppler or
+    angle row its p x 179 or p x 16 grid) and, on the "snr" axis, the r
+    leading eigenvectors of R that ``theoretical_pd`` reads. R is dropped
+    once the sampler and the spiked truth are built, and the sampler's
+    p x p basis once those vectors are rotated, before the first draw. A
+    trial's working set then peaks at its draw, one p x n array scaled as
+    it is filled, plus the SCM, or at the SCM plus its reduction. The "snr"
+    axis splits its p x (n + 1) draw into the training view ``[:, :n]``,
+    which ``detect`` reads in place, and the test cell ``[:, n]``, to which
     ``inject_target`` adds the target in a new p-vector; nothing of the
-    draw is copied.
+    draw is copied, and it lives through the SCM and reduction of each
+    false-alarm rate.
 
     A zero-trial plan short-circuits to a header-only table.
     """

@@ -3,13 +3,26 @@
 Each is the direct, unoptimized form of something the package computes
 another way: the Marchenko-Pastur density (the package has only its closed
 CDF), the whitened shrinkage map and its finite-difference slope (the
-package has the analytic slope), and a dense true covariance read through
-solves (the package scores against R's eigenvalues only).
+package has the analytic slope), a dense true covariance read through
+solves (the package scores against R's eigenvalues only), and the
+whole-matrix expression of a scene's covariance (the package forms it a
+block of rows at a time).
 """
 
 import numpy as np
 
-from cluttercov import f_map, g_map, stein_shrinker
+from cluttercov import (
+    ScattererClutter,
+    SpikedModel,
+    SteeringSpec,
+    ToeplitzClutter,
+    f_map,
+    g_map,
+    steering_vector,
+    stein_shrinker,
+)
+from cluttercov.rng import substream
+from cluttercov.scenario import _toeplitz_response
 
 
 def mp_pdf(x, law):
@@ -71,3 +84,29 @@ class DenseTruth:
     def apply(self, w):
         """R w for a p-vector or the columns of a p x m matrix."""
         return self.matrix @ w
+
+
+def dense_clutter_covariance(config):
+    """(R_c + R_c^H) / 2 + sigma2 * I of a scene, each term a full p x p array.
+
+    The expression ``synthesize_clutter_covariance`` is pinned to bit for
+    bit: R_c is the sum of |a|^2 v v^H over the scatterers in order, H H^H
+    for the Toeplitz response H, or U diag(spikes - sigma2) U^H for the
+    seeded unitary U of a spiked shortcut. No checks and no warnings.
+    """
+    p = config.p
+    clutter = config.clutter
+    r_c = np.zeros((p, p), dtype=complex)
+    if isinstance(clutter, SpikedModel):
+        rng = substream(config.seed, 0xBA515)
+        z = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        u = np.linalg.qr(z)[0][:, : clutter.r]
+        r_c = (u * (clutter.spikes - clutter.sigma2)) @ u.conj().T
+    elif isinstance(clutter, ScattererClutter):
+        for sc in clutter.scatterers:
+            v = steering_vector(SteeringSpec(sc.theta, sc.doppler, config.N, config.K))
+            r_c += (abs(sc.amplitude) ** 2) * np.outer(v, v.conj())
+    elif isinstance(clutter, ToeplitzClutter):
+        h_mat = _toeplitz_response(clutter.taps, p, clutter.pulse_len)
+        r_c = h_mat @ h_mat.conj().T
+    return (r_c + r_c.conj().T) / 2.0 + config.sigma2 * np.eye(p)

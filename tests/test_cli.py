@@ -337,6 +337,26 @@ class TestExitCodes:
         assert main([*argv, "--config", str(path), "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    # a sweep flag that the chosen axis does not read is refused, not ignored
+    @pytest.mark.parametrize(
+        "axis,flag,value",
+        [("n", "--rank", "99"), ("n", "--pfa", "1e-2"), ("doppler", "--rank", "2"),
+         ("angle", "--pfa", "1e-1,1e-2"), ("n", "--snr-lo", "0"), ("doppler", "--snr-hi", "10"),
+         ("angle", "--snr-step", "2"), ("n", "--doppler-grid", "3"),
+         ("angle", "--doppler-grid", "3"), ("doppler", "--angle-grid", "3"),
+         ("snr", "--angle-grid", "3"), ("snr", "--doppler-grid", "3")],
+    )
+    def test_flag_of_another_axis_is_config_error(self, tmp_path, capsys, axis, flag, value):
+        scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0,
+                 "clutter": {"kind": "spiked", "spikes": [6.0, 3.0]}}
+        path = _write(tmp_path, "p16.json", json.dumps(scene))
+        out = tmp_path / "out"
+        argv = ["sweep", "--axis", axis, "--trials", "1", flag, value,
+                "--config", str(path), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert f"{flag} applies to --axis" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rank_names_the_estimator_it_applies_to(self, tmp_path, capsys):
         argv = ["estimate", "--rank", "2", "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 2
@@ -413,10 +433,11 @@ class TestExitCodes:
         scene = {"N": 4, "K": 8, "n": 64, "sigma2": 1,
                  "clutter": {"kind": "toeplitz", "taps": [[3, 1]], "pulse_len": 40}}
         path = _write(tmp_path, "full-rank.json", json.dumps(scene))
-        for axis in ("n", "snr", "doppler", "angle"):
+        for axis, grid in (("n", []), ("snr", []), ("doppler", ["--doppler-grid", "2"]),
+                           ("angle", ["--angle-grid", "2"])):
             out = tmp_path / f"sweep-{axis}"
-            argv = ["sweep", "--axis", axis, "--trials", "1", "--doppler-grid", "2",
-                    "--angle-grid", "2", "--config", str(path), "--out-dir", str(out)]
+            argv = ["sweep", "--axis", axis, "--trials", "1", *grid,
+                    "--config", str(path), "--out-dir", str(out)]
             assert main(argv) == 2, axis
             err = capsys.readouterr().err
             assert "configuration error" in err and "clutter rank 32" in err and "p = 32" in err

@@ -388,11 +388,51 @@ class TestBlockedEigh:
             eigh(np.zeros(shape))
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_working_set_is_one_copy_plus_one_block(self, peak_bytes, real):
+    def test_working_set_is_one_copy_plus_a_few_tiles(self, peak_bytes, real):
+        # the pass's two scratch tiles and the ufuncs' buffers for the
+        # strided tile operands, not a B x p block of rows (8 tiles at this p)
         p = 8 * B + 5
         m = exactly_hermitian(p, 3, real=real)
-        budget = (p * p + B * p) * m.itemsize
-        assert peak_bytes(eigh, m) <= 1.1 * budget
+        budget = (p * p + 6 * B * B) * m.itemsize
+        assert peak_bytes(eigh, m) <= budget
+
+
+class TestSymmetrized:
+    """The tiled symmetrize-and-check pass on its own."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p", [1, B + 1, 3 * B + 7])
+    def test_bitwise_the_expression(self, p, order, real):
+        # a general product carries a rounding-level skew; a Fortran-ordered
+        # input is what ``sample_covariance`` returns for column-major data
+        rng = substream(11, p, int(real))
+        z = rng.standard_normal((p, 2 * p))
+        if not real:
+            z = z + 1j * rng.standard_normal((p, 2 * p))
+        m = np.asarray(z @ z.conj().T / (2 * p), order=order)
+        ours = rmt.symmetrized(m)
+        want = (m + m.conj().T) / 2
+        assert ours.flags.c_contiguous and ours.dtype == want.dtype
+        assert ours.tobytes() == want.tobytes(order="C")
+
+    def test_integer_input_becomes_float(self):
+        m = np.arange(9).reshape(3, 3)
+        m = m + m.T
+        ours = rmt.symmetrized(m)
+        assert ours.dtype == np.float64 and ours.tobytes() == ((m + m.T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan), "skew"])
+    @pytest.mark.parametrize("where", [(B + 3, 2 * B + 5), (2 * B + 5, B + 3)],
+                             ids=["upper-tile", "lower-tile"])
+    def test_off_diagonal_tile_rejected(self, where, value):
+        # tile (1, 2) of 3 x 3 tiles, or its mirror; the skew is 1e-8 of max |A|
+        m = exactly_hermitian(3 * B + 7, 4)
+        m[where] += 1e-8 * np.abs(m).max() if value == "skew" else value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no arithmetic warning on the way
+            with pytest.raises(ValueError, match="invalid matrix"):
+                rmt.symmetrized(m)
 
 
 def hermitian(p, seed, real=False, spikes=(40.0, 20.0, 10.0)):

@@ -30,6 +30,7 @@ from cluttercov import rng as rng_module
 from cluttercov import scenario
 from cluttercov.rng import complex_normal, substream
 from cluttercov.validate import ANGLE_MARGIN_GRID, DOPPLER_MARGIN_GRID
+from oracles import dense_clutter_covariance
 
 
 class TestSteeringVector:
@@ -65,6 +66,23 @@ class TestSteeringVector:
         for i in range(len(vecs)):
             for j in range(i + 1, len(vecs)):
                 assert abs(np.vdot(vecs[i], vecs[j])) < N * K - 1e-9
+
+
+TAPS = [1.0, 0.5j, -0.2, 0.1 + 0.1j]
+SYNTHESIS_SCENES = {
+    "preset": challenge_synthetic(),
+    "scatterers": ScenarioConfig(
+        N=5, K=33, n=660, sigma2=0.3,
+        clutter=ScattererClutter((Scatterer(-3.0, 0.3, -0.2), Scatterer(0.5, -1.0, 0.5))),
+    ),
+    "toeplitz": ScenarioConfig(N=3, K=47, n=600, sigma2=0.3,
+                               clutter=ToeplitzClutter(taps=TAPS, pulse_len=5)),
+    "toeplitz-pulse-above-p": ScenarioConfig(N=3, K=47, n=600, sigma2=0.3,
+                                             clutter=ToeplitzClutter(taps=TAPS, pulse_len=300)),
+    "spiked": ScenarioConfig(N=2, K=50, n=400, sigma2=0.3,
+                             clutter=SpikedModel(p=100, sigma2=0.3, spikes=np.array([9.0, 4.0]))),
+    "none": ScenarioConfig(N=2, K=65, n=520, sigma2=0.3),
+}
 
 
 class TestSynthesizeClutterCovariance:
@@ -168,6 +186,33 @@ class TestSynthesizeClutterCovariance:
             with pytest.raises(SceneOverflowError, match="overflows"):
                 synthesize_clutter_covariance(cfg)
         assert issubclass(SceneOverflowError, ValueError)
+
+    # p is not a multiple of the 64-row block but for the preset
+    @pytest.mark.parametrize("name", list(SYNTHESIS_SCENES))
+    def test_bitwise_the_dense_expression(self, name):
+        # every Monte Carlo output rests on these bits
+        cfg = SYNTHESIS_SCENES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelOrderWarning)
+            ours = synthesize_clutter_covariance(cfg)
+        ref = dense_clutter_covariance(cfg)
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "clutter,squares",
+        [(challenge_synthetic().clutter, 2), (ToeplitzClutter(taps=TAPS, pulse_len=5), 2),
+         (ToeplitzClutter(taps=TAPS, pulse_len=600), 3)],
+        ids=["scatterers", "toeplitz", "toeplitz-pulse-above-p"],
+    )
+    def test_working_set_is_r_c_and_r(self, peak_bytes, clutter, squares):
+        # R_c and R, a few 64-row blocks, and for a pulse of length p or more
+        # the p x p response H, alive while H H^H is formed
+        cfg = ScenarioConfig(N=8, K=64, n=1024, sigma2=5e-14, clutter=clutter)
+        p = cfg.p
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelOrderWarning)
+            peak = peak_bytes(synthesize_clutter_covariance, cfg)
+        assert peak <= (squares * p * p + 4 * 64 * p) * 16
 
     def test_empirical_covariance_matches_truth(self):
         # spectral-norm agreement within 10% at n = 50 p, in the original frame
@@ -295,6 +340,35 @@ class TestSampleSnapshots:
         chunk = max(rng_module._FILL_CHUNK // n, 1) * n * 8
         assert peak_bytes(sampler.draw, n, 48) <= 1.1 * p * n * 16 + chunk
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_basis_is_lapacks_basis_of_the_symmetrized_covariance(self, real):
+        r = random_covariance(50, 3 * 64 + 7, 3 * 64 + 7)
+        if real:
+            r = r.real
+        r[0, 1] += 1e-13  # within the Hermitian tolerance: symmetrized away
+        basis = SnapshotSampler(r).basis
+        ref = np.linalg.eigh((r + r.conj().T) / 2.0)[1][:, ::-1]
+        assert basis.dtype == ref.dtype and basis.tobytes() == ref.tobytes()
+
+    def test_released_basis(self):
+        p = 256
+        r = random_covariance(51, p, p)
+        tracemalloc.start()
+        try:
+            sampler = SnapshotSampler(r)
+            live = tracemalloc.get_traced_memory()[0]
+            sampler.release_basis()
+            freed = live - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        before = SnapshotSampler(r).draw(8, seed=52)
+        assert freed >= p * p * 16
+        big = [k for k, v in vars(sampler).items() if isinstance(v, np.ndarray) and v.size >= p * p]
+        assert big == []
+        assert sampler.draw(8, seed=52).tobytes() == before.tobytes()
+        with pytest.raises(RuntimeError, match="released"):
+            sampler.to_eigenbasis(np.ones(p))
+
     def test_sampler_holds_one_p_by_p_array(self):
         # the basis V is the only p x p array a sampler keeps; the rest are p-vectors
         p = 256
@@ -351,10 +425,26 @@ class TestComplexNormal:
         budget = p * n * 16 + chunk
         assert peak_bytes(complex_normal, substream(42, 0), p, n) <= 1.1 * budget
 
+    # several rows a block with a partial last block, one row a block, and
+    # scales with zeros (whose products keep numpy's signed zeros) and signs
+    @pytest.mark.parametrize("p,n", [(24, 50), (7, 11), (3, 400), (1, 1), (0, 3)])
+    def test_row_scale_bitwise_the_scaled_draw(self, monkeypatch, p, n):
+        monkeypatch.setattr(rng_module, "_FILL_CHUNK", 96)
+        scale = substream(43, p).standard_normal(p)
+        scale[::3] = 0.0
+        ours = complex_normal(substream(44, p, n), p, n, scale)
+        ref = complex_normal(substream(44, p, n), p, n) * scale[:, None]
+        assert ours.flags.f_contiguous and ours.shape == (p, n)
+        assert ours.tobytes(order="C") == ref.tobytes(order="C")
+
     def test_sampler_draw_pinned_to_the_expression(self, monkeypatch):
         sampler = SnapshotSampler(synthesize_clutter_covariance(challenge_synthetic()))
         ours = sampler.draw(64, seed=38, stream=2)
-        monkeypatch.setattr(scenario, "complex_normal", old_complex_draw)
+
+        def old_draw(rng, p, n, row_scale):
+            return old_complex_draw(rng, p, n) * row_scale[:, None]
+
+        monkeypatch.setattr(scenario, "complex_normal", old_draw)
         assert ours.tobytes() == sampler.draw(64, seed=38, stream=2).tobytes()
 
 

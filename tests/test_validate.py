@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,15 +131,16 @@ class TestVerifyClt:
         assert 0.0 <= res[0].ks.p_value <= 1.0
 
     def test_complex_draw_pinned_to_the_expression(self, monkeypatch):
-        # the in-place draw gives bit for bit the samples of the expression
-        # (a + 1j * b) / sqrt(2) it replaced
+        # the in-place, row-scaled draw gives bit for bit the samples of the
+        # expression (a + 1j * b) / sqrt(2) * root it replaced
         model = SpikedModel(p=24, sigma2=2.0, spikes=np.array([30.0, 12.0]))
         ours = verify_clt(model, gamma=0.25, p=24, trials=3, seed=5)
         monkeypatch.setattr(
             validate,
             "complex_normal",
-            lambda rng, p, n: (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n)))
-            / np.sqrt(2.0),
+            lambda rng, p, n, row_scale: (
+                rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+            ) / np.sqrt(2.0) * row_scale[:, None],
         )
         ref = verify_clt(model, gamma=0.25, p=24, trials=3, seed=5)
         for a, b in zip(ours, ref):
@@ -450,3 +452,55 @@ class TestEigenbasisEquivalence:
         assert rotated.statistic == pytest.approx(original.statistic, rel=1e-9)
         assert rotated.raw_statistic == pytest.approx(original.raw_statistic, rel=1e-9)
         assert rotated.decision == original.decision
+
+
+class TestTrialWorkingSet:
+    """What a sweep holds while its trials run: no p x p array of the truth."""
+
+    # p = 256 and n = 2p: a p x p complex array is a quarter of the draw
+    @pytest.mark.parametrize(
+        "axis,values,held_columns",
+        [("n", [512], 1), ("doppler", [0.1], len(ANGLE_MARGIN_GRID) + 1),
+         ("angle", [0.3], len(DOPPLER_MARGIN_GRID) + 1), ("snr", [0.0], 1)],
+        ids=["n", "doppler", "angle", "snr"],
+    )
+    def test_trials_hold_no_p_by_p_array(self, monkeypatch, axis, values, held_columns):
+        sigma2 = 0.5
+        scatterers = tuple(
+            Scatterer(amplitude=np.sqrt(s * sigma2), theta=t, doppler=np.sin(t) / 2)
+            for s, t in zip([400.0, 150.0], [-0.35, 0.4])
+        )
+        scn = ScenarioConfig(N=8, K=32, n=512, sigma2=sigma2,
+                             clutter=ScattererClutter(scatterers), seed=9)
+        p, n = scn.p, scn.n
+        plan = plan_for(scn, trials=2, seed=3)
+        live = []  # traced bytes as each draw starts: what the trials hold
+        draw = SnapshotSampler.draw
+
+        def watched(sampler, *args, **kwargs):
+            if not live:
+                tracemalloc.reset_peak()  # the peak from the first draw on
+            live.append(tracemalloc.get_traced_memory()[0])
+            return draw(sampler, *args, **kwargs)
+
+        monkeypatch.setattr(SnapshotSampler, "draw", watched)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sweep(plan, axis, values=values, pfa_list=(1e-2,) if axis == "snr" else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        square = p * p * 16
+        # the rotated steering vectors (the target, and a row's grid) and,
+        # on the snr axis, R's two leading eigenvectors
+        held = (held_columns + 2 * (axis == "snr")) * p * 16
+        assert len(live) == plan.trials
+        assert max(live) - before <= held + square / 2
+        if axis == "snr":
+            # the draw lives through detect, which forms its SCM and reduces it
+            steps = p * (n + 1) * 16 + 2 * square
+        else:
+            # the draw is freed once its SCM is formed, the SCM once eigh copied it
+            steps = max(p * n * 16 + square, 2 * square)
+        assert peak - before <= held + steps + square / 2
