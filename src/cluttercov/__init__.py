@@ -44,7 +44,6 @@ from .scenario import (
     truth_spiked_model,
 )
 from .metrics import (
-    DiagonalTruth,
     kantorovich_bound,
     mvdr_error_variance,
     normalized_scnr_batch,

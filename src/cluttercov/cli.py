@@ -133,8 +133,7 @@ def _validate_outputs(paths: list[Path]) -> None:
             if not text.strip():
                 raise RuntimeError(f"empty CSV output: {path}")
         elif path.suffix == ".bin":
-            base = path.with_suffix("")
-            matio.load_matrix(base)
+            matio.load_estimate(path.with_suffix(""))  # judged by the estimate's invariants
 
 
 def _cmd_estimate(args) -> int:
@@ -154,15 +153,15 @@ def _cmd_estimate(args) -> int:
         est = shrunk
     else:
         rank = shrunk.spike_count if args.rank is None else args.rank
-        est = rcml_estimate(decomp, shrunk.sigma2_hat, rank, ratio=ratio)
+        est = rcml_estimate(decomp, shrunk.sigma2_hat, rank)
     # the draw is in R's eigenbasis; the written estimate is in the original frame
     est = dataclasses.replace(est, vectors=sampler.basis @ est.vectors)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = matio.save_estimate(out_dir / f"estimate-{args.estimator}", est)
+    outputs = matio.save_estimate(out_dir / f"estimate-{args.estimator}", est, ratio.gamma)
     outputs.append(_write_manifest(out_dir, args, seed, outputs))
     _validate_outputs(outputs)
-    print(json.dumps(est.summary()))
+    print(json.dumps(est.summary(ratio.gamma)))
     return 0
 
 
@@ -347,7 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", default=None, help="scenario JSON path")
             sp.add_argument("--n", type=int, default=None, help="training snapshot count")
 
-    sp = sub.add_parser("estimate", help="estimate a covariance from a synthetic scene")
+    sp = sub.add_parser("estimate", help="estimate a covariance from a synthetic scene",
+                        description="Writes the estimate's p x r vectors V (estimate-*.bin/.json) "
+                        "and sigma2_hat, the spikes, r and gamma (estimate-*.summary.json); the "
+                        "estimate is sigma2_hat I + V diag(spikes - sigma2_hat) V^H.")
     add_common(sp)
     sp.add_argument("--estimator", choices=["shrinkage", "rcml"], default="shrinkage")
     sp.add_argument("--rank", type=int, default=None, help="clutter rank for the rcml estimator")

@@ -1,4 +1,4 @@
-"""Low-rank adaptive normalized matched filter: statistic, thresholds, detection laws.
+"""Low-rank adaptive matched filter (LR-AMF): statistic, thresholds, detection laws.
 
 The detector projects the estimated clutter subspace out of the test snapshot
 and matched-filters what remains. The statistic is calibrated so that under
@@ -12,6 +12,9 @@ unit-mean exponential under the null, so the threshold for a false-alarm
 probability p_fa is simply -log(p_fa), and detection compares T / 2 against
 it. The uncalibrated |s^H P y|^2 / ||P s||^2 value is reported alongside for
 transparency.
+
+T normalizes by sigma2_hat, not by y^H P y, so this is a low-rank AMF, not
+the paper's LR-ANMF |s^H P y|^2 / ((s^H P s)(y^H P y)) (ROADMAP item 4).
 
 Only the sample eigenvectors and the noise power enter the statistic, so
 the shrinkage and clipping estimates, which share both, drive identical
@@ -230,7 +233,7 @@ def theoretical_pd(
 def detect(
     train: np.ndarray, y: np.ndarray, steering: np.ndarray, config: DetectorConfig
 ) -> DetectionReport:
-    """Full detection pass: p x n training snapshots ``train``, test snapshot ``y``.
+    """Low-rank AMF pass (not the LR-ANMF): p x n training ``train``, test snapshot ``y``.
 
     The training block yields the sample covariance, its leading
     eigenvectors the clutter projection of the steering p-vector, and the

@@ -2,8 +2,11 @@
 
 A matrix named ``base`` is stored as ``base.bin`` (little-endian IEEE float64,
 interleaved re/im, column-major) plus ``base.json`` holding
-{"rows", "cols", "dtype": "c128", "layout": "col-major"}. Estimates are
-written dense, with a separate summary JSON.
+{"rows", "cols", "dtype": "c128", "layout": "col-major"}.
+
+An estimate is written as its spiked model: its p x r vectors V as the
+matrix ``base``, and {"sigma2_hat", "spike_count", "spiked_eigenvalues",
+"gamma"} in ``base.summary.json``. It is s2 I + V diag(spikes - s2) V^H.
 """
 
 from __future__ import annotations
@@ -54,11 +57,22 @@ def load_matrix(base) -> tuple[np.ndarray, dict]:
     return m, header
 
 
-def save_estimate(base, estimate: CovarianceEstimate) -> list[Path]:
-    """Serialize an estimate: dense matrix blob + sidecar + summary JSON."""
+def save_estimate(base, estimate: CovarianceEstimate, gamma: float) -> list[Path]:
+    """Serialize an estimate: its p x r vectors as blob + sidecar, then the summary JSON."""
     base = Path(base)
-    paths = list(save_matrix(base, estimate.matrix()))
+    paths = list(save_matrix(base, estimate.vectors))
     summary_path = base.with_suffix(".summary.json")
-    summary_path.write_text(json.dumps(estimate.summary(), indent=2) + "\n")
+    summary_path.write_text(json.dumps(estimate.summary(gamma), indent=2) + "\n")
     paths.append(summary_path)
     return paths
+
+
+def load_estimate(base) -> CovarianceEstimate:
+    """Rebuild a saved estimate; files that break its invariants raise ValueError."""
+    base = Path(base)
+    vectors, _ = load_matrix(base)
+    summary = json.loads(base.with_suffix(".summary.json").read_text())
+    spikes = np.asarray(summary["spiked_eigenvalues"], dtype=float)
+    if summary["spike_count"] != spikes.size:
+        raise ValueError("summary spike count does not match its spikes")
+    return CovarianceEstimate(sigma2_hat=summary["sigma2_hat"], spikes=spikes, vectors=vectors)

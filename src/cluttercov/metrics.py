@@ -7,9 +7,9 @@ The SCNR and MVDR metrics take steering vectors as plain p-vectors (or the
 columns of a p x m matrix), in the frame of the truth and the estimate.
 Every metric is invariant when R, the estimate and the steering vectors are
 rotated together by one unitary, so the callers score in R's eigenbasis,
-with R = diag(lam) and each steering vector s rotated to V^H s. There a
-``DiagonalTruth`` scores against lam itself, in O(p) per vector, with no
-p x p array.
+with each steering vector s rotated to V^H s. There the one truth is the
+scene's ``SpikedModel``, in O(p) per vector: R's eigenvalues within 1e-6
+of sigma2 count as its floor (``scenario.truth_spiked_model``).
 """
 
 from __future__ import annotations
@@ -17,42 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .shrinkage import CovarianceEstimate, SpikedModel, cosine2, stein_shrinker
-
-
-class DiagonalTruth:
-    """A diagonal true covariance R = diag(lam), scored from the p-vector lam alone.
-
-    The truth every metric reads, in O(p) per vector:
-    y^H R^{-1} y = sum |y|^2 / lam, tr(R^{-1}) = sum 1 / lam,
-    log det R = sum log lam and R w = lam * w. No p x p array is held.
-    A non-finite or non-positive lam raises ValueError.
-    """
-
-    def __init__(self, eigenvalues: np.ndarray):
-        lam = np.asarray(eigenvalues, dtype=float)
-        if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
-            raise ValueError("truth must be a finite nonempty vector of eigenvalues")
-        if not np.all(lam > 0.0):
-            raise ValueError("truth must be positive definite")
-        self.eigenvalues = lam
-        self.trace_inv = float(np.sum(1.0 / lam))
-        self.logdet = float(np.sum(np.log(lam)))
-
-    @property
-    def p(self) -> int:
-        return self.eigenvalues.size
-
-    def _column(self, x: np.ndarray) -> np.ndarray:
-        """lam shaped to broadcast down the columns of ``x``."""
-        return self.eigenvalues.reshape((-1,) + (1,) * (np.ndim(x) - 1))
-
-    def quad_inv(self, y: np.ndarray) -> np.ndarray:
-        """y^H R^{-1} y for each column of ``y``, as sum |y|^2 / lam."""
-        return np.sum(np.abs(y) ** 2 / self._column(y), axis=0)
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        """R w = lam * w for a p-vector or the columns of a p x m matrix."""
-        return self._column(w) * w
 
 
 def normalized_scnr_batch(
@@ -129,16 +93,12 @@ def kantorovich_bound(
 
 
 def mvdr_error_variance(m, steering: np.ndarray) -> float:
-    """Beamformer error variance 1 / |s^H M^{-1} s| at the steering p-vector s.
+    """Beamformer error variance 1 / (s^H M^{-1} s) at the steering p-vector s.
 
-    ``m`` is a ``CovarianceEstimate``, inverted through its low-rank form, or
-    a truth, read through its ``quad_inv``; either must be positive definite.
+    ``m`` is a ``CovarianceEstimate`` or a truth, either read through its
+    ``quad_inv``, and must be positive definite.
     """
-    s = np.asarray(steering)
-    if isinstance(m, CovarianceEstimate):
-        quad = abs(np.vdot(s, m.inverse_apply(s[:, None])[:, 0]))
-    else:
-        quad = float(m.quad_inv(s))
+    quad = float(m.quad_inv(np.asarray(steering)))
     if quad <= 0 or not np.isfinite(quad):
         raise ValueError("matrix must be positive definite")
     return float(1.0 / quad)
@@ -155,7 +115,7 @@ def stein_loss(truth, estimate: CovarianceEstimate) -> float:
         tr(R^{-1} Rbar) = s2 tr(R^{-1}) + sum_i (lam_i - s2) v_i^H R^{-1} v_i,
         log det(R^{-1} Rbar) = sum_i log(lam_i / s2) + p log s2 - log det R,
 
-    which is O(pr) through a ``DiagonalTruth``.
+    which is O(pr) through a ``SpikedModel``.
     """
     p = truth.p
     if estimate.p != p:

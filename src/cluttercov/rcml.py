@@ -32,16 +32,11 @@ s^2 = 1 - c^2) is counted, so the spike becomes the Stein shrinker
 
 from __future__ import annotations
 
-from .rmt import AspectRatio, EigenDecomposition
+from .rmt import EigenDecomposition
 from .shrinkage import CovarianceEstimate
 
 
-def rcml_estimate(
-    decomp: EigenDecomposition,
-    sigma2_hat: float,
-    rank: int,
-    ratio: AspectRatio | None = None,
-) -> CovarianceEstimate:
+def rcml_estimate(decomp: EigenDecomposition, sigma2_hat: float, rank: int) -> CovarianceEstimate:
     """Clipping estimate: the leading ``rank`` sample eigenvalues above the floor.
 
     The leading ``rank`` sample eigenvalues that exceed ``sigma2_hat`` are the
@@ -53,5 +48,5 @@ def rcml_estimate(
     lead = decomp.eigenvalues[:rank]  # descending
     spikes = lead[lead > sigma2_hat]
     return CovarianceEstimate(
-        sigma2_hat=sigma2_hat, spikes=spikes, vectors=decomp.leading(spikes.size), ratio=ratio
+        sigma2_hat=sigma2_hat, spikes=spikes, vectors=decomp.leading(spikes.size)
     )

@@ -16,6 +16,11 @@ descriptions:
 * ``SpikedModel``: direct spectral synthesis of the target spectrum in a
   seeded random unitary basis.
 
+``synthesize_clutter_covariance`` owns the one check of a scene's clutter
+rank against the 0.1 * p budget. ``truth_spiked_model`` is the scene's one
+truth, the ``SpikedModel`` every metric reads: R's eigenvalues within 1e-6
+of sigma2 count as floor.
+
 Snapshots are plain p x n arrays of circularly-symmetric complex Gaussian
 draws with the scene covariance, reproducible per (seed, stream) and
 byte-identical across runs. They are column-major, one contiguous column
@@ -280,10 +285,10 @@ def synthesize_clutter_covariance(config: ScenarioConfig) -> np.ndarray:
 def truth_spiked_model(config: ScenarioConfig, covariance: np.ndarray | None = None) -> SpikedModel:
     """Exact spiked description of a scene's true covariance.
 
-    Eigenvalues above sigma2 (to 1e-6 relative) are the spikes; for scenes
-    built from scatterers or a spiked shortcut the cut is exact. Clutter that
-    lifts all p eigenvalues leaves no noise floor for the model, which raises
-    ``ConfigError`` naming the clutter rank.
+    Eigenvalues above sigma2 (1 + 1e-6) are the spikes, the rest floor at
+    sigma2; for scenes built from scatterers or a spiked shortcut the cut is
+    exact. Clutter that lifts all p eigenvalues leaves no noise floor for
+    the model, which raises ``ConfigError`` naming the clutter rank.
     """
     if isinstance(config.clutter, SpikedModel):
         return config.clutter
@@ -303,13 +308,13 @@ class SnapshotSampler:
     """Sampler for repeated draws from one true covariance, in its eigenbasis.
 
     Holds V, the full ``np.linalg.eigh`` basis of the symmetrized covariance
-    (``basis``, columns in descending eigenvalue order), the ``eigh``
-    eigenvalues lam of R (``eigenvalues``) and the square roots of their
-    clipped values (``root``). A draw is diag(root) Z for white Z, the
-    snapshots V diag(root) Z expressed in V: ``basis @ draw`` rotates them
-    back, and ``to_eigenbasis`` takes a vector into the frame of the draws,
-    in which R is diag(eigenvalues). Each draw uses an independent,
-    order-insensitive substream of the seed.
+    (``basis``, columns in descending eigenvalue order), and the square
+    roots of the clipped ``eigh`` eigenvalues lam of R (``root``). A draw is
+    diag(root) Z for white Z, the snapshots V diag(root) Z expressed in V:
+    ``basis @ draw`` rotates them back, and ``to_eigenbasis`` takes a vector
+    into the frame of the draws, in which R is diag(lam), the scene's
+    ``truth_spiked_model`` up to roundoff on the floor. Each draw uses an
+    independent, order-insensitive substream of the seed.
 
     V is the sampler's one p x p array, and draws never read it. It lives
     until ``release_basis``: a Monte Carlo sweep rotates every vector it
@@ -324,7 +329,6 @@ class SnapshotSampler:
         tol = 1e-10 * max(lam.max(), 0.0) if lam.size else 0.0
         if lam.min() < -max(tol, 1e-30):
             raise ValueError("covariance is not positive semi-definite")
-        self.eigenvalues = lam
         # eigenvalues below numerical-rank dust are exact zeros of the model
         self.root = np.sqrt(np.where(lam > 1e-13 * max(lam.max(), 0.0), lam, 0.0))
         # LAPACK's basis of the bits of (R + R^H) / 2 fixes every recorded

@@ -36,8 +36,8 @@ class SpikedModel:
     """Ground-truth spiked spectrum: r spikes above a flat noise floor.
 
     The full spectrum is ``spikes`` (descending, all > sigma2) followed by
-    p - r copies of sigma2. Spike counts above the 0.1 * p budget are allowed
-    but flagged, since the model is only a good description when r << p.
+    p - r copies of sigma2. In its own eigenbasis R = diag(spectrum()); there
+    the model is the truth every metric reads, from r + 1 numbers.
     """
 
     p: int
@@ -58,12 +58,6 @@ class SpikedModel:
             raise ValueError("spikes must be sorted descending")
         if spikes.size and not np.all(spikes > self.sigma2):
             raise ValueError("spikes must lie strictly above sigma2")
-        if spikes.size > int(SPIKE_FRACTION_BUDGET * self.p):
-            warnings.warn(
-                f"{spikes.size} spikes exceed the 0.1*p = {int(SPIKE_FRACTION_BUDGET * self.p)} budget",
-                ModelOrderWarning,
-                stacklevel=3,  # name the caller, not the generated __init__
-            )
         object.__setattr__(self, "spikes", spikes)
 
     @property
@@ -76,6 +70,34 @@ class SpikedModel:
 
     def whitened_spikes(self) -> np.ndarray:
         return self.spikes / self.sigma2
+
+    @property
+    def trace_inv(self) -> float:
+        """tr(R^{-1}) = sum 1 / spikes + (p - r) / sigma2."""
+        return float(np.sum(1.0 / self.spikes) + (self.p - self.r) / self.sigma2)
+
+    @property
+    def logdet(self) -> float:
+        """log det R = sum log spikes + (p - r) log sigma2."""
+        return float(np.sum(np.log(self.spikes)) + (self.p - self.r) * np.log(self.sigma2))
+
+    def _split(self, x: np.ndarray):
+        """The spike rows and floor rows of ``x``, and the spikes shaped to scale its columns."""
+        x = np.asarray(x)
+        if x.shape[:1] != (self.p,):
+            raise ValueError("vector dimension does not match the model")
+        return x[: self.r], x[self.r:], self.spikes.reshape((-1,) + (1,) * (x.ndim - 1))
+
+    def quad_inv(self, y: np.ndarray) -> np.ndarray:
+        """y^H R^{-1} y per column, as two positive sums: no cancellation in the clutter span."""
+        head, tail, spikes = self._split(y)
+        floor = np.sum(np.abs(tail) ** 2, axis=0) / self.sigma2
+        return np.sum(np.abs(head) ** 2 / spikes, axis=0) + floor
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """R w for a p-vector or the columns of a p x m matrix: spikes * w above sigma2 * w."""
+        head, tail, spikes = self._split(w)
+        return np.concatenate([spikes * head, self.sigma2 * tail])
 
 
 @dataclass(frozen=True)
@@ -92,7 +114,6 @@ class CovarianceEstimate:
     sigma2_hat: float
     spikes: np.ndarray
     vectors: np.ndarray
-    ratio: AspectRatio | None = None
 
     def __post_init__(self):
         spikes = np.asarray(self.spikes, dtype=float).reshape(-1)
@@ -103,6 +124,9 @@ class CovarianceEstimate:
             raise ValueError("spikes must be sorted descending")
         if not self.sigma2_hat > 0:
             raise ValueError("noise power estimate must be positive")
+        finite = np.isfinite(self.sigma2_hat) and np.isfinite(spikes).all()
+        if not (finite and np.isfinite(v).all()):
+            raise ValueError("estimate must be finite")
         if np.any(spikes <= self.sigma2_hat):
             raise ValueError("spiked eigenvalues must exceed the noise floor")
         object.__setattr__(self, "spikes", spikes)
@@ -115,26 +139,23 @@ class CovarianceEstimate:
     def spike_count(self) -> int:
         return self.spikes.size
 
-    def matrix(self) -> np.ndarray:
-        """Dense p x p estimate s2 I + V diag(spikes - s2) V^H, for I/O only."""
-        s2 = self.sigma2_hat
-        v = self.vectors
-        m = (v * (self.spikes - s2)) @ v.conj().T
-        m[np.diag_indices(self.p)] += s2
-        return m
-
     def inverse_apply(self, y: np.ndarray) -> np.ndarray:
         """Estimate^{-1} y = (y - V((1 - s2/spikes) * (V^H y))) / s2, O(p r) per column."""
         s2 = self.sigma2_hat
         v = self.vectors
         return (y - (v * (1.0 - s2 / self.spikes)) @ (v.conj().T @ y)) / s2
 
-    def summary(self) -> dict:
+    def quad_inv(self, y: np.ndarray) -> np.ndarray:
+        """y^H Estimate^{-1} y for a p-vector or each column of a p x m matrix, O(p r) each."""
+        return np.real(np.sum(np.conj(y) * self.inverse_apply(y), axis=0))
+
+    def summary(self, gamma: float) -> dict:
+        """The floor, the spikes and the aspect ratio gamma = p / n they were estimated at."""
         return {
             "sigma2_hat": self.sigma2_hat,
             "spike_count": self.spike_count,
             "spiked_eigenvalues": self.spikes.tolist(),
-            "gamma": None if self.ratio is None else self.ratio.gamma,
+            "gamma": gamma,
         }
 
 
@@ -306,9 +327,7 @@ def shrink_spectrum(decomp: EigenDecomposition, ratio: AspectRatio) -> Covarianc
             ModelOrderWarning,
             stacklevel=2,
         )
-    return CovarianceEstimate(
-        sigma2_hat=s2, spikes=spikes, vectors=decomp.leading(r_hat), ratio=ratio
-    )
+    return CovarianceEstimate(sigma2_hat=s2, spikes=spikes, vectors=decomp.leading(r_hat))
 
 
 def clt_params(ell: float, gamma: float) -> CltParams:

@@ -17,14 +17,15 @@ built, and the sampler's p x p basis V once every steering vector the
 sweep scores is rotated into it, before the first draw.
 
 The sweeps run every trial in the eigenbasis V of the scene's R: the
-sampler draws there in O(pn), one p x n array scaled as it is filled, the
-metrics score each spiked estimate against lam through a ``DiagonalTruth``
-(no p x p truth is alive during the trials), and each steering vector
-enters once per sweep as V^H s. Both estimators keep the sample
-eigenvectors and every metric is invariant under that common rotation, so
-the rows equal those of the original frame up to roundoff. ``verify_clt``
-draws with a diagonal truth directly, and the detection probability
-``theoretical_pd`` works in the original frame.
+sampler draws there in O(pn), one p x n array scaled as it is filled, and
+each steering vector enters once per sweep as V^H s. There every metric
+reads the one truth, the scene's ``SpikedModel`` (R's eigenvalues within
+1e-6 of sigma2 count as floor), so no p x p truth is alive during the
+trials. Both estimators keep the sample eigenvectors and every metric is
+invariant under that common rotation, so the rows equal those of the
+original frame up to roundoff. ``verify_clt`` draws with a diagonal truth
+directly, and the detection probability ``theoretical_pd`` works in the
+original frame.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 from . import rmt
 from .detector import DetectorConfig, detect, theoretical_pd
 from .metrics import (
-    DiagonalTruth,
     kantorovich_bound,
     mvdr_error_variance,
     normalized_scnr_batch,
@@ -246,7 +246,7 @@ def _estimate_both(decomp: rmt.EigenDecomposition, ratio: rmt.AspectRatio) -> di
     shrink = shrink_spectrum(decomp, ratio)
     return {
         "shrinkage": shrink,
-        "rcml": rcml_estimate(decomp, shrink.sigma2_hat, shrink.spike_count, ratio=ratio),
+        "rcml": rcml_estimate(decomp, shrink.sigma2_hat, shrink.spike_count),
     }
 
 
@@ -275,8 +275,8 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
     def rotated(specs):
         return sampler.to_eigenbasis(np.column_stack([steering_vector(s) for s in specs]))
 
-    # the trials run in R's eigenbasis: the truth is diag(lam), and every
-    # steering vector enters that frame here, before the first draw
+    # the trials run in R's eigenbasis, where the spiked truth is diagonal,
+    # and every steering vector enters that frame here, before the first draw
     if axis == "n":
         column = rotated([plan.target])  # one rotation serves every row and the MVDR columns
         s_target = column[:, 0]
@@ -290,9 +290,8 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
             specs = [[SteeringSpec(float(v), fd, scn.N, scn.K) for fd in DOPPLER_MARGIN_GRID]
                      for v in values]
         cases = [(v, scn.n, rotated(row_specs)) for v, row_specs in zip(values, specs)]
-    sampler.release_basis()  # the trials read lam, root and the rotated vectors only
-    truth = DiagonalTruth(sampler.eigenvalues)
-    mvdr_truth = mvdr_error_variance(truth, s_target)
+    sampler.release_basis()  # the trials read root, the spiked truth and the rotated vectors
+    mvdr_truth = mvdr_error_variance(spiked, s_target)
     rows = []
     for n, group in groupby(cases, key=lambda case: case[1]):
         group = [(value, s_mat) for value, _, s_mat in group]
@@ -306,10 +305,11 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
             trial = {"scnr_bound": kantorovich_bound(spiked, ests["shrinkage"], ratio.gamma)}
             for name, est in ests.items():
                 trial[f"mvdr_ratio_{name}"] = mvdr_error_variance(est, s_target) / mvdr_truth
-                trial[f"stein_loss_{name}"] = stein_loss(truth, est)
+                trial[f"stein_loss_{name}"] = stein_loss(spiked, est)
             for (_, s_mat), row_sums in zip(group, sums):
                 for name, est in ests.items():
-                    trial[f"rho_{name}"] = float(np.mean(normalized_scnr_batch(est, truth, s_mat)))
+                    rho = normalized_scnr_batch(est, spiked, s_mat)
+                    trial[f"rho_{name}"] = float(np.mean(rho))
                 for col in row_sums:
                     row_sums[col] += trial[col]
         for (value, _), row_sums in zip(group, sums):
@@ -370,10 +370,10 @@ def sweep(
     the "snr" axis a nonempty ``pfa_list`` of false-alarm rates, one row per
     entry at each SNR (a rate listed twice gives two equal rows).
 
-    Through its trials a sweep holds the sampler's eigenvalues and draw
-    scale, the spiked truth, the rotated steering vectors (each Doppler or
-    angle row its p x 179 or p x 16 grid) and, on the "snr" axis, the r
-    leading eigenvectors of R that ``theoretical_pd`` reads. R is dropped
+    Through its trials a sweep holds the sampler's draw scale, the spiked
+    truth, the rotated steering vectors (each Doppler or angle row its
+    p x 179 or p x 16 grid) and, on the "snr" axis, the r leading
+    eigenvectors of R that ``theoretical_pd`` reads. R is dropped
     once the sampler and the spiked truth are built, and the sampler's
     p x p basis once those vectors are rotated, before the first draw. A
     trial's working set then peaks at its draw, one p x n array scaled as
@@ -404,7 +404,7 @@ def sweep(
     spiked = truth_spiked_model(scn, truth)
     sampler = SnapshotSampler(truth)
     # of R the snr axis keeps its r leading vectors, for theoretical_pd; the
-    # estimation trials score against the sampler's lam instead
+    # estimation trials score against the spiked truth in R's eigenbasis
     eigvecs = rmt.eigh(truth).leading(spiked.r) if axis == "snr" and spiked.r else None
     del truth
     if axis == "snr":

@@ -4,9 +4,10 @@ Each is the direct, unoptimized form of something the package computes
 another way: the Marchenko-Pastur density (the package has only its closed
 CDF), the whitened shrinkage map and its finite-difference slope (the
 package has the analytic slope), a dense true covariance read through
-solves (the package scores against R's eigenvalues only), and the
-whole-matrix expression of a scene's covariance (the package forms it a
-block of rows at a time).
+solves (the package scores against a ``SpikedModel`` only), the dense
+p x p form of a spiked estimate (the package keeps and writes its floor,
+spikes and p x r vectors), and the whole-matrix expression of a scene's
+covariance (the package forms it a block of rows at a time).
 """
 
 import numpy as np
@@ -60,7 +61,7 @@ def eta_prime_fd(ell, gamma, rel_step=1e-6):
 
 
 class DenseTruth:
-    """A dense true covariance R, read by the metrics as they read a ``DiagonalTruth``.
+    """A dense true covariance R, read by the metrics as they read a ``SpikedModel``.
 
     Every attribute comes from a direct solve or determinant of the p x p
     array: y^H R^{-1} y by ``np.linalg.solve``, tr(R^{-1}) from the inverse
@@ -84,6 +85,12 @@ class DenseTruth:
     def apply(self, w):
         """R w for a p-vector or the columns of a p x m matrix."""
         return self.matrix @ w
+
+
+def dense_estimate(estimate):
+    """The p x p matrix s2 I + V diag(spikes - s2) V^H of a ``CovarianceEstimate``."""
+    s2, v = estimate.sigma2_hat, estimate.vectors
+    return (v * (estimate.spikes - s2)) @ v.conj().T + s2 * np.eye(estimate.p)
 
 
 def dense_clutter_covariance(config):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import cluttercov
 from cluttercov import (
     AspectRatio,
     DetectorConfig,
+    ModelOrderWarning,
     ScenarioConfig,
     Scatterer,
     ScattererClutter,
@@ -27,9 +29,11 @@ from cluttercov import (
     steering_vector,
     synthesize_clutter_covariance,
 )
+from cluttercov import matio
 from cluttercov.cli import main
-from cluttercov.matio import load_matrix
+from cluttercov.matio import load_estimate, load_matrix
 from cluttercov.rng import complex_normal, substream
+from oracles import dense_estimate
 
 SCENE = {
     "N": 4,
@@ -70,8 +74,8 @@ class TestEstimate:
             str(base.with_suffix(".json")),
             str(base.with_suffix(".summary.json")),
         ]
-        m, _ = load_matrix(base)
-        assert m.shape == (32, 32)
+        assert load_matrix(base)[0].shape == (32, 2)  # the p x r vectors
+        m = dense_estimate(load_estimate(base))
         assert np.abs(m - m.conj().T).max() < 1e-12 * np.abs(m).max()
         lam = np.linalg.eigvalsh(m)[::-1]
         np.testing.assert_allclose(lam[:2], summary["spiked_eigenvalues"], rtol=1e-10)
@@ -84,7 +88,7 @@ class TestEstimate:
         out = tmp_path / "out"
         argv = ["estimate", "--config", str(scene), "--estimator", estimator, "--out-dir", str(out)]
         assert main(argv) == 0
-        m, _ = load_matrix(out / f"estimate-{estimator}")
+        m = dense_estimate(load_estimate(out / f"estimate-{estimator}"))
         cfg = _scene_config()
         sampler = SnapshotSampler(synthesize_clutter_covariance(cfg))
         factor = sampler.basis * sampler.root  # the dense colouring V diag(sqrt(lam))
@@ -92,9 +96,51 @@ class TestEstimate:
         ratio = AspectRatio(cfg.p, cfg.n)
         est = shrink_spectrum(dec, ratio)
         if estimator == "rcml":
-            est = rcml_estimate(dec, est.sigma2_hat, est.spike_count, ratio=ratio)
-        ref = est.matrix()
+            est = rcml_estimate(dec, est.sigma2_hat, est.spike_count)
+        ref = dense_estimate(est)
         assert np.abs(m - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("clutter", ["scatterers", "none"])
+    @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
+    def test_written_files_rebuild_the_estimate(self, tmp_path, monkeypatch, capsys,
+                                                estimator, clutter):
+        written = []  # the estimate as the command held it
+        save = matio.save_estimate
+
+        def recorded(base, est, gamma):
+            written.append(est)
+            return save(base, est, gamma)
+
+        monkeypatch.setattr(matio, "save_estimate", recorded)
+        scene = SCENE if clutter == "scatterers" else {**SCENE, "clutter": {"kind": "none"}}
+        path = _write(tmp_path, "scene.json", json.dumps(scene))
+        out = tmp_path / "out"
+        argv = ["estimate", "--config", str(path), "--estimator", estimator, "--out-dir", str(out)]
+        assert main(argv) == 0
+        (est,) = written
+        base = out / f"estimate-{estimator}"
+        back = load_estimate(base)
+        assert back.spike_count == est.spike_count == (2 if clutter == "scatterers" else 0)
+        assert base.with_suffix(".bin").stat().st_size == 32 * est.spike_count * 16
+        assert back.sigma2_hat == est.sigma2_hat
+        np.testing.assert_array_equal(back.spikes, est.spikes)
+        np.testing.assert_array_equal(back.vectors, est.vectors)
+        ref = dense_estimate(est)
+        assert np.abs(dense_estimate(back) - ref).max() <= 1e-12 * np.abs(ref).max()
+        summary = json.loads(capsys.readouterr().out)
+        assert summary == json.loads(base.with_suffix(".summary.json").read_text())
+        assert summary["gamma"] == 32 / 128
+
+    def test_a_bad_write_fails_validation(self, scene, tmp_path, monkeypatch, capsys):
+        # a spike written below the floor breaks the estimate's own invariants
+        def bad_summary(est, gamma):
+            return {"sigma2_hat": 1.0, "spike_count": est.spike_count,
+                    "spiked_eigenvalues": [0.5] * est.spike_count, "gamma": gamma}
+
+        monkeypatch.setattr(cluttercov.CovarianceEstimate, "summary", bad_summary)
+        argv = ["estimate", "--config", str(scene), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 3
+        assert "noise floor" in capsys.readouterr().err
 
     def test_unknown_preset_is_config_error(self, tmp_path):
         assert main(["estimate", "--scenario", "no-such-scene", "--out-dir", str(tmp_path)]) == 2
@@ -444,6 +490,39 @@ class TestExitCodes:
             assert not out.exists()
         for command in (["estimate"], ["detect"]):
             assert main([*command, "--config", str(path), "--out-dir", str(tmp_path / "ok")]) == 0
+
+
+# over the 0.1 * p = 3 spiked-model budget at p = 32, one scene of each clutter kind
+OVER_BUDGET = {
+    "scatterers": {"kind": "scatterers", "scatterers": [
+        {"amplitude": a, "theta": th, "doppler": fd}
+        for a, th, fd in [(9.0, -0.6, -0.3), (8.0, -0.3, -0.15), (7.0, 0.0, 0.05),
+                          (6.0, 0.3, 0.15), (5.0, 0.6, 0.3)]
+    ]},
+    "toeplitz": {"kind": "toeplitz", "taps": [[3, 1], [1, 0]], "pulse_len": 5},
+    "spiked": {"kind": "spiked", "spikes": [40.0, 30.0, 20.0, 15.0, 10.0]},
+}
+
+
+class TestSceneRankWarning:
+    @pytest.mark.parametrize("kind", sorted(OVER_BUDGET))
+    @pytest.mark.parametrize(
+        "command",
+        [["estimate"], ["detect"], ["sweep", "--axis", "n", "--trials", "1"],
+         ["sweep", "--axis", "snr", "--trials", "1", "--snr-lo", "0", "--snr-hi", "0"],
+         ["sweep", "--axis", "doppler", "--trials", "1", "--doppler-grid", "2"]],
+        ids=["estimate", "detect", "sweep-n", "sweep-snr", "sweep-doppler"],
+    )
+    def test_each_command_warns_once(self, tmp_path, kind, command):
+        scene = {**SCENE, "clutter": OVER_BUDGET[kind]}
+        path = _write(tmp_path, "scene.json", json.dumps(scene))
+        with warnings.catch_warnings(record=True) as record:
+            assert main([*command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        scene_rank = [w for w in record if issubclass(w.category, ModelOrderWarning)
+                      and not str(w.message).startswith("detected")]  # the estimator's own check
+        assert [str(w.message) for w in scene_rank] == [
+            "clutter rank 5 exceeds the 0.1*p = 3 spiked-model budget"
+        ]
 
 
 class TestImport:

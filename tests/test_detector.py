@@ -289,7 +289,7 @@ class TestDetect:
         dec = eigh(sample_covariance(cube[:, :-1]))
         ratio = AspectRatio(p, n_train)
         shrunk = shrink_spectrum(dec, ratio)
-        clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
+        clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count)
         s = steering_vector(SteeringSpec(0.8, 0.4, 4, 8))
         train, y = cube[:, :-1], cube[:, -1]
         rep_a = detect(train, y, s, DetectorConfig(rank=shrunk.spike_count, p_fa=0.01))

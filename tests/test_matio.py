@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cluttercov import AspectRatio, eigh, sample_covariance, shrink_spectrum
-from cluttercov.matio import load_matrix, save_estimate
+from cluttercov.matio import load_estimate, load_matrix, save_estimate
 from cluttercov.rng import substream
+from oracles import dense_estimate
 
 
 def small_estimate():
@@ -20,25 +21,51 @@ class TestSaveEstimate:
     def test_round_trip(self, tmp_path):
         est = small_estimate()
         assert est.spike_count >= 1
-        paths = save_estimate(tmp_path / "est", est)
+        paths = save_estimate(tmp_path / "est", est, 0.25)
         assert [p.name for p in paths] == ["est.bin", "est.json", "est.summary.json"]
+        # the model, not the dense matrix: p x r vectors and the summary
         m, header = load_matrix(tmp_path / "est")
-        np.testing.assert_array_equal(m, est.matrix())
-        assert header == {"rows": 12, "cols": 12, "dtype": "c128", "layout": "col-major"}
+        np.testing.assert_array_equal(m, est.vectors)
+        assert header == {"rows": 12, "cols": est.spike_count, "dtype": "c128",
+                          "layout": "col-major"}
+        assert paths[0].stat().st_size == 12 * est.spike_count * 16
         summary = json.loads((tmp_path / "est.summary.json").read_text())
-        assert summary == est.summary()
+        assert summary == est.summary(0.25)
         assert summary["spike_count"] == est.spike_count
         assert summary["spiked_eigenvalues"] == est.spikes.tolist()
+        back = load_estimate(tmp_path / "est")
+        assert back.sigma2_hat == est.sigma2_hat
+        np.testing.assert_array_equal(back.spikes, est.spikes)
+        np.testing.assert_array_equal(back.vectors, est.vectors)
+        np.testing.assert_array_equal(dense_estimate(back), dense_estimate(est))
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [("spike_count", 7, "spike count"), ("sigma2_hat", -1.0, "positive"),
+         ("spiked_eigenvalues", [1e-9], "noise floor"), ("spiked_eigenvalues", [np.nan], "finite"),
+         ("sigma2_hat", np.inf, "finite")],
+        ids=["count", "floor", "spike-below-floor", "nan-spike", "infinite-floor"],
+    )
+    def test_summary_breaking_the_invariants_rejected(self, tmp_path, field, value, match):
+        est = small_estimate()
+        assert est.spike_count == 1
+        save_estimate(tmp_path / "est", est, 0.25)
+        path = tmp_path / "est.summary.json"
+        summary = json.loads(path.read_text())
+        summary[field] = value
+        path.write_text(json.dumps(summary))
+        with pytest.raises(ValueError, match=match):
+            load_estimate(tmp_path / "est")
 
     def test_wrong_blob_size_rejected(self, tmp_path):
-        save_estimate(tmp_path / "est", small_estimate())
+        save_estimate(tmp_path / "est", small_estimate(), 0.25)
         blob = tmp_path / "est.bin"
         blob.write_bytes(blob.read_bytes()[:-16])
         with pytest.raises(ValueError, match="blob size"):
             load_matrix(tmp_path / "est")
 
     def test_missing_sidecar_field_rejected(self, tmp_path):
-        save_estimate(tmp_path / "est", small_estimate())
+        save_estimate(tmp_path / "est", small_estimate(), 0.25)
         sidecar = tmp_path / "est.json"
         header = json.loads(sidecar.read_text())
         del header["layout"]

@@ -4,7 +4,6 @@ import pytest
 from cluttercov import (
     AspectRatio,
     CovarianceEstimate,
-    DiagonalTruth,
     Scatterer,
     ScattererClutter,
     ScenarioConfig,
@@ -22,10 +21,11 @@ from cluttercov import (
     stein_loss,
     stein_shrinker,
     synthesize_clutter_covariance,
+    truth_spiked_model,
 )
 from cluttercov.rcml import rcml_estimate
 from cluttercov.rng import substream
-from oracles import DenseTruth
+from oracles import DenseTruth, dense_estimate
 
 TARGET44 = SteeringSpec(theta=0.4, doppler=0.15, N=4, K=4)
 
@@ -83,11 +83,12 @@ def dense_stein(r, rbar):
 class TestNormalizedScnr:
     def test_equals_one_at_truth(self):
         est = random_spiked(16, 1)
-        assert scnr_at(est, DenseTruth(est.matrix()), TARGET44) == pytest.approx(1.0, abs=1e-12)
+        truth = DenseTruth(dense_estimate(est))
+        assert scnr_at(est, truth, TARGET44) == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariance(self):
         est = random_spiked(16, 2)
-        truth = DenseTruth(est.matrix())
+        truth = DenseTruth(dense_estimate(est))
         for c in (0.2, 7.0):
             assert scnr_at(scaled(est, c), truth, TARGET44) == pytest.approx(1.0, abs=1e-12)
 
@@ -97,7 +98,7 @@ class TestNormalizedScnr:
         y = steering_vector(TARGET44)
         ours = scnr_at(est, DenseTruth(r), TARGET44)
         assert 0.0 < ours < 1.0
-        assert ours == pytest.approx(dense_scnr(est.matrix(), r, y), abs=1e-10)
+        assert ours == pytest.approx(dense_scnr(dense_estimate(est), r, y), abs=1e-10)
 
     def test_upper_bound_one(self):
         for seed in range(8):
@@ -117,7 +118,7 @@ class TestNormalizedScnr:
         r = random_pd(p, 5)
         y = steering_vector(TARGET44)
         assert scnr_at(est, DenseTruth(r), TARGET44) == pytest.approx(
-            dense_scnr(est.matrix(), r, y), abs=1e-10
+            dense_scnr(dense_estimate(est), r, y), abs=1e-10
         )
 
     def test_indefinite_truth_rejected(self):
@@ -151,13 +152,12 @@ class TestKantorovichBound:
         ratio = AspectRatio(p, n)
         model = SpikedModel(p=p, sigma2=1.0, spikes=np.array([24.0, 12.0, 6.0]))
         root = np.sqrt(model.spectrum())
-        truth = DiagonalTruth(model.spectrum())
         target = SteeringSpec(theta=0.5, doppler=0.3, N=8, K=8)
         for t in range(100):
             rng = substream(102, t)
             w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
             est = shrink_spectrum(eigh(sample_covariance(root[:, None] * w)), ratio)
-            rho = scnr_at(est, truth, target)
+            rho = scnr_at(est, model, target)
             assert kantorovich_bound(model, est, ratio.gamma) <= rho <= 1.0 + 1e-10
 
     def test_plug_in_uses_realized_spikes(self):
@@ -174,7 +174,7 @@ class TestMvdrErrorVariance:
     def test_identity(self):
         s = steering_vector(SteeringSpec(0.3, 0.2, 4, 4))
         assert mvdr_error_variance(floor_only(16, 1.0), s) == pytest.approx(1 / 16.0, rel=1e-12)
-        assert mvdr_error_variance(DiagonalTruth(np.ones(16)), s) == pytest.approx(
+        assert mvdr_error_variance(SpikedModel(p=16, sigma2=1.0, spikes=[]), s) == pytest.approx(
             1 / 16.0, rel=1e-12
         )
 
@@ -202,7 +202,7 @@ class TestMvdrErrorVariance:
         rotated_s = q @ s
         assert mvdr_error_variance(rotated, rotated_s) == pytest.approx(base, rel=1e-10)
         # the dense oracle, in the rotated frame
-        quad = abs(np.vdot(rotated_s, np.linalg.solve(rotated.matrix(), rotated_s)))
+        quad = abs(np.vdot(rotated_s, np.linalg.solve(dense_estimate(rotated), rotated_s)))
         assert 1.0 / quad == pytest.approx(base, rel=1e-10)
 
     def test_indefinite_truth_rejected(self):
@@ -214,31 +214,30 @@ class TestMvdrErrorVariance:
 class TestSteinLoss:
     def test_zero_at_truth(self):
         est = random_spiked(10, 50)
-        assert stein_loss(DenseTruth(est.matrix()), est) == pytest.approx(0.0, abs=1e-10)
-        # in its own eigenbasis the truth is diagonal
-        lam = np.concatenate([est.spikes, np.full(7, est.sigma2_hat)])
+        assert stein_loss(DenseTruth(dense_estimate(est)), est) == pytest.approx(0.0, abs=1e-10)
+        # in its own eigenbasis the truth is the spiked model
+        model = SpikedModel(p=10, sigma2=est.sigma2_hat, spikes=est.spikes)
         diagonal = CovarianceEstimate(sigma2_hat=est.sigma2_hat, spikes=est.spikes,
                                       vectors=np.eye(10, dtype=complex)[:, :3])
-        assert stein_loss(DiagonalTruth(lam), diagonal) == pytest.approx(0.0, abs=1e-10)
+        assert stein_loss(model, diagonal) == pytest.approx(0.0, abs=1e-10)
 
     def test_scalar_reference(self):
         # 1-d case: estimate 2 against truth 1 costs 2 - 1 - log 2
-        val = stein_loss(DiagonalTruth(np.array([1.0])), floor_only(1, 2.0))
+        val = stein_loss(SpikedModel(p=1, sigma2=1.0, spikes=[]), floor_only(1, 2.0))
         assert val == pytest.approx(1.0 - np.log(2.0), rel=1e-12)
 
     def test_positive_on_perturbations(self):
         est = random_spiked(8, 51)
         for eps in (1e-3, 0.1, 1.0):
-            r = est.matrix() + eps * np.eye(8)
+            r = dense_estimate(est) + eps * np.eye(8)
             val = stein_loss(DenseTruth(r), est)
             assert val > 0
-            assert val == pytest.approx(dense_stein(r, est.matrix()), rel=1e-8)
+            assert val == pytest.approx(dense_stein(r, dense_estimate(est)), rel=1e-8)
 
     def test_shrinkage_beats_clipping_on_average(self):
         p, n = 100, 400
         ratio = AspectRatio(p, n)
         model = SpikedModel(p=p, sigma2=1.0, spikes=np.array([10.0, 5.0]))
-        truth = DiagonalTruth(model.spectrum())
         root = np.sqrt(model.spectrum())
         shrink_losses, clip_losses = [], []
         for t in range(20):
@@ -246,9 +245,9 @@ class TestSteinLoss:
             w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
             dec = eigh(sample_covariance(root[:, None] * w))
             shrunk = shrink_spectrum(dec, ratio)
-            clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
-            shrink_losses.append(stein_loss(truth, shrunk))
-            clip_losses.append(stein_loss(truth, clipped))
+            clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count)
+            shrink_losses.append(stein_loss(model, shrunk))
+            clip_losses.append(stein_loss(model, clipped))
         assert np.mean(shrink_losses) <= np.mean(clip_losses)
 
     def test_non_pd_rejected(self):
@@ -257,7 +256,7 @@ class TestSteinLoss:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            stein_loss(DiagonalTruth(np.ones(3)), floor_only(2, 1.0))
+            stein_loss(SpikedModel(p=3, sigma2=1.0, spikes=[]), floor_only(2, 1.0))
 
     @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
     @pytest.mark.parametrize("spikes", [(), (30.0, 12.0, 6.0)])
@@ -271,11 +270,11 @@ class TestSteinLoss:
         shrunk = shrink_spectrum(dec, ratio)
         est = {
             "shrinkage": shrunk,
-            "rcml": rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio),
+            "rcml": rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count),
         }[estimator]
         assert est.spike_count == len(spikes)
         truth = random_pd(p, 52)
-        dense = dense_stein(truth, est.matrix())
+        dense = dense_stein(truth, dense_estimate(est))
         assert dense > 0
         assert stein_loss(DenseTruth(truth), est) == pytest.approx(dense, rel=1e-10)
 
@@ -288,71 +287,102 @@ P32_SCENE = ScenarioConfig(
 
 @pytest.fixture(scope="module", params=["challenge", "p32"])
 def eigenbasis_scene(request):
-    """R's eigenvalues, both estimates and steering vectors, all in R's eigenbasis."""
+    """The spiked truth, both estimates and steering vectors, all in R's eigenbasis."""
     scn, n = (challenge_synthetic(), 1024) if request.param == "challenge" else (P32_SCENE, 128)
-    sampler = SnapshotSampler(synthesize_clutter_covariance(scn))
+    r = synthesize_clutter_covariance(scn)
+    sampler = SnapshotSampler(r)
     dec = eigh(sample_covariance(sampler.draw(n, 7)))
     ratio = AspectRatio(scn.p, n)
     shrunk = shrink_spectrum(dec, ratio)
-    clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
+    clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count)
     targets = [SteeringSpec(th, fd, scn.N, scn.K) for th in (-0.6, 0.0, 0.5) for fd in (-0.3, 0.2)]
     s = sampler.to_eigenbasis(np.column_stack([steering_vector(t) for t in targets]))
-    return sampler.eigenvalues, {"shrinkage": shrunk, "rcml": clipped}, s
+    return truth_spiked_model(scn, r), {"shrinkage": shrunk, "rcml": clipped}, s
 
 
-class TestDiagonalTruth:
-    """A DiagonalTruth scores as a dense diag(lam) read through solves does, from lam alone."""
+def dense_diagonal(model):
+    """The oracle for a spiked truth: diag(spectrum()) as a p x p array, read through solves."""
+    return DenseTruth(np.diag(model.spectrum().astype(complex)))
+
+
+class TestSpikedModelTruth:
+    """A SpikedModel reads as the dense diag(spectrum()) read through solves does."""
+
+    def test_reads_match_the_dense_oracle(self, eigenbasis_scene):
+        model, ests, s = eigenbasis_scene
+        dense = dense_diagonal(model)
+        # one vector inside the spike span, as the estimate's vectors mostly are
+        inside = np.zeros((model.p, 1), dtype=complex)
+        inside[: model.r] = 1.0 + 0.5j
+        y = np.hstack([s, ests["shrinkage"].vectors, inside])
+        np.testing.assert_allclose(model.quad_inv(y), dense.quad_inv(y), rtol=1e-12, atol=0)
+        assert model.quad_inv(s[:, 0]) == pytest.approx(dense.quad_inv(s[:, 0]), rel=1e-12)
+        np.testing.assert_allclose(model.apply(y), dense.apply(y), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(model.apply(s[:, 0]), dense.apply(s[:, 0]), rtol=1e-12, atol=0)
+        assert model.trace_inv == pytest.approx(dense.trace_inv, rel=1e-12)
+        assert model.logdet == pytest.approx(dense.logdet, rel=1e-12)
+        assert model.p == dense.p
+
+    def test_no_cancellation_inside_the_spike_span(self):
+        # spikes 1e4 times the floor: the quadratic form of a clutter-span
+        # vector is 1e-4 of what ||y||^2 / sigma2 alone would give
+        model = SpikedModel(p=64, sigma2=5e-14, spikes=5e-14 * np.array([1e4, 3e3, 1e3]))
+        y = np.zeros(64, dtype=complex)
+        y[:3] = [1.0, -2.0j, 0.5]
+        want = 1.0 / 5e-10 + 4.0 / 1.5e-10 + 0.25 / 5e-11
+        assert model.quad_inv(y) == pytest.approx(want, rel=1e-15)
+        assert model.quad_inv(y) == pytest.approx(dense_diagonal(model).quad_inv(y), rel=1e-12)
 
     @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
     def test_stein_loss(self, eigenbasis_scene, estimator):
-        lam, ests, _ = eigenbasis_scene
+        model, ests, _ = eigenbasis_scene
         est = ests[estimator]
         assert est.spike_count > 0
-        dense = DenseTruth(np.diag(lam.astype(complex)))
+        dense = dense_diagonal(model)
         # slogdet sums its p logs in sequence, about 1e-11 off on the preset's
         # |log det R| = 1.5e4, which the loss (about 10) inherits
         tol = 1e-12 * (abs(dense.logdet) + abs(stein_loss(dense, est)))
-        assert stein_loss(DiagonalTruth(lam), est) == pytest.approx(
-            stein_loss(dense, est), rel=0, abs=tol
-        )
+        assert stein_loss(model, est) == pytest.approx(stein_loss(dense, est), rel=0, abs=tol)
 
     @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
     def test_normalized_scnr_batch(self, eigenbasis_scene, estimator):
-        lam, ests, s = eigenbasis_scene
+        model, ests, s = eigenbasis_scene
         est = ests[estimator]
-        dense = normalized_scnr_batch(est, DenseTruth(np.diag(lam.astype(complex))), s)
-        np.testing.assert_allclose(normalized_scnr_batch(est, DiagonalTruth(lam), s), dense,
-                                   rtol=1e-12, atol=0)
+        dense = normalized_scnr_batch(est, dense_diagonal(model), s)
+        np.testing.assert_allclose(normalized_scnr_batch(est, model, s), dense, rtol=1e-12, atol=0)
 
-    def test_mvdr_error_variance(self, eigenbasis_scene):
-        lam, _, s = eigenbasis_scene
-        dense, diagonal = DenseTruth(np.diag(lam.astype(complex))), DiagonalTruth(lam)
+    def test_mvdr_error_variance_of_the_truth(self, eigenbasis_scene):
+        model, _, s = eigenbasis_scene
+        dense = dense_diagonal(model)
         for col in s.T:
-            assert mvdr_error_variance(diagonal, col) == pytest.approx(
+            assert mvdr_error_variance(model, col) == pytest.approx(
                 mvdr_error_variance(dense, col), rel=1e-12
             )
 
-    def test_closed_forms_from_lam(self):
-        lam = np.array([5.0, 2.0, 0.5])
-        truth = DiagonalTruth(lam)
+    @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
+    def test_mvdr_error_variance_of_an_estimate(self, eigenbasis_scene, estimator):
+        _, ests, s = eigenbasis_scene
+        est = ests[estimator]
+        m = dense_estimate(est)
+        # the dense solve carries the estimate's condition number, 1e4 on the preset
+        for col in s.T:
+            want = 1.0 / np.real(np.vdot(col, np.linalg.solve(m, col)))
+            assert mvdr_error_variance(est, col) == pytest.approx(want, rel=1e-10)
+
+    def test_closed_forms(self):
+        model = SpikedModel(p=3, sigma2=0.5, spikes=np.array([5.0, 2.0]))
         y = np.array([[1.0, 2j], [1j, 0.0], [-1.0, 1.0]])
-        np.testing.assert_allclose(truth.quad_inv(y), [1 / 5 + 1 / 2 + 2, 4 / 5 + 2], rtol=1e-15)
-        np.testing.assert_allclose(truth.apply(y), lam[:, None] * y, rtol=0)
-        np.testing.assert_allclose(truth.apply(y[:, 0]), lam * y[:, 0], rtol=0)
-        assert truth.trace_inv == pytest.approx(1 / 5 + 1 / 2 + 2, rel=1e-15)
-        assert truth.logdet == pytest.approx(np.log(5.0), rel=1e-15)
+        np.testing.assert_allclose(model.quad_inv(y), [1 / 5 + 1 / 2 + 2, 4 / 5 + 2], rtol=1e-15)
+        np.testing.assert_allclose(model.apply(y), np.array([5.0, 2.0, 0.5])[:, None] * y, rtol=0)
+        assert model.trace_inv == pytest.approx(1 / 5 + 1 / 2 + 2, rel=1e-15)
+        assert model.logdet == pytest.approx(np.log(5.0), rel=1e-15)
 
-    def test_holds_no_p_by_p_array(self):
-        p = 256
-        truth = DiagonalTruth(np.linspace(1.0, 10.0, p))
-        assert truth.p == p
-        assert all(np.size(v) <= p for v in vars(truth).values())
+    def test_holds_no_p_vector(self):
+        model = SpikedModel(p=4096, sigma2=1.0, spikes=np.array([9.0, 4.0]))
+        assert all(np.size(v) <= model.r for v in vars(model).values())
 
-    @pytest.mark.parametrize(
-        "bad", [[2.0, 1.0, -1.0, 3.0], [2.0, 0.0, 1.0, 3.0], [2.0, np.nan, 1.0, 3.0], [],
-                np.eye(2)],
-        ids=["negative", "zero", "nan", "empty", "matrix"],
-    )
-    def test_bad_eigenvalues_rejected(self, bad):
-        with pytest.raises(ValueError):
-            DiagonalTruth(bad)
+    def test_wrong_dimension_rejected(self):
+        model = SpikedModel(p=4, sigma2=1.0, spikes=np.array([3.0]))
+        for read in (model.quad_inv, model.apply):
+            with pytest.raises(ValueError, match="dimension"):
+                read(np.ones(3))

@@ -3,6 +3,7 @@ import pytest
 
 from cluttercov import AspectRatio, EigenDecomposition, eigh, rcml_estimate
 from cluttercov.rng import substream
+from oracles import dense_estimate
 
 # The oracle's lower bound on the inverse eigenvalues: the problem asks only
 # x > 0, and the gradient step needs a floor; no test's d reaches 1/EPS.
@@ -139,24 +140,24 @@ class TestRcmlEstimate:
     def test_clipping_values(self):
         est = rcml_estimate(self._decomp([4.0, 2.5, 0.8, 0.7]), 1.0, rank=2)
         np.testing.assert_allclose(est.spikes, [4.0, 2.5])
-        np.testing.assert_allclose(np.diag(est.matrix()).real, [4.0, 2.5, 1.0, 1.0])
+        np.testing.assert_allclose(np.diag(dense_estimate(est)).real, [4.0, 2.5, 1.0, 1.0])
         assert est.spike_count == 2
 
     def test_all_below_floor(self):
         est = rcml_estimate(self._decomp([0.9, 0.8, 0.7, 0.6]), 1.0, rank=3)
-        np.testing.assert_allclose(est.matrix(), np.eye(4))
+        np.testing.assert_allclose(dense_estimate(est), np.eye(4))
         assert est.spike_count == 0
 
     def test_identity_input(self):
         sigma2 = 3.0
         est = rcml_estimate(self._decomp([1.0, 1.0, 1.0], sigma2=sigma2), sigma2, rank=1)
-        np.testing.assert_allclose(est.matrix(), sigma2 * np.eye(3))
+        np.testing.assert_allclose(dense_estimate(est), sigma2 * np.eye(3))
         assert est.spike_count == 0
 
     def test_physical_scale(self):
         est = rcml_estimate(self._decomp([6.0, 0.5], sigma2=2.0), 2.0, rank=1)
         np.testing.assert_allclose(est.spikes, [12.0])
-        np.testing.assert_allclose(np.diag(est.matrix()).real, [12.0, 2.0])
+        np.testing.assert_allclose(np.diag(dense_estimate(est)).real, [12.0, 2.0])
 
 
 class TestEquivalenceWithShrinkage:
@@ -174,7 +175,7 @@ class TestEquivalenceWithShrinkage:
             w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
             dec = eigh(sample_covariance(root[:, None] * w))
             shrunk = shrink_spectrum(dec, ratio)
-            clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
+            clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count)
             assert clipped.spike_count == shrunk.spike_count
             # the modes above the floor are the same sample eigenvectors
             np.testing.assert_array_equal(clipped.vectors, shrunk.vectors)

@@ -383,7 +383,7 @@ def original_frame_rows(plan, axis, values):
         for t in range(plan.trials):
             dec = eigh(sample_covariance(factor @ complex_normal(substream(plan.seed, t), scn.p, n)))
             shrunk = shrink_spectrum(dec, ratio)
-            clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count, ratio=ratio)
+            clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count)
             total += [
                 np.mean(normalized_scnr_batch(shrunk, truth, s_mat)),
                 np.mean(normalized_scnr_batch(clipped, truth, s_mat)),
@@ -416,7 +416,9 @@ class TestEigenbasisEquivalence:
         # as the original-frame pipeline: coloured draw, unrotated steering
         scn = small_scene()
         plan = plan_for(scn, trials=4, seed=4)
-        snr_grid, pfa_list = [-6.0, -3.0, 0.0, 3.0], (1e-1, 1e-2)
+        # the 30 dB cell detects whatever the BLAS kernel's draws, so the
+        # guard below does not rest on one kernel's low-SNR hits
+        snr_grid, pfa_list = [-6.0, -3.0, 0.0, 3.0, 30.0], (1e-1, 1e-2)
         header, rows = parse_csv(sweep(plan, "snr", values=snr_grid, pfa_list=pfa_list))
         factor = dense_colouring_factor(synthesize_clutter_covariance(scn))
         s = steering_vector(plan.target)
