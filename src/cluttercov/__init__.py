@@ -14,9 +14,7 @@ from .rmt import (
 )
 from .shrinkage import (
     CltParams,
-    CovarianceEstimate,
-    SpikedModel,
-    clt_params,
+    SpikedCovariance,
     cosine2,
     detect_spikes,
     estimate_noise,
@@ -33,6 +31,7 @@ from .scenario import (
     ScenarioConfig,
     SceneOverflowError,
     SnapshotSampler,
+    SpikedClutter,
     SteeringSpec,
     ToeplitzClutter,
     amplitude_for_snr,

@@ -30,6 +30,7 @@ from .scenario import (
     Scatterer,
     ScattererClutter,
     SnapshotSampler,
+    SpikedClutter,
     SteeringSpec,
     ToeplitzClutter,
     amplitude_for_snr,
@@ -38,15 +39,15 @@ from .scenario import (
     steering_vector,
     synthesize_clutter_covariance,
 )
-from .shrinkage import SpikedModel, shrink_spectrum
+from .shrinkage import SpikedCovariance, shrink_spectrum
 
 
-def _clutter_from_json(spec: dict, p: int, sigma2: float):
+def _clutter_from_json(spec: dict):
     if not isinstance(spec, dict):
         raise ConfigError(f"clutter must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "spiked":
-        return SpikedModel(p=p, sigma2=sigma2, spikes=np.asarray(spec["spikes"], dtype=float))
+        return SpikedClutter(spikes=spec["spikes"])
     if kind == "scatterers":
         return ScattererClutter(
             tuple(
@@ -78,9 +79,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
                 K=int(raw["K"]),
                 n=int(raw["n"]) if n_flag is None else n_flag,
                 sigma2=float(raw["sigma2"]),
-                clutter=_clutter_from_json(
-                    raw.get("clutter", {}), int(raw["N"]) * int(raw["K"]), float(raw["sigma2"])
-                ),
+                clutter=_clutter_from_json(raw.get("clutter", {})),
                 seed=int(raw.get("seed", 0)),
                 name=raw.get("name", path.stem),
             )
@@ -152,8 +151,8 @@ def _cmd_estimate(args) -> int:
     if args.estimator == "shrinkage":
         est = shrunk
     else:
-        rank = shrunk.spike_count if args.rank is None else args.rank
-        est = rcml_estimate(decomp, shrunk.sigma2_hat, rank)
+        rank = shrunk.r if args.rank is None else args.rank
+        est = rcml_estimate(decomp, shrunk.sigma2, rank)
     # the draw is in R's eigenbasis; the written estimate is in the original frame
     est = dataclasses.replace(est, vectors=sampler.basis @ est.vectors)
     out_dir = Path(args.out_dir)
@@ -289,13 +288,11 @@ def _cmd_verify_clt(args) -> int:
     if spikes.size == 0 or not np.all(spikes > edge):
         raise ConfigError(f"--spikes needs whitened spikes above the detection edge {edge:.6g}")
     try:
-        model = SpikedModel(p=args.p, sigma2=args.sigma2, spikes=spikes * args.sigma2)
+        model = SpikedCovariance.diagonal(args.p, args.sigma2, spikes * args.sigma2)
     except ValueError as exc:
         raise ConfigError(f"bad --spikes: {exc}") from exc
     seed = 0 if args.seed is None else args.seed
-    results = validate.verify_clt(
-        model, args.gamma, args.p, args.trials, seed, ensemble=args.ensemble
-    )
+    results = validate.verify_clt(model, args.gamma, args.trials, seed, ensemble=args.ensemble)
     payload = [
         {
             "spike": r.ell,

@@ -26,8 +26,13 @@ the two views ``w[:, :n]`` and ``w[:, n]`` of one draw of n + 1 snapshots
 block in place. Its steering vector is a plain p-vector in the frame of
 those snapshots; the statistic is invariant when all are rotated by one
 unitary, so snapshots drawn in R's eigenbasis pair with the rotated
-steering vector V^H s. ``theoretical_pd`` works in the original frame of
-R's eigenvectors.
+steering vector V^H s. ``theoretical_pd`` reads the true covariance as a
+``SpikedCovariance`` whose vectors are R's r leading eigenvectors, in the
+frame of its steering vector.
+
+The detector holds no ``SpikedCovariance`` of its own: it projects off the
+leading ``rank`` sample eigenvectors for any rank it is given, which need
+not be the spikes that lie above sigma2_hat.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 
 from .rmt import AspectRatio, EigenDecomposition
 from .scenario import SteeringSpec, steering_vector
-from .shrinkage import SpikedModel, cosine2, detect_spikes
+from .shrinkage import SpikedCovariance, cosine2, detect_spikes
 from . import rmt
 
 PD_SERIES_RTOL = 1e-12
@@ -183,26 +188,23 @@ def _pd_series(mean: float, delta_threshold: float) -> float:
 
 
 def theoretical_pd(
-    model: SpikedModel,
-    target: SteeringSpec,
-    amplitude: complex,
-    p_fa: float,
-    gamma: float,
-    eigvecs_truth: np.ndarray | None = None,
+    model: SpikedCovariance, target: SteeringSpec, amplitude: complex, p_fa: float, gamma: float
 ) -> float:
     """Asymptotic detection probability for a target of the given amplitude.
 
-    The leakage-corrected deflection uses the true clutter eigvectors u_i and
-    the eigenvector alignment c^2(ell_i), all in unit-noise (whitened) units:
+    The leakage-corrected deflection uses the true clutter eigenvectors u_i,
+    ``model.vectors`` in the frame of the target's steering vector, and the
+    eigenvector alignment c^2(ell_i), all in unit-noise (whitened) units:
 
         A  = ||P s_w||^2 + sum_i (1 - c^2_i) |s_w^H u_i|^2
         nu = 1 / A + sum_i (ell_i - 1)(1 - c^2_i) |s_w^H u_i|^2 / A^2
 
     and the exponential-calibrated statistic is noncentral with squared mean
-    |amplitude|^2 / nu, which for a clutter-free scene reduces exactly to the
-    injected SNR |amplitude|^2 ||s||^2 / sigma2. The probability of detection
-    is the Poisson-mixture series over the regularized upper incomplete gamma
-    at threshold -log(p_fa).
+    |amplitude|^2 / nu. For a clutter-free scene (p x 0 vectors) nu is
+    1 / ||s_w||^2, so the squared mean is exactly the injected SNR
+    |amplitude|^2 ||s||^2 / sigma2. The probability of detection is the
+    Poisson-mixture series over the regularized upper incomplete gamma at
+    threshold -log(p_fa).
     """
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must lie in (0, 1)")
@@ -211,19 +213,11 @@ def theoretical_pd(
     if np.any(ells <= edge):
         raise ValueError("sub-critical spike")
     s_w = steering_vector(target) / np.sqrt(model.sigma2)
-    if ells.size:
-        if eigvecs_truth is None:
-            raise ValueError("eigvecs_truth required when the model has spikes")
-        u = np.asarray(eigvecs_truth)
-        if u.shape != (model.p, ells.size):
-            raise ValueError("eigvecs_truth must be p x r")
-        overlap = np.abs(u.conj().T @ s_w) ** 2
-        proj_norm2 = float(np.real(np.vdot(s_w, s_w)) - overlap.sum())
-        c2 = np.array([cosine2(ell, gamma) for ell in ells])
-        a_val = proj_norm2 + float(((1.0 - c2) * overlap).sum())
-        nu = 1.0 / a_val + float(((ells - 1.0) * (1.0 - c2) * overlap).sum()) / a_val**2
-    else:
-        nu = 1.0 / float(np.real(np.vdot(s_w, s_w)))
+    overlap = np.abs(model.vectors.conj().T @ s_w) ** 2
+    proj_norm2 = float(np.real(np.vdot(s_w, s_w)) - overlap.sum())
+    c2 = np.array([cosine2(ell, gamma) for ell in ells])
+    a_val = proj_norm2 + float(((1.0 - c2) * overlap).sum())
+    nu = 1.0 / a_val + float(((ells - 1.0) * (1.0 - c2) * overlap).sum()) / a_val**2
     if not np.isfinite(nu) or nu <= 0:
         raise ValueError("divergent deflection")
     mean = abs(amplitude) ** 2 / nu

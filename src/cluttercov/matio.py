@@ -4,9 +4,10 @@ A matrix named ``base`` is stored as ``base.bin`` (little-endian IEEE float64,
 interleaved re/im, column-major) plus ``base.json`` holding
 {"rows", "cols", "dtype": "c128", "layout": "col-major"}.
 
-An estimate is written as its spiked model: its p x r vectors V as the
-matrix ``base``, and {"sigma2_hat", "spike_count", "spiked_eigenvalues",
-"gamma"} in ``base.summary.json``. It is s2 I + V diag(spikes - s2) V^H.
+An estimate, a ``SpikedCovariance``, is written as its spiked form: its
+p x r vectors V as the matrix ``base``, and {"sigma2_hat", "spike_count",
+"spiked_eigenvalues", "gamma"} in ``base.summary.json``. It is
+s2 I + V diag(spikes - s2) V^H with s2 = sigma2_hat.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .shrinkage import CovarianceEstimate
+from .shrinkage import SpikedCovariance
 
 SIDECAR_REQUIRED = ("rows", "cols", "dtype", "layout")
 
@@ -57,7 +58,7 @@ def load_matrix(base) -> tuple[np.ndarray, dict]:
     return m, header
 
 
-def save_estimate(base, estimate: CovarianceEstimate, gamma: float) -> list[Path]:
+def save_estimate(base, estimate: SpikedCovariance, gamma: float) -> list[Path]:
     """Serialize an estimate: its p x r vectors as blob + sidecar, then the summary JSON."""
     base = Path(base)
     paths = list(save_matrix(base, estimate.vectors))
@@ -67,7 +68,7 @@ def save_estimate(base, estimate: CovarianceEstimate, gamma: float) -> list[Path
     return paths
 
 
-def load_estimate(base) -> CovarianceEstimate:
+def load_estimate(base) -> SpikedCovariance:
     """Rebuild a saved estimate; files that break its invariants raise ValueError."""
     base = Path(base)
     vectors, _ = load_matrix(base)
@@ -75,4 +76,4 @@ def load_estimate(base) -> CovarianceEstimate:
     spikes = np.asarray(summary["spiked_eigenvalues"], dtype=float)
     if summary["spike_count"] != spikes.size:
         raise ValueError("summary spike count does not match its spikes")
-    return CovarianceEstimate(sigma2_hat=summary["sigma2_hat"], spikes=spikes, vectors=vectors)
+    return SpikedCovariance(summary["sigma2_hat"], spikes, vectors)

@@ -1,26 +1,27 @@
 """Scalar performance metrics: normalized SCNR, its bounds, MVDR variance, Stein loss.
 
-Every metric scores a spiked ``CovarianceEstimate`` against the true
-covariance R, and reads the truth by attribute alone: ``p``, ``quad_inv``
-(y^H R^{-1} y per column), ``apply`` (R w), ``trace_inv`` and ``logdet``.
-The SCNR and MVDR metrics take steering vectors as plain p-vectors (or the
-columns of a p x m matrix), in the frame of the truth and the estimate.
-Every metric is invariant when R, the estimate and the steering vectors are
-rotated together by one unitary, so the callers score in R's eigenbasis,
-with each steering vector s rotated to V^H s. There the one truth is the
-scene's ``SpikedModel``, in O(p) per vector: R's eigenvalues within 1e-6
-of sigma2 count as its floor (``scenario.truth_spiked_model``).
+Every metric scores a spiked estimate against the true covariance R, both
+``SpikedCovariance``s, and reads the truth by attribute alone: ``p``,
+``quad_inv`` (y^H R^{-1} y per column), ``apply`` (R w), ``trace_inv`` and
+``logdet``. The SCNR and MVDR metrics take steering vectors as plain
+p-vectors (or the columns of a p x m matrix), in the frame of the truth and
+the estimate. Every metric is invariant when R, the estimate and the
+steering vectors are rotated together by one unitary, so the callers score
+in R's eigenbasis, with each steering vector s rotated to V^H s. There the
+one truth is the scene's ``SpikedCovariance.diagonal``, in O(pr) per
+vector: R's eigenvalues within 1e-6 of sigma2 count as its floor
+(``scenario.truth_spiked_model``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .shrinkage import CovarianceEstimate, SpikedModel, cosine2, stein_shrinker
+from .shrinkage import SpikedCovariance, cosine2
 
 
 def normalized_scnr_batch(
-    estimate: CovarianceEstimate, truth, steerings: np.ndarray
+    estimate: SpikedCovariance, truth, steerings: np.ndarray
 ) -> np.ndarray:
     """Normalized SCNR for every steering column of ``steerings`` (p x m).
 
@@ -41,16 +42,12 @@ def normalized_scnr_batch(
     return num / (den1 * den2)
 
 
-def kantorovich_bound(
-    truth_spectrum: SpikedModel,
-    estimate: CovarianceEstimate | None,
-    gamma: float,
-) -> float:
+def kantorovich_bound(truth: SpikedCovariance, estimate: SpikedCovariance, gamma: float) -> float:
     """Lower bound on normalized SCNR from the per-spike whitening mismatch.
 
     Each true whitened spike ell pairs with the whitened eigenvalue eta the
-    estimator assigns it (the Stein shrinker value when ``estimate`` is None,
-    the realized estimate otherwise). The two pivot eigenvalues per spike are
+    estimate assigns it: its spike of the same rank over its floor, or 1
+    past its spike count. The two pivot eigenvalues per spike are
 
         nu_pm = T/2 +- sqrt(T^2/4 - D),  D = eta / ell,
         T = (s^2 + eta c^2) / ell + c^2 + eta s^2,
@@ -60,16 +57,12 @@ def kantorovich_bound(
     4 kappa / (kappa + 1)^2, in (0, 1]. With no spikes the whitening is
     perfect and the bound is 1.
     """
-    ells = truth_spectrum.whitened_spikes()
+    ells = truth.whitened_spikes()
     if ells.size == 0:
         return 1.0
-    if estimate is None:
-        etas = np.array([stein_shrinker(ell, gamma) for ell in ells])
-    else:
-        s2 = estimate.sigma2_hat
-        etas = np.ones(ells.size)
-        k = min(estimate.spike_count, ells.size)
-        etas[:k] = estimate.spikes[:k] / s2
+    etas = np.ones(ells.size)
+    k = min(estimate.r, ells.size)
+    etas[:k] = estimate.spikes[:k] / estimate.sigma2
     nu_plus = np.empty(ells.size)
     nu_minus = np.empty(ells.size)
     for i, (ell, eta) in enumerate(zip(ells, etas)):
@@ -95,8 +88,8 @@ def kantorovich_bound(
 def mvdr_error_variance(m, steering: np.ndarray) -> float:
     """Beamformer error variance 1 / (s^H M^{-1} s) at the steering p-vector s.
 
-    ``m`` is a ``CovarianceEstimate`` or a truth, either read through its
-    ``quad_inv``, and must be positive definite.
+    ``m`` is an estimate or a truth, read through its ``quad_inv``, and must
+    be positive definite.
     """
     quad = float(m.quad_inv(np.asarray(steering)))
     if quad <= 0 or not np.isfinite(quad):
@@ -104,7 +97,7 @@ def mvdr_error_variance(m, steering: np.ndarray) -> float:
     return float(1.0 / quad)
 
 
-def stein_loss(truth, estimate: CovarianceEstimate) -> float:
+def stein_loss(truth, estimate: SpikedCovariance) -> float:
     """Stein loss tr(R^{-1} Rbar - I) - log det(R^{-1} Rbar), nonnegative.
 
     Zero exactly when the estimate equals the truth. Values within fp dust
@@ -115,12 +108,12 @@ def stein_loss(truth, estimate: CovarianceEstimate) -> float:
         tr(R^{-1} Rbar) = s2 tr(R^{-1}) + sum_i (lam_i - s2) v_i^H R^{-1} v_i,
         log det(R^{-1} Rbar) = sum_i log(lam_i / s2) + p log s2 - log det R,
 
-    which is O(pr) through a ``SpikedModel``.
+    which is O(pr^2) through a ``SpikedCovariance``.
     """
     p = truth.p
     if estimate.p != p:
         raise ValueError("shape mismatch")
-    s2 = estimate.sigma2_hat
+    s2 = estimate.sigma2
     quad = truth.quad_inv(estimate.vectors)  # v_i^H R^{-1} v_i
     trace = s2 * truth.trace_inv + np.sum((estimate.spikes - s2) * quad)
     logdet = np.sum(np.log(estimate.spikes / s2)) + p * np.log(s2) - truth.logdet

@@ -33,10 +33,10 @@ s^2 = 1 - c^2) is counted, so the spike becomes the Stein shrinker
 from __future__ import annotations
 
 from .rmt import EigenDecomposition
-from .shrinkage import CovarianceEstimate
+from .shrinkage import SpikedCovariance
 
 
-def rcml_estimate(decomp: EigenDecomposition, sigma2_hat: float, rank: int) -> CovarianceEstimate:
+def rcml_estimate(decomp: EigenDecomposition, sigma2_hat: float, rank: int) -> SpikedCovariance:
     """Clipping estimate: the leading ``rank`` sample eigenvalues above the floor.
 
     The leading ``rank`` sample eigenvalues that exceed ``sigma2_hat`` are the
@@ -47,6 +47,4 @@ def rcml_estimate(decomp: EigenDecomposition, sigma2_hat: float, rank: int) -> C
         raise ValueError("rank must satisfy 0 <= rank < p")
     lead = decomp.eigenvalues[:rank]  # descending
     spikes = lead[lead > sigma2_hat]
-    return CovarianceEstimate(
-        sigma2_hat=sigma2_hat, spikes=spikes, vectors=decomp.leading(spikes.size)
-    )
+    return SpikedCovariance(sigma2_hat, spikes, decomp.leading(spikes.size))

@@ -13,13 +13,13 @@ descriptions:
   H H^H for the p x pulse_len Toeplitz convolution matrix H, so
   ``pulse_len`` sets the clutter rank. Long pulses can exceed the
   spiked-rank budget, which is flagged.
-* ``SpikedModel``: direct spectral synthesis of the target spectrum in a
-  seeded random unitary basis.
+* ``SpikedClutter``: direct spectral synthesis of the spikes in a seeded
+  random unitary basis; ``ScenarioConfig`` checks them against its sigma2.
 
 ``synthesize_clutter_covariance`` owns the one check of a scene's clutter
 rank against the 0.1 * p budget. ``truth_spiked_model`` is the scene's one
-truth, the ``SpikedModel`` every metric reads: R's eigenvalues within 1e-6
-of sigma2 count as floor.
+truth, the ``SpikedCovariance`` every metric reads, in R's eigenbasis: R's
+eigenvalues within 1e-6 of sigma2 count as floor.
 
 Snapshots are plain p x n arrays of circularly-symmetric complex Gaussian
 draws with the scene covariance, reproducible per (seed, stream) and
@@ -45,7 +45,7 @@ import numpy as np
 
 from .rmt import SPIKE_FRACTION_BUDGET, ModelOrderWarning, eigh, symmetrized
 from .rng import complex_normal, substream
-from .shrinkage import SpikedModel
+from .shrinkage import SpikedCovariance
 
 _SYNTHESIS_ROWS = 64  # rows per step of the covariance synthesis
 
@@ -66,6 +66,8 @@ class SteeringSpec:
     def __post_init__(self):
         if self.N < 1 or self.K < 1:
             raise ValueError("N and K must be positive")
+        if not np.isfinite(self.theta):
+            raise ValueError("cone angle theta must be finite")
         if not -0.5 <= self.doppler <= 0.5:
             raise ValueError("normalized Doppler must lie in [-1/2, 1/2]")
 
@@ -150,7 +152,17 @@ class ToeplitzClutter:
         object.__setattr__(self, "taps", taps)
 
 
-ClutterSpec = ScattererClutter | ToeplitzClutter | SpikedModel | None
+@dataclass(frozen=True)
+class SpikedClutter:
+    """Clutter given by R's spikes, descending and above the scene's sigma2."""
+
+    spikes: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "spikes", np.asarray(self.spikes, dtype=float).reshape(-1))
+
+
+ClutterSpec = ScattererClutter | ToeplitzClutter | SpikedClutter | None
 
 
 class ConfigError(Exception):
@@ -186,6 +198,9 @@ class ScenarioConfig:
             raise ValueError("sigma2 must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if isinstance(self.clutter, SpikedClutter):
+            # the spikes must make a spiked covariance at this p and sigma2
+            SpikedCovariance.diagonal(self.p, self.sigma2, self.clutter.spikes)
 
     @property
     def p(self) -> int:
@@ -232,16 +247,13 @@ def synthesize_clutter_covariance(config: ScenarioConfig) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         if clutter is None:
             r_c = np.zeros((p, p), dtype=complex)
-        elif isinstance(clutter, SpikedModel):
-            if clutter.p != p or clutter.sigma2 != config.sigma2:
-                raise ValueError("spiked shortcut must match scene dimension and noise power")
+        elif isinstance(clutter, SpikedClutter):
             rng = substream(config.seed, 0xBA515)
             z = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
             basis, _ = np.linalg.qr(z)
-            excess = clutter.spikes - clutter.sigma2
-            u = basis[:, : clutter.r]
-            r_c = (u * excess) @ u.conj().T
-            clutter_rank = clutter.r
+            clutter_rank = clutter.spikes.size
+            u = basis[:, :clutter_rank]
+            r_c = (u * (clutter.spikes - config.sigma2)) @ u.conj().T
         elif isinstance(clutter, ScattererClutter):
             r_c = np.zeros((p, p), dtype=complex)
             term = np.empty((min(_SYNTHESIS_ROWS, p), p), dtype=complex)
@@ -282,16 +294,16 @@ def synthesize_clutter_covariance(config: ScenarioConfig) -> np.ndarray:
     return covariance
 
 
-def truth_spiked_model(config: ScenarioConfig, covariance: np.ndarray | None = None) -> SpikedModel:
-    """Exact spiked description of a scene's true covariance.
+def truth_spiked_model(
+    config: ScenarioConfig, covariance: np.ndarray | None = None
+) -> SpikedCovariance:
+    """Exact spiked description of a scene's true covariance, in its own eigenbasis.
 
     Eigenvalues above sigma2 (1 + 1e-6) are the spikes, the rest floor at
-    sigma2; for scenes built from scatterers or a spiked shortcut the cut is
-    exact. Clutter that lifts all p eigenvalues leaves no noise floor for
-    the model, which raises ``ConfigError`` naming the clutter rank.
+    sigma2; for scenes built from scatterers or spikes the cut is exact.
+    Clutter that lifts all p eigenvalues leaves no noise floor for the
+    model, which raises ``ConfigError`` naming the clutter rank.
     """
-    if isinstance(config.clutter, SpikedModel):
-        return config.clutter
     if covariance is None:
         covariance = synthesize_clutter_covariance(config)
     lam = eigh(covariance).eigenvalues
@@ -301,7 +313,7 @@ def truth_spiked_model(config: ScenarioConfig, covariance: np.ndarray | None = N
             f"scene {config.name!r}: clutter rank {spikes.size} fills all p = {config.p} "
             "dimensions, so the spiked truth has no noise floor; the clutter rank must be below p"
         )
-    return SpikedModel(p=config.p, sigma2=config.sigma2, spikes=spikes)
+    return SpikedCovariance.diagonal(config.p, config.sigma2, spikes)
 
 
 class SnapshotSampler:

@@ -10,8 +10,12 @@ eigenvalue by a nonlinear function of it, in three steps:
    f(lam) -> population spike, then through the Stein-loss shrinker
    eta(x) = x / (c(x)^2 + s(x)^2 x), and scaled back by sigma2_hat.
 
-The per-spike central limit parameters (asymptotic location, variance, and
-shrinker slope) used by the validation harness live here too.
+The estimate is a ``SpikedCovariance``: the floor sigma2_hat, the shrunk
+spikes and the p x r sample eigenvectors that carry them. The same type
+holds the truth every metric scores against, the detection law reads and
+``verify_clt`` draws from. The per-spike central limit parameters
+(asymptotic location, variance, and shrinker slope) used by the validation
+harness live here too.
 """
 
 from __future__ import annotations
@@ -32,33 +36,49 @@ from .rmt import (
 
 
 @dataclass(frozen=True)
-class SpikedModel:
-    """Ground-truth spiked spectrum: r spikes above a flat noise floor.
+class SpikedCovariance:
+    """Spiked covariance sigma2 I + V diag(spikes - sigma2) V^H: the truth and every estimate.
 
-    The full spectrum is ``spikes`` (descending, all > sigma2) followed by
-    p - r copies of sigma2. In its own eigenbasis R = diag(spectrum()); there
-    the model is the truth every metric reads, from r + 1 numbers.
+    ``spikes`` are the r eigenvalues above the noise floor ``sigma2``,
+    descending, and ``vectors`` V the p x r orthonormal eigenvectors that
+    carry them; every other eigenvalue is sigma2. An estimate's V is the
+    leading sample eigenvectors from ``EigenDecomposition.leading(r)``, a
+    block it owns. A truth in its own eigenbasis, R = diag(spectrum()), has
+    V = eye(p, r) (``diagonal``). Every reader splits y into c = V^H y and
+    the residual y - V c, so y^H R^{-1} y = sum |c|^2 / spikes +
+    ||y - V c||^2 / sigma2 is two positive sums: no cancellation in the
+    clutter span, and in the eigenbasis both parts are exact coordinates of y.
     """
 
-    p: int
     sigma2: float
     spikes: np.ndarray
+    vectors: np.ndarray
 
     def __post_init__(self):
-        spikes = np.atleast_1d(np.asarray(self.spikes, dtype=float))
-        if self.p < 1:
-            raise ValueError("p must be positive")
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
-        if spikes.size >= self.p:
+        spikes = np.asarray(self.spikes, dtype=float).reshape(-1)
+        v = self.vectors
+        if v.ndim != 2 or v.shape[1] != spikes.size:
+            raise ValueError("vectors must be p x r, one column per spike")
+        if spikes.size >= v.shape[0]:
             raise ValueError("spike count must be < p")
-        if not np.all(np.isfinite(spikes)):
-            raise ValueError("spikes must be finite")
+        if not self.sigma2 > 0:
+            raise ValueError("noise floor sigma2 must be positive")
+        if not (np.isfinite(self.sigma2) and np.isfinite(spikes).all() and np.isfinite(v).all()):
+            raise ValueError("covariance must be finite")
         if np.any(np.diff(spikes) > 0):
             raise ValueError("spikes must be sorted descending")
-        if spikes.size and not np.all(spikes > self.sigma2):
-            raise ValueError("spikes must lie strictly above sigma2")
+        if np.any(spikes <= self.sigma2):
+            raise ValueError("spikes must exceed the noise floor sigma2")
         object.__setattr__(self, "spikes", spikes)
+
+    @classmethod
+    def diagonal(cls, p: int, sigma2: float, spikes) -> SpikedCovariance:
+        """The covariance in its own eigenbasis, diag(spectrum()): V = eye(p, r)."""
+        return cls(sigma2, spikes, np.eye(p, np.size(spikes), dtype=complex))
+
+    @property
+    def p(self) -> int:
+        return self.vectors.shape[0]
 
     @property
     def r(self) -> int:
@@ -81,79 +101,39 @@ class SpikedModel:
         """log det R = sum log spikes + (p - r) log sigma2."""
         return float(np.sum(np.log(self.spikes)) + (self.p - self.r) * np.log(self.sigma2))
 
-    def _split(self, x: np.ndarray):
-        """The spike rows and floor rows of ``x``, and the spikes shaped to scale its columns."""
-        x = np.asarray(x)
-        if x.shape[:1] != (self.p,):
-            raise ValueError("vector dimension does not match the model")
-        return x[: self.r], x[self.r:], self.spikes.reshape((-1,) + (1,) * (x.ndim - 1))
+    def _project(self, y: np.ndarray):
+        """c = V^H y, the residual y - V c, and the spikes shaped to scale the columns of c."""
+        y = np.asarray(y)
+        if y.shape[:1] != (self.p,):
+            raise ValueError("vector dimension does not match the covariance")
+        c = self.vectors.conj().T @ y
+        return c, y - self.vectors @ c, self.spikes.reshape((-1,) + (1,) * (y.ndim - 1))
 
     def quad_inv(self, y: np.ndarray) -> np.ndarray:
-        """y^H R^{-1} y per column, as two positive sums: no cancellation in the clutter span."""
-        head, tail, spikes = self._split(y)
-        floor = np.sum(np.abs(tail) ** 2, axis=0) / self.sigma2
-        return np.sum(np.abs(head) ** 2 / spikes, axis=0) + floor
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        """R w for a p-vector or the columns of a p x m matrix: spikes * w above sigma2 * w."""
-        head, tail, spikes = self._split(w)
-        return np.concatenate([spikes * head, self.sigma2 * tail])
-
-
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    """Spiked estimate: a noise floor plus r eigenpairs above it.
-
-    The estimate is s2 I + V diag(spikes - s2) V^H with s2 = sigma2_hat,
-    ``spikes`` the r shrunk (or clipped) eigenvalues, descending and strictly
-    above s2, and ``vectors`` the p x r leading sample eigenvectors from
-    ``EigenDecomposition.leading(r)``, a block the estimate owns. Every other
-    eigenvalue equals the floor by construction.
-    """
-
-    sigma2_hat: float
-    spikes: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        spikes = np.asarray(self.spikes, dtype=float).reshape(-1)
-        v = self.vectors
-        if v.ndim != 2 or v.shape[1] != spikes.size or spikes.size > v.shape[0]:
-            raise ValueError("vectors must be p x r, one column per spike")
-        if np.any(np.diff(spikes) > 0):
-            raise ValueError("spikes must be sorted descending")
-        if not self.sigma2_hat > 0:
-            raise ValueError("noise power estimate must be positive")
-        finite = np.isfinite(self.sigma2_hat) and np.isfinite(spikes).all()
-        if not (finite and np.isfinite(v).all()):
-            raise ValueError("estimate must be finite")
-        if np.any(spikes <= self.sigma2_hat):
-            raise ValueError("spiked eigenvalues must exceed the noise floor")
-        object.__setattr__(self, "spikes", spikes)
-
-    @property
-    def p(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def spike_count(self) -> int:
-        return self.spikes.size
+        """y^H R^{-1} y for a p-vector or each column of a p x m matrix, as two positive sums."""
+        c, res, spikes = self._project(y)
+        floor = np.sum(np.abs(res) ** 2, axis=0) / self.sigma2
+        return np.sum(np.abs(c) ** 2 / spikes, axis=0) + floor
 
     def inverse_apply(self, y: np.ndarray) -> np.ndarray:
-        """Estimate^{-1} y = (y - V((1 - s2/spikes) * (V^H y))) / s2, O(p r) per column."""
-        s2 = self.sigma2_hat
-        v = self.vectors
-        return (y - (v * (1.0 - s2 / self.spikes)) @ (v.conj().T @ y)) / s2
+        """R^{-1} y = V (c / spikes) + (y - V c) / sigma2, O(p r) per column."""
+        c, res, spikes = self._project(y)
+        res /= self.sigma2  # in place: a call holds two p x m arrays at most
+        res += self.vectors @ (c / spikes)
+        return res
 
-    def quad_inv(self, y: np.ndarray) -> np.ndarray:
-        """y^H Estimate^{-1} y for a p-vector or each column of a p x m matrix, O(p r) each."""
-        return np.real(np.sum(np.conj(y) * self.inverse_apply(y), axis=0))
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """R w = V (spikes * c) + sigma2 (w - V c), O(p r) per column."""
+        c, res, spikes = self._project(w)
+        res *= self.sigma2
+        res += self.vectors @ (spikes * c)
+        return res
 
     def summary(self, gamma: float) -> dict:
         """The floor, the spikes and the aspect ratio gamma = p / n they were estimated at."""
         return {
-            "sigma2_hat": self.sigma2_hat,
-            "spike_count": self.spike_count,
+            "sigma2_hat": self.sigma2,
+            "spike_count": self.r,
             "spiked_eigenvalues": self.spikes.tolist(),
             "gamma": gamma,
         }
@@ -178,7 +158,9 @@ class CltParams:
     eta_prime: float = field(init=False)
 
     def __post_init__(self):
-        ell, g = self.ell, self.gamma
+        ell, g = float(self.ell), float(self.gamma)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "gamma", g)
         if not ell > 1.0 + np.sqrt(g):
             raise ValueError("sub-critical spike")
         alpha2 = 2.0 * ell**2 * (1.0 - g / (ell - 1.0) ** 2)
@@ -305,7 +287,7 @@ def detect_spikes(decomp: EigenDecomposition, ratio: AspectRatio) -> tuple[float
     return s2, whitened[whitened > (1.0 + np.sqrt(ratio.gamma)) ** 2]
 
 
-def shrink_spectrum(decomp: EigenDecomposition, ratio: AspectRatio) -> CovarianceEstimate:
+def shrink_spectrum(decomp: EigenDecomposition, ratio: AspectRatio) -> SpikedCovariance:
     """Full shrinkage pass: noise power, spike detection, Stein shrinkage.
 
     The spikes ``detect_spikes`` finds are shrunk through
@@ -327,10 +309,5 @@ def shrink_spectrum(decomp: EigenDecomposition, ratio: AspectRatio) -> Covarianc
             ModelOrderWarning,
             stacklevel=2,
         )
-    return CovarianceEstimate(sigma2_hat=s2, spikes=spikes, vectors=decomp.leading(r_hat))
-
-
-def clt_params(ell: float, gamma: float) -> CltParams:
-    """Central-limit parameters for one super-critical population spike."""
-    return CltParams(ell=float(ell), gamma=float(gamma))
+    return SpikedCovariance(s2, spikes, decomp.leading(r_hat))
 

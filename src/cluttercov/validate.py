@@ -19,20 +19,21 @@ sweep scores is rotated into it, before the first draw.
 The sweeps run every trial in the eigenbasis V of the scene's R: the
 sampler draws there in O(pn), one p x n array scaled as it is filled, and
 each steering vector enters once per sweep as V^H s. There every metric
-reads the one truth, the scene's ``SpikedModel`` (R's eigenvalues within
-1e-6 of sigma2 count as floor), so no p x p truth is alive during the
-trials. Both estimators keep the sample eigenvectors and every metric is
-invariant under that common rotation, so the rows equal those of the
-original frame up to roundoff. ``verify_clt`` draws with a diagonal truth
-directly, and the detection probability ``theoretical_pd`` works in the
-original frame.
+reads the one truth, the scene's ``SpikedCovariance`` with vectors
+eye(p, r) (R's eigenvalues within 1e-6 of sigma2 count as floor), so no
+p x p truth is alive during the trials. Both estimators keep the sample
+eigenvectors and every metric is invariant under that common rotation, so
+the rows equal those of the original frame up to roundoff. ``verify_clt``
+draws from a diagonal ``SpikedCovariance`` directly, and the detection
+probability ``theoretical_pd`` reads the same truth with R's r leading
+eigenvectors as its vectors, in the original frame.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 
 import numpy as np
@@ -57,7 +58,7 @@ from .scenario import (
     synthesize_clutter_covariance,
     truth_spiked_model,
 )
-from .shrinkage import SpikedModel, clt_params, shrink_spectrum
+from .shrinkage import CltParams, SpikedCovariance, shrink_spectrum
 
 KOLMOGOROV_SERIES_TERMS = 100
 DEFAULT_TRIALS = 1024
@@ -157,12 +158,7 @@ class CltSpikeResult:
 
 
 def verify_clt(
-    model: SpikedModel,
-    gamma: float,
-    p: int,
-    trials: int,
-    seed: int,
-    ensemble: str = "complex",
+    model: SpikedCovariance, gamma: float, trials: int, seed: int, ensemble: str = "complex"
 ) -> list[CltSpikeResult]:
     """Check the distributional law of the shrunk spike eigenvalues by simulation.
 
@@ -173,6 +169,8 @@ def verify_clt(
     Gaussian snapshots; circular complex snapshots halve it, so the reference
     scale carries a 1/sqrt(2) factor for ensemble="complex".
 
+    The snapshots are p = ``model.p`` dimensional, drawn with the diagonal
+    covariance diag(model.spectrum()), as the eigenvalue law is basis-free.
     n is chosen as round(p / gamma) and the exact ratio p / n is used
     throughout, which keeps the CLT's p/n - gamma = o(n^{-1/2}) side condition
     trivially satisfied.
@@ -195,13 +193,14 @@ def verify_clt(
         raise ValueError("model must have at least one spike")
     if trials < 2:
         raise ValueError("need at least two trials")
+    p = model.p
     n = int(round(p / gamma))
     ratio = rmt.AspectRatio(p, n)
     g = ratio.gamma
     ells = model.whitened_spikes()
     if np.any(ells <= 1.0 + np.sqrt(g)):
         raise ValueError("sub-critical spike")
-    params = [clt_params(ell, g) for ell in ells]
+    params = [CltParams(ell, g) for ell in ells]
     sigma2 = model.sigma2
     scale_fix = 1.0 if ensemble == "real" else 1.0 / np.sqrt(2.0)
 
@@ -209,7 +208,6 @@ def verify_clt(
     shrunk = np.empty((trials, model.r))
     for t in range(trials):
         rng = substream(seed, t)
-        # diagonal truth: the eigenvalue law is basis-free
         if ensemble == "real":
             w = rng.standard_normal((p, n))
             w *= root[:, None]
@@ -220,8 +218,8 @@ def verify_clt(
         est = shrink_spectrum(rmt.eigh(scm), ratio)
         del scm  # so only the small estimate is alive at the next draw
         # a spike the estimator missed sits on the floor
-        k = min(est.spike_count, model.r)
-        shrunk[t] = est.sigma2_hat
+        k = min(est.r, model.r)
+        shrunk[t] = est.sigma2
         shrunk[t, :k] = est.spikes[:k]
 
     results = []
@@ -246,7 +244,7 @@ def _estimate_both(decomp: rmt.EigenDecomposition, ratio: rmt.AspectRatio) -> di
     shrink = shrink_spectrum(decomp, ratio)
     return {
         "shrinkage": shrink,
-        "rcml": rcml_estimate(decomp, shrink.sigma2_hat, shrink.spike_count),
+        "rcml": rcml_estimate(decomp, shrink.sigma2, shrink.r),
     }
 
 
@@ -319,7 +317,7 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
 
 
 def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
-                     eigvecs, spiked, sampler) -> str:
+                     spiked, sampler) -> str:
     scn = plan.scenario
     target = plan.target
     ratio_gamma = scn.p / scn.n
@@ -338,7 +336,7 @@ def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
                 hits[i] += int(report.decision)
             del w, y  # so two draws are never alive at once
         for pfa, hit in zip(pfa_list, hits):
-            pd_theory = theoretical_pd(spiked, target, amp, pfa, ratio_gamma, eigvecs)
+            pd_theory = theoretical_pd(spiked, target, amp, pfa, ratio_gamma)
             emp = hit / plan.trials if plan.trials else float("nan")
             rows.append([float(snr_db), float(pfa), emp, pd_theory, plan.trials])
     return _rows_to_csv(DETECTION_HEADER, rows)
@@ -371,18 +369,18 @@ def sweep(
     entry at each SNR (a rate listed twice gives two equal rows).
 
     Through its trials a sweep holds the sampler's draw scale, the spiked
-    truth, the rotated steering vectors (each Doppler or angle row its
-    p x 179 or p x 16 grid) and, on the "snr" axis, the r leading
-    eigenvectors of R that ``theoretical_pd`` reads. R is dropped
-    once the sampler and the spiked truth are built, and the sampler's
-    p x p basis once those vectors are rotated, before the first draw. A
-    trial's working set then peaks at its draw, one p x n array scaled as
-    it is filled, plus the SCM, or at the SCM plus its reduction. The "snr"
-    axis splits its p x (n + 1) draw into the training view ``[:, :n]``,
-    which ``detect`` reads in place, and the test cell ``[:, n]``, to which
-    ``inject_target`` adds the target in a new p-vector; nothing of the
-    draw is copied, and it lives through the SCM and reduction of each
-    false-alarm rate.
+    truth with its p x r vectors (eye(p, r), or on the "snr" axis the r
+    leading eigenvectors of R that ``theoretical_pd`` reads) and the
+    rotated steering vectors (each Doppler or angle row its p x 179 or
+    p x 16 grid). R is dropped once the sampler and the spiked truth are
+    built, and the sampler's p x p basis once those vectors are rotated,
+    before the first draw. A trial's working set then peaks at its draw,
+    one p x n array scaled as it is filled, plus the SCM, or at the SCM
+    plus its reduction. The "snr" axis splits its p x (n + 1) draw into the
+    training view ``[:, :n]``, which ``detect`` reads in place, and the
+    test cell ``[:, n]``, to which ``inject_target`` adds the target in a
+    new p-vector; nothing of the draw is copied, and it lives through the
+    SCM and reduction of each false-alarm rate.
 
     A zero-trial plan short-circuits to a header-only table.
     """
@@ -403,10 +401,12 @@ def sweep(
     truth = synthesize_clutter_covariance(scn)
     spiked = truth_spiked_model(scn, truth)
     sampler = SnapshotSampler(truth)
-    # of R the snr axis keeps its r leading vectors, for theoretical_pd; the
-    # estimation trials score against the spiked truth in R's eigenbasis
-    eigvecs = rmt.eigh(truth).leading(spiked.r) if axis == "snr" and spiked.r else None
+    # the estimation trials score against the truth in R's eigenbasis, while
+    # theoretical_pd reads it in R's frame, with R's r leading vectors (a
+    # second reduction of R; sharing the sampler's is ROADMAP item 1)
+    if axis == "snr" and spiked.r:
+        spiked = replace(spiked, vectors=rmt.eigh(truth).leading(spiked.r))
     del truth
     if axis == "snr":
-        return _sweep_detection(plan, values, tuple(pfa_list), rank, eigvecs, spiked, sampler)
+        return _sweep_detection(plan, values, tuple(pfa_list), rank, spiked, sampler)
     return _sweep_estimation(plan, axis, values, spiked, sampler)

@@ -4,7 +4,7 @@ Each is the direct, unoptimized form of something the package computes
 another way: the Marchenko-Pastur density (the package has only its closed
 CDF), the whitened shrinkage map and its finite-difference slope (the
 package has the analytic slope), a dense true covariance read through
-solves (the package scores against a ``SpikedModel`` only), the dense
+solves (the package scores against a ``SpikedCovariance`` only), the dense
 p x p form of a spiked estimate (the package keeps and writes its floor,
 spikes and p x r vectors), and the whole-matrix expression of a scene's
 covariance (the package forms it a block of rows at a time).
@@ -14,7 +14,7 @@ import numpy as np
 
 from cluttercov import (
     ScattererClutter,
-    SpikedModel,
+    SpikedClutter,
     SteeringSpec,
     ToeplitzClutter,
     f_map,
@@ -61,7 +61,7 @@ def eta_prime_fd(ell, gamma, rel_step=1e-6):
 
 
 class DenseTruth:
-    """A dense true covariance R, read by the metrics as they read a ``SpikedModel``.
+    """A dense true covariance R, read by the metrics as they read a ``SpikedCovariance``.
 
     Every attribute comes from a direct solve or determinant of the p x p
     array: y^H R^{-1} y by ``np.linalg.solve``, tr(R^{-1}) from the inverse
@@ -88,8 +88,8 @@ class DenseTruth:
 
 
 def dense_estimate(estimate):
-    """The p x p matrix s2 I + V diag(spikes - s2) V^H of a ``CovarianceEstimate``."""
-    s2, v = estimate.sigma2_hat, estimate.vectors
+    """The p x p matrix s2 I + V diag(spikes - s2) V^H of a ``SpikedCovariance``."""
+    s2, v = estimate.sigma2, estimate.vectors
     return (v * (estimate.spikes - s2)) @ v.conj().T + s2 * np.eye(estimate.p)
 
 
@@ -99,16 +99,16 @@ def dense_clutter_covariance(config):
     The expression ``synthesize_clutter_covariance`` is pinned to bit for
     bit: R_c is the sum of |a|^2 v v^H over the scatterers in order, H H^H
     for the Toeplitz response H, or U diag(spikes - sigma2) U^H for the
-    seeded unitary U of a spiked shortcut. No checks and no warnings.
+    seeded unitary U of spiked clutter. No checks and no warnings.
     """
     p = config.p
     clutter = config.clutter
     r_c = np.zeros((p, p), dtype=complex)
-    if isinstance(clutter, SpikedModel):
+    if isinstance(clutter, SpikedClutter):
         rng = substream(config.seed, 0xBA515)
         z = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-        u = np.linalg.qr(z)[0][:, : clutter.r]
-        r_c = (u * (clutter.spikes - clutter.sigma2)) @ u.conj().T
+        u = np.linalg.qr(z)[0][:, : clutter.spikes.size]
+        r_c = (u * (clutter.spikes - config.sigma2)) @ u.conj().T
     elif isinstance(clutter, ScattererClutter):
         for sc in clutter.scatterers:
             v = steering_vector(SteeringSpec(sc.theta, sc.doppler, config.N, config.K))

@@ -96,7 +96,7 @@ class TestEstimate:
         ratio = AspectRatio(cfg.p, cfg.n)
         est = shrink_spectrum(dec, ratio)
         if estimator == "rcml":
-            est = rcml_estimate(dec, est.sigma2_hat, est.spike_count)
+            est = rcml_estimate(dec, est.sigma2, est.r)
         ref = dense_estimate(est)
         assert np.abs(m - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -120,9 +120,9 @@ class TestEstimate:
         (est,) = written
         base = out / f"estimate-{estimator}"
         back = load_estimate(base)
-        assert back.spike_count == est.spike_count == (2 if clutter == "scatterers" else 0)
-        assert base.with_suffix(".bin").stat().st_size == 32 * est.spike_count * 16
-        assert back.sigma2_hat == est.sigma2_hat
+        assert back.r == est.r == (2 if clutter == "scatterers" else 0)
+        assert base.with_suffix(".bin").stat().st_size == 32 * est.r * 16
+        assert back.sigma2 == est.sigma2
         np.testing.assert_array_equal(back.spikes, est.spikes)
         np.testing.assert_array_equal(back.vectors, est.vectors)
         ref = dense_estimate(est)
@@ -134,10 +134,10 @@ class TestEstimate:
     def test_a_bad_write_fails_validation(self, scene, tmp_path, monkeypatch, capsys):
         # a spike written below the floor breaks the estimate's own invariants
         def bad_summary(est, gamma):
-            return {"sigma2_hat": 1.0, "spike_count": est.spike_count,
-                    "spiked_eigenvalues": [0.5] * est.spike_count, "gamma": gamma}
+            return {"sigma2_hat": 1.0, "spike_count": est.r,
+                    "spiked_eigenvalues": [0.5] * est.r, "gamma": gamma}
 
-        monkeypatch.setattr(cluttercov.CovarianceEstimate, "summary", bad_summary)
+        monkeypatch.setattr(cluttercov.SpikedCovariance, "summary", bad_summary)
         argv = ["estimate", "--config", str(scene), "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 3
         assert "noise floor" in capsys.readouterr().err
@@ -471,6 +471,21 @@ class TestExitCodes:
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command", [["detect"], ["sweep", "--axis", "n", "--trials", "1"],
+                    ["sweep", "--axis", "snr", "--trials", "1"]],
+        ids=["detect", "sweep-n", "sweep-snr"],
+    )
+    def test_nonfinite_angle_is_config_error(self, scene, tmp_path, capsys, command, angle):
+        out = tmp_path / "out"
+        argv = [*command, "--config", str(scene), "--angle-deg", angle, "--out-dir", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way to the verdict
+            assert main(argv) == 2
+        assert "bad target" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_clutter_filling_every_dimension_is_config_error_in_sweeps(self, tmp_path, capsys):
         # Toeplitz clutter of pulse length 40 > p = 32 lifts every eigenvalue:

@@ -6,7 +6,7 @@ from cluttercov import (
     AspectRatio,
     DetectionReport,
     DetectorConfig,
-    SpikedModel,
+    SpikedCovariance,
     SteeringSpec,
     clutter_projection,
     detect,
@@ -25,7 +25,7 @@ from cluttercov.rng import substream
 
 def h0_cubes(p, n_train, trials, seed, spikes=()):
     """p x (n_train + 1) null snapshots: the last column is the test snapshot."""
-    model = SpikedModel(p=p, sigma2=1.0, spikes=np.asarray(spikes, dtype=float))
+    model = SpikedCovariance.diagonal(p, 1.0, np.asarray(spikes, dtype=float))
     root = np.sqrt(model.spectrum())
     for t in range(trials):
         rng = substream(seed, t)
@@ -100,7 +100,7 @@ class TestTestStatistic:
         # 1e5 null snapshots against a projection estimated once at the true rank
         p, n = 64, 1024
         spikes = (40.0, 25.0)
-        model = SpikedModel(p=p, sigma2=1.0, spikes=np.asarray(spikes))
+        model = SpikedCovariance.diagonal(p, 1.0, np.asarray(spikes))
         root = np.sqrt(model.spectrum())
         rng = substream(202, 0)
         train = root[:, None] * (
@@ -121,7 +121,7 @@ class TestTestStatistic:
     def test_h0_distribution_chi2(self):
         # two-sample KS at 5% against chi-squared(2) draws
         p, n = 64, 1024
-        model = SpikedModel(p=p, sigma2=1.0, spikes=np.array([30.0]))
+        model = SpikedCovariance.diagonal(p, 1.0, np.array([30.0]))
         root = np.sqrt(model.spectrum())
         rng = substream(203, 0)
         train = root[:, None] * (
@@ -158,13 +158,13 @@ class TestThreshold:
 
 class TestTheoreticalPd:
     def test_zero_amplitude_reduces_to_pfa(self):
-        model = SpikedModel(p=16, sigma2=1.0, spikes=np.array([]))
+        model = SpikedCovariance.diagonal(16, 1.0, np.array([]))
         spec = SteeringSpec(0.1, 0.1, 4, 4)
         for pfa in (0.1, 0.01, 1e-4):
             assert theoretical_pd(model, spec, 0.0, pfa, 0.25) == pytest.approx(pfa, rel=1e-10)
 
     def test_large_amplitude_saturates(self):
-        model = SpikedModel(p=16, sigma2=1.0, spikes=np.array([]))
+        model = SpikedCovariance.diagonal(16, 1.0, np.array([]))
         spec = SteeringSpec(0.1, 0.1, 4, 4)
         assert theoretical_pd(model, spec, 30.0, 1e-3, 0.25) == pytest.approx(1.0, abs=1e-9)
 
@@ -189,7 +189,7 @@ class TestTheoreticalPd:
                 assert _pd_series(mean, thr) == pytest.approx(reference(mean, thr), rel=1e-11)
 
     def test_monotone_in_amplitude_and_pfa(self):
-        model = SpikedModel(p=16, sigma2=1.0, spikes=np.array([]))
+        model = SpikedCovariance.diagonal(16, 1.0, np.array([]))
         spec = SteeringSpec(0.1, 0.1, 4, 4)
         amps = np.linspace(0.0, 2.0, 15)
         vals = [theoretical_pd(model, spec, a, 1e-2, 0.25) for a in amps]
@@ -201,21 +201,43 @@ class TestTheoreticalPd:
     def test_clutter_terms_lower_pd(self):
         # energy leaking into the clutter subspace costs detection probability
         p = 64
-        model0 = SpikedModel(p=p, sigma2=1.0, spikes=np.array([]))
-        model1 = SpikedModel(p=p, sigma2=1.0, spikes=np.array([25.0]))
+        model0 = SpikedCovariance.diagonal(p, 1.0, np.array([]))
         spec = SteeringSpec(0.3, 0.2, 8, 8)
         s = steering_vector(spec)
         u = (s / np.linalg.norm(s))[:, None]  # worst case: spike on the target
+        model1 = SpikedCovariance(1.0, np.array([25.0]), u)
         amp = 0.3
         pd0 = theoretical_pd(model0, spec, amp, 1e-2, 0.2)
-        pd1 = theoretical_pd(model1, spec, amp, 1e-2, 0.2, eigvecs_truth=u)
+        pd1 = theoretical_pd(model1, spec, amp, 1e-2, 0.2)
         assert pd1 < pd0
 
+    def test_clutter_free_deflection_is_the_injected_snr(self):
+        # with p x 0 vectors the deflection reduces to 1 / ||s_w||^2 bit for bit
+        spec = SteeringSpec(0.3, 0.2, 8, 8)
+        sigma2, amp, p_fa = 0.7, 0.21, 1e-2
+        model = SpikedCovariance.diagonal(64, sigma2, np.array([]))
+        s_w = steering_vector(spec) / np.sqrt(sigma2)
+        mean = abs(amp) ** 2 / (1.0 / float(np.real(np.vdot(s_w, s_w))))
+        want = _pd_series(mean, threshold_for_pfa(p_fa))
+        assert theoretical_pd(model, spec, amp, p_fa, 0.25) == want
+
+    def test_reads_the_vectors_in_the_target_frame(self):
+        # the same spike on the target or orthogonal to it: only the overlap counts
+        p = 64
+        spec = SteeringSpec(0.3, 0.2, 8, 8)
+        s = steering_vector(spec)
+        on = SpikedCovariance(1.0, np.array([25.0]), (s / np.linalg.norm(s))[:, None])
+        off_axis = np.roll(s, 1) - s * (np.vdot(s, np.roll(s, 1)) / p)
+        off = SpikedCovariance(1.0, np.array([25.0]), (off_axis / np.linalg.norm(off_axis))[:, None])
+        free = SpikedCovariance.diagonal(p, 1.0, np.array([]))
+        pds = [theoretical_pd(m, spec, 0.3, 1e-2, 0.2) for m in (on, off, free)]
+        assert pds[0] < pds[1] == pytest.approx(pds[2], rel=1e-12)
+
     def test_subcritical_rejected(self):
-        model = SpikedModel(p=16, sigma2=1.0, spikes=np.array([1.2]))
+        model = SpikedCovariance.diagonal(16, 1.0, np.array([1.2]))
         spec = SteeringSpec(0.1, 0.1, 4, 4)
         with pytest.raises(ValueError, match="sub-critical"):
-            theoretical_pd(model, spec, 1.0, 1e-2, 0.25, eigvecs_truth=np.eye(16)[:, :1])
+            theoretical_pd(model, spec, 1.0, 1e-2, 0.25)
 
 
 class TestDetect:
@@ -273,7 +295,7 @@ class TestDetect:
         cube = next(h0_cubes(p, n_train, 1, seed=207, spikes=spikes))
         dec = eigh(sample_covariance(cube[:, :-1]))
         detected = detect_spikes(dec, AspectRatio(p, n_train))[1]
-        assert detected.size == shrink_spectrum(dec, AspectRatio(p, n_train)).spike_count == 2
+        assert detected.size == shrink_spectrum(dec, AspectRatio(p, n_train)).r == 2
         s = steering_vector(SteeringSpec(0.8, 0.4, 4, 8))
         r_none = detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=None, p_fa=0.1))
         r_true = detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=2, p_fa=0.1))
@@ -289,11 +311,11 @@ class TestDetect:
         dec = eigh(sample_covariance(cube[:, :-1]))
         ratio = AspectRatio(p, n_train)
         shrunk = shrink_spectrum(dec, ratio)
-        clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count)
+        clipped = rcml_estimate(dec, shrunk.sigma2, shrunk.r)
         s = steering_vector(SteeringSpec(0.8, 0.4, 4, 8))
         train, y = cube[:, :-1], cube[:, -1]
-        rep_a = detect(train, y, s, DetectorConfig(rank=shrunk.spike_count, p_fa=0.01))
-        rep_b = detect(train, y, s, DetectorConfig(rank=clipped.spike_count, p_fa=0.01))
+        rep_a = detect(train, y, s, DetectorConfig(rank=shrunk.r, p_fa=0.01))
+        rep_b = detect(train, y, s, DetectorConfig(rank=clipped.r, p_fa=0.01))
         assert rep_a.statistic == rep_b.statistic
 
     def test_insufficient_training(self):

@@ -20,21 +20,21 @@ def small_estimate():
 class TestSaveEstimate:
     def test_round_trip(self, tmp_path):
         est = small_estimate()
-        assert est.spike_count >= 1
+        assert est.r >= 1
         paths = save_estimate(tmp_path / "est", est, 0.25)
         assert [p.name for p in paths] == ["est.bin", "est.json", "est.summary.json"]
         # the model, not the dense matrix: p x r vectors and the summary
         m, header = load_matrix(tmp_path / "est")
         np.testing.assert_array_equal(m, est.vectors)
-        assert header == {"rows": 12, "cols": est.spike_count, "dtype": "c128",
+        assert header == {"rows": 12, "cols": est.r, "dtype": "c128",
                           "layout": "col-major"}
-        assert paths[0].stat().st_size == 12 * est.spike_count * 16
+        assert paths[0].stat().st_size == 12 * est.r * 16
         summary = json.loads((tmp_path / "est.summary.json").read_text())
         assert summary == est.summary(0.25)
-        assert summary["spike_count"] == est.spike_count
+        assert summary["spike_count"] == est.r
         assert summary["spiked_eigenvalues"] == est.spikes.tolist()
         back = load_estimate(tmp_path / "est")
-        assert back.sigma2_hat == est.sigma2_hat
+        assert back.sigma2 == est.sigma2
         np.testing.assert_array_equal(back.spikes, est.spikes)
         np.testing.assert_array_equal(back.vectors, est.vectors)
         np.testing.assert_array_equal(dense_estimate(back), dense_estimate(est))
@@ -48,7 +48,7 @@ class TestSaveEstimate:
     )
     def test_summary_breaking_the_invariants_rejected(self, tmp_path, field, value, match):
         est = small_estimate()
-        assert est.spike_count == 1
+        assert est.r == 1
         save_estimate(tmp_path / "est", est, 0.25)
         path = tmp_path / "est.summary.json"
         summary = json.loads(path.read_text())

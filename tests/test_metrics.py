@@ -3,12 +3,11 @@ import pytest
 
 from cluttercov import (
     AspectRatio,
-    CovarianceEstimate,
     Scatterer,
     ScattererClutter,
     ScenarioConfig,
     SnapshotSampler,
-    SpikedModel,
+    SpikedCovariance,
     SteeringSpec,
     challenge_synthetic,
     eigh,
@@ -42,20 +41,23 @@ def random_spiked(p, seed, r=3, sigma2=1.0):
     z = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
     vectors = np.linalg.qr(z)[0]
     spikes = sigma2 * np.sort(1.5 + 20.0 * rng.random(r))[::-1]
-    return CovarianceEstimate(sigma2_hat=sigma2, spikes=spikes, vectors=vectors)
+    return SpikedCovariance(sigma2, spikes, vectors)
 
 
 def floor_only(p, sigma2):
     """The estimate sigma2 I: a floor with no spikes."""
-    return CovarianceEstimate(
-        sigma2_hat=sigma2, spikes=np.array([]), vectors=np.zeros((p, 0), dtype=complex)
-    )
+    return SpikedCovariance(sigma2, np.array([]), np.zeros((p, 0), dtype=complex))
 
 
 def scaled(est, c):
     """The estimate c * est, with the same vectors."""
-    return CovarianceEstimate(sigma2_hat=c * est.sigma2_hat, spikes=c * est.spikes,
-                              vectors=est.vectors)
+    return SpikedCovariance(c * est.sigma2, c * est.spikes, est.vectors)
+
+
+def stein_estimate(model, gamma):
+    """The truth's floor and vectors with each spike at its Stein-shrunk value sigma2 * eta(ell)."""
+    etas = [stein_shrinker(ell, gamma) for ell in model.whitened_spikes()]
+    return SpikedCovariance(model.sigma2, model.sigma2 * np.array(etas), model.vectors)
 
 
 def scnr_at(estimate, truth, spec):
@@ -128,14 +130,14 @@ class TestNormalizedScnr:
 
 class TestKantorovichBound:
     def test_no_spikes_perfect_bound(self):
-        model = SpikedModel(p=64, sigma2=2.0, spikes=np.array([]))
-        assert kantorovich_bound(model, None, gamma=0.25) == 1.0
+        model = SpikedCovariance.diagonal(64, 2.0, np.array([]))
+        assert kantorovich_bound(model, stein_estimate(model, 0.25), gamma=0.25) == 1.0
 
     def test_kappa_four_arithmetic(self):
         # bound = 4 k / (k + 1)^2 at k = 4
         assert 4 * 4 / 25 == pytest.approx(0.64)
-        model = SpikedModel(p=64, sigma2=1.0, spikes=np.array([2.0]))
-        bound = kantorovich_bound(model, None, gamma=0.25)
+        model = SpikedCovariance.diagonal(64, 1.0, np.array([2.0]))
+        bound = kantorovich_bound(model, stein_estimate(model, 0.25), gamma=0.25)
         # pivot quantities from the printed display at ell = 2, eta = 10/7
         eta = stein_shrinker(2.0, 0.25)
         d = eta / 2.0
@@ -150,7 +152,7 @@ class TestKantorovichBound:
         # measured SCNR above the bound on every trial
         p, n = 64, 256
         ratio = AspectRatio(p, n)
-        model = SpikedModel(p=p, sigma2=1.0, spikes=np.array([24.0, 12.0, 6.0]))
+        model = SpikedCovariance.diagonal(p, 1.0, np.array([24.0, 12.0, 6.0]))
         root = np.sqrt(model.spectrum())
         target = SteeringSpec(theta=0.5, doppler=0.3, N=8, K=8)
         for t in range(100):
@@ -161,12 +163,10 @@ class TestKantorovichBound:
             assert kantorovich_bound(model, est, ratio.gamma) <= rho <= 1.0 + 1e-10
 
     def test_plug_in_uses_realized_spikes(self):
-        model = SpikedModel(p=32, sigma2=1.0, spikes=np.array([9.0]))
-        est = CovarianceEstimate(
-            sigma2_hat=1.0, spikes=np.array([7.0]), vectors=np.eye(32, dtype=complex)[:, :1]
-        )
+        model = SpikedCovariance.diagonal(32, 1.0, np.array([9.0]))
+        est = SpikedCovariance(1.0, np.array([7.0]), np.eye(32, dtype=complex)[:, :1])
         with_est = kantorovich_bound(model, est, gamma=0.25)
-        oracle = kantorovich_bound(model, None, gamma=0.25)
+        oracle = kantorovich_bound(model, stein_estimate(model, 0.25), gamma=0.25)
         assert with_est != oracle
 
 
@@ -174,7 +174,7 @@ class TestMvdrErrorVariance:
     def test_identity(self):
         s = steering_vector(SteeringSpec(0.3, 0.2, 4, 4))
         assert mvdr_error_variance(floor_only(16, 1.0), s) == pytest.approx(1 / 16.0, rel=1e-12)
-        assert mvdr_error_variance(SpikedModel(p=16, sigma2=1.0, spikes=[]), s) == pytest.approx(
+        assert mvdr_error_variance(SpikedCovariance.diagonal(16, 1.0, []), s) == pytest.approx(
             1 / 16.0, rel=1e-12
         )
 
@@ -197,8 +197,7 @@ class TestMvdrErrorVariance:
         z = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
         q, _ = np.linalg.qr(z)
         base = mvdr_error_variance(est, s)
-        rotated = CovarianceEstimate(sigma2_hat=est.sigma2_hat, spikes=est.spikes,
-                                     vectors=q @ est.vectors)
+        rotated = SpikedCovariance(est.sigma2, est.spikes, q @ est.vectors)
         rotated_s = q @ s
         assert mvdr_error_variance(rotated, rotated_s) == pytest.approx(base, rel=1e-10)
         # the dense oracle, in the rotated frame
@@ -215,15 +214,13 @@ class TestSteinLoss:
     def test_zero_at_truth(self):
         est = random_spiked(10, 50)
         assert stein_loss(DenseTruth(dense_estimate(est)), est) == pytest.approx(0.0, abs=1e-10)
-        # in its own eigenbasis the truth is the spiked model
-        model = SpikedModel(p=10, sigma2=est.sigma2_hat, spikes=est.spikes)
-        diagonal = CovarianceEstimate(sigma2_hat=est.sigma2_hat, spikes=est.spikes,
-                                      vectors=np.eye(10, dtype=complex)[:, :3])
-        assert stein_loss(model, diagonal) == pytest.approx(0.0, abs=1e-10)
+        # in its own eigenbasis the truth is the diagonal spiked covariance
+        model = SpikedCovariance.diagonal(10, est.sigma2, est.spikes)
+        assert stein_loss(model, model) == pytest.approx(0.0, abs=1e-10)
 
     def test_scalar_reference(self):
         # 1-d case: estimate 2 against truth 1 costs 2 - 1 - log 2
-        val = stein_loss(SpikedModel(p=1, sigma2=1.0, spikes=[]), floor_only(1, 2.0))
+        val = stein_loss(SpikedCovariance.diagonal(1, 1.0, []), floor_only(1, 2.0))
         assert val == pytest.approx(1.0 - np.log(2.0), rel=1e-12)
 
     def test_positive_on_perturbations(self):
@@ -237,7 +234,7 @@ class TestSteinLoss:
     def test_shrinkage_beats_clipping_on_average(self):
         p, n = 100, 400
         ratio = AspectRatio(p, n)
-        model = SpikedModel(p=p, sigma2=1.0, spikes=np.array([10.0, 5.0]))
+        model = SpikedCovariance.diagonal(p, 1.0, np.array([10.0, 5.0]))
         root = np.sqrt(model.spectrum())
         shrink_losses, clip_losses = [], []
         for t in range(20):
@@ -245,7 +242,7 @@ class TestSteinLoss:
             w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
             dec = eigh(sample_covariance(root[:, None] * w))
             shrunk = shrink_spectrum(dec, ratio)
-            clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count)
+            clipped = rcml_estimate(dec, shrunk.sigma2, shrunk.r)
             shrink_losses.append(stein_loss(model, shrunk))
             clip_losses.append(stein_loss(model, clipped))
         assert np.mean(shrink_losses) <= np.mean(clip_losses)
@@ -256,23 +253,23 @@ class TestSteinLoss:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            stein_loss(SpikedModel(p=3, sigma2=1.0, spikes=[]), floor_only(2, 1.0))
+            stein_loss(SpikedCovariance.diagonal(3, 1.0, []), floor_only(2, 1.0))
 
     @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
     @pytest.mark.parametrize("spikes", [(), (30.0, 12.0, 6.0)])
     def test_spiked_path_matches_dense(self, estimator, spikes):
         p, n = 48, 192
         ratio = AspectRatio(p, n)
-        model = SpikedModel(p=p, sigma2=1.0, spikes=np.asarray(spikes, dtype=float))
+        model = SpikedCovariance.diagonal(p, 1.0, np.asarray(spikes, dtype=float))
         rng = substream(105, 0)
         w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
         dec = eigh(sample_covariance(np.sqrt(model.spectrum())[:, None] * w))
         shrunk = shrink_spectrum(dec, ratio)
         est = {
             "shrinkage": shrunk,
-            "rcml": rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count),
+            "rcml": rcml_estimate(dec, shrunk.sigma2, shrunk.r),
         }[estimator]
-        assert est.spike_count == len(spikes)
+        assert est.r == len(spikes)
         truth = random_pd(p, 52)
         dense = dense_stein(truth, dense_estimate(est))
         assert dense > 0
@@ -294,7 +291,7 @@ def eigenbasis_scene(request):
     dec = eigh(sample_covariance(sampler.draw(n, 7)))
     ratio = AspectRatio(scn.p, n)
     shrunk = shrink_spectrum(dec, ratio)
-    clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count)
+    clipped = rcml_estimate(dec, shrunk.sigma2, shrunk.r)
     targets = [SteeringSpec(th, fd, scn.N, scn.K) for th in (-0.6, 0.0, 0.5) for fd in (-0.3, 0.2)]
     s = sampler.to_eigenbasis(np.column_stack([steering_vector(t) for t in targets]))
     return truth_spiked_model(scn, r), {"shrinkage": shrunk, "rcml": clipped}, s
@@ -305,8 +302,8 @@ def dense_diagonal(model):
     return DenseTruth(np.diag(model.spectrum().astype(complex)))
 
 
-class TestSpikedModelTruth:
-    """A SpikedModel reads as the dense diag(spectrum()) read through solves does."""
+class TestEigenbasisTruth:
+    """A diagonal SpikedCovariance reads as the dense diag(spectrum()) read through solves does."""
 
     def test_reads_match_the_dense_oracle(self, eigenbasis_scene):
         model, ests, s = eigenbasis_scene
@@ -326,7 +323,7 @@ class TestSpikedModelTruth:
     def test_no_cancellation_inside_the_spike_span(self):
         # spikes 1e4 times the floor: the quadratic form of a clutter-span
         # vector is 1e-4 of what ||y||^2 / sigma2 alone would give
-        model = SpikedModel(p=64, sigma2=5e-14, spikes=5e-14 * np.array([1e4, 3e3, 1e3]))
+        model = SpikedCovariance.diagonal(64, 5e-14, 5e-14 * np.array([1e4, 3e3, 1e3]))
         y = np.zeros(64, dtype=complex)
         y[:3] = [1.0, -2.0j, 0.5]
         want = 1.0 / 5e-10 + 4.0 / 1.5e-10 + 0.25 / 5e-11
@@ -337,7 +334,7 @@ class TestSpikedModelTruth:
     def test_stein_loss(self, eigenbasis_scene, estimator):
         model, ests, _ = eigenbasis_scene
         est = ests[estimator]
-        assert est.spike_count > 0
+        assert est.r > 0
         dense = dense_diagonal(model)
         # slogdet sums its p logs in sequence, about 1e-11 off on the preset's
         # |log det R| = 1.5e4, which the loss (about 10) inherits
@@ -370,19 +367,21 @@ class TestSpikedModelTruth:
             assert mvdr_error_variance(est, col) == pytest.approx(want, rel=1e-10)
 
     def test_closed_forms(self):
-        model = SpikedModel(p=3, sigma2=0.5, spikes=np.array([5.0, 2.0]))
+        model = SpikedCovariance.diagonal(3, 0.5, np.array([5.0, 2.0]))
         y = np.array([[1.0, 2j], [1j, 0.0], [-1.0, 1.0]])
         np.testing.assert_allclose(model.quad_inv(y), [1 / 5 + 1 / 2 + 2, 4 / 5 + 2], rtol=1e-15)
         np.testing.assert_allclose(model.apply(y), np.array([5.0, 2.0, 0.5])[:, None] * y, rtol=0)
         assert model.trace_inv == pytest.approx(1 / 5 + 1 / 2 + 2, rel=1e-15)
         assert model.logdet == pytest.approx(np.log(5.0), rel=1e-15)
 
-    def test_holds_no_p_vector(self):
-        model = SpikedModel(p=4096, sigma2=1.0, spikes=np.array([9.0, 4.0]))
-        assert all(np.size(v) <= model.r for v in vars(model).values())
+    def test_vectors_are_the_leading_coordinate_axes(self):
+        # p x r vectors and r spikes: no p x p array and no p-vector besides them
+        model = SpikedCovariance.diagonal(4096, 1.0, np.array([9.0, 4.0]))
+        np.testing.assert_array_equal(model.vectors, np.eye(4096, 2))
+        assert model.p == 4096 and model.r == 2 and model.spikes.size == 2
 
     def test_wrong_dimension_rejected(self):
-        model = SpikedModel(p=4, sigma2=1.0, spikes=np.array([3.0]))
+        model = SpikedCovariance.diagonal(4, 1.0, np.array([3.0]))
         for read in (model.quad_inv, model.apply):
             with pytest.raises(ValueError, match="dimension"):
                 read(np.ones(3))

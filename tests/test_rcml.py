@@ -25,7 +25,7 @@ def rcml_inverse(d, rank) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     est = rcml_estimate(decomposition(FLOOR * d), FLOOR, rank)
     out = np.ones(d.size)
-    out[: est.spike_count] = FLOOR / est.spikes
+    out[: est.r] = FLOOR / est.spikes
     return out
 
 
@@ -141,18 +141,18 @@ class TestRcmlEstimate:
         est = rcml_estimate(self._decomp([4.0, 2.5, 0.8, 0.7]), 1.0, rank=2)
         np.testing.assert_allclose(est.spikes, [4.0, 2.5])
         np.testing.assert_allclose(np.diag(dense_estimate(est)).real, [4.0, 2.5, 1.0, 1.0])
-        assert est.spike_count == 2
+        assert est.r == 2
 
     def test_all_below_floor(self):
         est = rcml_estimate(self._decomp([0.9, 0.8, 0.7, 0.6]), 1.0, rank=3)
         np.testing.assert_allclose(dense_estimate(est), np.eye(4))
-        assert est.spike_count == 0
+        assert est.r == 0
 
     def test_identity_input(self):
         sigma2 = 3.0
         est = rcml_estimate(self._decomp([1.0, 1.0, 1.0], sigma2=sigma2), sigma2, rank=1)
         np.testing.assert_allclose(dense_estimate(est), sigma2 * np.eye(3))
-        assert est.spike_count == 0
+        assert est.r == 0
 
     def test_physical_scale(self):
         est = rcml_estimate(self._decomp([6.0, 0.5], sigma2=2.0), 2.0, rank=1)
@@ -164,19 +164,19 @@ class TestEquivalenceWithShrinkage:
     def test_spike_sets_identical(self):
         # with rank set to the shrinkage spike count, the clipping estimate
         # flags exactly the same modes above the noise floor
-        from cluttercov import eigh, sample_covariance, shrink_spectrum, SpikedModel
+        from cluttercov import eigh, sample_covariance, shrink_spectrum, SpikedCovariance
 
         p, n = 64, 256
         ratio = AspectRatio(p, n)
-        model = SpikedModel(p=p, sigma2=1.0, spikes=np.array([30.0, 18.0, 9.0]))
+        model = SpikedCovariance.diagonal(p, 1.0, np.array([30.0, 18.0, 9.0]))
         root = np.sqrt(model.spectrum())
         for t in range(25):
             rng = substream(25, t)
             w = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2)
             dec = eigh(sample_covariance(root[:, None] * w))
             shrunk = shrink_spectrum(dec, ratio)
-            clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count)
-            assert clipped.spike_count == shrunk.spike_count
+            clipped = rcml_estimate(dec, shrunk.sigma2, shrunk.r)
+            assert clipped.r == shrunk.r
             # the modes above the floor are the same sample eigenvectors
             np.testing.assert_array_equal(clipped.vectors, shrunk.vectors)
-            assert np.all(clipped.spikes > shrunk.sigma2_hat)
+            assert np.all(clipped.spikes > shrunk.sigma2)

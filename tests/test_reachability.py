@@ -1,9 +1,10 @@
-"""Nothing in the package is reached only by the tests.
+"""Nothing in the package is reached only by the tests, and no import is left unread.
 
 Every top-level function and class of ``src/cluttercov`` must be loaded,
 by name or as an attribute, on some other line of the package. The
 ``__init__`` re-exports do not count: an import is not a use. Oracles that
-only the tests need live in ``tests/oracles.py``.
+only the tests need live in ``tests/oracles.py``. Every name a module
+imports (``__init__`` aside) must be loaded in that module.
 """
 
 import ast
@@ -45,9 +46,25 @@ def _loads(trees):
     return loads
 
 
+def _imports(trees):
+    """(module, name, line) of every name an import binds, ``__future__`` features aside."""
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            out.extend((module, name, node.lineno) for name in names)
+    return out
+
+
 TREES = _trees()
 LOADS = _loads(TREES)
 DEFINITIONS = _definitions(TREES)
+IMPORTS = _imports(TREES)
 
 
 @pytest.mark.parametrize(
@@ -56,6 +73,15 @@ DEFINITIONS = _definitions(TREES)
 def test_definition_is_loaded_elsewhere_in_the_package(module, name, line):
     assert LOADS.get(name, set()) - {(module, line)}, (
         f"{module}:{line} {name} is reached by no other line of the package"
+    )
+
+
+@pytest.mark.parametrize(
+    "module,name,line", IMPORTS, ids=[f"{module}::import {name}" for module, name, _ in IMPORTS]
+)
+def test_imported_name_is_loaded_in_its_module(module, name, line):
+    assert any(where == module for where, _ in LOADS.get(name, ())), (
+        f"{module}:{line} imports {name}, which the module never loads"
     )
 
 

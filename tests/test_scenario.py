@@ -14,7 +14,7 @@ from cluttercov import (
     ScenarioConfig,
     SceneOverflowError,
     SnapshotSampler,
-    SpikedModel,
+    SpikedClutter,
     SteeringSpec,
     ToeplitzClutter,
     amplitude_for_snr,
@@ -67,6 +67,11 @@ class TestSteeringVector:
             for j in range(i + 1, len(vecs)):
                 assert abs(np.vdot(vecs[i], vecs[j])) < N * K - 1e-9
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_angle_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            SteeringSpec(theta=theta, doppler=0.1, N=2, K=2)
+
 
 TAPS = [1.0, 0.5j, -0.2, 0.1 + 0.1j]
 SYNTHESIS_SCENES = {
@@ -80,7 +85,7 @@ SYNTHESIS_SCENES = {
     "toeplitz-pulse-above-p": ScenarioConfig(N=3, K=47, n=600, sigma2=0.3,
                                              clutter=ToeplitzClutter(taps=TAPS, pulse_len=300)),
     "spiked": ScenarioConfig(N=2, K=50, n=400, sigma2=0.3,
-                             clutter=SpikedModel(p=100, sigma2=0.3, spikes=np.array([9.0, 4.0]))),
+                             clutter=SpikedClutter(np.array([9.0, 4.0]))),
     "none": ScenarioConfig(N=2, K=65, n=520, sigma2=0.3),
 }
 
@@ -99,19 +104,29 @@ class TestSynthesizeClutterCovariance:
         lam = eigh(r).eigenvalues
         np.testing.assert_allclose(lam, [1.1, 0.1, 0.1, 0.1], atol=1e-12)
 
-    def test_spiked_shortcut_spectrum(self):
-        model = SpikedModel(p=32, sigma2=1.0, spikes=np.array([5.0, 3.0]))
-        cfg = ScenarioConfig(N=4, K=8, n=128, sigma2=1.0, clutter=model)
+    def test_spiked_clutter_spectrum(self):
+        cfg = ScenarioConfig(N=4, K=8, n=128, sigma2=1.0, clutter=SpikedClutter([5.0, 3.0]))
         r = synthesize_clutter_covariance(cfg)
         lam = eigh(r).eigenvalues
         np.testing.assert_allclose(lam[:2], [5.0, 3.0], atol=1e-10)
         np.testing.assert_allclose(lam[2:], 1.0, atol=1e-10)
 
-    def test_spiked_shortcut_exact_definition(self):
-        model = SpikedModel(p=40, sigma2=2.0, spikes=np.array([9.0, 7.0, 5.0]))
-        cfg = ScenarioConfig(N=5, K=8, n=200, sigma2=2.0, clutter=model)
+    @pytest.mark.parametrize(
+        "spikes,match",
+        [([3.0, 1.0], "noise floor"), ([2.0, 3.0], "descending"), ([np.inf], "finite"),
+         ([9.0, 8.0, 7.0, 6.0], "< p")],
+        ids=["at-floor", "ascending", "infinite", "as-many-as-p"],
+    )
+    def test_spiked_clutter_checked_against_the_scene(self, spikes, match):
+        with pytest.raises(ValueError, match=match):
+            ScenarioConfig(N=2, K=2, n=16, sigma2=1.0, clutter=SpikedClutter(spikes))
+
+    def test_spiked_clutter_truth_is_its_spikes(self):
+        cfg = ScenarioConfig(N=5, K=8, n=200, sigma2=2.0, clutter=SpikedClutter([9.0, 7.0, 5.0]))
         spiked = truth_spiked_model(cfg)
-        assert spiked is model
+        assert spiked.p == 40 and spiked.sigma2 == 2.0
+        np.testing.assert_allclose(spiked.spikes, [9.0, 7.0, 5.0], rtol=1e-12)
+        np.testing.assert_array_equal(spiked.vectors, np.eye(40, 3))
         lam = eigh(synthesize_clutter_covariance(cfg)).eigenvalues
         assert np.sum(lam > 2.0 + 1e-8) == 3
         np.testing.assert_allclose(lam[3:], 2.0, atol=1e-9)

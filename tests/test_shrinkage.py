@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from cluttercov import (
     AspectRatio,
-    CovarianceEstimate,
+    CltParams,
     ModelOrderWarning,
-    SpikedModel,
-    clt_params,
+    SpikedCovariance,
     cosine2,
     detect_spikes,
     eigh,
@@ -28,7 +27,7 @@ from cluttercov.rng import substream
 from oracles import dense_estimate, eta_prime_fd, shrink_whitened
 
 
-def spiked_snapshots(model: SpikedModel, n: int, rng) -> np.ndarray:
+def spiked_snapshots(model: SpikedCovariance, n: int, rng) -> np.ndarray:
     """Snapshots with a diagonal spiked covariance (basis-free for eigenvalues)."""
     root = np.sqrt(model.spectrum())
     w = (rng.standard_normal((model.p, n)) + 1j * rng.standard_normal((model.p, n))) / np.sqrt(2)
@@ -141,7 +140,7 @@ class TestEstimateNoise:
         # smaller-scale analogue of the acceptance run: sigma2 = 3
         p, n, sigma2, trials = 200, 1000, 3.0, 40
         ratio = AspectRatio(p, n)
-        model = SpikedModel(p=p, sigma2=sigma2, spikes=np.array([]))
+        model = SpikedCovariance.diagonal(p, sigma2, np.array([]))
         vals = []
         for t in range(trials):
             data = spiked_snapshots(model, n, substream(11, t))
@@ -152,7 +151,7 @@ class TestEstimateNoise:
     def test_spikes_do_not_move_median(self):
         p, n, sigma2, trials = 200, 1000, 3.0, 40
         ratio = AspectRatio(p, n)
-        model = SpikedModel(p=p, sigma2=sigma2, spikes=sigma2 * np.array([12.0, 8.0, 5.0]))
+        model = SpikedCovariance.diagonal(p, sigma2, sigma2 * np.array([12.0, 8.0, 5.0]))
         vals = []
         for t in range(trials):
             data = spiked_snapshots(model, n, substream(12, t))
@@ -178,8 +177,8 @@ class TestShrinkSpectrum:
         mu = mp_median(MPLaw(ratio))
         lam = np.full(6, mu)  # whitened spectrum all at the MP median
         est = shrink_spectrum(self._decomp(lam), ratio)
-        assert est.spike_count == 0
-        np.testing.assert_allclose(dense_estimate(est), est.sigma2_hat * np.eye(6))
+        assert est.r == 0
+        np.testing.assert_allclose(dense_estimate(est), est.sigma2 * np.eye(6))
 
     def test_single_spike_reference_composition(self):
         # whitened eigenvalues [2.5, ..1..]: spike shrinks to eta(f(2.5)) = 10/7
@@ -188,10 +187,10 @@ class TestShrinkSpectrum:
         lam = np.array([2.5, 1.02, 1.01, 1.0, 0.99]) * mu
         lam = lam / np.median(lam) * mu  # keep the median pinned so sigma2_hat = 1
         est = shrink_spectrum(self._decomp(lam), ratio)
-        s2 = est.sigma2_hat
+        s2 = est.sigma2
         whitened_top = lam[0] / s2
         expected = s2 * stein_shrinker(f_map(whitened_top, 0.25), 0.25)
-        assert est.spike_count == 1
+        assert est.r == 1
         assert est.spikes[0] == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(np.diag(dense_estimate(est)).real, [est.spikes[0]] + [s2] * 4)
 
@@ -199,7 +198,7 @@ class TestShrinkSpectrum:
         # spikes {5, 3, 2.5}, gamma = 0.2: shrunk values approach eta(beta)
         p, n = 400, 2000
         ratio = AspectRatio(p, n)
-        model = SpikedModel(p=p, sigma2=1.0, spikes=np.array([5.0, 3.0, 2.5]))
+        model = SpikedCovariance.diagonal(p, 1.0, np.array([5.0, 3.0, 2.5]))
         trials = 12
         tops = np.zeros(3)
         for t in range(trials):
@@ -208,7 +207,7 @@ class TestShrinkSpectrum:
             tops += est.spikes[:3]
         tops /= trials
         for i, ell in enumerate(model.spikes):
-            target = clt_params(ell, ratio.gamma).eta_of_beta
+            target = CltParams(ell, ratio.gamma).eta_of_beta
             assert abs(tops[i] - target) / target < 0.05
 
     def test_error_decreases_with_dimension(self):
@@ -217,9 +216,9 @@ class TestShrinkSpectrum:
         for p in (100, 200, 400):
             n = 5 * p
             ratio = AspectRatio(p, n)
-            model = SpikedModel(p=p, sigma2=1.0, spikes=model_spikes)
+            model = SpikedCovariance.diagonal(p, 1.0, model_spikes)
             targets = np.array(
-                [clt_params(ell, ratio.gamma).eta_of_beta for ell in model_spikes]
+                [CltParams(ell, ratio.gamma).eta_of_beta for ell in model_spikes]
             )
             err = 0.0
             trials = 16
@@ -240,9 +239,9 @@ class TestShrinkSpectrum:
         for c in (0.25, 3.0, 1e6):
             scaled = eigh(sample_covariance(np.sqrt(c) * data))
             est = shrink_spectrum(scaled, ratio)
-            assert est.spike_count == base.spike_count
+            assert est.r == base.r
             np.testing.assert_allclose(est.spikes, c * base.spikes, rtol=1e-9)
-            assert est.sigma2_hat == pytest.approx(c * base.sigma2_hat, rel=1e-9)
+            assert est.sigma2 == pytest.approx(c * base.sigma2, rel=1e-9)
 
     def test_order_preserving(self):
         ratio = AspectRatio(16, 64)
@@ -250,7 +249,7 @@ class TestShrinkSpectrum:
         data = rng.standard_normal((16, 64)) + 1j * rng.standard_normal((16, 64))
         data[:3] *= np.array([5.0, 3.0, 2.0])[:, None]
         est = shrink_spectrum(eigh(sample_covariance(data)), ratio)
-        spectrum = np.append(est.spikes, est.sigma2_hat)  # spikes, then the floor
+        spectrum = np.append(est.spikes, est.sigma2)  # spikes, then the floor
         assert np.all(np.diff(spectrum) <= 1e-15)
 
     def test_detect_spikes_is_the_edge_rule(self):
@@ -268,7 +267,7 @@ class TestShrinkSpectrum:
         lam = np.array([40.0, 30.0, 20.0, 1.0, 0.95, 0.9, 0.88, 0.86, 0.84, 0.82])
         with pytest.warns(ModelOrderWarning):
             est = shrink_spectrum(self._decomp(lam), ratio)
-        assert est.spike_count == 3
+        assert est.r == 3
 
     def test_vectors_are_the_leading_eigenvectors(self):
         ratio = AspectRatio(12, 48)
@@ -278,10 +277,10 @@ class TestShrinkSpectrum:
         scm = sample_covariance(data)
         dec = eigh(scm)
         est = shrink_spectrum(dec, ratio)
-        r = est.spike_count
+        r = est.r
         assert r >= 1
-        clipped = rcml_estimate(dec, est.sigma2_hat, r)
-        assert clipped.spike_count == r
+        clipped = rcml_estimate(dec, est.sigma2, r)
+        assert clipped.r == r
         # each estimate owns its p x r block; neither keeps a p x p basis alive
         for e in (est, clipped):
             assert e.vectors.flags.owndata and e.vectors.shape == (12, r)
@@ -297,74 +296,74 @@ class TestShrinkSpectrum:
 
 class TestCltParams:
     def test_reference_values(self):
-        prm = clt_params(2.0, 0.25)
+        prm = CltParams(2.0, 0.25)
         assert prm.beta == pytest.approx(2.5, abs=1e-15)
         assert prm.alpha2 == pytest.approx(6.0, abs=1e-12)
         assert prm.eta_of_beta == pytest.approx(stein_shrinker(2.0, 0.25), abs=1e-15)
 
     def test_gamma_zero_limit(self):
-        prm = clt_params(2.0, 1e-14)
+        prm = CltParams(2.0, 1e-14)
         assert prm.beta == pytest.approx(2.0, rel=1e-12)
         assert prm.alpha2 == pytest.approx(8.0, rel=1e-10)
 
     def test_subcritical_errors(self):
         with pytest.raises(ValueError, match="sub-critical spike"):
-            clt_params(1.4, 0.25)
+            CltParams(1.4, 0.25)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.25, 0.5])
     def test_eta_prime_matches_finite_difference(self, gamma):
         for ell in np.linspace(1 + np.sqrt(gamma) + 0.2, 30.0, 25):
-            analytic = clt_params(ell, gamma).eta_prime
+            analytic = CltParams(ell, gamma).eta_prime
             fd = eta_prime_fd(ell, gamma)
             assert abs(analytic - fd) / abs(fd) < 1e-6
 
     def test_alpha2_nonnegative_in_domain(self):
         for gamma in (0.1, 0.5, 0.9):
             for ell in np.linspace(1 + np.sqrt(gamma) + 1e-6, 50, 40):
-                assert clt_params(ell, gamma).alpha2 >= 0
+                assert CltParams(ell, gamma).alpha2 >= 0
 
 
-class TestSpikedModel:
+class TestDiagonalSpikedCovariance:
     def test_spectrum_layout(self):
-        m = SpikedModel(p=30, sigma2=2.0, spikes=np.array([10.0, 5.0]))
+        m = SpikedCovariance.diagonal(30, 2.0, np.array([10.0, 5.0]))
         np.testing.assert_allclose(m.spectrum(), [10, 5] + [2] * 28)
 
     def test_rejects_spikes_at_noise_floor(self):
         with pytest.raises(ValueError):
-            SpikedModel(p=6, sigma2=2.0, spikes=np.array([2.0]))
+            SpikedCovariance.diagonal(6, 2.0, np.array([2.0]))
 
     def test_rejects_too_many_spikes(self):
         with pytest.raises(ValueError):
-            SpikedModel(p=3, sigma2=1.0, spikes=np.array([5.0, 4.0, 3.0]))
+            SpikedCovariance.diagonal(3, 1.0, np.array([5.0, 4.0, 3.0]))
 
     def test_over_budget_model_builds_without_a_warning(self):
         # the scene's rank check belongs to synthesize_clutter_covariance alone
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = SpikedModel(p=10, sigma2=1.0, spikes=np.array([5.0, 4.0]))
+            model = SpikedCovariance.diagonal(10, 1.0, np.array([5.0, 4.0]))
         assert model.r == 2
 
 
 def both_estimates(p, n, spikes, seed):
     """Shrinkage and clipping estimates from one spiked sample."""
-    model = SpikedModel(p=p, sigma2=1.0, spikes=np.asarray(spikes, dtype=float))
+    model = SpikedCovariance.diagonal(p, 1.0, np.asarray(spikes, dtype=float))
     dec = eigh(sample_covariance(spiked_snapshots(model, n, substream(18, seed))))
     ratio = AspectRatio(p, n)
     shrunk = shrink_spectrum(dec, ratio)
-    clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count)
+    clipped = rcml_estimate(dec, shrunk.sigma2, shrunk.r)
     return {"shrinkage": shrunk, "rcml": clipped}
 
 
-class TestCovarianceEstimateInvariants:
+class TestSpikedCovarianceInvariants:
     @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
     def test_dense_form_is_floor_plus_spikes(self, estimator):
         est = both_estimates(40, 160, [20.0, 8.0], seed=0)[estimator]
-        assert est.spike_count == 2
+        assert est.r == 2
         m = dense_estimate(est)
         assert np.abs(m - m.conj().T).max() < 1e-12 * np.abs(m).max()
         lam = eigh(m).eigenvalues
         np.testing.assert_allclose(lam[:2], est.spikes, rtol=1e-12)
-        np.testing.assert_allclose(lam[2:], est.sigma2_hat, rtol=1e-12)
+        np.testing.assert_allclose(lam[2:], est.sigma2, rtol=1e-12)
 
     @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
     def test_inverse_apply_matches_dense_solve(self, estimator):
@@ -372,28 +371,40 @@ class TestCovarianceEstimateInvariants:
         rng = substream(19, 0)
         y = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
         dense = np.linalg.solve(dense_estimate(est), y)
-        np.testing.assert_allclose(est.inverse_apply(y), dense, rtol=1e-10)
-        np.testing.assert_allclose(est.inverse_apply(y[:, 0]), dense[:, 0], rtol=1e-10)
+        np.testing.assert_allclose(est.inverse_apply(y), dense, rtol=1e-12)
+        np.testing.assert_allclose(est.inverse_apply(y[:, 0]), dense[:, 0], rtol=1e-12)
+
+    @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
+    def test_reads_match_the_dense_matrix(self, estimator):
+        # c = V^H y and the residual y - V c serve every reader, in any frame
+        est = both_estimates(40, 160, [20.0, 8.0], seed=2)[estimator]
+        m = dense_estimate(est)
+        rng = substream(19, 1)
+        y = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        y[:, 2] = est.vectors @ np.array([1.0, -0.5j])  # inside the spike span
+        want = np.real(np.sum(y.conj() * np.linalg.solve(m, y), axis=0))
+        np.testing.assert_allclose(est.quad_inv(y), want, rtol=1e-12)
+        np.testing.assert_allclose(est.apply(y), m @ y, rtol=1e-12)
+        assert est.trace_inv == pytest.approx(np.trace(np.linalg.inv(m)).real, rel=1e-12)
+        assert est.logdet == pytest.approx(np.linalg.slogdet(m)[1], rel=1e-12)
 
     def test_bulk_must_sit_on_floor(self):
         # the bulk is the floor by construction; what remains to reject is a
         # spike that is not above it, and vectors that do not pair with spikes
         with pytest.raises(ValueError, match="exceed the noise floor"):
-            CovarianceEstimate(
-                sigma2_hat=1.0, spikes=np.array([3.0, 1.0]), vectors=np.eye(3, dtype=complex)[:, :2]
-            )
+            SpikedCovariance(1.0, np.array([3.0, 1.0]), np.eye(3, dtype=complex)[:, :2])
         with pytest.raises(ValueError, match="p x r"):
-            CovarianceEstimate(sigma2_hat=1.0, spikes=[3.0], vectors=np.eye(3, dtype=complex))
+            SpikedCovariance(1.0, [3.0], np.eye(3, dtype=complex))
+        with pytest.raises(ValueError, match="< p"):
+            SpikedCovariance(1.0, [3.0, 2.0, 1.5], np.eye(3, dtype=complex))
 
     @pytest.mark.parametrize("floor", [0.0, -1.0, np.nan])
     def test_floor_must_be_positive(self, floor):
         with pytest.raises(ValueError, match="must be positive"):
-            CovarianceEstimate(sigma2_hat=floor, spikes=[], vectors=np.eye(3, dtype=complex)[:, :0])
+            SpikedCovariance(floor, [], np.eye(3, dtype=complex)[:, :0])
 
     def test_summary_fields(self):
-        est = CovarianceEstimate(
-            sigma2_hat=1.0, spikes=np.array([3.0]), vectors=np.eye(3, dtype=complex)[:, :1]
-        )
+        est = SpikedCovariance(1.0, np.array([3.0]), np.eye(3, dtype=complex)[:, :1])
         s = est.summary(AspectRatio(3, 12).gamma)
         assert s["spike_count"] == 1
         assert s["spiked_eigenvalues"] == [3.0]

@@ -10,16 +10,17 @@ from scipy import stats
 
 from cluttercov import (
     AspectRatio,
+    CltParams,
     DetectorConfig,
     Scatterer,
     ScattererClutter,
     ScenarioConfig,
     SnapshotSampler,
-    SpikedModel,
+    SpikedClutter,
+    SpikedCovariance,
     SteeringSpec,
     TrialPlan,
     amplitude_for_snr,
-    clt_params,
     detect,
     eigh,
     inject_target,
@@ -124,8 +125,8 @@ class TestKsTwoSample:
 
 class TestVerifyClt:
     def test_degenerate_two_trials(self):
-        model = SpikedModel(p=40, sigma2=1.0, spikes=np.array([6.0]))
-        res = verify_clt(model, gamma=0.2, p=40, trials=2, seed=1)
+        model = SpikedCovariance.diagonal(40, 1.0, np.array([6.0]))
+        res = verify_clt(model, gamma=0.2, trials=2, seed=1)
         assert len(res) == 1
         assert res[0].ks.n1 == 2
         assert 0.0 <= res[0].ks.p_value <= 1.0
@@ -133,8 +134,8 @@ class TestVerifyClt:
     def test_complex_draw_pinned_to_the_expression(self, monkeypatch):
         # the in-place, row-scaled draw gives bit for bit the samples of the
         # expression (a + 1j * b) / sqrt(2) * root it replaced
-        model = SpikedModel(p=24, sigma2=2.0, spikes=np.array([30.0, 12.0]))
-        ours = verify_clt(model, gamma=0.25, p=24, trials=3, seed=5)
+        model = SpikedCovariance.diagonal(24, 2.0, np.array([30.0, 12.0]))
+        ours = verify_clt(model, gamma=0.25, trials=3, seed=5)
         monkeypatch.setattr(
             validate,
             "complex_normal",
@@ -142,28 +143,57 @@ class TestVerifyClt:
                 rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
             ) / np.sqrt(2.0) * row_scale[:, None],
         )
-        ref = verify_clt(model, gamma=0.25, p=24, trials=3, seed=5)
+        ref = verify_clt(model, gamma=0.25, trials=3, seed=5)
         for a, b in zip(ours, ref):
             assert a.samples.tobytes() == b.samples.tobytes()
+
+    @pytest.mark.parametrize("ensemble", ["real", "complex"])
+    def test_draws_at_the_model_dimension(self, ensemble):
+        # bitwise the former verify_clt(model, gamma, p, ...) at p = model.p:
+        # n = round(p / gamma), and trial t draws p x n snapshots from substream(seed, t)
+        model = SpikedCovariance.diagonal(30, 2.0, np.array([40.0, 12.0]))
+        gamma, trials, seed = 0.25, 3, 7
+        p = model.p
+        n = int(round(p / gamma))
+        ratio = AspectRatio(p, n)
+        root = np.sqrt(model.spectrum())
+        shrunk = np.empty((trials, model.r))
+        for t in range(trials):
+            rng = substream(seed, t)
+            if ensemble == "real":
+                w = rng.standard_normal((p, n)) * root[:, None]
+            else:
+                w = complex_normal(rng, p, n, root)
+            est = shrink_spectrum(eigh(sample_covariance(w)), ratio)
+            k = min(est.r, model.r)
+            shrunk[t] = est.sigma2
+            shrunk[t, :k] = est.spikes[:k]
+        res = verify_clt(model, gamma, trials, seed, ensemble=ensemble)
+        assert len(res) == model.r
+        for i, spike in enumerate(res):
+            limit = model.sigma2 * CltParams(model.whitened_spikes()[i], ratio.gamma).eta_of_beta
+            assert spike.limit_value == limit
+            want = np.sqrt(n) * (shrunk[:, i] - limit) / model.sigma2
+            assert spike.samples.tobytes() == want.tobytes()
 
     def test_working_set_is_one_trial_of_snapshots_and_their_scm(self, peak_bytes):
         # a trial's snapshots are dropped once their SCM is formed, and
         # nothing of it but the estimate is alive at the next draw
         p, n = 256, 512
-        model = SpikedModel(p=p, sigma2=1.0, spikes=np.array([5.0, 3.0, 2.5]))
+        model = SpikedCovariance.diagonal(p, 1.0, np.array([5.0, 3.0, 2.5]))
         budget = (p * n + p * p) * 16
-        assert peak_bytes(verify_clt, model, p / n, p, 3, 0) <= 1.1 * budget
+        assert peak_bytes(verify_clt, model, p / n, 3, 0) <= 1.1 * budget
 
     def test_subcritical_rejected(self):
-        model = SpikedModel(p=40, sigma2=1.0, spikes=np.array([1.3]))
+        model = SpikedCovariance.diagonal(40, 1.0, np.array([1.3]))
         with pytest.raises(ValueError, match="sub-critical"):
-            verify_clt(model, gamma=0.2, p=40, trials=4, seed=1)
+            verify_clt(model, gamma=0.2, trials=4, seed=1)
 
     def test_near_critical_reported_not_asserted(self):
         gamma = 0.2
         ell = 1 + np.sqrt(gamma) + 0.01
-        model = SpikedModel(p=60, sigma2=1.0, spikes=np.array([ell]))
-        res = verify_clt(model, gamma=gamma, p=60, trials=64, seed=2)
+        model = SpikedCovariance.diagonal(60, 1.0, np.array([ell]))
+        res = verify_clt(model, gamma=gamma, trials=64, seed=2)
         # small-sample deviation is expected near the detection edge; the
         # contract is only that a well-formed result comes back
         assert np.isfinite(res[0].ks.statistic)
@@ -184,8 +214,8 @@ class TestVerifyClt:
         # 40 complex over seeds 200-239); seed 3 is kept from the original.
         p, gamma, trials, seed = 120, 0.2, 256, 3
         ells = np.array([5.0, 3.0])
-        model = SpikedModel(p=p, sigma2=1.0, spikes=ells)
-        res = verify_clt(model, gamma=gamma, p=p, trials=trials, seed=seed, ensemble=ensemble)
+        model = SpikedCovariance.diagonal(p, 1.0, ells)
+        res = verify_clt(model, gamma=gamma, trials=trials, seed=seed, ensemble=ensemble)
         n = int(round(p / gamma))
         g = p / n
         ensemble_scale = 1.0 if ensemble == "real" else 1.0 / np.sqrt(2.0)
@@ -198,7 +228,7 @@ class TestVerifyClt:
             offset = np.sqrt(n) * (
                 shrink_whitened(lawley_location(ells, i, p, n), g) - spike_res.limit_value
             )
-            prm = clt_params(ell, g)
+            prm = CltParams(ell, g)
             scale = np.sqrt(prm.alpha2) * prm.eta_prime * ensemble_scale
             # verify_clt's own reference draws: its reported KS verdict must be
             # the one against the asymptotic law at this ensemble's scale
@@ -211,8 +241,8 @@ class TestVerifyClt:
             assert abs(spike_res.samples.std(ddof=1) / scale - 1.0) < sd_tol
 
     def test_standardized_mean_near_zero(self):
-        model = SpikedModel(p=100, sigma2=1.0, spikes=np.array([4.0]))
-        res = verify_clt(model, gamma=0.25, p=100, trials=128, seed=4)
+        model = SpikedCovariance.diagonal(100, 1.0, np.array([4.0]))
+        res = verify_clt(model, gamma=0.25, trials=128, seed=4)
         samples = res[0].samples
         assert abs(samples.mean()) < 3.0 * samples.std() / np.sqrt(samples.size)
 
@@ -301,7 +331,7 @@ class TestSweep:
 
     def test_repeated_false_alarm_rate_counts_each_row_once(self):
         # a rate listed twice gives two rows, each equal to the single-rate row
-        spiked = SpikedModel(p=16, sigma2=1.0, spikes=np.array([6.0, 3.0]))
+        spiked = SpikedClutter(np.array([6.0, 3.0]))
         cfg = ScenarioConfig(N=2, K=8, n=64, sigma2=1.0, clutter=spiked, seed=3, name="p16")
         plan = plan_for(cfg, trials=20, seed=8)
         _, single = parse_csv(sweep(plan, "snr", values=[20.0], pfa_list=(1e-1,)))
@@ -383,7 +413,7 @@ def original_frame_rows(plan, axis, values):
         for t in range(plan.trials):
             dec = eigh(sample_covariance(factor @ complex_normal(substream(plan.seed, t), scn.p, n)))
             shrunk = shrink_spectrum(dec, ratio)
-            clipped = rcml_estimate(dec, shrunk.sigma2_hat, shrunk.spike_count)
+            clipped = rcml_estimate(dec, shrunk.sigma2, shrunk.r)
             total += [
                 np.mean(normalized_scnr_batch(shrunk, truth, s_mat)),
                 np.mean(normalized_scnr_batch(clipped, truth, s_mat)),
