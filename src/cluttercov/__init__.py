@@ -50,12 +50,8 @@ from .metrics import (
 )
 from .detector import (
     DetectionReport,
-    DetectorConfig,
-    clutter_projection,
     detect,
-    test_statistic,
     theoretical_pd,
-    threshold_for_pfa,
 )
 from .validate import (
     CltSpikeResult,

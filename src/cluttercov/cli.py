@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, matio, rmt, validate
-from .detector import DetectorConfig, detect
+from .detector import detect
 from .rcml import rcml_estimate
 from .scenario import (
     PRESETS,
@@ -83,7 +83,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
                 seed=int(raw.get("seed", 0)),
                 name=raw.get("name", path.stem),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad scenario config: {exc}") from exc
         return cfg
     name = getattr(args, "scenario", None) or "challenge-synthetic"
@@ -266,7 +266,7 @@ def _cmd_detect(args) -> int:
             "warning: rank 0 disables the clutter projection on a clutter-bearing scene",
             file=sys.stderr,
         )
-    report = detect(w[:, : scn.n], y, steering, DetectorConfig(rank=args.rank, p_fa=args.pfa))
+    report = detect(w[:, : scn.n], y, steering, args.rank, args.pfa)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "detection.json"

@@ -1,17 +1,16 @@
-"""Low-rank adaptive matched filter (LR-AMF): statistic, thresholds, detection laws.
+"""Low-rank adaptive matched filter (LR-AMF): one detection pass and its detection law.
 
 The detector projects the estimated clutter subspace out of the test snapshot
-and matched-filters what remains. The statistic is calibrated so that under
-the null it follows a chi-squared law with one complex degree of freedom:
+and matched-filters what remains:
 
-    T = 2 |s^H P y|^2 / (sigma2_hat * ||P s||^2)
+    T = |s^H P y|^2 / (sigma2_hat * ||P s||^2)
 
 with P the projection off the top-rank sample eigenvectors V, applied as
-P x = x - V (V^H x) so the p x p projector is never formed. T / 2 is then a
-unit-mean exponential under the null, so the threshold for a false-alarm
-probability p_fa is simply -log(p_fa), and detection compares T / 2 against
-it. The uncalibrated |s^H P y|^2 / ||P s||^2 value is reported alongside for
-transparency.
+P x = x - V (V^H x) so the p x p projector is never formed. Under the null T
+is a unit-mean exponential, Exp(1), so detection compares T against the
+threshold -log(p_fa). The report's ``chi2_statistic`` is 2 T, chi-squared
+with one complex degree of freedom, and its ``raw_statistic`` is the
+uncalibrated |s^H P y|^2 / ||P s||^2.
 
 T normalizes by sigma2_hat, not by y^H P y, so this is a low-rank AMF, not
 the paper's LR-ANMF |s^H P y|^2 / ((s^H P s)(y^H P y)) (ROADMAP item 4).
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rmt import AspectRatio, EigenDecomposition
+from .rmt import AspectRatio
 from .scenario import SteeringSpec, steering_vector
 from .shrinkage import SpikedCovariance, cosine2, detect_spikes
 from . import rmt
@@ -52,40 +51,16 @@ PD_SERIES_MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
-    """Detection setup: clutter rank for the projection, target false-alarm rate.
-
-    ``rank`` None means "estimate it": the detector takes the count of
-    ``shrinkage.detect_spikes``, the rule the shrinkage estimator detects its
-    spikes by.
-    """
-
-    rank: int | None
-    p_fa: float
-
-    def __post_init__(self):
-        if self.rank is not None and self.rank < 0:
-            raise ValueError("rank must be nonnegative")
-        if not 0.0 < self.p_fa < 1.0:
-            raise ValueError("p_fa must lie in (0, 1)")
-
-    @property
-    def threshold(self) -> float:
-        return threshold_for_pfa(self.p_fa)
-
-
-@dataclass(frozen=True)
 class DetectionReport:
-    """One detection decision with its calibrated statistic and laws.
+    """One detection decision: the calibrated statistic against -log(p_fa).
 
-    ``statistic`` is the exponential-calibrated value (T / 2) compared against
-    ``threshold`` = -log(p_fa) and ``raw_statistic`` the unwhitened
-    matched-filter value; the decision, the false-alarm rate the threshold
-    implies and the chi-squared-scaled T are derived from them.
+    ``statistic`` is T, Exp(1) under the null, and ``raw_statistic`` the
+    unwhitened matched-filter value; the threshold and the decision are
+    derived from them and ``p_fa``.
     """
 
     statistic: float
-    threshold: float
+    p_fa: float
     raw_statistic: float
 
     def __post_init__(self):
@@ -93,59 +68,22 @@ class DetectionReport:
             raise ValueError("statistic must be nonnegative")
 
     @property
+    def threshold(self) -> float:
+        return float(-np.log(self.p_fa))
+
+    @property
     def decision(self) -> bool:
         return bool(self.statistic > self.threshold)
-
-    @property
-    def theoretical_pfa(self) -> float:
-        return float(np.exp(-self.threshold))
-
-    @property
-    def chi2_statistic(self) -> float:
-        return 2.0 * self.statistic
 
     def to_dict(self) -> dict:
         return {
             "statistic": self.statistic,
             "threshold": self.threshold,
             "decision": self.decision,
-            "theoretical_pfa": self.theoretical_pfa,
-            "chi2_statistic": self.chi2_statistic,
+            "theoretical_pfa": self.p_fa,
+            "chi2_statistic": 2.0 * self.statistic,
             "raw_statistic": self.raw_statistic,
         }
-
-
-def clutter_projection(decomp: EigenDecomposition, rank: int, x: np.ndarray) -> np.ndarray:
-    """P x for P the projection off the span of the top-``rank`` sample eigenvectors.
-
-    P x = x - V (V^H x) with V the leading p x rank eigenvector block; P is
-    Hermitian and idempotent with trace p - rank, and rank 0 returns x.
-    """
-    if not 0 <= rank < decomp.p:
-        raise ValueError("rank must satisfy 0 <= rank < p")
-    v = decomp.leading(rank)
-    return x - v @ (v.conj().T @ x)
-
-
-def test_statistic(y: np.ndarray, ps: np.ndarray, sigma2_hat: float) -> float:
-    """Chi-squared-calibrated matched-filter statistic of one test snapshot.
-
-    T = 2 |s^H P y|^2 / (sigma2_hat ||P s||^2) from the projected steering
-    vector ``ps`` = P s; under the null with the true clutter rank this
-    converges to a chi-squared law with one complex degree of freedom (mean 2).
-    """
-    denom = float(np.real(np.vdot(ps, ps)))
-    if denom <= 1e-12 * ps.size:
-        raise ValueError("target in clutter subspace")
-    num = abs(np.vdot(ps, y)) ** 2  # s^H P y with P Hermitian idempotent
-    return float(2.0 * num / (sigma2_hat * denom))
-
-
-def threshold_for_pfa(p_fa: float) -> float:
-    """Detection threshold -log(p_fa) for the exponential-calibrated statistic."""
-    if not 0.0 < p_fa < 1.0:
-        raise ValueError("p_fa must lie in (0, 1)")
-    return float(-np.log(p_fa))
 
 
 def _pd_series(mean: float, delta_threshold: float) -> float:
@@ -165,12 +103,10 @@ def _pd_series(mean: float, delta_threshold: float) -> float:
     if mean == 0.0:
         return float(np.exp(-delta_threshold))
     if mean > 0.25 * PD_SERIES_MAX_TERMS:
-        # The Poisson mode approaches the term cap; every term retained there
-        # has Q(k + 1, threshold) = 1 to working precision for any sane
-        # threshold, so the tail is 1.
-        if delta_threshold < mean - 20.0 * np.sqrt(mean):
-            return 1.0
-        raise ValueError("noncentrality too large for the series cap")
+        # The Poisson mass lies above mean - 20 sqrt(mean) >= 1,500, past any
+        # threshold -log(p_fa) <= 744.4, where Q(k + 1, threshold) = 1 to
+        # working precision, so the tail is 1.
+        return 1.0
     total = 0.0
     log_pmf = -mean  # log of Poisson pmf at k = 0
     log_t = math.log(delta_threshold)
@@ -221,25 +157,31 @@ def theoretical_pd(
     if not np.isfinite(nu) or nu <= 0:
         raise ValueError("divergent deflection")
     mean = abs(amplitude) ** 2 / nu
-    return _pd_series(mean, threshold_for_pfa(p_fa))
+    return _pd_series(mean, float(-np.log(p_fa)))
 
 
 def detect(
-    train: np.ndarray, y: np.ndarray, steering: np.ndarray, config: DetectorConfig
+    train: np.ndarray, y: np.ndarray, steering: np.ndarray, rank: int | None, p_fa: float
 ) -> DetectionReport:
     """Low-rank AMF pass (not the LR-ANMF): p x n training ``train``, test snapshot ``y``.
 
-    The training block yields the sample covariance, its leading
+    The training block yields the sample covariance, its leading ``rank``
     eigenvectors the clutter projection of the steering p-vector, and the
-    noise power estimate. ``train`` is never copied when it is contiguous
-    in either order, as the training view ``w[:, :n]`` of a column-major
-    draw is: besides its inputs, a call holds the p x p sample covariance
-    and its reduction, not a second p x n block. A non-finite test snapshot
-    raises ValueError; non-finite training data fails in ``eigh``.
+    noise power estimate. ``rank`` None means "estimate it": the count of
+    ``shrinkage.detect_spikes``, the rule the shrinkage estimator detects its
+    spikes by. ``train`` is never copied when it is contiguous in either
+    order, as the training view ``w[:, :n]`` of a column-major draw is:
+    besides its inputs, a call holds the p x p sample covariance and its
+    reduction, not a second p x n block. A non-finite test snapshot raises
+    ValueError; non-finite training data fails in ``eigh``.
     """
     if np.ndim(train) != 2:
         raise ValueError("training snapshots must be a p x n array")
     p, n = np.shape(train)
+    if rank is not None and not 0 <= rank < p:
+        raise ValueError("rank must satisfy 0 <= rank < p")
+    if not 0.0 < p_fa < 1.0:
+        raise ValueError("p_fa must lie in (0, 1)")
     if np.shape(y) != (p,):
         raise ValueError("test snapshot dimension does not match the training data")
     if np.shape(steering) != (p,):
@@ -249,13 +191,13 @@ def detect(
     if not np.all(np.isfinite(y)):
         raise ValueError("test snapshot must be finite")
     decomp = rmt.eigh(rmt.sample_covariance(train))
-    ratio = AspectRatio(p, n)
-    sigma2_hat, detected = detect_spikes(decomp, ratio)
-    rank = detected.size if config.rank is None else config.rank
-    ps = clutter_projection(decomp, rank, steering)
-    raw = abs(np.vdot(ps, y)) ** 2 / float(np.real(np.vdot(ps, ps)))
+    sigma2_hat, detected = detect_spikes(decomp, AspectRatio(p, n))
+    v = decomp.leading(detected.size if rank is None else rank)
+    ps = steering - v @ (v.conj().T @ steering)
+    denom = float(np.real(np.vdot(ps, ps)))
+    if denom <= 1e-12 * p:
+        raise ValueError("target in clutter subspace")
+    num = abs(np.vdot(ps, y)) ** 2  # |s^H P y|^2 with P Hermitian idempotent
     return DetectionReport(
-        statistic=test_statistic(y, ps, sigma2_hat) / 2.0,
-        threshold=config.threshold,
-        raw_statistic=float(raw),
+        statistic=float(num / (sigma2_hat * denom)), p_fa=p_fa, raw_statistic=float(num / denom)
     )

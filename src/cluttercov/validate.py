@@ -39,7 +39,7 @@ from itertools import groupby
 import numpy as np
 
 from . import rmt
-from .detector import DetectorConfig, detect, theoretical_pd
+from .detector import detect, theoretical_pd
 from .metrics import (
     kantorovich_bound,
     mvdr_error_variance,
@@ -118,11 +118,20 @@ class TrialPlan:
 
 
 def _kolmogorov_sf(lam: float) -> float:
-    """Asymptotic Kolmogorov survival function, series truncated at 100 terms."""
+    """Asymptotic Kolmogorov survival function, each series truncated at 100 terms.
+
+    From lam = 0.5 up it is 2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2); below, where
+    that series converges too slowly, it is one minus the dual series
+    (sqrt(2 pi) / lam) sum_k exp(-(2k - 1)^2 pi^2 / (8 lam^2)) of the CDF.
+    """
     if lam <= 0:
         return 1.0
     k = np.arange(1, KOLMOGOROV_SERIES_TERMS + 1)
-    total = 2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * (k * lam) ** 2))
+    if lam < 0.5:
+        cdf = np.sqrt(2.0 * np.pi) / lam * np.sum(np.exp(-((2 * k - 1) * np.pi / lam) ** 2 / 8.0))
+        total = 1.0 - cdf
+    else:
+        total = 2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * (k * lam) ** 2))
     return float(min(1.0, max(0.0, total)))
 
 
@@ -332,7 +341,7 @@ def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
             w = sampler.draw(scn.n + 1, plan.seed, stream=t)
             y = inject_target(w[:, scn.n], s_target, amp)
             for i, pfa in enumerate(pfa_list):
-                report = detect(w[:, : scn.n], y, s_target, DetectorConfig(rank=rank, p_fa=pfa))
+                report = detect(w[:, : scn.n], y, s_target, rank, pfa)
                 hits[i] += int(report.decision)
             del w, y  # so two draws are never alive at once
         for pfa, hit in zip(pfa_list, hits):

@@ -12,7 +12,6 @@ import cluttercov
 
 from cluttercov import (
     AspectRatio,
-    DetectorConfig,
     ModelOrderWarning,
     ScenarioConfig,
     Scatterer,
@@ -295,6 +294,7 @@ class TestEndToEnd:
         ]
         assert report["decision"] == (report["statistic"] > report["threshold"])
         assert report["chi2_statistic"] == 2 * report["statistic"]
+        assert report["theoretical_pfa"] == 0.01  # --pfa as given, not exp(log(p_fa))
 
     def test_detect_statistic_is_the_original_frame_statistic(self, scene, tmp_path):
         argv = ["detect", "--config", str(scene), "--snr-db", "5", "--out-dir", str(tmp_path)]
@@ -306,7 +306,7 @@ class TestEndToEnd:
         white = complex_normal(substream(cfg.seed, 0), cfg.p, cfg.n + 1)
         snaps = (sampler.basis * sampler.root) @ white
         y = inject_target(snaps[:, -1], s, amplitude_for_snr(5.0, cfg.sigma2, cfg.N, cfg.K))
-        ref = detect(snaps[:, :-1], y, s, DetectorConfig(rank=None, p_fa=1e-3))
+        ref = detect(snaps[:, :-1], y, s, None, 1e-3)
         assert report["statistic"] == pytest.approx(ref.statistic, rel=1e-9)
         assert report["raw_statistic"] == pytest.approx(ref.raw_statistic, rel=1e-9)
 
@@ -445,10 +445,15 @@ class TestExitCodes:
             {"clutter": {"kind": "toeplitz", "taps": [[np.nan, 0.0]], "pulse_len": 1}},
             OVERFLOWING_TAPS,
             OVERFLOWING_SCATTERERS,
+            {"N": np.inf},
+            {"n": np.inf},
+            {"seed": np.inf},
+            {"clutter": {"kind": "toeplitz", "taps": [[1.0, 0.0]], "pulse_len": np.inf}},
         ],
         ids=["clutter-not-object", "amplitude-string", "doppler-out-of-range", "amplitude-nan",
              "negative-seed", "power-overflow", "sigma2-inf", "spike-inf", "tap-inf", "tap-nan",
-             "covariance-overflow-taps", "covariance-overflow-scatterers"],
+             "covariance-overflow-taps", "covariance-overflow-scatterers", "N-inf", "n-inf",
+             "seed-inf", "pulse-len-inf"],
     )
     def test_malformed_scene_is_config_error(self, tmp_path, fields):
         scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0, **fields}

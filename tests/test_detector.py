@@ -5,10 +5,8 @@ from scipy import special, stats
 from cluttercov import (
     AspectRatio,
     DetectionReport,
-    DetectorConfig,
     SpikedCovariance,
     SteeringSpec,
-    clutter_projection,
     detect,
     eigh,
     estimate_noise,
@@ -16,10 +14,8 @@ from cluttercov import (
     sample_covariance,
     steering_vector,
     theoretical_pd,
-    threshold_for_pfa,
 )
 from cluttercov.detector import _pd_series
-from cluttercov.detector import test_statistic as anmf_statistic
 from cluttercov.rng import substream
 
 
@@ -33,70 +29,75 @@ def h0_cubes(p, n_train, trials, seed, spikes=()):
         yield root[:, None] * w / np.sqrt(2)
 
 
-class TestClutterProjection:
-    def _decomp(self, p=8, seed=0):
-        rng = substream(200, seed)
-        z = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-        return eigh((z + z.conj().T) / 2)
+class TestDetectStatistic:
+    """The statistic's algebra, read through ``detect`` on one null draw."""
 
-    def test_rank_zero_identity(self):
-        dec = self._decomp()
-        np.testing.assert_allclose(clutter_projection(dec, 0, np.eye(8)), np.eye(8))
+    P, N_TRAIN = 16, 64
 
-    def test_rank_one_axis(self):
-        dec = eigh(np.diag([2.0, 1.0, 0.5]).astype(complex))
-        np.testing.assert_allclose(clutter_projection(dec, 1, np.eye(3)), np.diag([0.0, 1.0, 1.0]))
+    def _data(self):
+        cube = next(h0_cubes(self.P, self.N_TRAIN, 1, seed=212, spikes=(40.0, 20.0)))
+        return cube[:, :-1], cube[:, -1], steering_vector(SteeringSpec(0.3, -0.1, 4, 4))
 
-    def test_idempotent_hermitian_trace(self):
-        dec = self._decomp(p=32, seed=1)
-        proj = clutter_projection(dec, 3, np.eye(32))  # P applied to the identity
-        assert np.abs(proj @ proj - proj).max() < 1e-10
-        assert np.abs(proj - proj.conj().T).max() < 1e-12
-        assert np.trace(proj).real == pytest.approx(29.0, abs=1e-10)
+    def test_rank_zero_is_the_plain_matched_filter(self):
+        train, y, s = self._data()
+        report = detect(train, y, s, 0, 0.1)
+        sigma2_hat = estimate_noise(eigh(sample_covariance(train)), AspectRatio(self.P, self.N_TRAIN))
+        raw = abs(np.vdot(s, y)) ** 2 / np.real(np.vdot(s, s))
+        assert report.raw_statistic == pytest.approx(raw, rel=1e-12)
+        assert report.statistic == pytest.approx(raw / sigma2_hat, rel=1e-12)
+        orthogonal = y - s * (np.vdot(s, y) / np.real(np.vdot(s, s)))
+        assert detect(train, orthogonal, s, 0, 0.1).statistic == pytest.approx(0.0, abs=1e-20)
 
-    def test_annihilates_leading_eigenvectors(self):
-        dec = self._decomp(p=16, seed=2)
-        proj = clutter_projection(dec, 4, dec.leading(4))
-        for i in range(4):
-            assert np.linalg.norm(proj[:, i]) < 1e-10
+    def test_leading_span_component_leaves_the_statistic_unchanged(self):
+        # P annihilates the leading sample eigenvectors, so clutter along them
+        # does not reach the statistic; rank 0 projects nothing out
+        train, y, s = self._data()
+        v = eigh(sample_covariance(train)).leading(2)
+        shifted = y + v @ np.array([3.0 - 1.0j, 0.5j])
+        base, moved = (detect(train, x, s, 2, 0.1) for x in (y, shifted))
+        assert moved.statistic == pytest.approx(base.statistic, rel=1e-9)
+        assert moved.raw_statistic == pytest.approx(base.raw_statistic, rel=1e-9)
+        plain, plain_moved = (detect(train, x, s, 0, 0.1) for x in (y, shifted))
+        assert plain_moved.statistic != pytest.approx(plain.statistic, rel=1e-3)
 
-    def test_rank_too_large(self):
-        with pytest.raises(ValueError):
-            clutter_projection(self._decomp(), 8, np.eye(8))
+    @pytest.mark.parametrize("rank", [-1, 16, 17])
+    def test_rank_outside_zero_to_p_rejected(self, rank):
+        train, y, s = self._data()
+        with pytest.raises(ValueError, match="rank must satisfy"):
+            detect(train, y, s, rank, 0.1)
 
-
-class TestTestStatistic:
-    def test_matched_snapshot(self):
-        spec = SteeringSpec(0.2, 0.1, 4, 4)
-        s = steering_vector(spec)
-        t = anmf_statistic(s, s, 1.0)  # rank 0: P s = s
-        assert t == pytest.approx(2 * 16.0, rel=1e-12)
-
-    def test_orthogonal_snapshot_zero(self):
-        spec = SteeringSpec(0.0, 0.0, 2, 2)
-        s = steering_vector(spec)
-        y = np.array([1.0, -1.0, 0.0, 0.0], dtype=complex)
-        assert abs(np.vdot(s, y)) < 1e-12
-        t = anmf_statistic(y, s, 1.0)
-        assert t == pytest.approx(0.0, abs=1e-20)
-
-    def test_target_inside_clutter_subspace(self):
-        spec = SteeringSpec(0.0, 0.0, 2, 2)
-        s = steering_vector(spec)
-        proj = np.eye(4) - np.outer(s, s.conj()) / np.real(np.vdot(s, s))
+    def test_target_inside_clutter_subspace_rejected(self):
+        train, y, _ = self._data()
+        v = eigh(sample_covariance(train)).leading(1)
         with pytest.raises(ValueError, match="target in clutter subspace"):
-            anmf_statistic(s, proj @ s, 1.0)
+            detect(train, y, 4.0 * v[:, 0], 1, 0.1)
 
     def test_phase_invariance(self):
-        spec = SteeringSpec(0.3, -0.1, 4, 4)
-        rng = substream(201, 0)
-        y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        s = steering_vector(spec)
-        base = anmf_statistic(y, s, 1.0)
-        rotated = anmf_statistic(np.exp(1.3j) * y, s, 1.0)
-        assert rotated == pytest.approx(base, rel=1e-12)
+        train, y, s = self._data()
+        base = detect(train, y, s, 2, 0.1)
+        rotated = detect(train, np.exp(1.3j) * y, s, 2, 0.1)
+        assert rotated.statistic == pytest.approx(base.statistic, rel=1e-12)
 
-    def test_h0_mean_is_two(self):
+    @pytest.mark.parametrize(
+        "p_fa,want", [(np.exp(-1.0), 1.0), (0.01, 4.605170), (1e-5, 11.5129254)]
+    )
+    def test_threshold_is_minus_log_pfa(self, p_fa, want):
+        train, y, s = self._data()
+        report = detect(train, y, s, 0, p_fa)
+        assert report.threshold == -np.log(p_fa)
+        assert report.threshold == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
+    def test_pfa_domain(self, bad):
+        train, y, s = self._data()
+        with pytest.raises(ValueError, match="p_fa must lie in"):
+            detect(train, y, s, 0, bad)
+
+
+class TestNullLaw:
+    """T = |s^H P y|^2 / (sigma2_hat ||P s||^2) over many null test cells, P from one SCM."""
+
+    def test_h0_mean_is_one(self):
         # 1e5 null snapshots against a projection estimated once at the true rank
         p, n = 64, 1024
         spikes = (40.0, 25.0)
@@ -108,18 +109,19 @@ class TestTestStatistic:
         ) / np.sqrt(2)
         dec = eigh(sample_covariance(train))
         sigma2_hat = estimate_noise(dec, AspectRatio(p, n))
-        spec = SteeringSpec(0.4, 0.2, 8, 8)
-        ps = clutter_projection(dec, len(spikes), steering_vector(spec))
+        s = steering_vector(SteeringSpec(0.4, 0.2, 8, 8))
+        v = dec.leading(len(spikes))
+        ps = s - v @ (v.conj().T @ s)
         denom = sigma2_hat * np.real(np.vdot(ps, ps))
         trials = 100_000
         y = root[:, None] * (
             rng.standard_normal((p, trials)) + 1j * rng.standard_normal((p, trials))
         ) / np.sqrt(2)
-        t_vals = 2 * np.abs(ps.conj() @ y) ** 2 / denom
-        assert abs(t_vals.mean() - 2.0) / 2.0 < 0.02
+        t_vals = np.abs(ps.conj() @ y) ** 2 / denom
+        assert abs(t_vals.mean() - 1.0) < 0.02
 
-    def test_h0_distribution_chi2(self):
-        # two-sample KS at 5% against chi-squared(2) draws
+    def test_h0_distribution_exponential(self):
+        # two-sample KS at 5% of 2 T against chi-squared(2) draws
         p, n = 64, 1024
         model = SpikedCovariance.diagonal(p, 1.0, np.array([30.0]))
         root = np.sqrt(model.spectrum())
@@ -129,31 +131,20 @@ class TestTestStatistic:
         ) / np.sqrt(2)
         dec = eigh(sample_covariance(train))
         sigma2_hat = estimate_noise(dec, AspectRatio(p, n))
-        spec = SteeringSpec(-0.3, 0.35, 8, 8)
-        ps = clutter_projection(dec, 1, steering_vector(spec))
+        s = steering_vector(SteeringSpec(-0.3, 0.35, 8, 8))
+        v = dec.leading(1)
+        ps = s - v @ (v.conj().T @ s)
         denom = sigma2_hat * np.real(np.vdot(ps, ps))
         trials = 4000
         y = root[:, None] * (
             rng.standard_normal((p, trials)) + 1j * rng.standard_normal((p, trials))
         ) / np.sqrt(2)
-        t_vals = 2 * np.abs(ps.conj() @ y) ** 2 / denom
+        t_vals = np.abs(ps.conj() @ y) ** 2 / denom
         ref = stats.chi2(2).rvs(size=trials, random_state=np.random.default_rng(9))
         from cluttercov import ks_two_sample
 
-        res = ks_two_sample(t_vals, ref)
+        res = ks_two_sample(2 * t_vals, ref)
         assert res.p_value > 0.05
-
-
-class TestThreshold:
-    def test_reference_values(self):
-        assert threshold_for_pfa(np.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
-        assert threshold_for_pfa(0.01) == pytest.approx(4.605170, abs=1e-6)
-        assert threshold_for_pfa(1e-5) == pytest.approx(11.5129254, abs=1e-6)
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            threshold_for_pfa(bad)
 
 
 class TestTheoreticalPd:
@@ -218,7 +209,7 @@ class TestTheoreticalPd:
         model = SpikedCovariance.diagonal(64, sigma2, np.array([]))
         s_w = steering_vector(spec) / np.sqrt(sigma2)
         mean = abs(amp) ** 2 / (1.0 / float(np.real(np.vdot(s_w, s_w))))
-        want = _pd_series(mean, threshold_for_pfa(p_fa))
+        want = _pd_series(mean, -np.log(p_fa))
         assert theoretical_pd(model, spec, amp, p_fa, 0.25) == want
 
     def test_reads_the_vectors_in_the_target_frame(self):
@@ -247,7 +238,7 @@ class TestDetect:
         s = steering_vector(SteeringSpec(0.5, 0.25, 4, 8))
         hits = 0
         for cube in h0_cubes(p, n_train, trials, seed=204):
-            report = detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=0, p_fa=pfa))
+            report = detect(cube[:, :-1], cube[:, -1], s, 0, pfa)
             hits += int(report.decision)
         rate = hits / trials
         assert 0.094 <= rate <= 0.106
@@ -260,31 +251,34 @@ class TestDetect:
         hits = 0
         for cube in h0_cubes(p, n_train, trials, seed=205):
             y = inject_target(cube[:, -1], s, amp)
-            report = detect(cube[:, :-1], y, s, DetectorConfig(rank=0, p_fa=1e-3))
+            report = detect(cube[:, :-1], y, s, 0, 1e-3)
             hits += int(report.decision)
         assert hits / trials >= 0.99
 
     def test_report_invariants(self):
         cube = next(h0_cubes(16, 64, 1, seed=206))
         s = steering_vector(SteeringSpec(0.2, 0.2, 4, 4))
-        report = detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=0, p_fa=0.05))
+        report = detect(cube[:, :-1], cube[:, -1], s, 0, 0.05)
         assert report.decision == (report.statistic > report.threshold)
-        assert report.theoretical_pfa == pytest.approx(0.05, rel=1e-12)
-        assert report.chi2_statistic == pytest.approx(2 * report.statistic, rel=1e-12)
+        out = report.to_dict()
+        assert out["theoretical_pfa"] == 0.05
+        assert out["chi2_statistic"] == 2 * report.statistic
         assert report.raw_statistic is not None
-        assert list(report.to_dict()) == [
+        assert list(out) == [
             "statistic", "threshold", "decision", "theoretical_pfa", "chi2_statistic",
             "raw_statistic",
         ]
 
     def test_report_fields_derived(self):
-        report = DetectionReport(statistic=3.0, threshold=threshold_for_pfa(0.1), raw_statistic=1.5)
+        report = DetectionReport(statistic=3.0, p_fa=0.1, raw_statistic=1.5)
         assert report.decision is True
-        assert report.theoretical_pfa == pytest.approx(0.1, rel=1e-12)
-        assert report.chi2_statistic == 6.0
-        assert DetectionReport(statistic=2.0, threshold=2.0, raw_statistic=0.0).decision is False
+        assert report.threshold == -np.log(0.1)
+        assert report.to_dict()["theoretical_pfa"] == 0.1
+        assert report.to_dict()["chi2_statistic"] == 6.0
+        at_threshold = DetectionReport(statistic=float(-np.log(0.1)), p_fa=0.1, raw_statistic=0.0)
+        assert at_threshold.decision is False
         with pytest.raises(ValueError, match="nonnegative"):
-            DetectionReport(statistic=-1.0, threshold=1.0, raw_statistic=0.0)
+            DetectionReport(statistic=-1.0, p_fa=0.1, raw_statistic=0.0)
 
     def test_estimated_rank_default(self):
         # rank None: the detector takes the spike count of the shrinkage rule
@@ -297,8 +291,8 @@ class TestDetect:
         detected = detect_spikes(dec, AspectRatio(p, n_train))[1]
         assert detected.size == shrink_spectrum(dec, AspectRatio(p, n_train)).r == 2
         s = steering_vector(SteeringSpec(0.8, 0.4, 4, 8))
-        r_none = detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=None, p_fa=0.1))
-        r_true = detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=2, p_fa=0.1))
+        r_none = detect(cube[:, :-1], cube[:, -1], s, None, 0.1)
+        r_true = detect(cube[:, :-1], cube[:, -1], s, 2, 0.1)
         assert r_none.statistic == r_true.statistic
 
     def test_statistic_identical_for_both_estimators(self):
@@ -314,45 +308,44 @@ class TestDetect:
         clipped = rcml_estimate(dec, shrunk.sigma2, shrunk.r)
         s = steering_vector(SteeringSpec(0.8, 0.4, 4, 8))
         train, y = cube[:, :-1], cube[:, -1]
-        rep_a = detect(train, y, s, DetectorConfig(rank=shrunk.r, p_fa=0.01))
-        rep_b = detect(train, y, s, DetectorConfig(rank=clipped.r, p_fa=0.01))
+        rep_a = detect(train, y, s, shrunk.r, 0.01)
+        rep_b = detect(train, y, s, clipped.r, 0.01)
         assert rep_a.statistic == rep_b.statistic
 
     def test_insufficient_training(self):
         s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
         with pytest.raises(ValueError, match="insufficient samples"):
             detect(np.eye(8, 7, dtype=complex), np.ones(8, dtype=complex), s,
-                   DetectorConfig(rank=0, p_fa=0.1))
+                   0, 0.1)
 
     def test_nonfinite_test_snapshot_rejected(self):
         cube = next(h0_cubes(8, 32, 1, seed=209))
         cube[3, -1] = np.nan
         s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
         with pytest.raises(ValueError, match="test snapshot must be finite"):
-            detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=0, p_fa=0.1))
+            detect(cube[:, :-1], cube[:, -1], s, 0, 0.1)
 
     def test_nonfinite_training_rejected(self):
         cube = next(h0_cubes(8, 32, 1, seed=209))
         cube[3, 0] = np.inf
         s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
         with pytest.raises(ValueError, match="invalid matrix"), np.errstate(invalid="ignore"):
-            detect(cube[:, :-1], cube[:, -1], s, DetectorConfig(rank=0, p_fa=0.1))
+            detect(cube[:, :-1], cube[:, -1], s, 0, 0.1)
 
     @pytest.mark.parametrize("shape", [(6,), (8, 1)], ids=["short", "column"])
     def test_steering_dimension_mismatch_rejected(self, shape):
         cube = next(h0_cubes(8, 32, 1, seed=209))
         with pytest.raises(ValueError, match="steering dimension"):
             detect(cube[:, :-1], cube[:, -1], np.ones(shape, dtype=complex),
-                   DetectorConfig(rank=0, p_fa=0.1))
+                   0, 0.1)
 
     def test_test_snapshot_and_training_shapes_checked(self):
         cube = next(h0_cubes(8, 32, 1, seed=209))
         s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
-        config = DetectorConfig(rank=0, p_fa=0.1)
         with pytest.raises(ValueError, match="test snapshot dimension"):
-            detect(cube[:, :-1], cube[:-1, -1], s, config)
+            detect(cube[:, :-1], cube[:-1, -1], s, 0, 0.1)
         with pytest.raises(ValueError, match="p x n"):
-            detect(cube[:, 0], cube[:, -1], s, config)
+            detect(cube[:, 0], cube[:, -1], s, 0, 0.1)
 
     def test_training_view_matches_copy(self):
         # the training block is a view of all but the last column: its SCM
@@ -377,6 +370,5 @@ class TestDetect:
         p, n = 512, 1024
         draw = np.asfortranarray(next(h0_cubes(p, n, 1, seed=211, spikes=(40.0, 20.0))))
         s = steering_vector(SteeringSpec(0.3, 0.1, 8, 64))
-        config = DetectorConfig(rank=None, p_fa=0.01)
         scm = p * p * 16
-        assert peak_bytes(detect, draw[:, :-1], draw[:, -1], s, config) <= 1.25 * 2 * scm
+        assert peak_bytes(detect, draw[:, :-1], draw[:, -1], s, None, 0.01) <= 1.25 * 2 * scm

@@ -87,3 +87,15 @@ def test_imported_name_is_loaded_in_its_module(module, name, line):
 
 def test_every_module_is_scanned():
     assert {"metrics.py", "rmt.py", "shrinkage.py", "validate.py"} <= set(TREES)
+
+
+def test_no_top_level_name_is_named_like_a_test():
+    # a test_* function imported into a test module is collected as a test
+    names = [(module, name, line) for module, name, line in DEFINITIONS + IMPORTS]
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [(module, t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    offenders = [f"{module}:{line} {name}" for module, name, line in names if name.startswith("test_")]
+    assert not offenders, f"named like a test: {offenders}"

@@ -11,7 +11,6 @@ from scipy import stats
 from cluttercov import (
     AspectRatio,
     CltParams,
-    DetectorConfig,
     Scatterer,
     ScattererClutter,
     ScenarioConfig,
@@ -45,6 +44,7 @@ from cluttercov.validate import (
     DETECTION_HEADER,
     DOPPLER_MARGIN_GRID,
     SWEEP_HEADER,
+    _kolmogorov_sf,
 )
 from oracles import DenseTruth, shrink_whitened
 
@@ -121,6 +121,22 @@ class TestKsTwoSample:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_two_sample(np.array([]), np.array([1.0]))
+
+    def test_kolmogorov_sf_matches_scipy_for_small_and_large_lambda(self):
+        # below lam = 0.5 the alternating series needs far more than 100 terms
+        from scipy import special
+
+        for lam in np.geomspace(1e-3, 3.0, 200):
+            assert _kolmogorov_sf(lam) == pytest.approx(float(special.kolmogorov(lam)), abs=1e-12)
+
+    def test_samples_differing_in_one_point_are_not_rejected(self):
+        # statistic 1 / 20,000 at n_eff = 10,000: lam = 0.005, p = 1
+        a = np.arange(20_000, dtype=float)
+        b = a.copy()
+        b[-1] = 1e9
+        res = ks_two_sample(a, b)
+        assert res.statistic == pytest.approx(1 / 20_000)
+        assert res.p_value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestVerifyClt:
@@ -460,8 +476,7 @@ class TestEigenbasisEquivalence:
                 snaps = factor @ complex_normal(substream(plan.seed, t), scn.p, scn.n + 1)
                 y = inject_target(snaps[:, -1], s, amp)
                 for pfa in pfa_list:
-                    config = DetectorConfig(rank=None, p_fa=pfa)
-                    hits[pfa] += detect(snaps[:, :-1], y, s, config).decision
+                    hits[pfa] += detect(snaps[:, :-1], y, s, None, pfa).decision
             want += [hits[pfa] for pfa in pfa_list]
         got = [round(float(row[2]) * plan.trials) for row in rows]
         assert got == want and 0 < sum(want) < len(want) * plan.trials
@@ -475,12 +490,11 @@ class TestEigenbasisEquivalence:
         sampler = SnapshotSampler(r)
         s = steering_vector(plan.target)
         amp = 0.4
-        config = DetectorConfig(rank=rank, p_fa=1e-2)
         snaps = dense_colouring_factor(r) @ complex_normal(substream(12, stream), scn.p, scn.n + 1)
-        original = detect(snaps[:, :-1], inject_target(snaps[:, -1], s, amp), s, config)
+        original = detect(snaps[:, :-1], inject_target(snaps[:, -1], s, amp), s, rank, 1e-2)
         s_rot = sampler.to_eigenbasis(s)
         w = sampler.draw(scn.n + 1, 12, stream)
-        rotated = detect(w[:, :-1], inject_target(w[:, -1], s_rot, amp), s_rot, config)
+        rotated = detect(w[:, :-1], inject_target(w[:, -1], s_rot, amp), s_rot, rank, 1e-2)
         assert rotated.statistic == pytest.approx(original.statistic, rel=1e-9)
         assert rotated.raw_statistic == pytest.approx(original.raw_statistic, rel=1e-9)
         assert rotated.decision == original.decision
