@@ -42,6 +42,14 @@ from .scenario import (
 from .shrinkage import SpikedCovariance, shrink_spectrum
 
 
+def _integer(value, name: str) -> int:
+    """A scene JSON number that must be an integer: 4 and 4.0 are, 2.7, true and "4" are not."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _clutter_from_json(spec: dict):
     if not isinstance(spec, dict):
         raise ConfigError(f"clutter must be a JSON object, got {spec!r}")
@@ -57,7 +65,7 @@ def _clutter_from_json(spec: dict):
         )
     if kind == "toeplitz":
         taps = np.asarray([complex(re, im) for re, im in spec["taps"]])
-        return ToeplitzClutter(taps=taps, pulse_len=int(spec["pulse_len"]))
+        return ToeplitzClutter(taps=taps, pulse_len=_integer(spec["pulse_len"], "pulse_len"))
     if kind in (None, "none"):
         return None
     raise ConfigError(f"unknown clutter kind: {kind!r}")
@@ -75,12 +83,12 @@ def _scenario_from_args(args) -> ScenarioConfig:
         n_flag = getattr(args, "n", None)
         try:
             cfg = ScenarioConfig(
-                N=int(raw["N"]),
-                K=int(raw["K"]),
-                n=int(raw["n"]) if n_flag is None else n_flag,
+                N=_integer(raw["N"], "N"),
+                K=_integer(raw["K"], "K"),
+                n=_integer(raw["n"], "n") if n_flag is None else n_flag,
                 sigma2=float(raw["sigma2"]),
                 clutter=_clutter_from_json(raw.get("clutter", {})),
-                seed=int(raw.get("seed", 0)),
+                seed=_integer(raw.get("seed", 0), "seed"),
                 name=raw.get("name", path.stem),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -154,7 +162,7 @@ def _cmd_estimate(args) -> int:
         rank = shrunk.r if args.rank is None else args.rank
         est = rcml_estimate(decomp, shrunk.sigma2, rank)
     # the draw is in R's eigenbasis; the written estimate is in the original frame
-    est = dataclasses.replace(est, vectors=sampler.basis @ est.vectors)
+    est = dataclasses.replace(est, vectors=sampler.from_eigenbasis(est.vectors))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = matio.save_estimate(out_dir / f"estimate-{args.estimator}", est, ratio.gamma)

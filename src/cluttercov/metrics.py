@@ -21,25 +21,27 @@ from .shrinkage import SpikedCovariance, cosine2
 
 
 def normalized_scnr_batch(
-    estimate: SpikedCovariance, truth, steerings: np.ndarray
+    estimate: SpikedCovariance, truth, steerings: np.ndarray, truth_quad: np.ndarray
 ) -> np.ndarray:
     """Normalized SCNR for every steering column of ``steerings`` (p x m).
 
     For each target vector y the value is
     (y^H Rbar^{-1} y)^2 / ((y^H R^{-1} y) (y^H Rbar^{-1} R Rbar^{-1} y)),
     which is 1 exactly when Rbar is proportional to R and below 1 otherwise.
-    Rbar^{-1} y comes from the estimate's low-rank form.
+    Rbar^{-1} y comes from the estimate's low-rank form. ``truth_quad`` is
+    the truth's y^H R^{-1} y per column, ``truth.quad_inv(steerings)``: it
+    does not depend on the estimate, so a sweep forms it once per row of
+    steering vectors for all its trials and both estimators.
     """
     s = np.asarray(steerings)
     if s.ndim == 1:
         s = s[:, None]
     w = estimate.inverse_apply(s)  # Rbar^{-1} y
     num = np.real(np.sum(s.conj() * w, axis=0)) ** 2
-    den1 = truth.quad_inv(s)
     den2 = np.real(np.sum(w.conj() * truth.apply(w), axis=0))
-    if np.any(den1 <= 0) or np.any(den2 <= 0):
+    if np.any(truth_quad <= 0) or np.any(den2 <= 0):
         raise ValueError("covariance inputs must be positive definite")
-    return num / (den1 * den2)
+    return num / (truth_quad * den2)
 
 
 def kantorovich_bound(truth: SpikedCovariance, estimate: SpikedCovariance, gamma: float) -> float:

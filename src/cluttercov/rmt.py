@@ -7,9 +7,12 @@ the sample covariance of a p x n snapshot array (a Hermitian rank-n update,
 returned as a plain Hermitian p x p array), and a descending-order Hermitian
 eigendecomposition. The estimators need every eigenvalue but only the r
 leading eigenvectors, so ``eigh`` does one Householder tridiagonal reduction
-(O(p^3), about a third of a full ``np.linalg.eigh``), takes all eigenvalues
+(O(p^3), about a third of a full dense ``zheevd``), takes all eigenvalues
 from the tridiagonal in O(p^2), and returns an ``EigenDecomposition`` that
-computes leading eigenvectors only when asked, never a full p x p basis.
+computes leading eigenvectors only when asked. It also applies the full
+basis V, as V^H x and V x, from the same reduction and the tridiagonal's
+own eigenvectors, so no caller forms V as a p x p array or reduces the
+matrix a second time to get it.
 """
 
 from __future__ import annotations
@@ -87,25 +90,38 @@ class MPLaw:
 
 
 class EigenDecomposition:
-    """All eigenvalues of a Hermitian matrix, descending, and its leading eigenvectors on request.
+    """All eigenvalues of a Hermitian matrix, descending, its leading eigenvectors on request,
+    and its full eigenbasis as an operator.
 
-    Only ``eigh`` builds one, from its Householder reduction to tridiagonal
-    form. ``leading(k)`` returns the p x k unit eigenvectors paired with
-    ``eigenvalues[:k]``: it solves the tridiagonal for only those k vectors
-    (MRRR, LAPACK ``dstemr``) and back-transforms them through the stored
-    reflectors in O(p^2 k). Ties may take any orthonormal basis of their
-    eigenspace. Orthonormality (max |V^H V - I| < 1e-10) and reconstruction
-    through ``leading(p)`` to 1e-8 relative are contractual and exercised by
-    the test suite rather than recomputed on every construction. The block
-    is kept, so a second ``leading(k)`` with k no larger (the shrinkage and
-    clipping estimates of one sample covariance ask for the same r) copies
-    it instead of solving again; every returned block is the caller's own.
+    Only ``eigh`` builds one, from its Householder reduction of conj(A) to
+    the real tridiagonal T = Q^H conj(A) Q. ``leading(k)`` returns the p x k
+    unit eigenvectors paired with ``eigenvalues[:k]``: it solves the
+    tridiagonal for only those k vectors (MRRR, LAPACK ``dstemr``) and
+    back-transforms them through the stored reflectors in O(p^2 k). Ties
+    may take any orthonormal basis of their eigenspace. Orthonormality
+    (max |V^H V - I| < 1e-10) and reconstruction through ``leading(p)`` to
+    1e-8 relative are contractual and exercised by the test suite rather
+    than recomputed on every construction. The block is kept, so a second
+    ``leading(k)`` with k no larger (the shrinkage and clipping estimates of
+    one sample covariance ask for the same r) copies it instead of solving
+    again; every returned block is the caller's own.
+
+    ``to_eigenbasis(x)`` = V^H x and ``from_eigenbasis(x)`` = V x apply the
+    full basis V, columns in descending eigenvalue order, without forming
+    it: V = conj(Q) Z, with Z the real eigenvectors of T by divide and
+    conquer (``dstedc``). That is how LAPACK's ``zheevd`` (``dsyevd``) builds
+    its basis from the same reduction, so V is numpy's dense ``eigh`` basis to
+    roundoff, ties included, and not ``leading``'s. A rotation of m vectors
+    is one pass of the reflectors and one real product with Z, O(p^2 m). Z
+    is solved at the first rotation and kept: p^2 floats beside the
+    reduction's p^2 entries.
     """
 
     def __init__(self, eigenvalues: np.ndarray, reduction: tuple):
         self._eigenvalues = eigenvalues
         self._reduction = reduction  # (packed, d, e, tau): see ``eigh`` for ``packed``
         self._leading = None  # the last block ``leading`` solved for
+        self._tridiagonal_basis = None  # Z, once a rotation has asked for it
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -134,22 +150,100 @@ class EigenDecomposition:
         )[1]
         vec[...] = z[:, ::-1]
         del z
-        if p > 1:
-            # ?unmtr with uplo = L is ?unmqr on rows 1: with the reflectors
-            # stored from row 1 of the reduced (Fortran-ordered) matrix. That
-            # block starts one element into the buffer with leading dimension
-            # p; the view below has it in its first p - 1 rows, which are
-            # all ?unmqr reads, so the reflectors are never copied.
-            reflectors = packed.reshape(-1)[1 : 1 + p * (p - 1)].reshape((p, p - 1), order="F")
-            unmqr = lapack.zunmqr if np.iscomplexobj(packed) else lapack.dormqr
-            work = unmqr("L", "N", reflectors, tau, vec[1:], lwork=-1)[1]
-            out, _, info = unmqr("L", "N", reflectors, tau, vec[1:], lwork=int(work[0].real))
-            if info != 0:
-                raise np.linalg.LinAlgError(f"?unmqr failed with info = {info}")
-            vec[1:] = out
+        self._reflect(vec, "N")
         # the reduction was of the Fortran view packed.T = conj(A)
         self._leading = vec.conj()
         return self._leading.copy()
+
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """V^H x for a p-vector or the columns of a p x m block.
+
+        V^H = Z^T conj(Q)^H, and conj(Q)^H x = conj(Q^H conj(x)).
+        """
+        block, dtype = self._operand(x)
+        c = np.conjugate(block, out=np.empty(block.shape, dtype=dtype))
+        self._reflect(c, "C")
+        np.conjugate(c, out=c)
+        # Z's columns ascend, so the descending coordinates are its rows reversed
+        out = np.ascontiguousarray(_real_product(self._z().T, c)[::-1])
+        return out[:, 0] if np.ndim(x) == 1 else out
+
+    def from_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """V x for a p-vector or the columns of a p x m block, x in descending eigenvalue order.
+
+        V x = conj(Q) Z x, and conj(Q) u = conj(Q conj(u)).
+        """
+        block, dtype = self._operand(x)
+        c = np.empty(block.shape, dtype=dtype)
+        c[...] = block[::-1]  # Z's columns ascend
+        c = _real_product(self._z(), c)
+        np.conjugate(c, out=c)
+        self._reflect(c, "N")
+        np.conjugate(c, out=c)
+        return c[:, 0] if np.ndim(x) == 1 else c
+
+    def _operand(self, x) -> tuple:
+        """x as a p x m block (a p-vector is one column) and the dtype of its rotation."""
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self.p:
+            raise ValueError(f"expected a p-vector or a p x m block, p = {self.p}")
+        dtype = np.result_type(self._reduction[0].dtype, x.dtype)
+        return (x[:, None] if x.ndim == 1 else x), dtype
+
+    def _z(self) -> np.ndarray:
+        """Z, the p x p real eigenvectors of T in ascending eigenvalue order, solved once."""
+        if self._tridiagonal_basis is None:
+            _, d, e, _ = self._reduction
+            # ``dsbevd`` on T as a band of one subdiagonal: its band reduction
+            # is then a copy of d and e and its Q the identity, so Z is what
+            # ``dstedc`` returns for them, times I. scipy's ``dstevd``
+            # wrapper, the direct route, is not in every scipy release this
+            # package supports.
+            band = np.zeros((2, d.size))
+            band[0], band[1, :-1] = d, e
+            _, z, info = lapack.dsbevd(band, compute_v=1, lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dsbevd failed with info = {info}")
+            self._tridiagonal_basis = z
+        return self._tridiagonal_basis
+
+    def _reflect(self, c: np.ndarray, trans: str) -> None:
+        """Q c (``trans`` "N") or Q^H c ("C") in place, for the reduction's Q.
+
+        ``c`` is a C-ordered p x m block of the reduction's dtype, or a
+        complex block over a real reduction, whose real and imaginary parts
+        the real Q maps alike.
+        """
+        packed, _, _, tau = self._reduction
+        p = packed.shape[0]
+        if p == 1 or c.shape[1] == 0:
+            return
+        # ?unmtr with uplo = L is ?unmqr on rows 1: with the reflectors
+        # stored from row 1 of the reduced (Fortran-ordered) matrix. That
+        # block starts one element into the buffer with leading dimension
+        # p; the view below has it in its first p - 1 rows, which are
+        # all ?unmqr reads, so the reflectors are never copied.
+        reflectors = packed.reshape(-1)[1 : 1 + p * (p - 1)].reshape((p, p - 1), order="F")
+        if np.iscomplexobj(packed):
+            unmqr = lapack.zunmqr
+        else:
+            unmqr, trans = lapack.dormqr, ("T" if trans == "C" else trans)
+            c = c.view(float)  # a complex block's columns as (real, imaginary) pairs
+        work = unmqr("L", trans, reflectors, tau, c[1:], lwork=-1)[1]
+        out, _, info = unmqr("L", trans, reflectors, tau, c[1:], lwork=int(work[0].real))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"?unmqr failed with info = {info}")
+        c[1:] = out
+
+
+def _real_product(m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """m @ c for a real matrix m and a C-ordered block c, with no complex copy of m.
+
+    A complex c is multiplied as its real view, (real, imaginary) column pairs.
+    """
+    if np.iscomplexobj(c):
+        return (m @ c.view(float)).view(complex)
+    return m @ c
 
 
 def _mp_cdf_of_gamma(x: float, gamma: float) -> float:
@@ -331,7 +425,7 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
     The reduction runs in place on the Fortran view of the symmetrized
     matrix, which is its transpose conj(A). It leaves the tridiagonal and the
     reflectors in the upper triangle of the C-ordered array, the only part
-    ``leading`` reads.
+    the eigenvectors and the rotations of the decomposition read.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:

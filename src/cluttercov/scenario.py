@@ -27,8 +27,9 @@ byte-identical across runs. They are column-major, one contiguous column
 per snapshot, so any leading block of columns is a contiguous view.
 ``SnapshotSampler`` returns them in the eigenbasis V of the scene's
 R = V diag(lam) V^H, as V^H X, in O(pn) rather than the O(p^2 n) product
-with V: ``basis @ draw`` rotates them back, and ``to_eigenbasis(s)`` = V^H s
-takes a vector into their frame.
+with V: ``from_eigenbasis(draw)`` rotates them back, and
+``to_eigenbasis(s)`` = V^H s takes a vector into their frame. Both apply V
+from the one ``eigh`` reduction the sampler makes, never as a p x p array.
 
 Detection draws n + 1 snapshots w and splits them without copying: the
 training block w[:, :n] and the test cell w[:, n]. ``inject_target``
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rmt import SPIKE_FRACTION_BUDGET, ModelOrderWarning, eigh, symmetrized
+from .rmt import SPIKE_FRACTION_BUDGET, ModelOrderWarning, eigh
 from .rng import complex_normal, substream
 from .shrinkage import SpikedCovariance
 
@@ -319,40 +320,41 @@ def truth_spiked_model(
 class SnapshotSampler:
     """Sampler for repeated draws from one true covariance, in its eigenbasis.
 
-    Holds V, the full ``np.linalg.eigh`` basis of the symmetrized covariance
-    (``basis``, columns in descending eigenvalue order), and the square
-    roots of the clipped ``eigh`` eigenvalues lam of R (``root``). A draw is
-    diag(root) Z for white Z, the snapshots V diag(root) Z expressed in V:
-    ``basis @ draw`` rotates them back, and ``to_eigenbasis`` takes a vector
-    into the frame of the draws, in which R is diag(lam), the scene's
-    ``truth_spiked_model`` up to roundoff on the floor. Each draw uses an
-    independent, order-insensitive substream of the seed.
+    Holds the ``eigh`` decomposition of R (``decomposition``) and the square
+    roots of its clipped eigenvalues lam (``root``). A draw is diag(root) Z
+    for white Z, the snapshots V diag(root) Z expressed in R's eigenbasis V,
+    columns in descending eigenvalue order: ``from_eigenbasis`` rotates them
+    back, and ``to_eigenbasis`` takes a vector into the frame of the draws,
+    in which R is diag(lam), the scene's ``truth_spiked_model`` up to
+    roundoff on the floor. Each draw uses an independent, order-insensitive
+    substream of the seed.
 
-    V is the sampler's one p x p array, and draws never read it. It lives
-    until ``release_basis``: a Monte Carlo sweep rotates every vector it
-    scores with ``to_eigenbasis`` and then releases V, so its trials hold
-    p-vectors of the sampler only. ``estimate`` keeps V to rotate its
+    V is LAPACK's basis of (R + R^H) / 2, the one numpy's dense ``eigh``
+    gives, to roundoff: the decomposition applies it from its own reduction
+    of R and never forms it (``rmt.EigenDecomposition.to_eigenbasis``), so
+    one reduction builds the sampler. Draws never read the decomposition. It
+    lives until ``release_basis``: a Monte Carlo sweep rotates every vector
+    it scores with ``to_eigenbasis`` and then releases it, so its trials
+    hold p-vectors of the sampler only. ``estimate`` keeps it to rotate its
     estimate back.
     """
 
     def __init__(self, covariance: np.ndarray):
         covariance = np.asarray(covariance)
-        lam = eigh(covariance).eigenvalues
+        decomposition = eigh(covariance)
+        lam = decomposition.eigenvalues
         tol = 1e-10 * max(lam.max(), 0.0) if lam.size else 0.0
         if lam.min() < -max(tol, 1e-30):
             raise ValueError("covariance is not positive semi-definite")
         # eigenvalues below numerical-rank dust are exact zeros of the model
         self.root = np.sqrt(np.where(lam > 1e-13 * max(lam.max(), 0.0), lam, 0.0))
-        # LAPACK's basis of the bits of (R + R^H) / 2 fixes every recorded
-        # draw; a ``leading(p)`` basis differs from it on the degenerate
-        # noise floor. ``symmetrized`` forms those bits in one pass.
-        self.basis = np.linalg.eigh(symmetrized(covariance))[1][:, ::-1]
+        self.decomposition = decomposition
         self.p = covariance.shape[0]
 
     def draw(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
         """p x n circular complex Gaussian snapshots of covariance diag(lam), scaled as drawn.
 
-        These are the snapshots of R expressed in ``basis``. Real and
+        These are the snapshots of R expressed in its eigenbasis V. Real and
         imaginary parts each carry half the variance. ``complex_normal``
         scales each block of rows by ``root`` as it fills the array, which
         is column-major, so ``draw(n + 1)`` splits into the training block
@@ -365,19 +367,21 @@ class SnapshotSampler:
         return complex_normal(substream(seed, stream), self.p, n, self.root)
 
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
-        """V^H x for a p-vector or the columns of a p x m matrix.
+        """V^H x for a p-vector or the columns of a p x m matrix; RuntimeError once released."""
+        return self._frame().to_eigenbasis(x)
 
-        Computed as (x^H V)^H, so no conjugate copy of the p x p basis is
-        made. Raises RuntimeError once the basis is released.
-        """
-        if self.basis is None:
-            raise RuntimeError("the sampler's basis was released")
-        x = np.asarray(x)
-        return (x.conj().T @ self.basis).conj().T
+    def from_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """V x for a p-vector or the columns of a p x m matrix; RuntimeError once released."""
+        return self._frame().from_eigenbasis(x)
 
     def release_basis(self) -> None:
-        """Drop V. Draws go on as before; ``to_eigenbasis`` raises from here on."""
-        self.basis = None
+        """Drop the decomposition. Draws go on as before; the rotations raise from here on."""
+        self.decomposition = None
+
+    def _frame(self):
+        if self.decomposition is None:
+            raise RuntimeError("the sampler's basis was released")
+        return self.decomposition
 
 
 def inject_target(y: np.ndarray, steering: np.ndarray, amplitude: complex) -> np.ndarray:

@@ -13,12 +13,14 @@ until their sample covariance is formed, the sample covariance until
 and p x r estimate vectors into the next draw. So a trial's working set is
 the largest of its steps, not their sum. Around the trials a sweep holds
 vectors only: R is dropped once the sampler and the spiked truth are
-built, and the sampler's p x p basis V once every steering vector the
-sweep scores is rotated into it, before the first draw.
+built, and the sampler's reduction of R, which applies its eigenbasis V
+without forming it, once every steering vector the sweep scores is
+rotated into V, before the first draw.
 
 The sweeps run every trial in the eigenbasis V of the scene's R: the
 sampler draws there in O(pn), one p x n array scaled as it is filled, and
-each steering vector enters once per sweep as V^H s. There every metric
+each steering vector enters once per sweep as V^H s, with the truth's
+s^H R^{-1} s, which no trial changes, beside it. There every metric
 reads the one truth, the scene's ``SpikedCovariance`` with vectors
 eye(p, r) (R's eigenvalues within 1e-6 of sigma2 count as floor), so no
 p x p truth is alive during the trials. Both estimators keep the sample
@@ -280,14 +282,17 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
     scn = plan.scenario
 
     def rotated(specs):
-        return sampler.to_eigenbasis(np.column_stack([steering_vector(s) for s in specs]))
+        # a row's steering vectors in the frame of the draws, with the truth's
+        # y^H R^{-1} y of each: the one SCNR term that no trial changes
+        s_mat = sampler.to_eigenbasis(np.column_stack([steering_vector(s) for s in specs]))
+        return s_mat, spiked.quad_inv(s_mat)
 
     # the trials run in R's eigenbasis, where the spiked truth is diagonal,
     # and every steering vector enters that frame here, before the first draw
     if axis == "n":
-        column = rotated([plan.target])  # one rotation serves every row and the MVDR columns
+        column, quad = rotated([plan.target])  # one rotation serves every row and the MVDR target
         s_target = column[:, 0]
-        cases = [(v, int(v), column) for v in values]
+        cases = [(v, int(v), (column, quad)) for v in values]
     else:
         s_target = sampler.to_eigenbasis(steering_vector(plan.target))
         if axis == "doppler":
@@ -301,7 +306,7 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
     mvdr_truth = mvdr_error_variance(spiked, s_target)
     rows = []
     for n, group in groupby(cases, key=lambda case: case[1]):
-        group = [(value, s_mat) for value, _, s_mat in group]
+        group = [(value, scored) for value, _, scored in group]
         ratio = rmt.AspectRatio(scn.p, n)
         sums = [dict.fromkeys(SWEEP_HEADER[6:], 0.0) for _ in group]  # the averaged columns
         for t in range(plan.trials):
@@ -313,9 +318,9 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
             for name, est in ests.items():
                 trial[f"mvdr_ratio_{name}"] = mvdr_error_variance(est, s_target) / mvdr_truth
                 trial[f"stein_loss_{name}"] = stein_loss(spiked, est)
-            for (_, s_mat), row_sums in zip(group, sums):
+            for (_, (s_mat, quad)), row_sums in zip(group, sums):
                 for name, est in ests.items():
-                    rho = normalized_scnr_batch(est, spiked, s_mat)
+                    rho = normalized_scnr_batch(est, spiked, s_mat, quad)
                     trial[f"rho_{name}"] = float(np.mean(rho))
                 for col in row_sums:
                     row_sums[col] += trial[col]
@@ -382,14 +387,14 @@ def sweep(
     leading eigenvectors of R that ``theoretical_pd`` reads) and the
     rotated steering vectors (each Doppler or angle row its p x 179 or
     p x 16 grid). R is dropped once the sampler and the spiked truth are
-    built, and the sampler's p x p basis once those vectors are rotated,
-    before the first draw. A trial's working set then peaks at its draw,
-    one p x n array scaled as it is filled, plus the SCM, or at the SCM
-    plus its reduction. The "snr" axis splits its p x (n + 1) draw into the
-    training view ``[:, :n]``, which ``detect`` reads in place, and the
-    test cell ``[:, n]``, to which ``inject_target`` adds the target in a
-    new p-vector; nothing of the draw is copied, and it lives through the
-    SCM and reduction of each false-alarm rate.
+    built, and the sampler's reduction of R once those vectors are
+    rotated, before the first draw. A trial's working set then peaks at
+    its draw, one p x n array scaled as it is filled, plus the SCM, or at
+    the SCM plus its reduction. The "snr" axis splits its p x (n + 1) draw
+    into the training view ``[:, :n]``, which ``detect`` reads in place,
+    and the test cell ``[:, n]``, to which ``inject_target`` adds the
+    target in a new p-vector; nothing of the draw is copied, and it lives
+    through the SCM and reduction of each false-alarm rate.
 
     A zero-trial plan short-circuits to a header-only table.
     """

@@ -90,7 +90,7 @@ class TestEstimate:
         m = dense_estimate(load_estimate(out / f"estimate-{estimator}"))
         cfg = _scene_config()
         sampler = SnapshotSampler(synthesize_clutter_covariance(cfg))
-        factor = sampler.basis * sampler.root  # the dense colouring V diag(sqrt(lam))
+        factor = sampler.from_eigenbasis(np.diag(sampler.root))  # the colouring V diag(sqrt(lam))
         dec = eigh(sample_covariance(factor @ complex_normal(substream(cfg.seed, 0), cfg.p, cfg.n)))
         ratio = AspectRatio(cfg.p, cfg.n)
         est = shrink_spectrum(dec, ratio)
@@ -98,6 +98,28 @@ class TestEstimate:
             est = rcml_estimate(dec, est.sigma2, est.r)
         ref = dense_estimate(est)
         assert np.abs(m - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
+    def test_written_vectors_are_the_dense_basis_product(self, scene, tmp_path, monkeypatch,
+                                                         estimator):
+        # the estimate is rotated back by the sampler's frame, not a p x p basis;
+        # the result is LAPACK's dense basis V times the eigenbasis vectors
+        written = []
+        save = matio.save_estimate
+        monkeypatch.setattr(matio, "save_estimate",
+                            lambda base, est, gamma: written.append(est) or save(base, est, gamma))
+        argv = ["estimate", "--config", str(scene), "--estimator", estimator,
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        cfg = _scene_config()
+        truth = synthesize_clutter_covariance(cfg)
+        dec = eigh(sample_covariance(SnapshotSampler(truth).draw(cfg.n, cfg.seed)))
+        est = shrink_spectrum(dec, AspectRatio(cfg.p, cfg.n))
+        if estimator == "rcml":
+            est = rcml_estimate(dec, est.sigma2, est.r)
+        basis = np.linalg.eigh((truth + truth.conj().T) / 2.0)[1][:, ::-1]
+        (ours,) = written
+        assert np.abs(ours.vectors - basis @ est.vectors).max() <= 1e-13
 
     @pytest.mark.parametrize("clutter", ["scatterers", "none"])
     @pytest.mark.parametrize("estimator", ["shrinkage", "rcml"])
@@ -304,7 +326,7 @@ class TestEndToEnd:
         sampler = SnapshotSampler(synthesize_clutter_covariance(cfg))
         s = steering_vector(SteeringSpec(np.deg2rad(30.0), 0.2, cfg.N, cfg.K))  # the CLI default
         white = complex_normal(substream(cfg.seed, 0), cfg.p, cfg.n + 1)
-        snaps = (sampler.basis * sampler.root) @ white
+        snaps = sampler.from_eigenbasis(np.diag(sampler.root)) @ white
         y = inject_target(snaps[:, -1], s, amplitude_for_snr(5.0, cfg.sigma2, cfg.N, cfg.K))
         ref = detect(snaps[:, :-1], y, s, None, 1e-3)
         assert report["statistic"] == pytest.approx(ref.statistic, rel=1e-9)
@@ -449,11 +471,22 @@ class TestExitCodes:
             {"n": np.inf},
             {"seed": np.inf},
             {"clutter": {"kind": "toeplitz", "taps": [[1.0, 0.0]], "pulse_len": np.inf}},
+            {"N": 2.7},
+            {"K": 8.5},
+            {"n": 64.5},
+            {"seed": 1.5},
+            {"clutter": {"kind": "toeplitz", "taps": [[1.0, 0.0]], "pulse_len": 2.5}},
+            {"N": True},
+            {"seed": False},
+            {"clutter": {"kind": "toeplitz", "taps": [[1.0, 0.0]], "pulse_len": True}},
+            {"n": "64"},
         ],
         ids=["clutter-not-object", "amplitude-string", "doppler-out-of-range", "amplitude-nan",
              "negative-seed", "power-overflow", "sigma2-inf", "spike-inf", "tap-inf", "tap-nan",
              "covariance-overflow-taps", "covariance-overflow-scatterers", "N-inf", "n-inf",
-             "seed-inf", "pulse-len-inf"],
+             "seed-inf", "pulse-len-inf", "N-fractional", "K-fractional", "n-fractional",
+             "seed-fractional", "pulse-len-fractional", "N-boolean", "seed-boolean",
+             "pulse-len-boolean", "n-string"],
     )
     def test_malformed_scene_is_config_error(self, tmp_path, fields):
         scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0, **fields}
@@ -461,6 +494,15 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["estimate", "--config", str(path), "--out-dir", str(out)]) == 2
         assert not out.exists()
+
+    def test_integral_floats_are_integers(self, tmp_path, capsys):
+        scene = {"N": 2.0, "K": 8.0, "n": 64.0, "sigma2": 1.0, "seed": 3.0,
+                 "clutter": {"kind": "toeplitz", "taps": [[1.0, 0.0]], "pulse_len": 1.0}}
+        path = _write(tmp_path, "floats.json", json.dumps(scene))
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(path), "--out-dir", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["gamma"] == 16 / 64
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 3
 
     @pytest.mark.parametrize("fields", [OVERFLOWING_TAPS, OVERFLOWING_SCATTERERS],
                              ids=["taps", "scatterers"])

@@ -62,7 +62,8 @@ def stein_estimate(model, gamma):
 
 def scnr_at(estimate, truth, spec):
     """Normalized SCNR at one target: ``normalized_scnr_batch`` on a one-column matrix."""
-    vals = normalized_scnr_batch(estimate, truth, steering_vector(spec)[:, None])
+    s = steering_vector(spec)[:, None]
+    vals = normalized_scnr_batch(estimate, truth, s, truth.quad_inv(s))
     assert vals.shape == (1,)
     return float(vals[0])
 
@@ -105,9 +106,8 @@ class TestNormalizedScnr:
     def test_upper_bound_one(self):
         for seed in range(8):
             truth = DenseTruth(random_pd(16, 10 + seed))
-            vals = normalized_scnr_batch(
-                random_spiked(16, 30 + seed), truth, np.column_stack([steering_vector(TARGET44)])
-            )
+            s = np.column_stack([steering_vector(TARGET44)])
+            vals = normalized_scnr_batch(random_spiked(16, 30 + seed), truth, s, truth.quad_inv(s))
             assert vals.max() <= 1.0 + 1e-10
 
     def test_spectral_path_matches_dense(self):
@@ -345,8 +345,10 @@ class TestEigenbasisTruth:
     def test_normalized_scnr_batch(self, eigenbasis_scene, estimator):
         model, ests, s = eigenbasis_scene
         est = ests[estimator]
-        dense = normalized_scnr_batch(est, dense_diagonal(model), s)
-        np.testing.assert_allclose(normalized_scnr_batch(est, model, s), dense, rtol=1e-12, atol=0)
+        truth = dense_diagonal(model)
+        dense = normalized_scnr_batch(est, truth, s, truth.quad_inv(s))
+        ours = normalized_scnr_batch(est, model, s, model.quad_inv(s))
+        np.testing.assert_allclose(ours, dense, rtol=1e-12, atol=0)
 
     def test_mvdr_error_variance_of_the_truth(self, eigenbasis_scene):
         model, _, s = eigenbasis_scene

@@ -512,3 +512,71 @@ class TestLeadingEigenvectors:
         for k in (-1, 9):
             with pytest.raises(ValueError):
                 dec.leading(k)
+
+
+class TestEigenbasisRotations:
+    """``to_eigenbasis`` and ``from_eigenbasis``: V^H x and V x from the stored reduction."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("p", [1, 2, 8, 64, 200])
+    def test_frame_is_lapacks_basis(self, p, real):
+        m = hermitian(p, 3, real)
+        dec = eigh(m)
+        ref = np.linalg.eigh(m)[1][:, ::-1]
+        basis = dec.from_eigenbasis(np.eye(p))
+        assert basis.shape == (p, p) and basis.dtype == ref.dtype
+        # numpy and scipy may link different LAPACK builds; the vectors of
+        # this spectrum's closest eigenvalues then differ by eps over the gap
+        assert np.abs(basis - ref).max() <= 1e-12
+        np.testing.assert_allclose(dec.to_eigenbasis(np.eye(p)), ref.conj().T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_shapes_dtypes_and_round_trip(self, real):
+        p = 24
+        dec = eigh(hermitian(p, 4, real))
+        x = substream(11, 0).standard_normal((p, 3)) + 1j * substream(11, 1).standard_normal((p, 3))
+        for block in (x, x.real, np.asfortranarray(x), x[:, :0]):
+            want = np.result_type(float if real else complex, block.dtype)
+            there = dec.to_eigenbasis(block)
+            back = dec.from_eigenbasis(there)
+            assert there.shape == back.shape == block.shape and there.dtype == back.dtype == want
+            np.testing.assert_allclose(back, block, rtol=0, atol=1e-13)
+        vec = dec.to_eigenbasis(x[:, 1])
+        assert vec.shape == (p,)
+        # one column and a block take different BLAS kernels: equal to roundoff
+        np.testing.assert_allclose(vec, dec.to_eigenbasis(x)[:, 1], rtol=0, atol=1e-14)
+        back = dec.from_eigenbasis(vec)
+        assert back.shape == (p,)
+        np.testing.assert_allclose(back, x[:, 1], rtol=0, atol=1e-13)
+
+    def test_rotations_leave_their_input_and_leading_intact(self):
+        dec = eigh(hermitian(32, 6))
+        first = dec.leading(4)
+        x = substream(12, 0).standard_normal((32, 2)) + 0j
+        before = x.copy()
+        dec.to_eigenbasis(x)
+        dec.from_eigenbasis(x)
+        assert x.tobytes() == before.tobytes()
+        assert dec.leading(4).tobytes() == first.tobytes()
+
+    def test_z_is_solved_once(self, monkeypatch):
+        solves = []
+        solver = rmt.lapack.dsbevd
+        monkeypatch.setattr(rmt.lapack, "dsbevd", lambda *a, **k: solves.append(1) or solver(*a, **k))
+        dec = eigh(hermitian(40, 7))
+        dec.to_eigenbasis(np.ones(40))
+        dec.from_eigenbasis(np.ones((40, 2)))
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_z_is_the_divide_and_conquer_basis_of_the_tridiagonal(self, real):
+        # dsbevd on T runs dstedc on d and e as they are: dstevd's Z, entry for
+        # entry (a zero may differ in sign)
+        stevd = getattr(rmt.lapack, "dstevd", None)
+        if stevd is None:
+            pytest.skip("this scipy does not wrap dstevd")
+        dec = eigh(hermitian(150, 8, real))
+        _, d, e, _ = dec._reduction
+        _, ref, info = stevd(d, e)
+        assert info == 0
+        np.testing.assert_array_equal(dec._z(), ref)

@@ -242,7 +242,7 @@ class TestSynthesizeClutterCovariance:
         )
         truth = synthesize_clutter_covariance(cfg)
         sampler = SnapshotSampler(truth)
-        snaps = sampler.basis @ sampler.draw(cfg.n, seed=31)
+        snaps = sampler.from_eigenbasis(sampler.draw(cfg.n, seed=31))
         emp = snaps @ snaps.conj().T / cfg.n
         err = np.linalg.norm(emp - truth, 2) / np.linalg.norm(truth, 2)
         assert err < 0.10
@@ -267,7 +267,7 @@ class TestSampleSnapshots:
     def test_identity_covariance_moments(self):
         p, n = 4, 100_000
         sampler = SnapshotSampler(np.eye(p))
-        snaps = sampler.basis @ sampler.draw(n, seed=32)
+        snaps = sampler.from_eigenbasis(sampler.draw(n, seed=32))
         emp = snaps @ snaps.conj().T / n
         assert np.abs(emp - np.eye(p)).max() < 0.02
 
@@ -283,23 +283,20 @@ class TestSampleSnapshots:
         v = np.array([1.0, 1j, -1.0, -1j]) / 2.0
         r = np.outer(v, v.conj())
         sampler = SnapshotSampler(r)
-        snaps = sampler.basis @ sampler.draw(20, seed=35)
+        snaps = sampler.from_eigenbasis(sampler.draw(20, seed=35))
         for k in range(20):
             z = snaps[:, k]
             # every snapshot proportional to v
             assert np.linalg.norm(z - v * np.vdot(v, z)) < 1e-10
 
-    def test_basis_root_and_draw_pinned_to_their_expressions(self):
-        # every draw rests on these: LAPACK's full basis of (R + R^H)/2,
-        # reversed, and the square roots of the clipped ``eigh`` eigenvalues
+    def test_root_and_draw_pinned_to_their_expressions(self):
+        # every draw rests on the square roots of the clipped ``eigh`` eigenvalues
         r = random_covariance(39, 48, 24)  # rank 24, so the clip zeroes half the spectrum
         r[0, 1] += 1e-13  # within the Hermitian tolerance: symmetrized away
         lam = eigh(r).eigenvalues
         clipped = np.where(lam > 1e-13 * lam.max(), lam, 0.0)
         assert np.count_nonzero(clipped) == 24
-        basis = np.linalg.eigh((r + r.conj().T) / 2.0)[1][:, ::-1]
         sampler = SnapshotSampler(r)
-        assert sampler.basis.shape == basis.shape and sampler.basis.tobytes() == basis.tobytes()
         assert sampler.root.tobytes() == np.sqrt(clipped).tobytes()
         draw = complex_normal(substream(40, 2), 48, 16) * np.sqrt(clipped)[:, None]
         assert sampler.draw(16, seed=40, stream=2).tobytes() == draw.tobytes()
@@ -308,7 +305,7 @@ class TestSampleSnapshots:
     def test_draw_is_the_dense_colouring_in_the_eigenbasis(self, rank):
         r = random_covariance(43, 48, rank)
         sampler = SnapshotSampler(r)
-        ours = sampler.basis @ sampler.draw(16, seed=44, stream=3)
+        ours = sampler.from_eigenbasis(sampler.draw(16, seed=44, stream=3))
         ref = dense_colouring_draw(r, 16, seed=44, stream=3)
         assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -316,16 +313,20 @@ class TestSampleSnapshots:
         r = random_covariance(45, 32, 32)
         sampler = SnapshotSampler(r)
         x = complex_normal(substream(46, 0), 32, 5)
-        np.testing.assert_allclose(sampler.to_eigenbasis(x), sampler.basis.conj().T @ x,
+        basis = sampler.from_eigenbasis(np.eye(32))
+        np.testing.assert_allclose(sampler.to_eigenbasis(x), basis.conj().T @ x,
                                    rtol=0, atol=1e-14)
-        np.testing.assert_allclose(sampler.to_eigenbasis(x[:, 0]), sampler.basis.conj().T @ x[:, 0],
+        np.testing.assert_allclose(sampler.to_eigenbasis(x[:, 0]), basis.conj().T @ x[:, 0],
                                    rtol=0, atol=1e-14)
         # in that frame R is diagonal: V^H R V = diag(lam)
         lam = eigh(r).eigenvalues
         rotated = sampler.to_eigenbasis(sampler.to_eigenbasis(r).conj().T)
         np.testing.assert_allclose(rotated, np.diag(lam), rtol=0, atol=1e-12 * lam.max())
-        with pytest.raises(ValueError):
-            sampler.to_eigenbasis(np.ones(31))
+        for bad in (np.ones(31), np.ones((31, 2)), np.ones((32, 2, 2))):
+            with pytest.raises(ValueError):
+                sampler.to_eigenbasis(bad)
+            with pytest.raises(ValueError):
+                sampler.from_eigenbasis(bad)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semi-definite"):
@@ -335,7 +336,7 @@ class TestSampleSnapshots:
         # E[z z^T] = 0: real and imaginary parts carry half the power each
         r = np.array([[4.0, 1.0 + 1.0j], [1.0 - 1.0j, 3.0]])
         sampler = SnapshotSampler(r)
-        z = sampler.basis @ sampler.draw(200_000, seed=36)
+        z = sampler.from_eigenbasis(sampler.draw(200_000, seed=36))
         pseudo = z @ z.T / z.shape[1]
         assert np.abs(pseudo).max() < 0.05
         assert abs(np.mean(np.abs(z[0]) ** 2) - 4.0) < 0.05
@@ -354,15 +355,46 @@ class TestSampleSnapshots:
         chunk = max(rng_module._FILL_CHUNK // n, 1) * n * 8
         assert peak_bytes(sampler.draw, n, 48) <= 1.1 * p * n * 16 + chunk
 
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_basis_is_lapacks_basis_of_the_symmetrized_covariance(self, real):
-        r = random_covariance(50, 3 * 64 + 7, 3 * 64 + 7)
-        if real:
-            r = r.real
-        r[0, 1] += 1e-13  # within the Hermitian tolerance: symmetrized away
-        basis = SnapshotSampler(r).basis
+    # the preset's R has a 487-fold noise floor, whose basis is LAPACK's choice;
+    # the others are full rank, complex and real, and rank 24 of 48
+    @pytest.mark.parametrize("case", ["preset", "rank-deficient", "complex", "real"])
+    def test_frame_is_lapacks_basis_of_the_symmetrized_covariance(self, case):
+        if case == "preset":
+            r = synthesize_clutter_covariance(challenge_synthetic())
+        elif case == "rank-deficient":
+            r = random_covariance(39, 48, 24)
+        else:
+            r = random_covariance(50, 3 * 64 + 7, 3 * 64 + 7)
+            if case == "real":
+                r = r.real
+        r[0, 1] += 1e-13 * np.abs(r).max()  # within the Hermitian tolerance: symmetrized away
+        p = r.shape[0]
         ref = np.linalg.eigh((r + r.conj().T) / 2.0)[1][:, ::-1]
-        assert basis.dtype == ref.dtype and basis.tobytes() == ref.tobytes()
+        sampler = SnapshotSampler(r)
+        basis = sampler.from_eigenbasis(np.eye(p))
+        assert basis.dtype == ref.dtype
+        # column for column, ties on the floor included
+        assert np.abs(basis - ref).max() <= 1e-13
+        x = complex_normal(substream(56, p), p, 3)
+        np.testing.assert_allclose(sampler.to_eigenbasis(sampler.from_eigenbasis(x)), x,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sampler.from_eigenbasis(sampler.to_eigenbasis(x[:, 0])),
+                                   x[:, 0], rtol=0, atol=1e-13)
+
+    def test_one_reduction_builds_the_sampler(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        reductions = []
+        counted = scenario.eigh
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(scenario, "eigh", lambda m: reductions.append(1) or counted(m))
+        r = random_covariance(57, 40, 40)
+        sampler = SnapshotSampler(r)
+        x = complex_normal(substream(58, 0), 40, 2)
+        back = sampler.from_eigenbasis(sampler.to_eigenbasis(x))
+        assert len(reductions) == 1
+        np.testing.assert_allclose(back, x, rtol=0, atol=1e-13)
 
     def test_released_basis(self):
         p = 256
@@ -380,11 +412,13 @@ class TestSampleSnapshots:
         big = [k for k, v in vars(sampler).items() if isinstance(v, np.ndarray) and v.size >= p * p]
         assert big == []
         assert sampler.draw(8, seed=52).tobytes() == before.tobytes()
-        with pytest.raises(RuntimeError, match="released"):
-            sampler.to_eigenbasis(np.ones(p))
+        for rotation in (sampler.to_eigenbasis, sampler.from_eigenbasis):
+            with pytest.raises(RuntimeError, match="released"):
+                rotation(np.ones(p))
 
-    def test_sampler_holds_one_p_by_p_array(self):
-        # the basis V is the only p x p array a sampler keeps; the rest are p-vectors
+    def test_sampler_holds_the_reduction_and_then_z(self):
+        # a sampler keeps the reduction of R, p x p complex, and p-vectors; its
+        # first rotation adds Z, the tridiagonal's p x p real eigenvectors
         p = 256
         r = random_covariance(49, p, p)
         tracemalloc.start()
@@ -392,12 +426,14 @@ class TestSampleSnapshots:
             live = tracemalloc.get_traced_memory()[0]
             sampler = SnapshotSampler(r)
             held = tracemalloc.get_traced_memory()[0] - live
+            sampler.to_eigenbasis(np.ones(p))
+            rotated = tracemalloc.get_traced_memory()[0] - live
         finally:
             tracemalloc.stop()
-        assert sampler.basis.shape == (p, p)
         big = [k for k, v in vars(sampler).items() if isinstance(v, np.ndarray) and v.size >= p * p]
-        assert big == ["basis"]
-        assert held <= 1.1 * sampler.basis.nbytes
+        assert big == []
+        assert held <= 1.1 * p * p * 16
+        assert rotated <= 1.1 * p * p * (16 + 8)
 
 
 def old_complex_draw(rng, p, n):

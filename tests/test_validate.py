@@ -392,6 +392,24 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(plan_for(small_scene(), trials=1), "frequency")
 
+    @pytest.mark.parametrize("axis,values,columns",
+                             [("doppler", [-0.2, 0.3], len(ANGLE_MARGIN_GRID)),
+                              ("angle", [0.1, 0.4, 0.7], len(DOPPLER_MARGIN_GRID))])
+    def test_truth_quad_is_formed_once_per_row(self, monkeypatch, axis, values, columns):
+        # the truth's y^H R^{-1} y of a row's steering vectors is the same in
+        # every trial and for both estimators
+        shapes = []
+        quad_inv = SpikedCovariance.quad_inv
+
+        def counted(model, y):
+            shapes.append(np.shape(y))
+            return quad_inv(model, y)
+
+        monkeypatch.setattr(SpikedCovariance, "quad_inv", counted)
+        scn = small_scene()
+        sweep(plan_for(scn, trials=3), axis, values=values)
+        assert shapes.count((scn.p, columns)) == len(values)
+
 
 def dense_colouring_factor(r):
     """V diag(sqrt(lam)): the sampler's basis and clipped eigenvalues, multiplied out."""
@@ -424,6 +442,7 @@ def original_frame_rows(plan, axis, values):
         else:
             n, specs = scn.n, [SteeringSpec(value, fd, scn.N, scn.K) for fd in DOPPLER_MARGIN_GRID]
         s_mat = np.column_stack([steering_vector(spec) for spec in specs])
+        quad = truth.quad_inv(s_mat)
         ratio = AspectRatio(scn.p, n)
         total = np.zeros(7)
         for t in range(plan.trials):
@@ -431,8 +450,8 @@ def original_frame_rows(plan, axis, values):
             shrunk = shrink_spectrum(dec, ratio)
             clipped = rcml_estimate(dec, shrunk.sigma2, shrunk.r)
             total += [
-                np.mean(normalized_scnr_batch(shrunk, truth, s_mat)),
-                np.mean(normalized_scnr_batch(clipped, truth, s_mat)),
+                np.mean(normalized_scnr_batch(shrunk, truth, s_mat, quad)),
+                np.mean(normalized_scnr_batch(clipped, truth, s_mat, quad)),
                 kantorovich_bound(spiked, shrunk, ratio.gamma),
                 mvdr_error_variance(shrunk, s) / mvdr_truth,
                 mvdr_error_variance(clipped, s) / mvdr_truth,
