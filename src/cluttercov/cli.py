@@ -230,6 +230,8 @@ def _cmd_sweep(args) -> int:
         pfa_list = _parse_list(args.pfa)
         _check_pfa(pfa_list)
         _check_rank(args.rank, scn.p)
+        if not (args.snr_step > 0 and args.snr_lo <= args.snr_hi):
+            raise ConfigError("the SNR grid needs --snr-step > 0 and --snr-lo <= --snr-hi")
     plan = validate.TrialPlan(
         scenario=scn,
         trials=args.trials,
@@ -237,14 +239,16 @@ def _cmd_sweep(args) -> int:
         target=_target_from_args(args, scn),
     )
     values = None  # the n axis defaults to multiples of p up to the scene's n
-    if args.axis == "doppler":
-        values = np.linspace(-0.5, 0.5, args.doppler_grid)
-    elif args.axis == "angle":
-        values = np.linspace(-np.pi / 3, np.pi / 3, args.angle_grid)
-    elif args.axis == "snr":
-        if not (args.snr_step > 0 and args.snr_lo <= args.snr_hi):
-            raise ConfigError("the SNR grid needs --snr-step > 0 and --snr-lo <= --snr-hi")
-        values = np.arange(args.snr_lo, args.snr_hi + 1e-9, args.snr_step)
+    try:
+        if args.axis == "doppler":
+            values = np.linspace(-0.5, 0.5, args.doppler_grid)
+        elif args.axis == "angle":
+            values = np.linspace(-np.pi / 3, np.pi / 3, args.angle_grid)
+        elif args.axis == "snr":
+            values = np.arange(args.snr_lo, args.snr_hi + 1e-9, args.snr_step)
+    except MemoryError:
+        flag = "--snr-step" if args.axis == "snr" else f"--{args.axis}-grid"
+        raise ConfigError(f"{flag} asks for a grid too large to allocate") from None
     csv_text = validate.sweep(plan, args.axis, values=values, pfa_list=pfa_list, rank=args.rank)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

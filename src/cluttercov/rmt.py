@@ -9,10 +9,10 @@ eigendecomposition. The estimators need every eigenvalue but only the r
 leading eigenvectors, so ``eigh`` does one Householder tridiagonal reduction
 (O(p^3), about a third of a full dense ``zheevd``), takes all eigenvalues
 from the tridiagonal in O(p^2), and returns an ``EigenDecomposition`` that
-computes leading eigenvectors only when asked. It also applies the full
-basis V, as V^H x and V x, from the same reduction and the tridiagonal's
-own eigenvectors, so no caller forms V as a p x p array or reduces the
-matrix a second time to get it.
+computes leading eigenvectors only when asked. The reduction is of A in a
+column-major copy, A = Q T Q^H, so the full basis is V = Q Z with Z the
+tridiagonal's own eigenvectors: the decomposition applies V^H x and V x
+from it, and no caller forms V as a p x p array or reduces A again.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class EigenDecomposition:
     """All eigenvalues of a Hermitian matrix, descending, its leading eigenvectors on request,
     and its full eigenbasis as an operator.
 
-    Only ``eigh`` builds one, from its Householder reduction of conj(A) to
-    the real tridiagonal T = Q^H conj(A) Q. ``leading(k)`` returns the p x k
+    Only ``eigh`` builds one, from its Householder reduction of A to the
+    real tridiagonal T = Q^H A Q. ``leading(k)`` returns the p x k
     unit eigenvectors paired with ``eigenvalues[:k]``: it solves the
     tridiagonal for only those k vectors (MRRR, LAPACK ``dstemr``) and
     back-transforms them through the stored reflectors in O(p^2 k). Ties
@@ -108,7 +108,7 @@ class EigenDecomposition:
 
     ``to_eigenbasis(x)`` = V^H x and ``from_eigenbasis(x)`` = V x apply the
     full basis V, columns in descending eigenvalue order, without forming
-    it: V = conj(Q) Z, with Z the real eigenvectors of T by divide and
+    it: V = Q Z, with Z the real eigenvectors of T by divide and
     conquer (``dstedc``). That is how LAPACK's ``zheevd`` (``dsyevd``) builds
     its basis from the same reduction, so V is numpy's dense ``eigh`` basis to
     roundoff, ties included, and not ``leading``'s. A rotation of m vectors
@@ -151,35 +151,23 @@ class EigenDecomposition:
         vec[...] = z[:, ::-1]
         del z
         self._reflect(vec, "N")
-        # the reduction was of the Fortran view packed.T = conj(A)
-        self._leading = vec.conj()
-        return self._leading.copy()
+        self._leading = vec
+        return vec.copy()
 
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
-        """V^H x for a p-vector or the columns of a p x m block.
-
-        V^H = Z^T conj(Q)^H, and conj(Q)^H x = conj(Q^H conj(x)).
-        """
+        """V^H x = Z^T Q^H x for a p-vector or the columns of a p x m block."""
         block, dtype = self._operand(x)
-        c = np.conjugate(block, out=np.empty(block.shape, dtype=dtype))
+        c = np.array(block, dtype=dtype, order="C")
         self._reflect(c, "C")
-        np.conjugate(c, out=c)
         # Z's columns ascend, so the descending coordinates are its rows reversed
         out = np.ascontiguousarray(_real_product(self._z().T, c)[::-1])
         return out[:, 0] if np.ndim(x) == 1 else out
 
     def from_eigenbasis(self, x: np.ndarray) -> np.ndarray:
-        """V x for a p-vector or the columns of a p x m block, x in descending eigenvalue order.
-
-        V x = conj(Q) Z x, and conj(Q) u = conj(Q conj(u)).
-        """
+        """V x = Q Z x for a p-vector or the columns of a p x m block, x in descending order."""
         block, dtype = self._operand(x)
-        c = np.empty(block.shape, dtype=dtype)
-        c[...] = block[::-1]  # Z's columns ascend
-        c = _real_product(self._z(), c)
-        np.conjugate(c, out=c)
+        c = _real_product(self._z(), np.array(block[::-1], dtype=dtype, order="C"))  # Z's columns ascend
         self._reflect(c, "N")
-        np.conjugate(c, out=c)
         return c[:, 0] if np.ndim(x) == 1 else c
 
     def _operand(self, x) -> tuple:
@@ -218,12 +206,11 @@ class EigenDecomposition:
         p = packed.shape[0]
         if p == 1 or c.shape[1] == 0:
             return
-        # ?unmtr with uplo = L is ?unmqr on rows 1: with the reflectors
-        # stored from row 1 of the reduced (Fortran-ordered) matrix. That
-        # block starts one element into the buffer with leading dimension
-        # p; the view below has it in its first p - 1 rows, which are
-        # all ?unmqr reads, so the reflectors are never copied.
-        reflectors = packed.reshape(-1)[1 : 1 + p * (p - 1)].reshape((p, p - 1), order="F")
+        # ?unmtr with uplo = L is ?unmqr on rows 1: with the reflectors below
+        # the diagonal, a block one element into packed's column-major buffer
+        # with leading dimension p. The view has it in its first p - 1 rows,
+        # all that ?unmqr reads, so the reflectors are never copied.
+        reflectors = packed.ravel(order="F")[1 : 1 + p * (p - 1)].reshape((p, p - 1), order="F")
         if np.iscomplexobj(packed):
             unmqr = lapack.zunmqr
         else:
@@ -361,7 +348,7 @@ def sample_covariance(data: np.ndarray) -> np.ndarray:
 
 
 def symmetrized(m: np.ndarray) -> np.ndarray:
-    """(m + m^H) / 2 of a square array as a new C-ordered array, after the checks ``eigh`` states.
+    """(m + m^H) / 2 of a square array as a new column-major array, after the checks ``eigh`` states.
 
     Complex input stays complex and any other input becomes float, so a
     real matrix keeps a real result. The pass runs over pairs of
@@ -370,11 +357,14 @@ def symmetrized(m: np.ndarray) -> np.ndarray:
     tiles are formed while the pair is in cache. Besides the result, the
     only scratch is two tiles, one of the result's dtype and one real.
     Every entry is the same expression, so the result is bitwise
-    (m + m^H) / 2.
+    (m + m^H) / 2. It is column-major, the layout ``eigh``'s reduction
+    reads.
     """
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     p = m.shape[0]
-    packed = np.empty((p, p), dtype=m.dtype)
+    packed = np.empty((p, p), dtype=m.dtype, order="F")
+    # filled as C-ordered tiles of packed.T = (m^T + (m^T)^H) / 2, for contiguous writes
+    m, out = m.T, packed.T
     side = min(_MIRROR_BLOCK, p)
     diff_tile, abs_tile = np.empty((side, side), dtype=m.dtype), np.empty((side, side))
     scale, skew = 1.0, 0.0
@@ -392,13 +382,13 @@ def symmetrized(m: np.ndarray) -> np.ndarray:
                 raise ValueError("invalid matrix")
             scale = max(scale, big)
             # |lower - upper^H| is the transpose of |upper - lower^H|: one bound covers both
-            sym = packed[rows, cols]
+            sym = out[rows, cols]
             np.conjugate(lower.T, out=sym)
             skew = max(skew, np.abs(np.subtract(upper, sym, out=diff), out=mag).max())
             sym += upper
             sym /= 2.0
             if k != i:
-                sym = packed[cols, rows]
+                sym = out[cols, rows]
                 np.conjugate(upper.T, out=sym)
                 sym += lower
                 sym /= 2.0
@@ -422,10 +412,10 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
     besides the input the working set is that one p x p copy plus two tiles
     of scratch, or the reduction's workspace, never a full-size temporary.
 
-    The reduction runs in place on the Fortran view of the symmetrized
-    matrix, which is its transpose conj(A). It leaves the tridiagonal and the
-    reflectors in the upper triangle of the C-ordered array, the only part
-    the eigenvectors and the rotations of the decomposition read.
+    The reduction runs in place on the column-major symmetrized copy, so it
+    is of A itself, A = Q T Q^H. It leaves the tridiagonal and Q's
+    reflectors in the copy's lower triangle, the only part the eigenvectors
+    and the rotations of the decomposition read.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
@@ -436,9 +426,8 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
         reduce, lwork = lapack.zhetrd, lapack.zhetrd_lwork(p, lower=1)[0].real
     else:
         reduce, lwork = lapack.dsytrd, lapack.dsytrd_lwork(p, lower=1)[0]
-    reduced, d, e, tau, info = reduce(packed.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    reduced, d, e, tau, info = reduce(packed, lower=1, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal reduction failed with info = {info}")
     lam = linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
-    # ``reduced.T`` is ``packed`` itself unless the wrapper had to copy
-    return EigenDecomposition(lam[::-1].copy(), (reduced.T, d, e, tau))
+    return EigenDecomposition(lam[::-1].copy(), (reduced, d, e, tau))

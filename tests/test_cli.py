@@ -391,11 +391,16 @@ class TestExitCodes:
             ["estimate", "--seed", "-1"],
             ["detect", "--seed", "-1"],
             ["sweep", "--axis", "n", "--trials", "1", "--seed", "-1"],
+            # grids of PiB that numpy refuses at once, before touching memory
+            ["sweep", "--axis", "snr", "--trials", "1", "--snr-step", "1e-15"],
+            ["sweep", "--axis", "doppler", "--trials", "1", "--doppler-grid", "1000000000000000"],
+            ["sweep", "--axis", "angle", "--trials", "1", "--angle-grid", "1000000000000000"],
         ],
         ids=["sweep-trials", "detect-pfa-2", "detect-pfa-0", "sweep-pfa", "sweep-pfa-empty",
              "rcml-rank-p", "rcml-rank-negative", "shrinkage-rank", "default-estimator-rank",
              "angle-grid", "doppler-grid", "detect-doppler",
-             "sweep-doppler", "estimate-seed", "detect-seed", "sweep-seed"],
+             "sweep-doppler", "estimate-seed", "detect-seed", "sweep-seed",
+             "snr-grid-too-large", "doppler-grid-too-large", "angle-grid-too-large"],
     )
     def test_flag_out_of_range_is_config_error(self, tmp_path, argv):
         scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0,

@@ -312,7 +312,7 @@ def spy_on_reduction(monkeypatch):
         real = getattr(rmt.lapack, name)
 
         def spy(a, *args, real=real, **kwargs):
-            seen.append(a.T.copy())  # ``a`` is the Fortran view of the C-ordered copy
+            seen.append(a.copy(order="K"))  # in the layout the reduction reads
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(rmt.lapack, name, spy)
@@ -334,8 +334,8 @@ class TestBlockedEigh:
         seen = spy_on_reduction(monkeypatch)
         dec = eigh(m)
         want = (m + m.conj().T) / 2
-        assert len(seen) == 1 and seen[0].dtype == want.dtype
-        assert seen[0].tobytes() == want.tobytes(order="C")
+        assert len(seen) == 1 and seen[0].dtype == want.dtype and seen[0].flags.f_contiguous
+        assert seen[0].tobytes(order="F") == want.tobytes(order="F")
         np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(want)[::-1],
                                    atol=1e-12 * np.abs(want).max())
 
@@ -413,8 +413,8 @@ class TestSymmetrized:
         m = np.asarray(z @ z.conj().T / (2 * p), order=order)
         ours = rmt.symmetrized(m)
         want = (m + m.conj().T) / 2
-        assert ours.flags.c_contiguous and ours.dtype == want.dtype
-        assert ours.tobytes() == want.tobytes(order="C")
+        assert ours.flags.f_contiguous and ours.dtype == want.dtype
+        assert ours.tobytes(order="F") == want.tobytes(order="F")
 
     def test_integer_input_becomes_float(self):
         m = np.arange(9).reshape(3, 3)
