@@ -13,18 +13,31 @@ computes leading eigenvectors only when asked. The reduction is of A in a
 column-major copy, A = Q T Q^H, so the full basis is V = Q Z with Z the
 tridiagonal's own eigenvectors: the decomposition applies V^H x and V x
 from it, and no caller forms V as a p x p array or reduces A again.
+
+LAPACK and BLAS are scipy's own f2py wrappers, bound from its compiled
+``scipy.linalg._flapack`` and ``_fblas`` extension modules rather than
+through the ``scipy.linalg`` package, whose import costs about 0.2 s of
+every command's start-up (on recent scipy its array-API layer also loads
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``) for Python code this
+module never calls. ``import scipy`` alone (a few ms) stays, to find
+the extensions and, on Windows wheels, to put their DLLs on the search
+path. The two tridiagonal solves call ``dsterf`` and ``dstemr`` directly,
+with the finiteness and ``info`` checks ``scipy.linalg`` makes around them.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import blas, lapack
+import scipy
 
 
 class RegimeWarning(UserWarning):
@@ -38,6 +51,30 @@ class ModelOrderWarning(UserWarning):
 SPIKE_FRACTION_BUDGET = 0.1  # max clutter rank as a fraction of dimension
 _MIRROR_BLOCK = 64  # tile side of the SCM mirror and of the symmetrize-and-check pass
 _MEDIAN_MAX_STEPS = 100  # cap on Newton steps for the MP median, which takes under ten
+
+
+def _scipy_extension(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, without importing the ``scipy.linalg`` package.
+
+    The module already imported is reused; otherwise it is loaded from its
+    file in scipy's ``linalg`` folder and not registered in ``sys.modules``.
+    """
+    qualified = f"scipy.linalg.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"{name}{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(qualified, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no compiled {name} module in {folder}")
+
+
+lapack = _scipy_extension("_flapack")
+blas = _scipy_extension("_fblas")
 
 
 @dataclass(frozen=True)
@@ -141,13 +178,11 @@ class EigenDecomposition:
         packed, d, e, tau = self._reduction
         if k == 0:
             return np.zeros((p, 0), dtype=packed.dtype)
-        # scipy's ?stemr wrapper returns a p x p block for any k; the p x k
+        # the ``dstemr`` wrapper returns a p x p block for any k; the p x k
         # result is allocated before it and the block freed at once, so the
         # block's memory is not left as a hole below a live array
         vec = np.empty((p, k), dtype=packed.dtype)
-        z = linalg.eigh_tridiagonal(
-            d, e, select="i", select_range=(p - k, p - 1), lapack_driver="stemr"
-        )[1]
+        z = _tridiagonal_leading(d, e, k)
         vec[...] = z[:, ::-1]
         del z
         self._reflect(vec, "N")
@@ -221,6 +256,50 @@ class EigenDecomposition:
         if info != 0:
             raise np.linalg.LinAlgError(f"?unmqr failed with info = {info}")
         c[1:] = out
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} did not converge (info = {info})")
+
+
+def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the real symmetric tridiagonal with diagonal d and off-diagonal e, ascending.
+
+    A reduction that overflowed leaves a non-finite d or e; ``eigh`` reads
+    them here first, so this is their one finiteness check.
+    """
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("tridiagonal must not contain infs or NaNs")
+    if d.size == 1:
+        return d.copy()
+    w, info = lapack.dsterf(d, e)
+    _check_info(info, "dsterf")
+    return w
+
+
+def _tridiagonal_leading(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
+    """The p x k unit eigenvectors of the k largest eigenvalues of the tridiagonal (d, e), ascending.
+
+    Solved by MRRR (``dstemr``) for those k only, 1 <= k <= p; the result is
+    a view of the wrapper's p x p block. d and e are a reduction's, which
+    ``_tridiagonal_eigenvalues`` has already found finite.
+    """
+    p = d.size
+    if p == 1:
+        return np.ones((1, 1))
+    # ?stemr takes e with p entries, the last one its workspace
+    e_ = np.empty(p)
+    e_[:-1] = e
+    # range 2 selects eigenvalues il..iu (1-based, ascending); vl and vu are unread
+    select = (2, 0.0, 1.0, p - k + 1, p)
+    lwork, liwork, info = lapack.dstemr_lwork(d, e_, *select)
+    _check_info(info, "dstemr_lwork")
+    m, _, z, info = lapack.dstemr(d, e_, *select, lwork=lwork, liwork=liwork)
+    _check_info(info, "dstemr")
+    return z[:, :m]
 
 
 def _real_product(m: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -429,5 +508,5 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
     reduced, d, e, tau, info = reduce(packed, lower=1, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal reduction failed with info = {info}")
-    lam = linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+    lam = _tridiagonal_eigenvalues(d, e)
     return EigenDecomposition(lam[::-1].copy(), (reduced, d, e, tau))

@@ -3,22 +3,23 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng
 
 _FILL_CHUNK = 1 << 17  # standard normals per step of the complex fill (1 MiB)
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
+def substream(seed: int, *path: int) -> Generator:
     """Generator for a named substream of a root seed.
 
     Streams are keyed by ``(seed, path)`` through ``SeedSequence`` spawn
     keys, so trial i always sees the same stream regardless of execution
     order or how many other streams were drawn first.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+    return default_rng(SeedSequence(seed, spawn_key=path))
 
 
 def complex_normal(
-    rng: np.random.Generator, p: int, n: int, row_scale: np.ndarray | None = None
+    rng: Generator, p: int, n: int, row_scale: np.ndarray | None = None
 ) -> np.ndarray:
     """p x n circular complex Gaussian draws of unit variance, column-major, built in place.
 

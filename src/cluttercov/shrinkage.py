@@ -268,7 +268,10 @@ def estimate_noise(decomp: EigenDecomposition, ratio: AspectRatio) -> float:
         raise ValueError("insufficient samples")
     if decomp.p != ratio.p:
         raise ValueError("decomposition dimension does not match ratio.p")
-    lam_med = float(np.median(decomp.eigenvalues))
+    # the eigenvalues are sorted, so the median is their middle entry, or
+    # the central pair's mean for even p, bitwise as ``np.median``
+    lam, h = decomp.eigenvalues, ratio.p // 2
+    lam_med = float(lam[h] if ratio.p % 2 else (lam[h - 1] + lam[h]) / 2)
     mu_med = mp_median(MPLaw(ratio))
     if lam_med <= 0:
         raise ValueError("noise power estimate is not positive")

@@ -592,15 +592,47 @@ class TestSceneRankWarning:
         ]
 
 
+# imports a command never uses: scipy's Python layers (scipy.linalg's
+# array-API layer loads numpy.f2py, numpy.testing and numpy.ma) and the
+# subpackages of the closed forms the package computes itself. The probe
+# asks only that the package's import add none of them: numpy < 2 loads
+# numpy.ma itself
+UNUSED_MODULES = [
+    "scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing", "numpy.ma",
+    "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.stats",
+]
+
+# imports the package, then runs every command on the small scene; its last
+# line is the unused modules the package's import added and the modules the
+# commands add
+IMPORT_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+import numpy, scipy
+before = set(sys.modules)
+import cluttercov.cli
+loaded = set(sys.modules)
+with tempfile.TemporaryDirectory() as tmp:
+    scene = Path(tmp) / "scene.json"
+    scene.write_text(json.dumps(SCENE))
+    for i, argv in enumerate(COMMANDS):
+        config = [] if argv[0] == "verify-clt" else ["--config", str(scene)]
+        assert cluttercov.cli.main([*argv, *config, "--out-dir", str(Path(tmp) / str(i))]) == 0
+print(json.dumps([[m for m in UNUSED if m in loaded - before], sorted(set(sys.modules) - loaded)]))
+"""
+
+
 class TestImport:
-    def test_cli_loads_only_the_linalg_layer_of_scipy(self):
-        # the MP CDF, its median and the Pd series are closed forms; none
-        # of these subpackages may come back through an import
-        heavy = ["scipy.integrate", "scipy.optimize", "scipy.special", "scipy.stats"]
+    def test_cli_loads_no_unused_module_and_commands_load_none(self):
+        commands = [["estimate"], ["estimate", "--estimator", "rcml"],
+                    *(argv for argv, _ in DETERMINISTIC.values())]
+        code = (f"UNUSED, SCENE, COMMANDS = {UNUSED_MODULES!r}, {SCENE!r}, {commands!r}"
+                + IMPORT_PROBE)
         src = str(Path(cluttercov.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = f"import sys, cluttercov.cli; print([m for m in {heavy!r} if m in sys.modules])"
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300
         )
-        assert out.stdout.strip() == "[]"
+        at_import, by_commands = json.loads(out.stdout.strip().splitlines()[-1])
+        assert at_import == []
+        assert by_commands == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, linalg, optimize
 
 from cluttercov import (
     AspectRatio,
@@ -487,10 +487,8 @@ class TestLeadingEigenvectors:
 
     def test_repeated_leading_solves_once_and_returns_caller_owned_blocks(self, monkeypatch):
         solves = []
-        tridiagonal = rmt.linalg.eigh_tridiagonal
-        monkeypatch.setattr(
-            rmt.linalg, "eigh_tridiagonal", lambda *a, **k: solves.append(1) or tridiagonal(*a, **k)
-        )
+        stemr = rmt.lapack.dstemr
+        monkeypatch.setattr(rmt.lapack, "dstemr", lambda *a, **k: solves.append(1) or stemr(*a, **k))
         dec = eigh(hermitian(40, 5))
         first = dec.leading(6)
         again = dec.leading(6)
@@ -512,6 +510,55 @@ class TestLeadingEigenvectors:
         for k in (-1, 9):
             with pytest.raises(ValueError):
                 dec.leading(k)
+
+
+LAPACK_SIZES = [1, 2, 40, 512]
+
+
+class TestLapackPath:
+    """``eigh`` and ``leading`` call ``dsterf`` and ``dstemr`` as ``scipy.linalg``'s wrappers do."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("p", LAPACK_SIZES)
+    def test_eigenvalues_are_scipys_sterf(self, p, real):
+        dec = eigh(hermitian(p, 2, real))
+        _, d, e, _ = dec._reduction
+        ref = linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")[::-1]
+        np.testing.assert_array_equal(dec.eigenvalues, ref)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("p", LAPACK_SIZES)
+    def test_leading_is_scipys_stemr_then_the_reflectors(self, p, real):
+        dec = eigh(hermitian(p, 3, real))
+        packed, d, e, _ = dec._reduction
+        for k in sorted({1, min(3, p), p}):  # each block larger than the last, so solved afresh
+            z = linalg.eigh_tridiagonal(
+                d, e, select="i", select_range=(p - k, p - 1), lapack_driver="stemr"
+            )[1]
+            ref = np.array(z[:, ::-1], dtype=packed.dtype, order="C")
+            dec._reflect(ref, "N")
+            np.testing.assert_array_equal(dec.leading(k), ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("p,where", [(1, "d"), (2, "d"), (2, "e"), (40, "d"), (40, "e")])
+    def test_non_finite_tridiagonal_is_rejected(self, p, where, bad):
+        d, e = np.linspace(1.0, 2.0, p), np.full(p - 1, 0.5)
+        (d if where == "d" else e)[-1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            rmt._tridiagonal_eigenvalues(d, e)
+
+    def test_reduction_that_overflows_is_rejected(self):
+        # finite and symmetric, so it passes the input checks; the Householder
+        # reduction overflows to a non-finite tridiagonal
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigh(np.full((3, 3), 8e307))
+
+    def test_info_codes(self):
+        rmt._check_info(0, "dsterf")
+        with pytest.raises(ValueError, match="argument 3"):
+            rmt._check_info(-3, "dsterf")
+        with pytest.raises(np.linalg.LinAlgError):
+            rmt._check_info(2, "dstemr")
 
 
 class TestEigenbasisRotations:

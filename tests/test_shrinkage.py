@@ -159,6 +159,16 @@ class TestEstimateNoise:
             vals.append(estimate_noise(dec, ratio))
         assert abs(np.mean(vals) - sigma2) / sigma2 < 0.03
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 64, 65])
+    def test_median_is_bitwise_numpys(self, p):
+        # the middle of the sorted eigenvalues, or the central pair's mean
+        ratio = AspectRatio(p, 4 * p)
+        rng = substream(13, p)
+        data = rng.standard_normal((p, ratio.n)) + 1j * rng.standard_normal((p, ratio.n))
+        dec = eigh(sample_covariance(data))
+        expected = float(np.median(dec.eigenvalues)) / mp_median(MPLaw(ratio))
+        assert estimate_noise(dec, ratio) == expected
+
     def test_invariant_exact_ratio(self):
         # sigma2_hat is exactly the median sample eigenvalue over the MP median,
         # the central pair averaged for even p
