@@ -239,16 +239,12 @@ def _cmd_sweep(args) -> int:
         target=_target_from_args(args, scn),
     )
     values = None  # the n axis defaults to multiples of p up to the scene's n
-    try:
-        if args.axis == "doppler":
-            values = np.linspace(-0.5, 0.5, args.doppler_grid)
-        elif args.axis == "angle":
-            values = np.linspace(-np.pi / 3, np.pi / 3, args.angle_grid)
-        elif args.axis == "snr":
-            values = np.arange(args.snr_lo, args.snr_hi + 1e-9, args.snr_step)
-    except MemoryError:
-        flag = "--snr-step" if args.axis == "snr" else f"--{args.axis}-grid"
-        raise ConfigError(f"{flag} asks for a grid too large to allocate") from None
+    if args.axis == "doppler":
+        values = np.linspace(-0.5, 0.5, args.doppler_grid)
+    elif args.axis == "angle":
+        values = np.linspace(-np.pi / 3, np.pi / 3, args.angle_grid)
+    elif args.axis == "snr":
+        values = np.arange(args.snr_lo, args.snr_hi + 1e-9, args.snr_step)
     csv_text = validate.sweep(plan, args.axis, values=values, pfa_list=pfa_list, rank=args.rank)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -394,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-clt",
         help="distributional check of the shrunk eigenvalues",
         description="KS test of the shrunk spike eigenvalues against their CLT law. The "
-        "centring is asymptotic: at moderate p the finite-n location term is large enough "
-        "for the KS test to reject a correct pipeline (at p = 120, n = 600 it rejects "
-        "ell = 3 at 28.75% of seeds), so read small p-values at small p with care.",
+        "centring is asymptotic: at moderate p the finite-n term between two spikes can make "
+        "it reject a correct pipeline (spikes 5,3 at p = 120, n = 600: 28.75% of seeds), so "
+        "read small p-values at small p with care.",
     )
     add_common(sp, scenario=False)
     sp.add_argument("--spikes", default="5,3,2.5", help="whitened spike values")
@@ -424,6 +420,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ConfigError, SceneOverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid or draw that numpy refuses to allocate
+        print(f"configuration error: {args.command} needs too much memory: {exc}", file=sys.stderr)
         return 2
     except (ValueError, np.linalg.LinAlgError, KeyError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

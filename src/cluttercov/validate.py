@@ -7,11 +7,8 @@ rows that train on one snapshot count share each trial's draw and estimates,
 so a sweep costs its distinct training sizes times its trials, not its rows
 times its trials.
 
-Each array of a trial lives only while a step still needs it: the snapshots
-until their sample covariance is formed, the sample covariance until
-``rmt.eigh`` has copied it, and nothing of one trial but its few scalars
-and p x r estimate vectors into the next draw. So a trial's working set is
-the largest of its steps, not their sum. Around the trials a sweep holds
+Every estimating trial runs through one generator, ``_trial_estimates``,
+which also bounds what a trial holds. Around the trials a sweep holds
 vectors only: R is dropped once the sampler and the spiked truth are
 built, and the sampler's reduction of R, which applies its eigenbasis V
 without forming it, once every steering vector the sweep scores is
@@ -186,17 +183,13 @@ def verify_clt(
     throughout, which keeps the CLT's p/n - gamma = o(n^{-1/2}) side condition
     trivially satisfied.
 
-    A trial's working set is p x n + p x p entries: the snapshots and their
-    sample covariance. The snapshots are dropped once that is formed, so
-    ``rmt.eigh`` holds only it, its symmetrized copy and tile-sized scratch.
-
     The centring is asymptotic. At moderate p the sample spike eigenvalue
-    still carries an O(1/n) location term (Lawley's expansion), so the
-    whitened samples sit O(1/sqrt(n)) off zero: about -0.15 sd for ell = 3
-    at p = 120, n = 600 (complex), which a KS test over a few hundred trials
-    detects. There the test rejects that correct spike at 28.75% of seeds
-    (40 seeds, both ensembles), so a small p-value at small p does not by
-    itself show a fault in the pipeline.
+    still carries an O(1/n) location term (Lawley's expansion), dominated
+    between two spikes by ell_i ell_j / (n (ell_i - ell_j)): in the (5, 3)
+    scene at p = 120, n = 600 (complex) the ell = 3 samples sit about
+    -0.15 sd off zero, and the KS test rejects that correct pipeline at
+    28.75% of seeds (40 seeds, both ensembles), while a lone ell = 3 sits
+    -0.01 to -0.06 sd off. So a small p-value at small p is no fault.
     """
     if ensemble not in ("real", "complex"):
         raise ValueError("ensemble must be 'real' or 'complex'")
@@ -209,25 +202,22 @@ def verify_clt(
     ratio = rmt.AspectRatio(p, n)
     g = ratio.gamma
     ells = model.whitened_spikes()
-    if np.any(ells <= 1.0 + np.sqrt(g)):
-        raise ValueError("sub-critical spike")
     params = [CltParams(ell, g) for ell in ells]
     sigma2 = model.sigma2
     scale_fix = 1.0 if ensemble == "real" else 1.0 / np.sqrt(2.0)
 
     root = np.sqrt(model.spectrum())
+
+    def draw(n, seed, stream):
+        if ensemble == "complex":
+            return complex_normal(substream(seed, stream), p, n, root)
+        w = substream(seed, stream).standard_normal((p, n))
+        w *= root[:, None]  # in place, so one p x n block is alive
+        return w
+
     shrunk = np.empty((trials, model.r))
-    for t in range(trials):
-        rng = substream(seed, t)
-        if ensemble == "real":
-            w = rng.standard_normal((p, n))
-            w *= root[:, None]
-        else:
-            w = complex_normal(rng, p, n, root)
-        scm = rmt.sample_covariance(w)
-        del w  # the snapshots are done once the SCM is formed
-        est = shrink_spectrum(rmt.eigh(scm), ratio)
-        del scm  # so only the small estimate is alive at the next draw
+    ests = _trial_estimates(draw, n, seed, trials, lambda decomp: shrink_spectrum(decomp, ratio))
+    for t, est in enumerate(ests):
         # a spike the estimator missed sits on the floor
         k = min(est.r, model.r)
         shrunk[t] = est.sigma2
@@ -249,6 +239,20 @@ def verify_clt(
             )
         )
     return results
+
+
+def _trial_estimates(draw, n: int, seed: int, trials: int, estimate):
+    """Yield ``estimate(rmt.eigh(rmt.sample_covariance(draw(n, seed, t))))`` for t < trials.
+
+    Trial t draws from stream (seed, t). Each array lives while a step needs
+    it: the snapshots until their SCM is formed, the SCM until ``rmt.eigh``
+    returns, the decomposition until ``estimate`` returns. So a trial's
+    working set is its largest step, the p x n snapshots plus their p x p
+    SCM or the SCM plus its reduction, and only the estimate reaches the
+    next draw. Names are looked up at call time, so a rebound one is called.
+    """
+    for t in range(trials):
+        yield estimate(rmt.eigh(rmt.sample_covariance(draw(n, seed, t))))
 
 
 def _estimate_both(decomp: rmt.EigenDecomposition, ratio: rmt.AspectRatio) -> dict:
@@ -309,11 +313,8 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
         group = [(value, scored) for value, _, scored in group]
         ratio = rmt.AspectRatio(scn.p, n)
         sums = [dict.fromkeys(SWEEP_HEADER[6:], 0.0) for _ in group]  # the averaged columns
-        for t in range(plan.trials):
-            # no name holds the draw or the SCM: each is freed once the next step returns
-            ests = _estimate_both(
-                rmt.eigh(rmt.sample_covariance(sampler.draw(n, plan.seed, stream=t))), ratio
-            )
+        for ests in _trial_estimates(sampler.draw, n, plan.seed, plan.trials,
+                                     lambda decomp: _estimate_both(decomp, ratio)):
             trial = {"scnr_bound": kantorovich_bound(spiked, ests["shrinkage"], ratio.gamma)}
             for name, est in ests.items():
                 trial[f"mvdr_ratio_{name}"] = mvdr_error_variance(est, s_target) / mvdr_truth
@@ -351,8 +352,7 @@ def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
             del w, y  # so two draws are never alive at once
         for pfa, hit in zip(pfa_list, hits):
             pd_theory = theoretical_pd(spiked, target, amp, pfa, ratio_gamma)
-            emp = hit / plan.trials if plan.trials else float("nan")
-            rows.append([float(snr_db), float(pfa), emp, pd_theory, plan.trials])
+            rows.append([float(snr_db), float(pfa), hit / plan.trials, pd_theory, plan.trials])
     return _rows_to_csv(DETECTION_HEADER, rows)
 
 
@@ -388,9 +388,8 @@ def sweep(
     rotated steering vectors (each Doppler or angle row its p x 179 or
     p x 16 grid). R is dropped once the sampler and the spiked truth are
     built, and the sampler's reduction of R once those vectors are
-    rotated, before the first draw. A trial's working set then peaks at
-    its draw, one p x n array scaled as it is filled, plus the SCM, or at
-    the SCM plus its reduction. The "snr" axis splits its p x (n + 1) draw
+    rotated, before the first draw. An estimating trial then holds what
+    ``_trial_estimates`` bounds. The "snr" axis splits its p x (n + 1) draw
     into the training view ``[:, :n]``, which ``detect`` reads in place,
     and the test cell ``[:, n]``, to which ``inject_target`` adds the
     target in a new p-vector; nothing of the draw is copied, and it lives
@@ -409,7 +408,7 @@ def sweep(
             raise ValueError(f"the {axis} axis needs its grid values")
         if scn.n < scn.p:
             raise ValueError("insufficient samples")  # no multiple of p fits in n
-        values = [k * scn.p for k in range(1, max(2, scn.n // scn.p) + 1) if k * scn.p <= scn.n]
+        values = range(scn.p, scn.n + 1, scn.p)
     if axis == "snr" and (pfa_list is None or len(pfa_list) == 0):
         raise ValueError("the snr axis needs its false-alarm rates")
     truth = synthesize_clutter_covariance(scn)

@@ -395,12 +395,19 @@ class TestExitCodes:
             ["sweep", "--axis", "snr", "--trials", "1", "--snr-step", "1e-15"],
             ["sweep", "--axis", "doppler", "--trials", "1", "--doppler-grid", "1000000000000000"],
             ["sweep", "--axis", "angle", "--trials", "1", "--angle-grid", "1000000000000000"],
+            # draws of PiB, refused the same way (never on the n axis, whose
+            # default grid of n / p rows is built in full before any draw)
+            ["estimate", "--n", "1000000000000000"],
+            ["detect", "--n", "1000000000000000"],
+            ["sweep", "--axis", "doppler", "--trials", "1", "--doppler-grid", "1",
+             "--n", "1000000000000000"],
         ],
         ids=["sweep-trials", "detect-pfa-2", "detect-pfa-0", "sweep-pfa", "sweep-pfa-empty",
              "rcml-rank-p", "rcml-rank-negative", "shrinkage-rank", "default-estimator-rank",
              "angle-grid", "doppler-grid", "detect-doppler",
              "sweep-doppler", "estimate-seed", "detect-seed", "sweep-seed",
-             "snr-grid-too-large", "doppler-grid-too-large", "angle-grid-too-large"],
+             "snr-grid-too-large", "doppler-grid-too-large", "angle-grid-too-large",
+             "estimate-draw-too-large", "detect-draw-too-large", "sweep-draw-too-large"],
     )
     def test_flag_out_of_range_is_config_error(self, tmp_path, argv):
         scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0,
@@ -439,16 +446,25 @@ class TestExitCodes:
         "flags",
         [["--spikes", "0.5"], ["--trials", "1"], ["--gamma", "0"], ["--gamma", "2"], ["--p", "0"],
          ["--sigma2", "-1"], ["--spikes", "1.2"], ["--seed", "-1"],
-         ["--p", "4", "--gamma", "0.5", "--spikes", "5,4,3,3.5"]],
+         ["--p", "4", "--gamma", "0.5", "--spikes", "5,4,3,3.5"],
+         ["--gamma", "1e-15", "--trials", "2"]],  # a 3.55 EiB draw, refused at once
         ids=["spike-below-floor", "one-trial", "gamma-zero", "gamma-above-one", "p-zero",
              "negative-sigma2", "spike-below-edge",  # the edge is 1 + sqrt(0.25) = 1.5
-             "negative-seed", "as-many-spikes-as-p"],
+             "negative-seed", "as-many-spikes-as-p", "draw-too-large"],
     )
     def test_verify_clt_flag_out_of_range_is_config_error(self, tmp_path, flags):
         argv = ["verify-clt", "--p", "16", "--gamma", "0.25", "--trials", "4", *flags,
                 "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 2
         assert not (tmp_path / "out").exists()
+
+    def test_refused_allocation_names_the_command_and_size(self, tmp_path, capsys):
+        argv = ["verify-clt", "--p", "16", "--gamma", "1e-15", "--trials", "2",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: verify-clt ")
+        assert "Unable to allocate 3.55 EiB" in err
 
 
     # malformed fields of a scenario JSON: each a configuration error, raised

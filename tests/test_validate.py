@@ -192,13 +192,17 @@ class TestVerifyClt:
             want = np.sqrt(n) * (shrunk[:, i] - limit) / model.sigma2
             assert spike.samples.tobytes() == want.tobytes()
 
-    def test_working_set_is_one_trial_of_snapshots_and_their_scm(self, peak_bytes):
+    @pytest.mark.parametrize("ensemble,itemsize", [("complex", 16), ("real", 8)])
+    def test_working_set_is_one_trial_of_snapshots_and_their_scm(
+        self, peak_bytes, ensemble, itemsize
+    ):
         # a trial's snapshots are dropped once their SCM is formed, and
-        # nothing of it but the estimate is alive at the next draw
+        # nothing of it but the estimate is alive at the next draw; the real
+        # draw is scaled in place, so one p x n block is alive, not two
         p, n = 256, 512
         model = SpikedCovariance.diagonal(p, 1.0, np.array([5.0, 3.0, 2.5]))
-        budget = (p * n + p * p) * 16
-        assert peak_bytes(verify_clt, model, p / n, 3, 0) <= 1.1 * budget
+        budget = (p * n + p * p) * itemsize
+        assert peak_bytes(verify_clt, model, p / n, 3, 0, ensemble=ensemble) <= 1.1 * budget
 
     def test_subcritical_rejected(self):
         model = SpikedCovariance.diagonal(40, 1.0, np.array([1.3]))
