@@ -36,6 +36,7 @@ from .scenario import (
     ToeplitzClutter,
     amplitude_for_snr,
     challenge_synthetic,
+    clutter_spikes,
     inject_target,
     preset,
     steering_vector,

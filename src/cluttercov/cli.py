@@ -4,6 +4,8 @@ Every run is driven by one root seed, writes its outputs under --out-dir, and
 drops a manifest.json recording the command, configuration, the seed the run
 used (``--seed``, else the scene's seed, or 0 for verify-clt) and output
 paths, so reruns with the same manifest inputs reproduce identical files.
+The manifest also records the numpy and scipy versions and the
+``*_NUM_THREADS`` variables the process saw.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -93,14 +96,26 @@ def _scenario_from_args(args) -> ScenarioConfig:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad scenario config: {exc}") from exc
-        return cfg
-    name = getattr(args, "scenario", None) or "challenge-synthetic"
-    if name not in PRESETS:
-        raise ConfigError(f"unknown scenario preset: {name!r}")
-    try:
-        return preset(name, n=getattr(args, "n", None))
-    except ValueError as exc:
-        raise ConfigError(f"bad scenario: {exc}") from exc
+    else:
+        name = getattr(args, "scenario", None) or "challenge-synthetic"
+        if name not in PRESETS:
+            raise ConfigError(f"unknown scenario preset: {name!r}")
+        try:
+            cfg = preset(name, n=getattr(args, "n", None))
+        except ValueError as exc:
+            raise ConfigError(f"bad scenario: {exc}") from exc
+    _check_draw_size(cfg.p, cfg.n)
+    return cfg
+
+
+def _check_draw_size(p: int, n: float) -> None:
+    """ConfigError when a complex p x (n + 1) draw has more bytes than numpy can size.
+
+    numpy refuses such an array with ValueError before any allocation;
+    one that it can size but not allocate is its MemoryError, exit 2 too.
+    """
+    if p * (n + 1) * 16 > np.iinfo(np.intp).max:
+        raise ConfigError(f"a {p} x {n + 1:.6g} complex draw is larger than numpy can size")
 
 
 def _target_from_args(args, scn: ScenarioConfig) -> SteeringSpec:
@@ -122,6 +137,10 @@ def _write_manifest(out_dir: Path, args, seed: int, outputs: list[Path]) -> Path
         "seed": seed,
         "outputs": [str(p) for p in outputs],
         "tool_version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": rmt.scipy.__version__,
+        "thread_settings": {k: v for k, v in sorted(os.environ.items())
+                            if k.endswith("_NUM_THREADS")},
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -290,6 +309,7 @@ def _cmd_verify_clt(args) -> int:
         raise ConfigError(f"--trials must be at least 2, got {args.trials}")
     if args.p < 1 or not 0.0 < args.gamma <= 1.0 or not args.sigma2 > 0.0:
         raise ConfigError("verify-clt needs --p >= 1, --gamma in (0, 1] and --sigma2 > 0")
+    _check_draw_size(args.p, args.p / args.gamma)
     # the exact ratio p / n that verify_clt runs at, and its detection edge
     edge = 1.0 + np.sqrt(args.p / round(args.p / args.gamma))
     spikes = np.asarray(sorted(_parse_list(args.spikes), reverse=True))

@@ -9,10 +9,10 @@ times its trials.
 
 Every estimating trial runs through one generator, ``_trial_estimates``,
 which also bounds what a trial holds. Around the trials a sweep holds
-vectors only: R is dropped once the sampler and the spiked truth are
-built, and the sampler's reduction of R, which applies its eigenbasis V
-without forming it, once every steering vector the sweep scores is
-rotated into V, before the first draw.
+vectors only: the spiked truth never reads R, R is dropped once the
+sampler is built, and the sampler's reduction of R, which applies its
+eigenbasis V without forming it, once every steering vector the sweep
+scores is rotated into V, before the first draw.
 
 The sweeps run every trial in the eigenbasis V of the scene's R: the
 sampler draws there in O(pn), one p x n array scaled as it is filled, and
@@ -24,8 +24,8 @@ p x p truth is alive during the trials. Both estimators keep the sample
 eigenvectors and every metric is invariant under that common rotation, so
 the rows equal those of the original frame up to roundoff. ``verify_clt``
 draws from a diagonal ``SpikedCovariance`` directly, and the detection
-probability ``theoretical_pd`` reads the same truth with R's r leading
-eigenvectors as its vectors, in the original frame.
+probability ``theoretical_pd`` reads the same truth with R's r spike
+vectors, from the clutter's m x m Gram, in the original frame.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .scenario import (
     SnapshotSampler,
     SteeringSpec,
     amplitude_for_snr,
+    clutter_spikes,
     inject_target,
     steering_vector,
     synthesize_clutter_covariance,
@@ -384,11 +385,13 @@ def sweep(
 
     Through its trials a sweep holds the sampler's draw scale, the spiked
     truth with its p x r vectors (eye(p, r), or on the "snr" axis the r
-    leading eigenvectors of R that ``theoretical_pd`` reads) and the
-    rotated steering vectors (each Doppler or angle row its p x 179 or
-    p x 16 grid). R is dropped once the sampler and the spiked truth are
-    built, and the sampler's reduction of R once those vectors are
-    rotated, before the first draw. An estimating trial then holds what
+    spike vectors of R that ``theoretical_pd`` reads) and the rotated
+    steering vectors (each Doppler or angle row its p x 179 or p x 16
+    grid). The spikes and, on the "snr" axis, their vectors come from the
+    clutter's m x m Gram (``clutter_spikes``), so the sampler's is the
+    one reduction of the p x p R. R is dropped once the sampler is built,
+    and that reduction once the steering vectors are rotated, before the
+    first draw. An estimating trial then holds what
     ``_trial_estimates`` bounds. The "snr" axis splits its p x (n + 1) draw
     into the training view ``[:, :n]``, which ``detect`` reads in place,
     and the test cell ``[:, n]``, to which ``inject_target`` adds the
@@ -413,13 +416,13 @@ def sweep(
         raise ValueError("the snr axis needs its false-alarm rates")
     truth = synthesize_clutter_covariance(scn)
     spiked = truth_spiked_model(scn, truth)
-    sampler = SnapshotSampler(truth)
-    # the estimation trials score against the truth in R's eigenbasis, while
-    # theoretical_pd reads it in R's frame, with R's r leading vectors (a
-    # second reduction of R; sharing the sampler's is ROADMAP item 1)
-    if axis == "snr" and spiked.r:
-        spiked = replace(spiked, vectors=rmt.eigh(truth).leading(spiked.r))
+    sampler = SnapshotSampler(truth)  # R's one p x p reduction
     del truth
+    # the estimation trials score against the truth in R's eigenbasis, while
+    # theoretical_pd reads it in R's frame, with the spike vectors that the
+    # clutter's m x m Gram gives
+    if axis == "snr" and spiked.r:
+        spiked = replace(spiked, vectors=clutter_spikes(scn)[1])
     if axis == "snr":
         return _sweep_detection(plan, values, tuple(pfa_list), rank, spiked, sampler)
     return _sweep_estimation(plan, axis, values, spiked, sampler)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import cluttercov
 
@@ -264,6 +265,20 @@ class TestEndToEnd:
             runs.append((out / output).read_bytes())
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("name", [*sorted(DETERMINISTIC), "estimate"])
+    def test_manifest_records_the_libraries_and_thread_settings(self, scene, tmp_path,
+                                                                 monkeypatch, name):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        argv = ["estimate"] if name == "estimate" else DETERMINISTIC[name][0]
+        if argv[0] != "verify-clt":
+            argv = [*argv, "--config", str(scene)]
+        code, manifest = _run(argv, tmp_path / "out")
+        assert code == 0
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
+        threads = {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
+        assert manifest["thread_settings"] == threads and threads["OMP_NUM_THREADS"] == "1"
+
     @pytest.mark.parametrize("name", ["sweep-n", "detect", "verify-clt"])
     def test_manifest_records_the_default_seed(self, scene, tmp_path, name):
         # with --seed omitted a run uses the scene's seed (0 for verify-clt):
@@ -465,6 +480,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: verify-clt ")
         assert "Unable to allocate 3.55 EiB" in err
+
+    # p (n + 1) 16 bytes past the largest intp: numpy could not even size the
+    # draw, so the check runs first and allocates nothing; at 1e-320 p / gamma
+    # is infinite
+    @pytest.mark.parametrize("gamma", ["1e-16", "1e-18", "1e-320"])
+    def test_draw_numpy_cannot_size_is_config_error(self, tmp_path, capsys, gamma):
+        argv = ["verify-clt", "--p", "16", "--gamma", gamma, "--trials", "2",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "larger than numpy can size" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["estimate"], ["detect"], ["sweep", "--axis", "n", "--trials", "1"],
+         ["sweep", "--axis", "snr", "--trials", "1"],
+         ["sweep", "--axis", "doppler", "--trials", "1", "--doppler-grid", "2"]],
+        ids=["estimate", "detect", "sweep-n", "sweep-snr", "sweep-doppler"],
+    )
+    def test_scene_draw_numpy_cannot_size_is_config_error(self, scene, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [*command, "--config", str(scene), "--n", str(10**17), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "larger than numpy can size" in capsys.readouterr().err
+        assert not out.exists()
 
 
     # malformed fields of a scenario JSON: each a configuration error, raised

@@ -19,6 +19,7 @@ from cluttercov import (
     ToeplitzClutter,
     amplitude_for_snr,
     challenge_synthetic,
+    clutter_spikes,
     eigh,
     inject_target,
     preset,
@@ -246,6 +247,117 @@ class TestSynthesizeClutterCovariance:
         emp = snaps @ snaps.conj().T / cfg.n
         err = np.linalg.norm(emp - truth, 2) / np.linalg.norm(truth, 2)
         assert err < 0.10
+
+
+def dense_spikes(cfg):
+    """R's eigenvalues above sigma2 (1 + 1e-6) and their ``leading`` vectors, from R itself."""
+    dec = eigh(dense_clutter_covariance(cfg))
+    lam = dec.eigenvalues
+    r = int(np.count_nonzero(lam > cfg.sigma2 * (1.0 + 1e-6)))
+    return lam[:r], dec.leading(r)
+
+
+def _scatterers(*fields):
+    return ScattererClutter(tuple(Scatterer(a, theta, fd) for a, theta, fd in fields))
+
+
+GRAM_SCENES = {
+    "preset": challenge_synthetic(),
+    "scatterers-p32": ScenarioConfig(
+        N=4, K=8, n=64, sigma2=0.5,
+        clutter=_scatterers((12.0, -0.5, -0.2), (6.0, 0.1, 0.05), (3.0, 0.7, 0.3)),
+    ),
+    "toeplitz": ScenarioConfig(N=4, K=16, n=128, sigma2=0.1,
+                               clutter=ToeplitzClutter(taps=[10.0, 5.0 - 2.0j, 2.5], pulse_len=5)),
+    # a zero first tap leaves H's last column zero: rank p - 1 for any pulse of p or more
+    "toeplitz-pulse-above-p": ScenarioConfig(
+        N=2, K=8, n=64, sigma2=0.1, clutter=ToeplitzClutter(taps=[0.0, 3.0, 1.0 + 1.0j], pulse_len=40)
+    ),
+    "spiked": ScenarioConfig(N=5, K=8, n=200, sigma2=2.0, clutter=SpikedClutter([9.0, 7.0, 5.0])),
+    # a duplicated scatterer and a zero-amplitude one: rank 2 of 4 columns
+    "rank-deficient": ScenarioConfig(
+        N=4, K=8, n=64, sigma2=0.5,
+        clutter=_scatterers((12.0, -0.5, -0.2), (12.0, -0.5, -0.2), (0.0, 0.2, 0.1), (5.0, 0.6, 0.25)),
+    ),
+}
+
+
+class TestClutterSpikes:
+    """R's spikes and spike vectors from the clutter's m x m Gram, against a dense eigh of R."""
+
+    @pytest.mark.parametrize("name", list(GRAM_SCENES))
+    def test_spikes_and_subspace_are_the_dense_ones(self, name):
+        cfg = GRAM_SCENES[name]
+        spikes, vectors = clutter_spikes(cfg)
+        want, dense_vectors = dense_spikes(cfg)
+        assert spikes.size == want.size > 0 and vectors.shape == (cfg.p, want.size)
+        np.testing.assert_allclose(spikes, want, rtol=1e-12, atol=0)
+        projector = vectors @ vectors.conj().T
+        assert np.abs(projector - dense_vectors @ dense_vectors.conj().T).max() <= 1e-12
+        assert np.abs(vectors.conj().T @ vectors - np.eye(want.size)).max() <= 1e-12
+
+    def test_no_clutter_has_no_spikes(self):
+        spikes, vectors = clutter_spikes(SYNTHESIS_SCENES["none"])
+        assert spikes.shape == (0,) and vectors.shape == (SYNTHESIS_SCENES["none"].p, 0)
+
+    @pytest.mark.parametrize("name", list(GRAM_SCENES))
+    def test_truth_is_the_spikes_on_the_floor(self, name):
+        cfg = GRAM_SCENES[name]
+        truth = truth_spiked_model(cfg, covariance=np.full((3, 3), np.nan))  # R is not read
+        np.testing.assert_array_equal(truth.spikes, clutter_spikes(cfg)[0])
+        np.testing.assert_array_equal(truth.vectors, np.eye(cfg.p, truth.r))
+        assert truth.sigma2 == cfg.sigma2
+
+    def test_truth_reduces_and_allocates_no_p_by_p_array(self, monkeypatch, peak_bytes):
+        cfg = challenge_synthetic()
+        shapes = []
+        reduce = scenario.eigh
+        monkeypatch.setattr(scenario, "eigh", lambda m: shapes.append(np.shape(m)) or reduce(m))
+        peak = peak_bytes(truth_spiked_model, cfg)
+        assert shapes == [(25, 25)]  # the Gram of the 25 scatterers
+        assert peak < cfg.p * cfg.p * 16
+
+    @pytest.mark.parametrize(
+        "clutter",
+        [
+            ToeplitzClutter(taps=[1e200, 0.0], pulse_len=1),
+            ScattererClutter((
+                Scatterer(amplitude=1.3e154, theta=0.1, doppler=0.1),
+                Scatterer(amplitude=1.3e154, theta=-0.2, doppler=0.3),
+            )),
+            # R's entries are 1e307, while its spike and F^H F are 32e307
+            ScattererClutter((Scatterer(amplitude=np.sqrt(1e307), theta=0.3, doppler=0.1),)),
+        ],
+        ids=["taps", "scatterers", "finite-covariance"],
+    )
+    def test_overflowing_spike_is_named_without_a_warning(self, clutter):
+        cfg = ScenarioConfig(N=4, K=8, n=64, sigma2=1.0, clutter=clutter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SceneOverflowError, match="overflows"):
+                truth_spiked_model(cfg)
+
+    def test_finite_spikes_near_the_float_limit(self):
+        # two orthogonal steering vectors of power 6.25e306 at p = 16: R's
+        # entries are 1.25e307 and its spikes 1e308, while the unscaled Gram
+        # diag(1e308, 1e308) overflows in its own reduction's (G + G^H) / 2
+        amp = np.sqrt(6.25e306)
+        cfg = ScenarioConfig(N=2, K=8, n=64, sigma2=1.0,
+                             clutter=_scatterers((amp, 0.3, 0.0), (amp, 0.3, 0.125)))
+        factor = scenario._clutter_factor(cfg)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            eigh(factor.conj().T @ factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spikes, vectors = clutter_spikes(cfg)
+        # R's dense reduction leaves roundoff of 1e-16 max |R| above the floor
+        # as further "spikes": the scene's rank is 2, its two leading ones
+        dense = eigh(dense_clutter_covariance(cfg))
+        np.testing.assert_allclose(spikes, [1e308, 1e308], rtol=1e-12)
+        np.testing.assert_allclose(spikes, dense.eigenvalues[:2], rtol=1e-12)
+        dense_vectors = dense.leading(2)
+        projector = vectors @ vectors.conj().T
+        assert np.abs(projector - dense_vectors @ dense_vectors.conj().T).max() <= 1e-12
 
 
 def random_covariance(seed, p, rank):

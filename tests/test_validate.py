@@ -37,7 +37,7 @@ from cluttercov import (
     truth_spiked_model,
     verify_clt,
 )
-from cluttercov import validate
+from cluttercov import rmt, scenario, validate
 from cluttercov.rng import complex_normal, substream
 from cluttercov.validate import (
     ANGLE_MARGIN_GRID,
@@ -413,6 +413,41 @@ class TestSweep:
         scn = small_scene()
         sweep(plan_for(scn, trials=3), axis, values=values)
         assert shapes.count((scn.p, columns)) == len(values)
+
+
+class TestReductionsOfR:
+    """A sweep reduces the p x p R once, in its sampler; the spikes come from the m x m Gram."""
+
+    @pytest.mark.parametrize(
+        "axis,values,pfa_list,gram_reductions",
+        [("n", [64, 160], None, 1), ("snr", [0.0, 10.0], (1e-1, 1e-2), 2)],
+        ids=["n", "snr"],
+    )
+    def test_one_p_by_p_reduction_before_the_trials(self, monkeypatch, axis, values, pfa_list,
+                                                    gram_reductions):
+        shapes = []  # each reduction's input shape, and None where a draw starts
+        reduce, draw = rmt.eigh, SnapshotSampler.draw
+
+        def recorded(matrix):
+            shapes.append(np.shape(matrix))
+            return reduce(matrix)
+
+        def marked(sampler, *args, **kwargs):
+            shapes.append(None)
+            return draw(sampler, *args, **kwargs)
+
+        monkeypatch.setattr(rmt, "eigh", recorded)
+        monkeypatch.setattr(scenario, "eigh", recorded)
+        monkeypatch.setattr(SnapshotSampler, "draw", marked)
+        scn = small_scene()
+        plan = plan_for(scn, trials=2, seed=1)
+        sweep(plan, axis, values=values, pfa_list=pfa_list)
+        p, m = scn.p, scn.clutter.rank
+        setup = shapes[: shapes.index(None)]
+        assert sorted(setup) == [(m, m)] * gram_reductions + [(p, p)]
+        # every later reduction is a trial's SCM, one per estimate or per detect
+        per_trial = len(values) * len(pfa_list or [None])
+        assert [s for s in shapes[len(setup):] if s is not None] == [(p, p)] * per_trial * plan.trials
 
 
 def dense_colouring_factor(r):
