@@ -1,5 +1,9 @@
 """Command-line entry point: estimate, sweep, detect, verify-clt.
 
+A command parses its flags, builds the scene and its sampler, calls
+``validate``, whose trial code ``estimate`` and ``detect`` share with the
+sweeps, and writes through one output path.
+
 Every run is driven by one root seed, writes its outputs under --out-dir, and
 drops a manifest.json recording the command, configuration, the seed the run
 used (``--seed``, else the scene's seed, or 0 for verify-clt) and output
@@ -23,8 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, matio, rmt, validate
-from .detector import detect
-from .rcml import rcml_estimate
 from .scenario import (
     PRESETS,
     ConfigError,
@@ -37,12 +39,11 @@ from .scenario import (
     SteeringSpec,
     ToeplitzClutter,
     amplitude_for_snr,
-    inject_target,
     preset,
     steering_vector,
     synthesize_clutter_covariance,
 )
-from .shrinkage import SpikedCovariance, shrink_spectrum
+from .shrinkage import SpikedCovariance
 
 
 def _integer(value, name: str) -> int:
@@ -74,7 +75,8 @@ def _clutter_from_json(spec: dict):
     raise ConfigError(f"unknown clutter kind: {kind!r}")
 
 
-def _scenario_from_args(args) -> ScenarioConfig:
+def _scene_and_seed(args) -> tuple[ScenarioConfig, int]:
+    """A scene command's scene and root seed: ``--seed``, else the scene's."""
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
@@ -105,7 +107,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"bad scenario: {exc}") from exc
     _check_draw_size(cfg.p, cfg.n)
-    return cfg
+    return cfg, cfg.seed if args.seed is None else args.seed
 
 
 def _check_draw_size(p: int, n: float) -> None:
@@ -127,6 +129,11 @@ def _target_from_args(args, scn: ScenarioConfig) -> SteeringSpec:
         raise ConfigError(f"bad target: {exc}") from exc
 
 
+def _write_text(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
 def _write_manifest(out_dir: Path, args, seed: int, outputs: list[Path]) -> Path:
     """manifest.json with the seed the run used: ``--seed``, or its default when omitted."""
     manifest = {
@@ -142,9 +149,7 @@ def _write_manifest(out_dir: Path, args, seed: int, outputs: list[Path]) -> Path
         "thread_settings": {k: v for k, v in sorted(os.environ.items())
                             if k.endswith("_NUM_THREADS")},
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+    return _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _validate_outputs(paths: list[Path]) -> None:
@@ -162,9 +167,26 @@ def _validate_outputs(paths: list[Path]) -> None:
             matio.load_estimate(path.with_suffix(""))  # judged by the estimate's invariants
 
 
+def _write_outputs(args, seed: int, printed, write) -> int:
+    """Make ``--out-dir``, write the command's files by ``write(out_dir)``, which
+    returns their paths, then the manifest; check them all and print ``printed``."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = write(out_dir)
+    outputs.append(_write_manifest(out_dir, args, seed, outputs))
+    _validate_outputs(outputs)
+    print(printed)
+    return 0
+
+
+def _write_json(args, seed: int, name: str, payload) -> int:
+    """The output tail of a command whose one file is ``payload`` as JSON, which it prints."""
+    return _write_outputs(args, seed, json.dumps(payload), lambda out_dir:
+                          [_write_text(out_dir / name, json.dumps(payload, indent=2) + "\n")])
+
+
 def _cmd_estimate(args) -> int:
-    scn = _scenario_from_args(args)
-    seed = scn.seed if args.seed is None else args.seed
+    scn, seed = _scene_and_seed(args)
     if args.rank is not None and args.estimator != "rcml":
         raise ConfigError("--rank applies to --estimator rcml only")
     _check_rank(args.rank, scn.p)
@@ -172,23 +194,15 @@ def _cmd_estimate(args) -> int:
         raise ValueError("insufficient samples")
     sampler = SnapshotSampler(synthesize_clutter_covariance(scn))
     ratio = rmt.AspectRatio(scn.p, scn.n)
-    # no name holds the draw or the SCM: each is freed once the next step returns
-    decomp = rmt.eigh(rmt.sample_covariance(sampler.draw(scn.n, seed)))
-    shrunk = shrink_spectrum(decomp, ratio)
-    if args.estimator == "shrinkage":
-        est = shrunk
-    else:
-        rank = shrunk.r if args.rank is None else args.rank
-        est = rcml_estimate(decomp, shrunk.sigma2, rank)
+    # trial 0 of the sweeps' estimating trial, which draws stream (seed, 0)
+    (ests,) = validate._trial_estimates(sampler.draw, scn.n, seed, 1, lambda decomp:
+                                        validate._estimate_both(decomp, ratio, args.rank))
+    est = ests[args.estimator]
     # the draw is in R's eigenbasis; the written estimate is in the original frame
     est = dataclasses.replace(est, vectors=sampler.from_eigenbasis(est.vectors))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = matio.save_estimate(out_dir / f"estimate-{args.estimator}", est, ratio.gamma)
-    outputs.append(_write_manifest(out_dir, args, seed, outputs))
-    _validate_outputs(outputs)
-    print(json.dumps(est.summary(ratio.gamma)))
-    return 0
+    base = f"estimate-{args.estimator}"
+    return _write_outputs(args, seed, json.dumps(est.summary(ratio.gamma)),
+                          lambda out_dir: matio.save_estimate(out_dir / base, est, ratio.gamma))
 
 
 def _parse_list(text: str) -> tuple:
@@ -236,8 +250,7 @@ def _apply_axis_flags(args) -> None:
 
 def _cmd_sweep(args) -> int:
     _apply_axis_flags(args)
-    scn = _scenario_from_args(args)
-    seed = scn.seed if args.seed is None else args.seed
+    scn, seed = _scene_and_seed(args)
     if args.trials < 0:
         raise ConfigError(f"--trials must be nonnegative, got {args.trials}")
     if args.axis in ("doppler", "angle"):
@@ -265,19 +278,13 @@ def _cmd_sweep(args) -> int:
     elif args.axis == "snr":
         values = np.arange(args.snr_lo, args.snr_hi + 1e-9, args.snr_step)
     csv_text = validate.sweep(plan, args.axis, values=values, pfa_list=pfa_list, rank=args.rank)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"sweep-{args.axis}.csv"
-    csv_path.write_text(csv_text)
-    outputs = [csv_path, _write_manifest(out_dir, args, seed, [csv_path])]
-    _validate_outputs(outputs)
-    print(csv_path)
-    return 0
+    name = f"sweep-{args.axis}.csv"
+    return _write_outputs(args, seed, Path(args.out_dir) / name,
+                          lambda out_dir: [_write_text(out_dir / name, csv_text)])
 
 
 def _cmd_detect(args) -> int:
-    scn = _scenario_from_args(args)
-    seed = scn.seed if args.seed is None else args.seed
+    scn, seed = _scene_and_seed(args)
     _check_pfa([args.pfa])
     _check_rank(args.rank, scn.p)
     target = _target_from_args(args, scn)
@@ -285,23 +292,15 @@ def _cmd_detect(args) -> int:
     # the draw is in R's eigenbasis, so the steering vector is rotated into it
     steering = sampler.to_eigenbasis(steering_vector(target))
     amp = amplitude_for_snr(args.snr_db, scn.sigma2, scn.N, scn.K)
-    # the training block and the test cell are views of one draw
-    w = sampler.draw(scn.n + 1, seed)
-    y = inject_target(w[:, scn.n], steering, amp)
     if args.rank == 0 and scn.clutter is not None:
         print(
             "warning: rank 0 disables the clutter projection on a clutter-bearing scene",
             file=sys.stderr,
         )
-    report = detect(w[:, : scn.n], y, steering, args.rank, args.pfa)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "detection.json"
-    report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    outputs = [report_path, _write_manifest(out_dir, args, seed, [report_path])]
-    _validate_outputs(outputs)
-    print(json.dumps(report.to_dict()))
-    return 0
+    # trial 0 of the snr sweep at this SNR and one false-alarm rate
+    (report,) = validate._detection_trial(sampler.draw, scn.n, seed, 0, steering, amp,
+                                          args.rank, (args.pfa,))
+    return _write_json(args, seed, "detection.json", report.to_dict())
 
 
 def _cmd_verify_clt(args) -> int:
@@ -332,14 +331,7 @@ def _cmd_verify_clt(args) -> int:
         }
         for r in results
     ]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "clt-verification.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    outputs = [path, _write_manifest(out_dir, args, seed, [path])]
-    _validate_outputs(outputs)
-    print(json.dumps(payload))
-    return 0
+    return _write_json(args, seed, "clt-verification.json", payload)
 
 
 def _seed(text: str) -> int:

@@ -26,8 +26,8 @@ block in place. Its steering vector is a plain p-vector in the frame of
 those snapshots; the statistic is invariant when all are rotated by one
 unitary, so snapshots drawn in R's eigenbasis pair with the rotated
 steering vector V^H s. ``theoretical_pd`` reads the true covariance as a
-``SpikedCovariance`` whose vectors are R's r leading eigenvectors, in the
-frame of its steering vector.
+``SpikedCovariance`` whose vectors are R's r leading eigenvectors, and the
+steering p-vector in the frame of those vectors.
 
 The detector holds no ``SpikedCovariance`` of its own: it projects off the
 leading ``rank`` sample eigenvectors for any rank it is given, which need
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rmt import AspectRatio
-from .scenario import SteeringSpec, steering_vector
 from .shrinkage import SpikedCovariance, cosine2, detect_spikes
 from . import rmt
 
@@ -124,13 +123,14 @@ def _pd_series(mean: float, delta_threshold: float) -> float:
 
 
 def theoretical_pd(
-    model: SpikedCovariance, target: SteeringSpec, amplitude: complex, p_fa: float, gamma: float
+    model: SpikedCovariance, steering: np.ndarray, amplitude: complex, p_fa: float, gamma: float
 ) -> float:
     """Asymptotic detection probability for a target of the given amplitude.
 
-    The leakage-corrected deflection uses the true clutter eigenvectors u_i,
-    ``model.vectors`` in the frame of the target's steering vector, and the
-    eigenvector alignment c^2(ell_i), all in unit-noise (whitened) units:
+    ``steering`` is the target's p-vector in the frame of ``model.vectors``,
+    the true clutter eigenvectors u_i (with R's spike vectors, R's frame).
+    The leakage-corrected deflection uses the u_i and the eigenvector
+    alignment c^2(ell_i), all in unit-noise (whitened) units:
 
         A  = ||P s_w||^2 + sum_i (1 - c^2_i) |s_w^H u_i|^2
         nu = 1 / A + sum_i (ell_i - 1)(1 - c^2_i) |s_w^H u_i|^2 / A^2
@@ -144,11 +144,13 @@ def theoretical_pd(
     """
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must lie in (0, 1)")
+    if np.shape(steering) != (model.p,):
+        raise ValueError("steering dimension does not match the model")
     ells = model.whitened_spikes()
     edge = 1.0 + np.sqrt(gamma)
     if np.any(ells <= edge):
         raise ValueError("sub-critical spike")
-    s_w = steering_vector(target) / np.sqrt(model.sigma2)
+    s_w = steering / np.sqrt(model.sigma2)
     overlap = np.abs(model.vectors.conj().T @ s_w) ** 2
     proj_norm2 = float(np.real(np.vdot(s_w, s_w)) - overlap.sum())
     c2 = np.array([cosine2(ell, gamma) for ell in ells])

@@ -1,8 +1,9 @@
 """Shared on-disk format: complex matrices as raw float64 blobs with JSON sidecars.
 
 A matrix named ``base`` is stored as ``base.bin`` (little-endian IEEE float64,
-interleaved re/im, column-major) plus ``base.json`` holding
-{"rows", "cols", "dtype": "c128", "layout": "col-major"}.
+interleaved re/im, column-major: numpy's ``<c16`` in Fortran order) plus
+``base.json`` holding {"rows", "cols", "dtype": "c128", "layout": "col-major"}.
+The blob is read back bit for bit, signed zeros, infinities and NaNs included.
 
 An estimate, a ``SpikedCovariance``, is written as its spiked form: its
 p x r vectors V as the matrix ``base``, and {"sigma2_hat", "spike_count",
@@ -25,17 +26,13 @@ SIDECAR_REQUIRED = ("rows", "cols", "dtype", "layout")
 def save_matrix(base, matrix: np.ndarray) -> tuple[Path, Path]:
     """Write a complex matrix blob and its sidecar; returns (bin_path, json_path)."""
     base = Path(base)
-    m = np.asarray(matrix, dtype=np.complex128)
+    m = np.asarray(matrix, dtype="<c16")
     if m.ndim != 2:
         raise ValueError("only 2-d matrices are serializable")
     rows, cols = m.shape
-    flat = m.ravel(order="F")
-    blob = np.empty(2 * flat.size, dtype="<f8")
-    blob[0::2] = flat.real
-    blob[1::2] = flat.imag
     bin_path = base.with_suffix(".bin")
     json_path = base.with_suffix(".json")
-    bin_path.write_bytes(blob.tobytes())
+    bin_path.write_bytes(m.ravel(order="F").tobytes())
     header = {"rows": rows, "cols": cols, "dtype": "c128", "layout": "col-major"}
     json_path.write_text(json.dumps(header, indent=2) + "\n")
     return bin_path, json_path
@@ -51,10 +48,10 @@ def load_matrix(base) -> tuple[np.ndarray, dict]:
     if header["dtype"] != "c128" or header["layout"] != "col-major":
         raise ValueError("unsupported matrix encoding")
     rows, cols = int(header["rows"]), int(header["cols"])
-    blob = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
-    if blob.size != 2 * rows * cols:
+    raw = base.with_suffix(".bin").read_bytes()
+    if len(raw) != 16 * rows * cols:
         raise ValueError("blob size does not match sidecar dimensions")
-    m = (blob[0::2] + 1j * blob[1::2]).reshape((rows, cols), order="F")
+    m = np.frombuffer(raw, dtype="<c16").reshape((rows, cols), order="F").astype(np.complex128)
     return m, header
 
 

@@ -7,8 +7,9 @@ rows that train on one snapshot count share each trial's draw and estimates,
 so a sweep costs its distinct training sizes times its trials, not its rows
 times its trials.
 
-Every estimating trial runs through one generator, ``_trial_estimates``,
-which also bounds what a trial holds. Around the trials a sweep holds
+Every trial, the CLI's single-shot ``estimate`` and ``detect`` included,
+runs through ``_trial_estimates`` or ``_detection_trial``, which also bound
+what a trial holds. Around the trials a sweep holds
 vectors only: the spiked truth never reads R, R is dropped once the
 sampler is built, and the sampler's reduction of R, which applies its
 eigenbasis V without forming it, once every steering vector the sweep
@@ -256,12 +257,27 @@ def _trial_estimates(draw, n: int, seed: int, trials: int, estimate):
         yield estimate(rmt.eigh(rmt.sample_covariance(draw(n, seed, t))))
 
 
-def _estimate_both(decomp: rmt.EigenDecomposition, ratio: rmt.AspectRatio) -> dict:
+def _estimate_both(decomp: rmt.EigenDecomposition, ratio: rmt.AspectRatio,
+                   rank: int | None = None) -> dict:
+    """Both estimates of one trial; RCML clips at ``rank``, by default the shrinkage spike count."""
     shrink = shrink_spectrum(decomp, ratio)
     return {
         "shrinkage": shrink,
-        "rcml": rcml_estimate(decomp, shrink.sigma2, shrink.r),
+        "rcml": rcml_estimate(decomp, shrink.sigma2, shrink.r if rank is None else rank),
     }
+
+
+def _detection_trial(draw, n: int, seed: int, t: int, steering: np.ndarray, amp: complex,
+                     rank: int | None, pfas) -> list:
+    """Trial t of detection: ``detect``'s report at each false-alarm rate in ``pfas``.
+
+    The draw of n + 1 snapshots from stream (seed, t) is the training view
+    ``[:, :n]`` and the test cell ``[:, n]``, to which ``inject_target`` adds
+    the target; it is freed on return. Names are looked up at call time.
+    """
+    w = draw(n + 1, seed, t)
+    y = inject_target(w[:, n], steering, amp)
+    return [detect(w[:, :n], y, steering, rank, pfa) for pfa in pfas]
 
 
 def _format_row(values) -> list[str]:
@@ -297,7 +313,7 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
     if axis == "n":
         column, quad = rotated([plan.target])  # one rotation serves every row and the MVDR target
         s_target = column[:, 0]
-        cases = [(v, int(v), (column, quad)) for v in values]
+        cases = ((v, int(v), (column, quad)) for v in values)  # lazy: one row at a time
     else:
         s_target = sampler.to_eigenbasis(steering_vector(plan.target))
         if axis == "doppler":
@@ -335,24 +351,20 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
 def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
                      spiked, sampler) -> str:
     scn = plan.scenario
-    target = plan.target
     ratio_gamma = scn.p / scn.n
-    s_target = sampler.to_eigenbasis(steering_vector(target))  # the frame of the draws
-    sampler.release_basis()  # the trials read root and the rotated target only
+    steering = steering_vector(plan.target)  # theoretical_pd reads it in R's frame
+    s_target = sampler.to_eigenbasis(steering)  # the frame of the draws
+    sampler.release_basis()  # the trials read root and the two steering vectors only
     rows = []
     for snr_db in snr_grid:
         amp = amplitude_for_snr(float(snr_db), scn.sigma2, scn.N, scn.K)
         hits = [0] * len(pfa_list)  # by position: a rate listed twice is two rows
         for t in range(plan.trials):
-            # the training block and the test cell are views of one draw
-            w = sampler.draw(scn.n + 1, plan.seed, stream=t)
-            y = inject_target(w[:, scn.n], s_target, amp)
-            for i, pfa in enumerate(pfa_list):
-                report = detect(w[:, : scn.n], y, s_target, rank, pfa)
-                hits[i] += int(report.decision)
-            del w, y  # so two draws are never alive at once
+            reports = _detection_trial(sampler.draw, scn.n, plan.seed, t, s_target, amp, rank,
+                                       pfa_list)
+            hits = [hit + report.decision for hit, report in zip(hits, reports)]
         for pfa, hit in zip(pfa_list, hits):
-            pd_theory = theoretical_pd(spiked, target, amp, pfa, ratio_gamma)
+            pd_theory = theoretical_pd(spiked, steering, amp, pfa, ratio_gamma)
             rows.append([float(snr_db), float(pfa), hit / plan.trials, pd_theory, plan.trials])
     return _rows_to_csv(DETECTION_HEADER, rows)
 
@@ -386,17 +398,15 @@ def sweep(
     Through its trials a sweep holds the sampler's draw scale, the spiked
     truth with its p x r vectors (eye(p, r), or on the "snr" axis the r
     spike vectors of R that ``theoretical_pd`` reads) and the rotated
-    steering vectors (each Doppler or angle row its p x 179 or p x 16
-    grid). The spikes and, on the "snr" axis, their vectors come from the
-    clutter's m x m Gram (``clutter_spikes``), so the sampler's is the
-    one reduction of the p x p R. R is dropped once the sampler is built,
-    and that reduction once the steering vectors are rotated, before the
-    first draw. An estimating trial then holds what
-    ``_trial_estimates`` bounds. The "snr" axis splits its p x (n + 1) draw
-    into the training view ``[:, :n]``, which ``detect`` reads in place,
-    and the test cell ``[:, n]``, to which ``inject_target`` adds the
-    target in a new p-vector; nothing of the draw is copied, and it lives
-    through the SCM and reduction of each false-alarm rate.
+    steering vectors (each Doppler or angle row its p x 179 or p x 16 grid,
+    the "snr" axis the target's in R's frame too). The spikes and, on the
+    "snr" axis, their vectors come from the clutter's m x m Gram
+    (``clutter_spikes``), so the sampler's is the one reduction of the
+    p x p R. R is dropped once the sampler is built, and that reduction
+    once the steering vectors are rotated, before the first draw. A trial
+    then holds what ``_trial_estimates`` or ``_detection_trial`` bounds.
+    The "n" axis makes its rows as it reaches them, so its grid may be any
+    lazy iterable and costs one row's memory.
 
     A zero-trial plan short-circuits to a header-only table.
     """
@@ -415,7 +425,7 @@ def sweep(
     if axis == "snr" and (pfa_list is None or len(pfa_list) == 0):
         raise ValueError("the snr axis needs its false-alarm rates")
     truth = synthesize_clutter_covariance(scn)
-    spiked = truth_spiked_model(scn, truth)
+    spiked = truth_spiked_model(scn)
     sampler = SnapshotSampler(truth)  # R's one p x p reduction
     del truth
     # the estimation trials score against the truth in R's eigenbasis, while

@@ -29,7 +29,7 @@ from cluttercov import (
     steering_vector,
     synthesize_clutter_covariance,
 )
-from cluttercov import matio
+from cluttercov import matio, validate
 from cluttercov.cli import main
 from cluttercov.matio import load_estimate, load_matrix
 from cluttercov.rng import complex_normal, substream
@@ -152,6 +152,27 @@ class TestEstimate:
         summary = json.loads(capsys.readouterr().out)
         assert summary == json.loads(base.with_suffix(".summary.json").read_text())
         assert summary["gamma"] == 32 / 128
+
+    @pytest.mark.parametrize("estimator,rank", [("shrinkage", None), ("rcml", None), ("rcml", 1),
+                                                ("rcml", 5)])
+    def test_written_estimate_is_trial_0_of_the_sweeps_trial(self, scene, tmp_path, estimator,
+                                                              rank):
+        out = tmp_path / "out"
+        flags = [] if rank is None else ["--rank", str(rank)]
+        argv = ["estimate", "--config", str(scene), "--estimator", estimator, *flags,
+                "--out-dir", str(out)]
+        assert main(argv) == 0
+        back = load_estimate(out / f"estimate-{estimator}")
+        cfg = _scene_config()
+        sampler = SnapshotSampler(synthesize_clutter_covariance(cfg))
+        ratio = AspectRatio(cfg.p, cfg.n)
+        (ests,) = validate._trial_estimates(sampler.draw, cfg.n, cfg.seed, 1, lambda decomp:
+                                            validate._estimate_both(decomp, ratio, rank))
+        want = ests[estimator]
+        assert back.r == want.r == (2 if rank is None else rank)
+        assert back.sigma2 == want.sigma2
+        assert back.spikes.tobytes() == want.spikes.tobytes()
+        assert back.vectors.tobytes() == sampler.from_eigenbasis(want.vectors).tobytes()
 
     def test_a_bad_write_fails_validation(self, scene, tmp_path, monkeypatch, capsys):
         # a spike written below the floor breaks the estimate's own invariants
@@ -332,6 +353,25 @@ class TestEndToEnd:
         assert report["decision"] == (report["statistic"] > report["threshold"])
         assert report["chi2_statistic"] == 2 * report["statistic"]
         assert report["theoretical_pfa"] == 0.01  # --pfa as given, not exp(log(p_fa))
+
+    def test_detect_decides_as_a_one_trial_snr_sweep_counts(self, scene, tmp_path):
+        # detect is trial 0 of the snr sweep at its SNR and false-alarm rate
+        decisions = set()
+        for seed in (0, 1, 4):
+            for snr in ("-3", "3", "9"):
+                for rank in ([], ["--rank", "1"], ["--rank", "3"]):
+                    common = ["--config", str(scene), "--seed", str(seed), "--pfa", "0.05", *rank]
+                    out = tmp_path / f"{seed}{snr}{len(rank) and rank[1]}"
+                    assert main(["detect", "--snr-db", snr, *common,
+                                 "--out-dir", str(out / "detect")]) == 0
+                    assert main(["sweep", "--axis", "snr", "--trials", "1", "--snr-lo", snr,
+                                 "--snr-hi", snr, *common, "--out-dir", str(out / "sweep")]) == 0
+                    report = json.loads((out / "detect" / "detection.json").read_text())
+                    decision = report["decision"]
+                    _, row = (out / "sweep" / "sweep-snr.csv").read_text().splitlines()
+                    assert row.split(",")[:3] == [snr, "0.05", str(int(decision))]
+                    decisions.add(decision)
+        assert decisions == {True, False}
 
     def test_detect_statistic_is_the_original_frame_statistic(self, scene, tmp_path):
         argv = ["detect", "--config", str(scene), "--snr-db", "5", "--out-dir", str(tmp_path)]

@@ -16,7 +16,7 @@ from cluttercov import (
     theoretical_pd,
 )
 from cluttercov.detector import _pd_series
-from cluttercov.rng import substream
+from cluttercov.rng import complex_normal, substream
 
 
 def h0_cubes(p, n_train, trials, seed, spikes=()):
@@ -150,14 +150,14 @@ class TestNullLaw:
 class TestTheoreticalPd:
     def test_zero_amplitude_reduces_to_pfa(self):
         model = SpikedCovariance.diagonal(16, 1.0, np.array([]))
-        spec = SteeringSpec(0.1, 0.1, 4, 4)
+        s = steering_vector(SteeringSpec(0.1, 0.1, 4, 4))
         for pfa in (0.1, 0.01, 1e-4):
-            assert theoretical_pd(model, spec, 0.0, pfa, 0.25) == pytest.approx(pfa, rel=1e-10)
+            assert theoretical_pd(model, s, 0.0, pfa, 0.25) == pytest.approx(pfa, rel=1e-10)
 
     def test_large_amplitude_saturates(self):
         model = SpikedCovariance.diagonal(16, 1.0, np.array([]))
-        spec = SteeringSpec(0.1, 0.1, 4, 4)
-        assert theoretical_pd(model, spec, 30.0, 1e-3, 0.25) == pytest.approx(1.0, abs=1e-9)
+        s = steering_vector(SteeringSpec(0.1, 0.1, 4, 4))
+        assert theoretical_pd(model, s, 30.0, 1e-3, 0.25) == pytest.approx(1.0, abs=1e-9)
 
     def test_series_matches_noncentral_chi2_oracle(self):
         # the series is the tail of a noncentral chi-squared with 2 dof
@@ -181,54 +181,70 @@ class TestTheoreticalPd:
 
     def test_monotone_in_amplitude_and_pfa(self):
         model = SpikedCovariance.diagonal(16, 1.0, np.array([]))
-        spec = SteeringSpec(0.1, 0.1, 4, 4)
+        s = steering_vector(SteeringSpec(0.1, 0.1, 4, 4))
         amps = np.linspace(0.0, 2.0, 15)
-        vals = [theoretical_pd(model, spec, a, 1e-2, 0.25) for a in amps]
+        vals = [theoretical_pd(model, s, a, 1e-2, 0.25) for a in amps]
         assert np.all(np.diff(vals) >= -1e-12)
         pfas = np.logspace(-5, -1, 9)
-        vals = [theoretical_pd(model, spec, 0.5, f, 0.25) for f in pfas]
+        vals = [theoretical_pd(model, s, 0.5, f, 0.25) for f in pfas]
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_clutter_terms_lower_pd(self):
         # energy leaking into the clutter subspace costs detection probability
         p = 64
         model0 = SpikedCovariance.diagonal(p, 1.0, np.array([]))
-        spec = SteeringSpec(0.3, 0.2, 8, 8)
-        s = steering_vector(spec)
+        s = steering_vector(SteeringSpec(0.3, 0.2, 8, 8))
         u = (s / np.linalg.norm(s))[:, None]  # worst case: spike on the target
         model1 = SpikedCovariance(1.0, np.array([25.0]), u)
         amp = 0.3
-        pd0 = theoretical_pd(model0, spec, amp, 1e-2, 0.2)
-        pd1 = theoretical_pd(model1, spec, amp, 1e-2, 0.2)
+        pd0 = theoretical_pd(model0, s, amp, 1e-2, 0.2)
+        pd1 = theoretical_pd(model1, s, amp, 1e-2, 0.2)
         assert pd1 < pd0
 
     def test_clutter_free_deflection_is_the_injected_snr(self):
         # with p x 0 vectors the deflection reduces to 1 / ||s_w||^2 bit for bit
-        spec = SteeringSpec(0.3, 0.2, 8, 8)
+        s = steering_vector(SteeringSpec(0.3, 0.2, 8, 8))
         sigma2, amp, p_fa = 0.7, 0.21, 1e-2
         model = SpikedCovariance.diagonal(64, sigma2, np.array([]))
-        s_w = steering_vector(spec) / np.sqrt(sigma2)
+        s_w = s / np.sqrt(sigma2)
         mean = abs(amp) ** 2 / (1.0 / float(np.real(np.vdot(s_w, s_w))))
         want = _pd_series(mean, -np.log(p_fa))
-        assert theoretical_pd(model, spec, amp, p_fa, 0.25) == want
+        assert theoretical_pd(model, s, amp, p_fa, 0.25) == want
 
     def test_reads_the_vectors_in_the_target_frame(self):
         # the same spike on the target or orthogonal to it: only the overlap counts
         p = 64
-        spec = SteeringSpec(0.3, 0.2, 8, 8)
-        s = steering_vector(spec)
+        s = steering_vector(SteeringSpec(0.3, 0.2, 8, 8))
         on = SpikedCovariance(1.0, np.array([25.0]), (s / np.linalg.norm(s))[:, None])
         off_axis = np.roll(s, 1) - s * (np.vdot(s, np.roll(s, 1)) / p)
         off = SpikedCovariance(1.0, np.array([25.0]), (off_axis / np.linalg.norm(off_axis))[:, None])
         free = SpikedCovariance.diagonal(p, 1.0, np.array([]))
-        pds = [theoretical_pd(m, spec, 0.3, 1e-2, 0.2) for m in (on, off, free)]
+        pds = [theoretical_pd(m, s, 0.3, 1e-2, 0.2) for m in (on, off, free)]
         assert pds[0] < pds[1] == pytest.approx(pds[2], rel=1e-12)
 
     def test_subcritical_rejected(self):
         model = SpikedCovariance.diagonal(16, 1.0, np.array([1.2]))
-        spec = SteeringSpec(0.1, 0.1, 4, 4)
+        s = steering_vector(SteeringSpec(0.1, 0.1, 4, 4))
         with pytest.raises(ValueError, match="sub-critical"):
-            theoretical_pd(model, spec, 1.0, 1e-2, 0.25)
+            theoretical_pd(model, s, 1.0, 1e-2, 0.25)
+
+    @pytest.mark.parametrize("shape", [(15,), (17,), (16, 1), ()])
+    def test_steering_of_another_shape_is_rejected(self, shape):
+        model = SpikedCovariance.diagonal(16, 1.0, np.array([]))
+        with pytest.raises(ValueError, match="steering dimension"):
+            theoretical_pd(model, np.ones(shape, dtype=complex), 1.0, 1e-2, 0.25)
+
+    def test_one_unitary_on_vectors_and_steering_keeps_the_value(self):
+        # the frame is the vectors': R's eigenbasis with V^H s gives R's frame's value
+        p = 64
+        s = steering_vector(SteeringSpec(0.3, 0.2, 8, 8))
+        u = np.roll(s, 3)[:, None] / np.linalg.norm(s)
+        q = np.linalg.qr(complex_normal(substream(2, 0), p, p))[0]
+        model = SpikedCovariance(1.0, np.array([25.0]), u)
+        rotated = SpikedCovariance(1.0, np.array([25.0]), q.conj().T @ u)
+        want = theoretical_pd(model, s, 0.3, 1e-2, 0.2)
+        got = theoretical_pd(rotated, q.conj().T @ s, 0.3, 1e-2, 0.2)
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestDetect:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cluttercov import AspectRatio, eigh, sample_covariance, shrink_spectrum
-from cluttercov.matio import load_estimate, load_matrix, save_estimate
+from cluttercov.matio import load_estimate, load_matrix, save_estimate, save_matrix
 from cluttercov.rng import substream
 from oracles import dense_estimate
 
@@ -15,6 +15,34 @@ def small_estimate():
     data = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
     data[0] *= 5.0
     return shrink_spectrum(eigh(sample_covariance(data)), AspectRatio(p, n))
+
+
+class TestMatrixBlob:
+    # every special part a float64 can hold: signed zeros, infinities and a NaN
+    SPECIAL = np.array([[complex(-0.0, 0.0), complex(2.0, np.inf)],
+                        [complex(-np.inf, -0.0), complex(np.nan, -np.inf)],
+                        [complex(0.0, np.nan), 1.5 - 2.5j]])
+
+    def test_special_values_round_trip_bit_for_bit(self, tmp_path, recwarn):
+        save_matrix(tmp_path / "m", self.SPECIAL)
+        m, _ = load_matrix(tmp_path / "m")
+        assert m.dtype == np.complex128 and m.shape == (3, 2)
+        assert m.tobytes() == self.SPECIAL.tobytes()
+        assert np.signbit(m[0, 0].real)
+        assert not recwarn.list
+
+    def test_blob_is_interleaved_float64_in_column_order(self, tmp_path):
+        bin_path, _ = save_matrix(tmp_path / "m", self.SPECIAL)
+        blob = np.frombuffer(bin_path.read_bytes(), dtype="<f8")
+        flat = self.SPECIAL.ravel(order="F")
+        assert blob[0::2].tobytes() == flat.real.tobytes()
+        assert blob[1::2].tobytes() == flat.imag.tobytes()
+
+    def test_loaded_matrix_is_writable_and_column_major(self, tmp_path):
+        save_matrix(tmp_path / "m", self.SPECIAL)
+        m, _ = load_matrix(tmp_path / "m")
+        assert m.flags.writeable and m.flags.f_contiguous
+        m[0, 0] = 1.0
 
 
 class TestSaveEstimate:
@@ -57,10 +85,11 @@ class TestSaveEstimate:
         with pytest.raises(ValueError, match=match):
             load_estimate(tmp_path / "est")
 
-    def test_wrong_blob_size_rejected(self, tmp_path):
+    @pytest.mark.parametrize("cut", [16, 8], ids=["one-entry", "half-entry"])
+    def test_wrong_blob_size_rejected(self, tmp_path, cut):
         save_estimate(tmp_path / "est", small_estimate(), 0.25)
         blob = tmp_path / "est.bin"
-        blob.write_bytes(blob.read_bytes()[:-16])
+        blob.write_bytes(blob.read_bytes()[:-cut])
         with pytest.raises(ValueError, match="blob size"):
             load_matrix(tmp_path / "est")
 

@@ -4,10 +4,11 @@ Every top-level function and class of ``src/cluttercov`` must be loaded,
 by name or as an attribute, on some other line of the package. The
 ``__init__`` re-exports do not count: an import is not a use. Oracles that
 only the tests need live in ``tests/oracles.py``. Every name a module
-imports (``__init__`` aside) must be loaded in that module. The package
-imports scipy only as a bare ``import scipy`` in ``rmt``, to find the
-compiled LAPACK and BLAS extension modules it loads by file, never
-through ``scipy.linalg``.
+imports (``__init__`` aside) must be loaded in that module. The estimating,
+scoring and detecting layers import no scene, Monte Carlo or command
+module. The package imports scipy only as a bare ``import scipy`` in
+``rmt``, to find the compiled LAPACK and BLAS extension modules it loads
+by file, never through ``scipy.linalg``.
 """
 
 import ast
@@ -123,3 +124,35 @@ def test_scipy_is_imported_only_to_find_its_extensions():
     # import is most of a command's set-up: bare ``import scipy`` costs a
     # few ms, and any subpackage, scipy.linalg included, 0.2 s or more
     assert _scipy_imports() == [("rmt.py", "scipy")]
+
+
+# the layers below the scene: they read arrays and spiked models, never a scene
+LOWER_LAYERS = ("rng", "rmt", "shrinkage", "rcml", "metrics", "detector", "matio")
+UPPER_LAYERS = {"scenario", "validate", "cli"}
+
+
+def _package_imports(tree) -> set[str]:
+    """The ``cluttercov`` modules a module imports, relatively or by the package name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("cluttercov." if node.level else "") + (node.module or "")
+            base = base.rstrip(".")
+            dotted = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        out |= {name.split(".")[1] for name in dotted if name.startswith("cluttercov.")}
+    return out
+
+
+@pytest.mark.parametrize("module", LOWER_LAYERS)
+def test_lower_layer_imports_no_scene_monte_carlo_or_command_module(module):
+    assert _package_imports(TREES[f"{module}.py"]) & UPPER_LAYERS == set()
+
+
+def test_package_imports_sees_every_import_form():
+    tree = ast.parse("from .scenario import a\nfrom . import validate\nimport cluttercov.cli\n"
+                     "from cluttercov import rmt\nfrom cluttercov.rcml import b\nimport numpy\n")
+    assert _package_imports(tree) == {"scenario", "validate", "cli", "rmt", "rcml"}

@@ -608,3 +608,34 @@ class TestTrialWorkingSet:
             # the draw is freed once its SCM is formed, the SCM once eigh copied it
             steps = max(p * n * 16 + square, 2 * square)
         assert peak - before <= held + steps + square / 2
+
+    def test_n_axis_rows_are_made_as_they_are_reached(self, monkeypatch):
+        # a 10^5-row n grid holds one row at a time: stopped at its third
+        # draw, the sweep has used what a three-row grid would
+        class Stop(Exception):
+            pass
+
+        draws = []
+        draw = SnapshotSampler.draw
+
+        def stopping(sampler, *args, **kwargs):
+            draws.append(args)
+            if len(draws) == 3:
+                raise Stop
+            return draw(sampler, *args, **kwargs)
+
+        monkeypatch.setattr(SnapshotSampler, "draw", stopping)
+        scn = ScenarioConfig(N=2, K=8, n=32, sigma2=1.0, seed=4, clutter=ScattererClutter(
+            (Scatterer(amplitude=4.0, theta=0.2, doppler=0.1),)))
+        assert scn.p == 16
+        rows = 10**5
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(Stop):
+                sweep(plan_for(scn, trials=1, seed=2), "n", values=range(32, 32 + 16 * rows, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [args[0] for args in draws] == [32, 48, 64]
+        assert peak - before < 1e6
