@@ -172,10 +172,12 @@ def detect(
     noise power estimate. ``rank`` None means "estimate it": the count of
     ``shrinkage.detect_spikes``, the rule the shrinkage estimator detects its
     spikes by. ``train`` is never copied when it is contiguous in either
-    order, as the training view ``w[:, :n]`` of a column-major draw is:
-    besides its inputs, a call holds the p x p sample covariance and its
-    reduction, not a second p x n block. A non-finite test snapshot raises
-    ValueError; non-finite training data fails in ``eigh``.
+    order, as the training view ``w[:, :n]`` of a column-major draw is,
+    and the sample covariance of that view is column-major and reduced in
+    place by ``rmt.eigh``: besides its inputs, a call holds one p x p array,
+    the sample covariance and then its reduction, and ``leading``'s solve,
+    not a second p x n block or p x p copy. A non-finite test snapshot
+    raises ValueError; non-finite training data fails in ``eigh``.
     """
     if np.ndim(train) != 2:
         raise ValueError("training snapshots must be a p x n array")
@@ -192,7 +194,7 @@ def detect(
         raise ValueError("insufficient samples")
     if not np.all(np.isfinite(y)):
         raise ValueError("test snapshot must be finite")
-    decomp = rmt.eigh(rmt.sample_covariance(train))
+    decomp = rmt.eigh(rmt.sample_covariance(train), overwrite_a=True)  # nothing else reads the SCM
     sigma2_hat, detected = detect_spikes(decomp, AspectRatio(p, n))
     v = decomp.leading(detected.size if rank is None else rank)
     ps = steering - v @ (v.conj().T @ steering)

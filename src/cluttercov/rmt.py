@@ -10,7 +10,9 @@ leading eigenvectors, so ``eigh`` does one Householder tridiagonal reduction
 (O(p^3), about a third of a full dense ``zheevd``), takes all eigenvalues
 from the tridiagonal in O(p^2), and returns an ``EigenDecomposition`` that
 computes leading eigenvectors only when asked. The reduction is of A in a
-column-major copy, A = Q T Q^H, so the full basis is V = Q Z with Z the
+column-major array, A = Q T Q^H: a copy, or the caller's own array when
+the caller hands it over (``overwrite_a``), as each Monte Carlo trial does
+with its sample covariance. So the full basis is V = Q Z with Z the
 tridiagonal's own eigenvectors: the decomposition applies V^H x and V x
 from it, and no caller forms V as a p x p array or reduces A again.
 
@@ -426,26 +428,37 @@ def sample_covariance(data: np.ndarray) -> np.ndarray:
     return scm
 
 
-def symmetrized(m: np.ndarray) -> np.ndarray:
-    """(m + m^H) / 2 of a square array as a new column-major array, after the checks ``eigh`` states.
+def symmetrized(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+    """(m + m^H) / 2 of a square array, column-major, after the checks ``eigh`` states.
 
     Complex input stays complex and any other input becomes float, so a
-    real matrix keeps a real result. The pass runs over pairs of
-    ``_MIRROR_BLOCK`` square tiles, (I, J) and its mirror (J, I): each pair
-    is checked finite before any arithmetic on it but |.|, and both result
-    tiles are formed while the pair is in cache. Besides the result, the
-    only scratch is two tiles, one of the result's dtype and one real.
-    Every entry is the same expression, so the result is bitwise
-    (m + m^H) / 2. It is column-major, the layout ``eigh``'s reduction
-    reads.
+    real matrix keeps a real result. With ``overwrite_a`` and a writeable
+    column-major ``m`` of that dtype the result is formed in ``m`` itself,
+    which is returned, and ``m``'s contents are undefined if a check fails;
+    any other input is left as it is and the result is a new array. The
+    pass runs over pairs of ``_MIRROR_BLOCK`` square tiles, (I, J) and its
+    mirror (J, I): each pair is checked finite before any arithmetic on it
+    but |.|, and both result tiles are formed while the pair is in cache.
+    Besides the result, the only scratch is two tiles, one of the result's
+    dtype and one real. Every entry is the same expression either way, so
+    the result is bitwise (m + m^H) / 2. It is column-major, the layout
+    ``eigh``'s reduction reads.
     """
-    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    dtype = np.dtype(complex if np.iscomplexobj(m) else float)
     p = m.shape[0]
-    packed = np.empty((p, p), dtype=m.dtype, order="F")
-    # filled as C-ordered tiles of packed.T = (m^T + (m^T)^H) / 2, for contiguous writes
+    if overwrite_a and m.dtype == dtype and m.flags.f_contiguous and m.flags.writeable:
+        packed = m
+    else:
+        m = m.astype(dtype, copy=False)
+        packed = np.empty((p, p), dtype=dtype, order="F")
+    # filled as C-ordered tiles of packed.T = (m^T + (m^T)^H) / 2, for
+    # contiguous writes. In place, ``m`` and ``out`` are one array: a pair's
+    # upper result waits in scratch until its mirror, which reads the upper
+    # tile, is written, and the mirror's every entry reads only its own
+    # place of the lower tile
     m, out = m.T, packed.T
     side = min(_MIRROR_BLOCK, p)
-    diff_tile, abs_tile = np.empty((side, side), dtype=m.dtype), np.empty((side, side))
+    sym_tile, abs_tile = np.empty((side, side), dtype=dtype), np.empty((side, side))
     scale, skew = 1.0, 0.0
     for i in range(0, p, _MIRROR_BLOCK):
         rows = slice(i, min(i + _MIRROR_BLOCK, p))
@@ -453,7 +466,7 @@ def symmetrized(m: np.ndarray) -> np.ndarray:
             cols = slice(k, min(k + _MIRROR_BLOCK, p))
             upper, lower = m[rows, cols], m[cols, rows]
             h, w = upper.shape
-            diff, mag = diff_tile[:h, :w], abs_tile[:h, :w]
+            sym, mag = sym_tile[:h, :w], abs_tile[:h, :w]
             # |.| of a NaN or infinite entry is NaN or infinite, and both
             # maxima carry it to this check
             big = np.maximum(np.abs(upper, out=mag).max(), np.abs(lower, out=mag.T).max())
@@ -461,22 +474,29 @@ def symmetrized(m: np.ndarray) -> np.ndarray:
                 raise ValueError("invalid matrix")
             scale = max(scale, big)
             # |lower - upper^H| is the transpose of |upper - lower^H|: one bound covers both
-            sym = out[rows, cols]
             np.conjugate(lower.T, out=sym)
-            skew = max(skew, np.abs(np.subtract(upper, sym, out=diff), out=mag).max())
+            skew = max(skew, np.abs(np.subtract(upper, sym, out=sym), out=mag).max())
+            np.conjugate(lower.T, out=sym)
             sym += upper
             sym /= 2.0
             if k != i:
-                sym = out[cols, rows]
-                np.conjugate(upper.T, out=sym)
-                sym += lower
-                sym /= 2.0
+                # (lower + upper^H) / 2 with no scratch: its imaginary part
+                # lower.imag - upper^T.imag is the same IEEE operation as
+                # lower.imag + (-upper^T.imag)
+                mirror = out[cols, rows]
+                if dtype == complex:
+                    np.add(lower.real, upper.T.real, out=mirror.real)
+                    np.subtract(lower.imag, upper.T.imag, out=mirror.imag)
+                else:
+                    np.add(lower, upper.T, out=mirror)
+                mirror /= 2.0
+            out[rows, cols] = sym
     if skew > 1e-10 * scale:
         raise ValueError("invalid matrix")
     return packed
 
 
-def eigh(matrix: np.ndarray) -> EigenDecomposition:
+def eigh(matrix: np.ndarray, overwrite_a: bool = False) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     The input is symmetrized as (A + A^H)/2, which absorbs the accumulation
@@ -486,20 +506,26 @@ def eigh(matrix: np.ndarray) -> EigenDecomposition:
     ``EigenDecomposition.leading``, which computes only the ones asked for.
 
     A non-finite entry, or a skew max |A - A^H| above 1e-10 max(max |A|, 1),
-    raises ValueError("invalid matrix"). The checks and the symmetrized copy
-    run over pairs of ``_MIRROR_BLOCK`` square tiles (``symmetrized``), so
-    besides the input the working set is that one p x p copy plus two tiles
-    of scratch, or the reduction's workspace, never a full-size temporary.
-
-    The reduction runs in place on the column-major symmetrized copy, so it
+    raises ValueError("invalid matrix"). The checks and the symmetrization
+    run over pairs of ``_MIRROR_BLOCK`` square tiles (``symmetrized``), and
+    the reduction runs in place on the symmetrized column-major array, so it
     is of A itself, A = Q T Q^H. It leaves the tridiagonal and Q's
-    reflectors in the copy's lower triangle, the only part the eigenvectors
+    reflectors in the array's lower triangle, the only part the eigenvectors
     and the rotations of the decomposition read.
+
+    ``overwrite_a`` is scipy's ownership flag. With it, a writeable
+    column-major input of the reduction's dtype (complex128, or float64 for
+    real input) is checked, symmetrized and reduced where it is, and the
+    decomposition keeps it: the caller hands the array over and must not
+    read or write it again. Besides the input the working set is then two
+    tiles of scratch or the reduction's workspace. Any other input, and any
+    input without the flag, is left unchanged: the working set is one
+    symmetrized p x p copy plus that scratch, never a full-size temporary.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError("invalid matrix")
-    packed = symmetrized(m)
+    packed = symmetrized(m, overwrite_a)
     p = packed.shape[0]
     if np.iscomplexobj(packed):
         reduce, lwork = lapack.zhetrd, lapack.zhetrd_lwork(p, lower=1)[0].real

@@ -9,7 +9,8 @@ times its trials.
 
 Every trial, the CLI's single-shot ``estimate`` and ``detect`` included,
 runs through ``_trial_estimates`` or ``_detection_trial``, which also bound
-what a trial holds. Around the trials a sweep holds
+what a trial holds: its draw and its sample covariance, which ``rmt.eigh``
+reduces in place when it is column-major. Around the trials a sweep holds
 vectors only: the spiked truth never reads R, R is dropped once the
 sampler is built, and the sampler's reduction of R, which applies its
 eigenbasis V without forming it, once every steering vector the sweep
@@ -244,17 +245,20 @@ def verify_clt(
 
 
 def _trial_estimates(draw, n: int, seed: int, trials: int, estimate):
-    """Yield ``estimate(rmt.eigh(rmt.sample_covariance(draw(n, seed, t))))`` for t < trials.
+    """Yield ``estimate(rmt.eigh(rmt.sample_covariance(draw(n, seed, t)), overwrite_a=True))`` for t < trials.
 
     Trial t draws from stream (seed, t). Each array lives while a step needs
-    it: the snapshots until their SCM is formed, the SCM until ``rmt.eigh``
-    returns, the decomposition until ``estimate`` returns. So a trial's
+    it: the snapshots until their SCM is formed, and the SCM, which nothing
+    else reads, until ``estimate`` returns, as the array that ``rmt.eigh``
+    reduces in place (a column-major draw, as ``complex_normal`` makes,
+    gives a column-major SCM; any other is reduced in a copy). So a trial's
     working set is its largest step, the p x n snapshots plus their p x p
-    SCM or the SCM plus its reduction, and only the estimate reaches the
-    next draw. Names are looked up at call time, so a rebound one is called.
+    SCM, or that one p x p array plus what ``estimate`` asks of it, and only
+    the estimate reaches the next draw. Names are looked up at call time, so
+    a rebound one is called.
     """
     for t in range(trials):
-        yield estimate(rmt.eigh(rmt.sample_covariance(draw(n, seed, t))))
+        yield estimate(rmt.eigh(rmt.sample_covariance(draw(n, seed, t)), overwrite_a=True))
 
 
 def _estimate_both(decomp: rmt.EigenDecomposition, ratio: rmt.AspectRatio,

@@ -379,12 +379,14 @@ class TestDetect:
         assert sample_covariance(train).tobytes(order="C") == want
 
     def test_working_set_is_the_scm_and_its_reduction(self, peak_bytes):
-        # the training view of a column-major draw is read in place: above its
-        # inputs a call holds the p x p SCM and eigh's reduced copy of it, plus
-        # block-sized scratch, and no copy of the p x n training block (which
-        # alone would add 8.4 MB here)
+        # the training view of a column-major draw is read in place, and its
+        # column-major SCM is reduced in place: above its inputs a call holds
+        # that one p x p array, the p x p float block of ``leading``'s
+        # ``dstemr`` solve, and O(p) vectors and workspace (32 columns bound
+        # them); no copy of the p x n training block (8.4 MB here) or of the SCM
         p, n = 512, 1024
         draw = np.asfortranarray(next(h0_cubes(p, n, 1, seed=211, spikes=(40.0, 20.0))))
         s = steering_vector(SteeringSpec(0.3, 0.1, 8, 64))
-        scm = p * p * 16
-        assert peak_bytes(detect, draw[:, :-1], draw[:, -1], s, None, 0.01) <= 1.25 * 2 * scm
+        scm, stemr_block = p * p * 16, p * p * 8
+        bound = scm + stemr_block + 32 * p * 16
+        assert peak_bytes(detect, draw[:, :-1], draw[:, -1], s, None, 0.01) <= bound

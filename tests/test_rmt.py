@@ -435,6 +435,89 @@ class TestSymmetrized:
                 rmt.symmetrized(m)
 
 
+def skewed(p, seed, real=False):
+    """A general product, so the matrix carries a rounding-level skew inside the tolerance."""
+    rng = substream(13, p, seed)
+    z = rng.standard_normal((p, 2 * p))
+    if not real:
+        z = z + 1j * rng.standard_normal((p, 2 * p))
+    return z @ z.conj().T / (2 * p)
+
+
+def read_only(a):
+    a = np.asfortranarray(a)
+    a.flags.writeable = False
+    return a
+
+
+class TestOverwrite:
+    """``eigh(a, overwrite_a=True)``: a column-major array of the reduction's dtype is reduced in place."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("p", [1, B + 1, P_PARTIAL])
+    @pytest.mark.parametrize("skew", ["rounding", "near-tolerance"])
+    def test_bitwise_the_copying_decomposition(self, monkeypatch, p, real, skew):
+        a = skewed(p, 0, real)
+        if skew == "near-tolerance" and p > 1:
+            a[p - 1, 1] += 0.99e-10 * max(np.abs(a).max(), 1.0)
+        want = eigh(a)
+        owned = a.copy(order="F")
+        reduced = []
+        for name in ("zhetrd", "dsytrd"):
+            real_routine = getattr(rmt.lapack, name)
+
+            def spy(x, *args, real_routine=real_routine, **kwargs):
+                reduced.append(np.shares_memory(x, owned))
+                return real_routine(x, *args, **kwargs)
+
+            monkeypatch.setattr(rmt.lapack, name, spy)
+        got = eigh(owned, overwrite_a=True)
+        assert reduced == [True]  # the caller's array, not a copy
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        k = min(3, p)
+        assert got.leading(k).tobytes() == want.leading(k).tobytes()
+        x = substream(13, p, 1).standard_normal((p, 2)) + 0j
+        assert got.to_eigenbasis(x).tobytes() == want.to_eigenbasis(x).tobytes()
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "skew"])
+    @pytest.mark.parametrize("where", [(3, P_PARTIAL - 2), (P_PARTIAL - 1, 1)], ids=["upper", "lower"])
+    def test_invalid_input_rejected_as_by_the_copy(self, where, bad, real):
+        a = exactly_hermitian(P_PARTIAL, 5, real=real)
+        a[where] += 1.01e-10 * max(np.abs(a).max(), 1.0) if bad == "skew" else bad
+        with pytest.raises(ValueError, match="invalid matrix"):
+            eigh(a)
+        with pytest.raises(ValueError, match="invalid matrix"):
+            eigh(a.copy(order="F"), overwrite_a=True)
+
+    @pytest.mark.parametrize(
+        "make",
+        [np.ascontiguousarray,
+         lambda a: np.asfortranarray(a.real.round() * 4).astype(np.int64, order="F"),
+         lambda a: np.asfortranarray(a).astype(np.complex64, order="F"),
+         read_only],
+        ids=["c-ordered", "integer", "complex64", "read-only"],
+    )
+    def test_other_layouts_and_dtypes_are_copied(self, make):
+        a = make(exactly_hermitian(P_PARTIAL, 6))
+        before = a.tobytes(order="A")
+        got = eigh(a, overwrite_a=True)
+        assert a.tobytes(order="A") == before
+        assert got.eigenvalues.tobytes() == eigh(a).eigenvalues.tobytes()
+
+    def test_in_place_working_set_is_under_one_p_by_p_array(self, peak_bytes):
+        # a p = 512 SCM of column-major snapshots, column-major as
+        # ``sample_covariance`` returns it for them
+        p = 512
+        rng = substream(14, 0)
+        data = np.asfortranarray(rng.standard_normal((p, 2 * p)) + 1j * rng.standard_normal((p, 2 * p)))
+        scm = sample_covariance(data)
+        assert scm.flags.f_contiguous and scm.dtype == complex
+        square = p * p * scm.itemsize
+        assert peak_bytes(eigh, scm) >= square
+        assert peak_bytes(eigh, scm, overwrite_a=True) < square
+
+
 def hermitian(p, seed, real=False, spikes=(40.0, 20.0, 10.0)):
     """A sample-covariance-like Hermitian matrix with a few separated top eigenvalues."""
     rng = substream(8, p, seed)

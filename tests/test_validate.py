@@ -425,12 +425,14 @@ class TestReductionsOfR:
     )
     def test_one_p_by_p_reduction_before_the_trials(self, monkeypatch, axis, values, pfa_list,
                                                     gram_reductions):
-        shapes = []  # each reduction's input shape, and None where a draw starts
+        # each reduction's input shape and whether it is reduced in place,
+        # and None where a draw starts
+        shapes = []
         reduce, draw = rmt.eigh, SnapshotSampler.draw
 
-        def recorded(matrix):
-            shapes.append(np.shape(matrix))
-            return reduce(matrix)
+        def recorded(matrix, overwrite_a=False):
+            shapes.append((np.shape(matrix), overwrite_a))
+            return reduce(matrix, overwrite_a)
 
         def marked(sampler, *args, **kwargs):
             shapes.append(None)
@@ -444,10 +446,13 @@ class TestReductionsOfR:
         sweep(plan, axis, values=values, pfa_list=pfa_list)
         p, m = scn.p, scn.clutter.rank
         setup = shapes[: shapes.index(None)]
-        assert sorted(setup) == [(m, m)] * gram_reductions + [(p, p)]
-        # every later reduction is a trial's SCM, one per estimate or per detect
+        # R and the Grams keep the copying default
+        assert sorted(setup) == [((m, m), False)] * gram_reductions + [((p, p), False)]
+        # every later reduction is a trial's SCM, one per estimate or per
+        # detect, and reduced in place: nothing else reads it
         per_trial = len(values) * len(pfa_list or [None])
-        assert [s for s in shapes[len(setup):] if s is not None] == [(p, p)] * per_trial * plan.trials
+        trials = [s for s in shapes[len(setup):] if s is not None]
+        assert trials == [((p, p), True)] * per_trial * plan.trials
 
 
 def dense_colouring_factor(r):
@@ -565,7 +570,7 @@ class TestTrialWorkingSet:
     @pytest.mark.parametrize(
         "axis,values,held_columns",
         [("n", [512], 1), ("doppler", [0.1], len(ANGLE_MARGIN_GRID) + 1),
-         ("angle", [0.3], len(DOPPLER_MARGIN_GRID) + 1), ("snr", [0.0], 1)],
+         ("angle", [0.3], len(DOPPLER_MARGIN_GRID) + 1), ("snr", [0.0], 2)],
         ids=["n", "doppler", "angle", "snr"],
     )
     def test_trials_hold_no_p_by_p_array(self, monkeypatch, axis, values, held_columns):
@@ -596,17 +601,20 @@ class TestTrialWorkingSet:
         finally:
             tracemalloc.stop()
         square = p * p * 16
-        # the rotated steering vectors (the target, and a row's grid) and,
-        # on the snr axis, R's two leading eigenvectors
+        # the steering vectors (the target rotated, and a row's grid; on the
+        # snr axis the target in R's frame too, for theoretical_pd) and, on
+        # the snr axis, R's two leading eigenvectors
         held = (held_columns + 2 * (axis == "snr")) * p * 16
         assert len(live) == plan.trials
         assert max(live) - before <= held + square / 2
+        # eigh reduces each SCM in place, so a trial holds one p x p array
         if axis == "snr":
-            # the draw lives through detect, which forms its SCM and reduces it
-            steps = p * (n + 1) * 16 + 2 * square
+            # the draw lives through detect, which forms its SCM, reduces it
+            # and solves for the leading vectors in dstemr's p x p float block
+            steps = p * (n + 1) * 16 + square + p * p * 8
         else:
-            # the draw is freed once its SCM is formed, the SCM once eigh copied it
-            steps = max(p * n * 16 + square, 2 * square)
+            # the draw is freed once its SCM is formed
+            steps = p * n * 16 + square
         assert peak - before <= held + steps + square / 2
 
     def test_n_axis_rows_are_made_as_they_are_reached(self, monkeypatch):
