@@ -145,7 +145,7 @@ def _write_manifest(out_dir: Path, args, seed: int, outputs: list[Path]) -> Path
         "outputs": [str(p) for p in outputs],
         "tool_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": rmt.scipy.__version__,
+        "scipy_version": rmt.scipy_version(),
         "thread_settings": {k: v for k, v in sorted(os.environ.items())
                             if k.endswith("_NUM_THREADS")},
     }

@@ -21,10 +21,14 @@ LAPACK and BLAS are scipy's own f2py wrappers, bound from its compiled
 through the ``scipy.linalg`` package, whose import costs about 0.2 s of
 every command's start-up (on recent scipy its array-API layer also loads
 ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``) for Python code this
-module never calls. ``import scipy`` alone (a few ms) stays, to find
-the extensions and, on Windows wheels, to put their DLLs on the search
-path. The two tridiagonal solves call ``dsterf`` and ``dstemr`` directly,
-with the finiteness and ``info`` checks ``scipy.linalg`` makes around them.
+module never calls. scipy's folder is found without importing scipy
+either: its package ``__init__`` (``scipy._lib`` and, through
+``_testutils``, ``subprocess``) costs about 1.4 MB and 8 ms of every
+process. It is imported only where a module will not load from its file
+alone, as on Windows wheels, whose ``__init__`` puts the DLLs on the
+search path. The two tridiagonal solves call ``dsterf`` and ``dstemr``
+directly, with the finiteness and ``info`` checks ``scipy.linalg`` makes
+around them.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 
 class RegimeWarning(UserWarning):
@@ -56,27 +59,50 @@ _MEDIAN_MAX_STEPS = 100  # cap on Newton steps for the MP median, which takes un
 
 
 def _scipy_extension(name: str):
-    """scipy's compiled module ``scipy.linalg.<name>``, without importing the ``scipy.linalg`` package.
+    """scipy's compiled module ``scipy.linalg.<name>``, without running scipy's package code.
 
-    The module already imported is reused; otherwise it is loaded from its
-    file in scipy's ``linalg`` folder and not registered in ``sys.modules``.
+    A module already imported is reused. Otherwise it is loaded from its
+    file in the folder ``find_spec`` gives for scipy, which imports
+    nothing. An f2py module is a single-phase extension, which registers
+    itself in ``sys.modules`` as it loads, so a later ``import scipy.linalg``
+    shares it. Where that load fails, as where only scipy's ``__init__``
+    puts the DLLs on the search path, scipy is imported and the load tried
+    again.
     """
     qualified = f"scipy.linalg.{name}"
     if qualified in sys.modules:
         return sys.modules[qualified]
-    folder = Path(scipy.__file__).parent / "linalg"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = folder / f"{name}{suffix}"
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    spec = importlib.util.find_spec("scipy")
+    try:
+        if spec is None:
+            raise ImportError("scipy is not installed")
+        return _load_file(qualified, Path(spec.origin).parent / "linalg" / name, suffixes)
+    except ImportError:
+        import scipy
+
+        return _load_file(qualified, Path(scipy.__file__).parent / "linalg" / name, suffixes)
+
+
+def _load_file(qualified: str, stem: Path, suffixes):
+    """Module ``qualified`` executed from the first file ``<stem><suffix>`` there is."""
+    for suffix in suffixes:
+        path = Path(f"{stem}{suffix}")
         if path.is_file():
             spec = importlib.util.spec_from_file_location(qualified, path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             return module
-    raise ImportError(f"no compiled {name} module in {folder}")
+    raise ImportError(f"no {qualified} module at {stem}")
 
 
 lapack = _scipy_extension("_flapack")
 blas = _scipy_extension("_fblas")
+
+
+def scipy_version() -> str:
+    """The version of the scipy whose LAPACK is bound, from its ``version.py``, without importing scipy."""
+    return _load_file("scipy.version", Path(lapack.__file__).parents[1] / "version", [".py"]).version
 
 
 @dataclass(frozen=True)
@@ -435,7 +461,9 @@ def symmetrized(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     real matrix keeps a real result. With ``overwrite_a`` and a writeable
     column-major ``m`` of that dtype the result is formed in ``m`` itself,
     which is returned, and ``m``'s contents are undefined if a check fails;
-    any other input is left as it is and the result is a new array. The
+    any other input is left as it is and the result is a new array. A real
+    row-major ``m`` counts as its transpose, which is column-major and has
+    bitwise the same (m + m^T) / 2, so it too is overwritten. The
     pass runs over pairs of ``_MIRROR_BLOCK`` square tiles, (I, J) and its
     mirror (J, I): each pair is checked finite before any arithmetic on it
     but |.|, and both result tiles are formed while the pair is in cache.
@@ -446,6 +474,8 @@ def symmetrized(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """
     dtype = np.dtype(complex if np.iscomplexobj(m) else float)
     p = m.shape[0]
+    if overwrite_a and dtype == float and m.flags.c_contiguous:
+        m = m.T
     if overwrite_a and m.dtype == dtype and m.flags.f_contiguous and m.flags.writeable:
         packed = m
     else:
@@ -515,12 +545,13 @@ def eigh(matrix: np.ndarray, overwrite_a: bool = False) -> EigenDecomposition:
 
     ``overwrite_a`` is scipy's ownership flag. With it, a writeable
     column-major input of the reduction's dtype (complex128, or float64 for
-    real input) is checked, symmetrized and reduced where it is, and the
-    decomposition keeps it: the caller hands the array over and must not
-    read or write it again. Besides the input the working set is then two
-    tiles of scratch or the reduction's workspace. Any other input, and any
-    input without the flag, is left unchanged: the working set is one
-    symmetrized p x p copy plus that scratch, never a full-size temporary.
+    real input, which may also be row-major) is checked, symmetrized and
+    reduced where it is, and the decomposition keeps it: the caller hands
+    the array over and must not read or write it again. Besides the input
+    the working set is then two tiles of scratch or the reduction's
+    workspace. Any other input, and any input without the flag, is left
+    unchanged: the working set is one symmetrized p x p copy plus that
+    scratch, never a full-size temporary.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:

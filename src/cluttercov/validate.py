@@ -10,10 +10,10 @@ times its trials.
 Every trial, the CLI's single-shot ``estimate`` and ``detect`` included,
 runs through ``_trial_estimates`` or ``_detection_trial``, which also bound
 what a trial holds: its draw and its sample covariance, which ``rmt.eigh``
-reduces in place when it is column-major. Around the trials a sweep holds
-vectors only: the spiked truth never reads R, R is dropped once the
-sampler is built, and the sampler's reduction of R, which applies its
-eigenbasis V without forming it, once every steering vector the sweep
+reduces in place when it is column-major or real. Around the trials a
+sweep holds vectors only: the spiked truth never reads R, R is dropped
+once the sampler is built, and the sampler's reduction of R, which applies
+its eigenbasis V without forming it, once every steering vector the sweep
 scores is rotated into V, before the first draw.
 
 The sweeps run every trial in the eigenbasis V of the scene's R: the
@@ -251,7 +251,8 @@ def _trial_estimates(draw, n: int, seed: int, trials: int, estimate):
     it: the snapshots until their SCM is formed, and the SCM, which nothing
     else reads, until ``estimate`` returns, as the array that ``rmt.eigh``
     reduces in place (a column-major draw, as ``complex_normal`` makes,
-    gives a column-major SCM; any other is reduced in a copy). So a trial's
+    gives a column-major SCM, and a real SCM is reduced as its column-major
+    transpose; a complex row-major one is reduced in a copy). So a trial's
     working set is its largest step, the p x n snapshots plus their p x p
     SCM, or that one p x p array plus what ``estimate`` asks of it, and only
     the estimate reaches the next draw. Names are looked up at call time, so

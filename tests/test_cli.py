@@ -699,23 +699,37 @@ UNUSED_MODULES = [
 ]
 
 # imports the package, then runs every command on the small scene; its last
-# line is the unused modules the package's import added and the modules the
-# commands add
+# line is the unused modules the package's import added, the modules the
+# commands add, and whether scipy's package was imported by then. argparse's
+# messages import ``locale`` through ``gettext`` at their first use, which
+# is not the package's
 IMPORT_PROBE = """
-import json, sys, tempfile
+import json, locale, sys, tempfile
 from pathlib import Path
-import numpy, scipy
+import numpy
 before = set(sys.modules)
 import cluttercov.cli
 loaded = set(sys.modules)
+at_import = "scipy" in sys.modules
 with tempfile.TemporaryDirectory() as tmp:
     scene = Path(tmp) / "scene.json"
     scene.write_text(json.dumps(SCENE))
     for i, argv in enumerate(COMMANDS):
         config = [] if argv[0] == "verify-clt" else ["--config", str(scene)]
         assert cluttercov.cli.main([*argv, *config, "--out-dir", str(Path(tmp) / str(i))]) == 0
-print(json.dumps([[m for m in UNUSED if m in loaded - before], sorted(set(sys.modules) - loaded)]))
+print(json.dumps([[m for m in UNUSED if m in loaded - before], sorted(set(sys.modules) - loaded),
+                  [at_import, "scipy" in sys.modules]]))
 """
+
+
+def _run_python(code: str) -> str:
+    """The last line ``code`` prints, run in a fresh interpreter that imports the package under test."""
+    src = str(Path(cluttercov.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300
+    )
+    return out.stdout.strip().splitlines()[-1]
 
 
 class TestImport:
@@ -724,11 +738,25 @@ class TestImport:
                     *(argv for argv, _ in DETERMINISTIC.values())]
         code = (f"UNUSED, SCENE, COMMANDS = {UNUSED_MODULES!r}, {SCENE!r}, {commands!r}"
                 + IMPORT_PROBE)
-        src = str(Path(cluttercov.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300
-        )
-        at_import, by_commands = json.loads(out.stdout.strip().splitlines()[-1])
+        at_import, by_commands, scipy_imported = json.loads(_run_python(code))
         assert at_import == []
         assert by_commands == []
+        if sys.platform != "win32":
+            # scipy's package init runs only where its compiled modules do not
+            # load from their files alone: on Windows, it puts their DLLs on
+            # the search path
+            assert scipy_imported == [False, False]
+
+    def test_a_failed_direct_load_falls_back_to_importing_scipy(self):
+        # as where scipy's folder is not found or its DLLs are not yet on the search path
+        code = ("import importlib.util, sys\n"
+                "find_spec = importlib.util.find_spec\n"
+                "importlib.util.find_spec = lambda name, *a: None if name == 'scipy' else find_spec(name, *a)\n"
+                "import cluttercov.rmt as rmt\n"
+                "print('scipy' in sys.modules, rmt.eigh([[2.0, 0.0], [0.0, 1.0]]).eigenvalues.tolist())")
+        assert _run_python(code) == "True [2.0, 1.0]"
+
+    def test_a_later_scipy_linalg_shares_the_bound_modules(self):
+        code = ("import cluttercov.rmt as rmt, scipy.linalg\n"
+                "print(scipy.linalg.lapack._flapack is rmt.lapack and scipy.linalg.blas._fblas is rmt.blas)")
+        assert _run_python(code) == "True"

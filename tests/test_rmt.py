@@ -451,17 +451,19 @@ def read_only(a):
 
 
 class TestOverwrite:
-    """``eigh(a, overwrite_a=True)``: a column-major array of the reduction's dtype is reduced in place."""
+    """``eigh(a, overwrite_a=True)``: a column-major array of the reduction's dtype, or a real row-major one, is reduced in place."""
 
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    # a real row-major array is reduced as its transpose, which is column-major
+    @pytest.mark.parametrize("real,order", [(False, "F"), (True, "F"), (True, "C")],
+                             ids=["complex", "real", "real-row-major"])
     @pytest.mark.parametrize("p", [1, B + 1, P_PARTIAL])
     @pytest.mark.parametrize("skew", ["rounding", "near-tolerance"])
-    def test_bitwise_the_copying_decomposition(self, monkeypatch, p, real, skew):
+    def test_bitwise_the_copying_decomposition(self, monkeypatch, p, real, order, skew):
         a = skewed(p, 0, real)
         if skew == "near-tolerance" and p > 1:
             a[p - 1, 1] += 0.99e-10 * max(np.abs(a).max(), 1.0)
         want = eigh(a)
-        owned = a.copy(order="F")
+        owned = a.copy(order=order)
         reduced = []
         for name in ("zhetrd", "dsytrd"):
             real_routine = getattr(rmt.lapack, name)
@@ -487,8 +489,9 @@ class TestOverwrite:
         a[where] += 1.01e-10 * max(np.abs(a).max(), 1.0) if bad == "skew" else bad
         with pytest.raises(ValueError, match="invalid matrix"):
             eigh(a)
-        with pytest.raises(ValueError, match="invalid matrix"):
-            eigh(a.copy(order="F"), overwrite_a=True)
+        for order in ("F", "C") if real else ("F",):
+            with pytest.raises(ValueError, match="invalid matrix"):
+                eigh(a.copy(order=order), overwrite_a=True)
 
     @pytest.mark.parametrize(
         "make",
