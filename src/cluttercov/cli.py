@@ -291,6 +291,7 @@ def _cmd_detect(args) -> int:
     sampler = SnapshotSampler(synthesize_clutter_covariance(scn))
     # the draw is in R's eigenbasis, so the steering vector is rotated into it
     steering = sampler.to_eigenbasis(steering_vector(target))
+    sampler.release_basis()  # the trial reads root and the rotated steering vector only
     amp = amplitude_for_snr(args.snr_db, scn.sigma2, scn.N, scn.K)
     if args.rank == 0 and scn.clutter is not None:
         print(

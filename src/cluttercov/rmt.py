@@ -12,9 +12,12 @@ from the tridiagonal in O(p^2), and returns an ``EigenDecomposition`` that
 computes leading eigenvectors only when asked. The reduction is of A in a
 column-major array, A = Q T Q^H: a copy, or the caller's own array when
 the caller hands it over (``overwrite_a``), as each Monte Carlo trial does
-with its sample covariance. So the full basis is V = Q Z with Z the
-tridiagonal's own eigenvectors: the decomposition applies V^H x and V x
-from it, and no caller forms V as a p x p array or reduces A again.
+with its sample covariance. As in LAPACK's ``uplo = L`` routines, A and
+then its reduction live in the array's lower triangle, diagonal included:
+after the symmetrize-and-check pass nothing reads the strictly upper
+triangle, so that pass does not form it. So the full basis is V = Q Z
+with Z the tridiagonal's own eigenvectors: the decomposition applies V^H x
+and V x from it, and no caller forms V as a p x p array or reduces A again.
 
 LAPACK and BLAS are scipy's own f2py wrappers, bound from its compiled
 ``scipy.linalg._flapack`` and ``_fblas`` extension modules rather than
@@ -159,7 +162,8 @@ class EigenDecomposition:
     and its full eigenbasis as an operator.
 
     Only ``eigh`` builds one, from its Householder reduction of A to the
-    real tridiagonal T = Q^H A Q. ``leading(k)`` returns the p x k
+    real tridiagonal T = Q^H A Q, kept in the lower triangle of a p x p
+    array: its strictly upper triangle is never read. ``leading(k)`` returns the p x k
     unit eigenvectors paired with ``eigenvalues[:k]``: it solves the
     tridiagonal for only those k vectors (MRRR, LAPACK ``dstemr``) and
     back-transforms them through the stored reflectors in O(p^2 k). Ties
@@ -253,8 +257,7 @@ class EigenDecomposition:
             band = np.zeros((2, d.size))
             band[0], band[1, :-1] = d, e
             _, z, info = lapack.dsbevd(band, compute_v=1, lower=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dsbevd failed with info = {info}")
+            _check_info(info, "dsbevd")
             self._tridiagonal_basis = z
         return self._tridiagonal_basis
 
@@ -281,8 +284,7 @@ class EigenDecomposition:
             c = c.view(float)  # a complex block's columns as (real, imaginary) pairs
         work = unmqr("L", trans, reflectors, tau, c[1:], lwork=-1)[1]
         out, _, info = unmqr("L", trans, reflectors, tau, c[1:], lwork=int(work[0].real))
-        if info != 0:
-            raise np.linalg.LinAlgError(f"?unmqr failed with info = {info}")
+        _check_info(info, "?unmqr")
         c[1:] = out
 
 
@@ -455,38 +457,34 @@ def sample_covariance(data: np.ndarray) -> np.ndarray:
 
 
 def symmetrized(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
-    """(m + m^H) / 2 of a square array, column-major, after the checks ``eigh`` states.
+    """(m + m^H) / 2 of a square array in a column-major array's lower triangle, after ``eigh``'s checks.
 
-    Complex input stays complex and any other input becomes float, so a
-    real matrix keeps a real result. With ``overwrite_a`` and a writeable
-    column-major ``m`` of that dtype the result is formed in ``m`` itself,
-    which is returned, and ``m``'s contents are undefined if a check fails;
-    any other input is left as it is and the result is a new array. A real
-    row-major ``m`` counts as its transpose, which is column-major and has
-    bitwise the same (m + m^T) / 2, so it too is overwritten. The
-    pass runs over pairs of ``_MIRROR_BLOCK`` square tiles, (I, J) and its
-    mirror (J, I): each pair is checked finite before any arithmetic on it
-    but |.|, and both result tiles are formed while the pair is in cache.
-    Besides the result, the only scratch is two tiles, one of the result's
-    dtype and one real. Every entry is the same expression either way, so
-    the result is bitwise (m + m^H) / 2. It is column-major, the layout
-    ``eigh``'s reduction reads.
+    The lower triangle, diagonal included, is the result, all that
+    LAPACK's ``uplo = L`` routines read; the strictly upper triangle is not
+    part of it. Complex input stays complex and any other input becomes
+    float, so a real matrix keeps a real result. With ``overwrite_a`` and a
+    writeable column-major ``m`` of that dtype the result is formed in ``m``
+    itself, which is returned, and ``m``'s contents are undefined if a
+    check fails. A real row-major ``m`` counts as its transpose, which is
+    column-major and has bitwise the same (m + m^T) / 2, so it too is
+    overwritten. Any other input is left as it is and the pass runs in a
+    column-major copy. The pass runs over pairs of ``_MIRROR_BLOCK`` square
+    tiles, (I, J) and its mirror (J, I): each pair is checked finite before
+    any arithmetic on it but |.|, and its lower result tile is formed while
+    the pair is in cache. Besides the array, the only scratch is two tiles,
+    one of the result's dtype and one real. Every entry is the same
+    expression either way, so the lower triangle is bitwise that of
+    (m + m^H) / 2.
     """
     dtype = np.dtype(complex if np.iscomplexobj(m) else float)
-    p = m.shape[0]
     if overwrite_a and dtype == float and m.flags.c_contiguous:
         m = m.T
-    if overwrite_a and m.dtype == dtype and m.flags.f_contiguous and m.flags.writeable:
-        packed = m
-    else:
-        m = m.astype(dtype, copy=False)
-        packed = np.empty((p, p), dtype=dtype, order="F")
-    # filled as C-ordered tiles of packed.T = (m^T + (m^T)^H) / 2, for
-    # contiguous writes. In place, ``m`` and ``out`` are one array: a pair's
-    # upper result waits in scratch until its mirror, which reads the upper
-    # tile, is written, and the mirror's every entry reads only its own
-    # place of the lower tile
-    m, out = m.T, packed.T
+    if not (overwrite_a and m.dtype == dtype and m.flags.f_contiguous and m.flags.writeable):
+        m = np.array(m, dtype=dtype, order="F")
+    # C-ordered tiles of m^T, for contiguous writes: a pair's upper tile of
+    # m^T is its lower tile of m, written only once both tiles are read
+    t = m.T
+    p = m.shape[0]
     side = min(_MIRROR_BLOCK, p)
     sym_tile, abs_tile = np.empty((side, side), dtype=dtype), np.empty((side, side))
     scale, skew = 1.0, 0.0
@@ -494,7 +492,7 @@ def symmetrized(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
         rows = slice(i, min(i + _MIRROR_BLOCK, p))
         for k in range(i, p, _MIRROR_BLOCK):
             cols = slice(k, min(k + _MIRROR_BLOCK, p))
-            upper, lower = m[rows, cols], m[cols, rows]
+            upper, lower = t[rows, cols], t[cols, rows]
             h, w = upper.shape
             sym, mag = sym_tile[:h, :w], abs_tile[:h, :w]
             # |.| of a NaN or infinite entry is NaN or infinite, and both
@@ -509,21 +507,10 @@ def symmetrized(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
             np.conjugate(lower.T, out=sym)
             sym += upper
             sym /= 2.0
-            if k != i:
-                # (lower + upper^H) / 2 with no scratch: its imaginary part
-                # lower.imag - upper^T.imag is the same IEEE operation as
-                # lower.imag + (-upper^T.imag)
-                mirror = out[cols, rows]
-                if dtype == complex:
-                    np.add(lower.real, upper.T.real, out=mirror.real)
-                    np.subtract(lower.imag, upper.T.imag, out=mirror.imag)
-                else:
-                    np.add(lower, upper.T, out=mirror)
-                mirror /= 2.0
-            out[rows, cols] = sym
+            upper[...] = sym
     if skew > 1e-10 * scale:
         raise ValueError("invalid matrix")
-    return packed
+    return m
 
 
 def eigh(matrix: np.ndarray, overwrite_a: bool = False) -> EigenDecomposition:
@@ -537,11 +524,13 @@ def eigh(matrix: np.ndarray, overwrite_a: bool = False) -> EigenDecomposition:
 
     A non-finite entry, or a skew max |A - A^H| above 1e-10 max(max |A|, 1),
     raises ValueError("invalid matrix"). The checks and the symmetrization
-    run over pairs of ``_MIRROR_BLOCK`` square tiles (``symmetrized``), and
-    the reduction runs in place on the symmetrized column-major array, so it
-    is of A itself, A = Q T Q^H. It leaves the tridiagonal and Q's
-    reflectors in the array's lower triangle, the only part the eigenvectors
-    and the rotations of the decomposition read.
+    run over pairs of ``_MIRROR_BLOCK`` square tiles (``symmetrized``),
+    which forms (A + A^H)/2 in the lower triangle of a column-major array,
+    diagonal included, and not in the strictly upper one: the reduction
+    (``uplo = L``) reads only that triangle. It runs in place there, so it
+    is of A itself, A = Q T Q^H, and it leaves the tridiagonal and Q's
+    reflectors in the same triangle, the only part the eigenvectors and the
+    rotations of the decomposition read.
 
     ``overwrite_a`` is scipy's ownership flag. With it, a writeable
     column-major input of the reduction's dtype (complex128, or float64 for
@@ -550,7 +539,7 @@ def eigh(matrix: np.ndarray, overwrite_a: bool = False) -> EigenDecomposition:
     the array over and must not read or write it again. Besides the input
     the working set is then two tiles of scratch or the reduction's
     workspace. Any other input, and any input without the flag, is left
-    unchanged: the working set is one symmetrized p x p copy plus that
+    unchanged: the working set is one p x p copy plus that
     scratch, never a full-size temporary.
     """
     m = np.asarray(matrix)
@@ -563,7 +552,6 @@ def eigh(matrix: np.ndarray, overwrite_a: bool = False) -> EigenDecomposition:
     else:
         reduce, lwork = lapack.dsytrd, lapack.dsytrd_lwork(p, lower=1)[0]
     reduced, d, e, tau, info = reduce(packed, lower=1, lwork=int(lwork), overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"tridiagonal reduction failed with info = {info}")
+    _check_info(info, "?hetrd/?sytrd")
     lam = _tridiagonal_eigenvalues(d, e)
     return EigenDecomposition(lam[::-1].copy(), (reduced, d, e, tau))

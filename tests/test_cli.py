@@ -373,6 +373,19 @@ class TestEndToEnd:
                     decisions.add(decision)
         assert decisions == {True, False}
 
+    def test_detect_drops_the_samplers_basis_before_its_trial(self, scene, tmp_path, monkeypatch):
+        # R's p x p reduction is not held through the trial, as in the sweeps
+        held = []
+        trial = validate._detection_trial
+
+        def spy(draw, *args):
+            held.append(draw.__self__.decomposition)
+            return trial(draw, *args)
+
+        monkeypatch.setattr(validate, "_detection_trial", spy)
+        assert _run(["detect", "--config", str(scene)], tmp_path)[0] == 0
+        assert held == [None]
+
     def test_detect_statistic_is_the_original_frame_statistic(self, scene, tmp_path):
         argv = ["detect", "--config", str(scene), "--snr-db", "5", "--out-dir", str(tmp_path)]
         assert main(argv) == 0

@@ -335,7 +335,8 @@ class TestBlockedEigh:
         dec = eigh(m)
         want = (m + m.conj().T) / 2
         assert len(seen) == 1 and seen[0].dtype == want.dtype and seen[0].flags.f_contiguous
-        assert seen[0].tobytes(order="F") == want.tobytes(order="F")
+        # the reduction reads the lower triangle only, so that is all that is formed
+        assert np.tril(seen[0]).tobytes() == np.tril(want).tobytes()
         np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(want)[::-1],
                                    atol=1e-12 * np.abs(want).max())
 
@@ -397,6 +398,32 @@ class TestBlockedEigh:
         assert peak_bytes(eigh, m) <= budget
 
 
+    @pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in-place"])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("p", [1, B + 1, P_PARTIAL])
+    def test_strictly_upper_triangle_is_never_read(self, monkeypatch, p, real, in_place):
+        # NaN in the strictly upper triangle the reduction is handed moves no
+        # output of the decomposition: LAPACK's uplo = L contract, which lets
+        # ``symmetrized`` form the lower triangle only
+        a = skewed(p, 2, real)
+        want = eigh(a)
+        for name in ("zhetrd", "dsytrd"):
+            real_routine = getattr(rmt.lapack, name)
+
+            def poison(x, *args, real_routine=real_routine, **kwargs):
+                x[np.triu_indices(x.shape[0], 1)] = np.nan
+                return real_routine(x, *args, **kwargs)
+
+            monkeypatch.setattr(rmt.lapack, name, poison)
+        got = eigh(np.asfortranarray(a), overwrite_a=True) if in_place else eigh(a)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        k = min(3, p)
+        assert got.leading(k).tobytes() == want.leading(k).tobytes()
+        x = substream(13, p, 2).standard_normal((p, 2)) + 0j
+        assert got.to_eigenbasis(x).tobytes() == want.to_eigenbasis(x).tobytes()
+        assert got.from_eigenbasis(x).tobytes() == want.from_eigenbasis(x).tobytes()
+
+
 class TestSymmetrized:
     """The tiled symmetrize-and-check pass on its own."""
 
@@ -414,7 +441,7 @@ class TestSymmetrized:
         ours = rmt.symmetrized(m)
         want = (m + m.conj().T) / 2
         assert ours.flags.f_contiguous and ours.dtype == want.dtype
-        assert ours.tobytes(order="F") == want.tobytes(order="F")
+        assert np.tril(ours).tobytes() == np.tril(want).tobytes()
 
     def test_integer_input_becomes_float(self):
         m = np.arange(9).reshape(3, 3)
@@ -645,6 +672,19 @@ class TestLapackPath:
             rmt._check_info(-3, "dsterf")
         with pytest.raises(np.linalg.LinAlgError):
             rmt._check_info(2, "dstemr")
+
+    @pytest.mark.parametrize("info,error", [(-2, ValueError), (1, np.linalg.LinAlgError)],
+                             ids=["illegal-argument", "failed"])
+    @pytest.mark.parametrize("routine", ["zhetrd", "zunmqr", "dsbevd"])
+    def test_every_lapack_call_reports_info_alike(self, monkeypatch, routine, info, error):
+        # the reduction, the reflectors of leading and the basis of the rotations
+        real = getattr(rmt.lapack, routine)
+        monkeypatch.setattr(rmt.lapack, routine, lambda *a, **k: (*real(*a, **k)[:-1], info))
+        with pytest.raises(error, match=routine[1:]) as caught:  # the routine is named
+            dec = eigh(hermitian(8, 5))
+            dec.leading(1)
+            dec.to_eigenbasis(np.ones(8))
+        assert type(caught.value) is error  # a LinAlgError is a ValueError too
 
 
 class TestEigenbasisRotations:
