@@ -79,10 +79,10 @@ def _scene_and_seed(args) -> tuple[ScenarioConfig, int]:
     """A scene command's scene and root seed: ``--seed``, else the scene's."""
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             raw = json.loads(path.read_text())
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         n_flag = getattr(args, "n", None)
@@ -167,11 +167,21 @@ def _validate_outputs(paths: list[Path]) -> None:
             matio.load_estimate(path.with_suffix(""))  # judged by the estimate's invariants
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """ConfigError unless ``out_dir``, or else its nearest existing ancestor, is a directory."""
+    existing = next((d for d in (out_dir, *out_dir.parents) if os.path.exists(d)), out_dir)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"--out-dir {out_dir} cannot be made: {existing} is not a directory")
+
+
 def _write_outputs(args, seed: int, printed, write) -> int:
     """Make ``--out-dir``, write the command's files by ``write(out_dir)``, which
     returns their paths, then the manifest; check them all and print ``printed``."""
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # made unusable since ``_check_out_dir``, or not writable
+        raise ConfigError(f"cannot make --out-dir {out_dir}: {exc}") from exc
     outputs = write(out_dir)
     outputs.append(_write_manifest(out_dir, args, seed, outputs))
     _validate_outputs(outputs)
@@ -190,10 +200,8 @@ def _cmd_estimate(args) -> int:
     if args.rank is not None and args.estimator != "rcml":
         raise ConfigError("--rank applies to --estimator rcml only")
     _check_rank(args.rank, scn.p)
-    if scn.n < scn.p:
-        raise ValueError("insufficient samples")
+    ratio = rmt.AspectRatio(scn.p, scn.n)  # n < p is a numeric failure, before any work
     sampler = SnapshotSampler(synthesize_clutter_covariance(scn))
-    ratio = rmt.AspectRatio(scn.p, scn.n)
     # trial 0 of the sweeps' estimating trial, which draws stream (seed, 0)
     (ests,) = validate._trial_estimates(sampler.draw, scn.n, seed, 1, lambda decomp:
                                         validate._estimate_both(decomp, ratio, args.rank))
@@ -288,19 +296,18 @@ def _cmd_detect(args) -> int:
     _check_pfa([args.pfa])
     _check_rank(args.rank, scn.p)
     target = _target_from_args(args, scn)
+    ratio = rmt.AspectRatio(scn.p, scn.n)  # n < p is a numeric failure, before any work
     sampler = SnapshotSampler(synthesize_clutter_covariance(scn))
     # the draw is in R's eigenbasis, so the steering vector is rotated into it
     steering = sampler.to_eigenbasis(steering_vector(target))
     sampler.release_basis()  # the trial reads root and the rotated steering vector only
     amp = amplitude_for_snr(args.snr_db, scn.sigma2, scn.N, scn.K)
     if args.rank == 0 and scn.clutter is not None:
-        print(
-            "warning: rank 0 disables the clutter projection on a clutter-bearing scene",
-            file=sys.stderr,
-        )
+        print("warning: rank 0 disables the clutter projection on a clutter-bearing scene",
+              file=sys.stderr)
     # trial 0 of the snr sweep at this SNR and one false-alarm rate
-    (report,) = validate._detection_trial(sampler.draw, scn.n, seed, 0, steering, amp,
-                                          args.rank, (args.pfa,))
+    (report,) = validate._detection_trial(sampler.draw, ratio, seed, 0, steering, amp, args.rank,
+                                          (args.pfa,))
     return _write_json(args, seed, "detection.json", report.to_dict())
 
 
@@ -428,6 +435,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.argv = argv  # recorded in the manifest
     try:
+        _check_out_dir(Path(args.out_dir))  # before any work, and creating nothing
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             return args.func(args)

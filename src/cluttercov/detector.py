@@ -15,23 +15,20 @@ uncalibrated |s^H P y|^2 / ||P s||^2.
 T normalizes by sigma2_hat, not by y^H P y, so this is a low-rank AMF, not
 the paper's LR-ANMF |s^H P y|^2 / ((s^H P s)(y^H P y)) (ROADMAP item 4).
 
-Only the sample eigenvectors and the noise power enter the statistic, so
-the shrinkage and clipping estimates, which share both, drive identical
-detectors.
+``detect`` reads the training snapshots' sample eigendecomposition and
+``AspectRatio``, as both estimators do, and leaves it unchanged. Only the
+sample eigenvectors and the noise power enter the statistic, so the
+shrinkage and clipping estimates, which share both, drive identical
+detectors; but the detector holds no ``SpikedCovariance`` of its own: it
+projects off the leading ``rank`` sample eigenvectors for any rank it is
+given, which need not be the spikes that lie above sigma2_hat.
 
-``detect`` takes the p x n training block and the test cell y apart, as
-the two views ``w[:, :n]`` and ``w[:, n]`` of one draw of n + 1 snapshots
-(with the target added to y by ``inject_target``), and reads the training
-block in place. Its steering vector is a plain p-vector in the frame of
-those snapshots; the statistic is invariant when all are rotated by one
-unitary, so snapshots drawn in R's eigenbasis pair with the rotated
-steering vector V^H s. ``theoretical_pd`` reads the true covariance as a
-``SpikedCovariance`` whose vectors are R's r leading eigenvectors, and the
-steering p-vector in the frame of those vectors.
-
-The detector holds no ``SpikedCovariance`` of its own: it projects off the
-leading ``rank`` sample eigenvectors for any rank it is given, which need
-not be the spikes that lie above sigma2_hat.
+The test cell and steering vector are p-vectors in the frame of the
+training snapshots; the statistic is invariant when all are rotated by one
+unitary, so snapshots drawn in R's eigenbasis pair with V^H s.
+``theoretical_pd`` reads the true covariance as a ``SpikedCovariance``
+whose vectors are R's r leading eigenvectors, and the steering p-vector in
+the frame of those vectors.
 """
 
 from __future__ import annotations
@@ -41,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rmt import AspectRatio
+from .rmt import AspectRatio, EigenDecomposition
 from .shrinkage import SpikedCovariance, cosine2, detect_spikes
-from . import rmt
 
 PD_SERIES_RTOL = 1e-12
 PD_SERIES_MAX_TERMS = 10_000
@@ -163,25 +159,17 @@ def theoretical_pd(
 
 
 def detect(
-    train: np.ndarray, y: np.ndarray, steering: np.ndarray, rank: int | None, p_fa: float
+    decomp: EigenDecomposition, ratio: AspectRatio, y: np.ndarray, steering: np.ndarray,
+    rank: int | None, p_fa: float,
 ) -> DetectionReport:
-    """Low-rank AMF pass (not the LR-ANMF): p x n training ``train``, test snapshot ``y``.
+    """Low-rank AMF pass (not the LR-ANMF) on test snapshot ``y``, trained as ``decomp``.
 
-    The training block yields the sample covariance, its leading ``rank``
-    eigenvectors the clutter projection of the steering p-vector, and the
-    noise power estimate. ``rank`` None means "estimate it": the count of
-    ``shrinkage.detect_spikes``, the rule the shrinkage estimator detects its
-    spikes by. ``train`` is never copied when it is contiguous in either
-    order, as the training view ``w[:, :n]`` of a column-major draw is,
-    and the sample covariance of that view is column-major and reduced in
-    place by ``rmt.eigh``: besides its inputs, a call holds one p x p array,
-    the sample covariance and then its reduction, and ``leading``'s solve,
-    not a second p x n block or p x p copy. A non-finite test snapshot
-    raises ValueError; non-finite training data fails in ``eigh``.
+    ``decomp`` is the training's sample eigendecomposition at ``ratio``, and
+    is left unchanged. Its leading ``rank`` eigenvectors span the clutter
+    projection, and ``shrinkage.detect_spikes`` gives the noise power and,
+    for ``rank`` None, the rank. A non-finite test snapshot raises ValueError.
     """
-    if np.ndim(train) != 2:
-        raise ValueError("training snapshots must be a p x n array")
-    p, n = np.shape(train)
+    p = decomp.p
     if rank is not None and not 0 <= rank < p:
         raise ValueError("rank must satisfy 0 <= rank < p")
     if not 0.0 < p_fa < 1.0:
@@ -190,12 +178,9 @@ def detect(
         raise ValueError("test snapshot dimension does not match the training data")
     if np.shape(steering) != (p,):
         raise ValueError("steering dimension does not match snapshots")
-    if n < p:
-        raise ValueError("insufficient samples")
     if not np.all(np.isfinite(y)):
         raise ValueError("test snapshot must be finite")
-    decomp = rmt.eigh(rmt.sample_covariance(train), overwrite_a=True)  # nothing else reads the SCM
-    sigma2_hat, detected = detect_spikes(decomp, AspectRatio(p, n))
+    sigma2_hat, detected = detect_spikes(decomp, ratio)
     v = decomp.leading(detected.size if rank is None else rank)
     ps = steering - v @ (v.conj().T @ steering)
     denom = float(np.real(np.vdot(ps, ps)))

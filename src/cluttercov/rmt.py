@@ -112,9 +112,9 @@ def scipy_version() -> str:
 class AspectRatio:
     """Dimension-to-sample ratio gamma = p/n.
 
-    gamma is always the exact finite-sample ratio, never a user-supplied limit.
-    gamma == 1 (n == p) is accepted with a RegimeWarning: the estimators still
-    evaluate there, but their guarantees assume p < n.
+    gamma is the exact finite-sample ratio, never a user-supplied limit; n < p
+    is refused as insufficient samples. gamma == 1 (n == p) is accepted with a
+    RegimeWarning: the estimators evaluate there, but their guarantees assume p < n.
     """
 
     p: int
@@ -126,7 +126,7 @@ class AspectRatio:
             raise ValueError("p and n must be positive integers")
         g = self.p / self.n
         if not 0.0 < g <= 1.0:
-            raise ValueError(f"aspect ratio p/n = {g:.6g} outside (0, 1]")
+            raise ValueError(f"insufficient samples: p/n = {g:.6g} outside (0, 1]")
         if g == 1.0:
             warnings.warn(
                 "n == p: outside the p < n regime, results are best-effort",

@@ -8,13 +8,13 @@ so a sweep costs its distinct training sizes times its trials, not its rows
 times its trials.
 
 Every trial, the CLI's single-shot ``estimate`` and ``detect`` included,
-runs through ``_trial_estimates`` or ``_detection_trial``, which also bound
-what a trial holds: its draw and its sample covariance, which ``rmt.eigh``
-reduces in place when it is column-major or real. Around the trials a
-sweep holds vectors only: the spiked truth never reads R, R is dropped
-once the sampler is built, and the sampler's reduction of R, which applies
-its eigenbasis V without forming it, once every steering vector the sweep
-scores is rotated into V, before the first draw.
+runs through ``_trial_estimates`` or ``_detection_trial``, and only their
+``_decomposition`` factors snapshots: the estimators and the detector read
+its output. So a trial holds its draw and one p x p array. Around the
+trials a sweep holds vectors only: the spiked truth never reads R, R is
+dropped once the sampler is built, and the sampler's reduction of R, which
+applies its eigenbasis V without forming it, once every steering vector
+the sweep scores is rotated into V, before the first draw.
 
 The sweeps run every trial in the eigenbasis V of the scene's R: the
 sampler draws there in O(pn), one p x n array scaled as it is filled, and
@@ -244,22 +244,28 @@ def verify_clt(
     return results
 
 
-def _trial_estimates(draw, n: int, seed: int, trials: int, estimate):
-    """Yield ``estimate(rmt.eigh(rmt.sample_covariance(draw(n, seed, t)), overwrite_a=True))`` for t < trials.
+def _decomposition(snapshots: np.ndarray) -> rmt.EigenDecomposition:
+    """A trial's one factorization: the SCM of its p x n ``snapshots``, reduced in place.
 
-    Trial t draws from stream (seed, t). Each array lives while a step needs
-    it: the snapshots until their SCM is formed, and the SCM, which nothing
-    else reads, until ``estimate`` returns, as the array that ``rmt.eigh``
-    reduces in place (a column-major draw, as ``complex_normal`` makes,
-    gives a column-major SCM, and a real SCM is reduced as its column-major
-    transpose; a complex row-major one is reduced in a copy). So a trial's
-    working set is its largest step, the p x n snapshots plus their p x p
-    SCM, or that one p x p array plus what ``estimate`` asks of it, and only
-    the estimate reaches the next draw. Names are looked up at call time, so
-    a rebound one is called.
+    Nothing else reads the SCM, and column-major snapshots, or a leading block
+    of their columns, give a column-major one. The snapshots are let go before
+    the reduction, which frees a draw passed as a temporary (CPython 3.11 on
+    hands a call its arguments). Names are looked up at call time.
+    """
+    scm = rmt.sample_covariance(snapshots)
+    del snapshots
+    return rmt.eigh(scm, overwrite_a=True)
+
+
+def _trial_estimates(draw, n: int, seed: int, trials: int, estimate):
+    """Yield ``estimate(_decomposition(draw(n, seed, t)))`` for t < trials.
+
+    Trial t draws from stream (seed, t). Its working set is the p x n
+    snapshots plus their p x p SCM, or that one p x p array plus what
+    ``estimate`` asks of it, and only the estimate reaches the next draw.
     """
     for t in range(trials):
-        yield estimate(rmt.eigh(rmt.sample_covariance(draw(n, seed, t)), overwrite_a=True))
+        yield estimate(_decomposition(draw(n, seed, t)))
 
 
 def _estimate_both(decomp: rmt.EigenDecomposition, ratio: rmt.AspectRatio,
@@ -272,17 +278,20 @@ def _estimate_both(decomp: rmt.EigenDecomposition, ratio: rmt.AspectRatio,
     }
 
 
-def _detection_trial(draw, n: int, seed: int, t: int, steering: np.ndarray, amp: complex,
-                     rank: int | None, pfas) -> list:
+def _detection_trial(draw, ratio: rmt.AspectRatio, seed: int, t: int, steering: np.ndarray,
+                     amp: complex, rank: int | None, pfas) -> list:
     """Trial t of detection: ``detect``'s report at each false-alarm rate in ``pfas``.
 
-    The draw of n + 1 snapshots from stream (seed, t) is the training view
-    ``[:, :n]`` and the test cell ``[:, n]``, to which ``inject_target`` adds
-    the target; it is freed on return. Names are looked up at call time.
+    The draw of n + 1 snapshots (n = ``ratio.n``) from stream (seed, t) is the training
+    view ``[:, :n]``, which each rate decomposes anew, and the test cell ``[:, n]``, to which
+    ``inject_target`` adds the target; it is freed on return. Names are looked up at call time.
     """
+    n = ratio.n
     w = draw(n + 1, seed, t)
     y = inject_target(w[:, n], steering, amp)
-    return [detect(w[:, :n], y, steering, rank, pfa) for pfa in pfas]
+    # one factorization per rate, though ``detect`` leaves it unchanged: the traced counts
+    # pin rmt.eigh at one per (SNR, p_fa, trial); one per trial is ROADMAP item 11, stage 1
+    return [detect(_decomposition(w[:, :n]), ratio, y, steering, rank, pfa) for pfa in pfas]
 
 
 def _format_row(values) -> list[str]:
@@ -356,7 +365,7 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
 def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
                      spiked, sampler) -> str:
     scn = plan.scenario
-    ratio_gamma = scn.p / scn.n
+    ratio = rmt.AspectRatio(scn.p, scn.n)
     steering = steering_vector(plan.target)  # theoretical_pd reads it in R's frame
     s_target = sampler.to_eigenbasis(steering)  # the frame of the draws
     sampler.release_basis()  # the trials read root and the two steering vectors only
@@ -365,11 +374,11 @@ def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
         amp = amplitude_for_snr(float(snr_db), scn.sigma2, scn.N, scn.K)
         hits = [0] * len(pfa_list)  # by position: a rate listed twice is two rows
         for t in range(plan.trials):
-            reports = _detection_trial(sampler.draw, scn.n, plan.seed, t, s_target, amp, rank,
+            reports = _detection_trial(sampler.draw, ratio, plan.seed, t, s_target, amp, rank,
                                        pfa_list)
             hits = [hit + report.decision for hit, report in zip(hits, reports)]
         for pfa, hit in zip(pfa_list, hits):
-            pd_theory = theoretical_pd(spiked, steering, amp, pfa, ratio_gamma)
+            pd_theory = theoretical_pd(spiked, steering, amp, pfa, ratio.gamma)
             rows.append([float(snr_db), float(pfa), hit / plan.trials, pd_theory, plan.trials])
     return _rows_to_csv(DETECTION_HEADER, rows)
 
@@ -421,12 +430,11 @@ def sweep(
         header = DETECTION_HEADER if axis == "snr" else SWEEP_HEADER
         return _rows_to_csv(header, [])
     scn = plan.scenario
-    if values is None:
-        if axis != "n":
-            raise ValueError(f"the {axis} axis needs its grid values")
-        if scn.n < scn.p:
-            raise ValueError("insufficient samples")  # no multiple of p fits in n
-        values = range(scn.p, scn.n + 1, scn.p)
+    if values is None and axis != "n":
+        raise ValueError(f"the {axis} axis needs its grid values")
+    if scn.n < scn.p and (values is None or axis != "n"):  # rows train on n, or p to n
+        raise ValueError("insufficient samples")
+    values = range(scn.p, scn.n + 1, scn.p) if values is None else values
     if axis == "snr" and (pfa_list is None or len(pfa_list) == 0):
         raise ValueError("the snr axis needs its false-alarm rates")
     truth = synthesize_clutter_covariance(scn)

@@ -6,19 +6,24 @@ CDF), the whitened shrinkage map and its finite-difference slope (the
 package has the analytic slope), a dense true covariance read through
 solves (the package scores against a ``SpikedCovariance`` only), the dense
 p x p form of a spiked estimate (the package keeps and writes its floor,
-spikes and p x r vectors), and the whole-matrix expression of a scene's
-covariance (the package forms it a block of rows at a time).
+spikes and p x r vectors), the whole-matrix expression of a scene's
+covariance (the package forms it a block of rows at a time), and a
+training block's sample eigendecomposition from a copy of its SCM (a trial
+reduces its SCM in place).
 """
 
 import numpy as np
 
 from cluttercov import (
+    AspectRatio,
     ScattererClutter,
     SpikedClutter,
     SteeringSpec,
     ToeplitzClutter,
+    eigh,
     f_map,
     g_map,
+    sample_covariance,
     steering_vector,
     stein_shrinker,
 )
@@ -117,3 +122,8 @@ def dense_clutter_covariance(config):
         h_mat = _toeplitz_response(clutter.taps, p, clutter.pulse_len)
         r_c = h_mat @ h_mat.conj().T
     return (r_c + r_c.conj().T) / 2.0 + config.sigma2 * np.eye(p)
+
+
+def decomposed(train):
+    """The sample eigendecomposition of p x n ``train`` and its aspect ratio: what ``detect`` reads."""
+    return eigh(sample_covariance(train)), AspectRatio(*np.shape(train))

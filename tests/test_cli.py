@@ -33,7 +33,7 @@ from cluttercov import matio, validate
 from cluttercov.cli import main
 from cluttercov.matio import load_estimate, load_matrix
 from cluttercov.rng import complex_normal, substream
-from oracles import dense_estimate
+from oracles import decomposed, dense_estimate
 
 SCENE = {
     "N": 4,
@@ -189,9 +189,11 @@ class TestEstimate:
         assert main(["estimate", "--scenario", "no-such-scene", "--out-dir", str(tmp_path)]) == 2
 
     def test_too_few_samples_is_numeric_failure(self, scene, tmp_path, capsys):
-        # n = 8 < p = 32: the n-sweep's grid of multiples of p would be empty
-        for argv in (["estimate"], ["sweep", "--axis", "n", "--trials", "1"]):
-            out = tmp_path / argv[0]
+        # n = 8 < p = 32: the n-sweep's grid of multiples of p would be empty,
+        # and no other command can train on fewer snapshots than p
+        for argv in (["estimate"], ["sweep", "--axis", "n", "--trials", "1"], ["detect"],
+                     ["sweep", "--axis", "snr", "--trials", "1"]):
+            out = tmp_path / "-".join(argv[:3])
             assert main([*argv, "--config", str(scene), "--n", "8", "--out-dir", str(out)]) == 3
             assert "insufficient samples" in capsys.readouterr().err
             assert not out.exists()
@@ -396,7 +398,7 @@ class TestEndToEnd:
         white = complex_normal(substream(cfg.seed, 0), cfg.p, cfg.n + 1)
         snaps = sampler.from_eigenbasis(np.diag(sampler.root)) @ white
         y = inject_target(snaps[:, -1], s, amplitude_for_snr(5.0, cfg.sigma2, cfg.N, cfg.K))
-        ref = detect(snaps[:, :-1], y, s, None, 1e-3)
+        ref = detect(*decomposed(snaps[:, :-1]), y, s, None, 1e-3)
         assert report["statistic"] == pytest.approx(ref.statistic, rel=1e-9)
         assert report["raw_statistic"] == pytest.approx(ref.raw_statistic, rel=1e-9)
 
@@ -405,6 +407,47 @@ class TestExitCodes:
     def test_bad_json_is_config_error(self, tmp_path):
         path = _write(tmp_path, "bad.json", '{"N": 2, "K": 8,')
         assert main(["estimate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing"])
+    def test_unreadable_config_is_config_error_naming_it(self, tmp_path, capsys, kind):
+        path = tmp_path / "scene.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(json.dumps(SCENE).encode("utf-16"))
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert f"configuration error: cannot read config {path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["file", "under-a-file"])
+    @pytest.mark.parametrize("command", [["estimate"], ["detect"],
+                                         ["sweep", "--axis", "snr", "--trials", "1"]],
+                             ids=["estimate", "detect", "sweep-snr"])
+    def test_out_dir_that_cannot_be_a_directory_is_config_error_before_any_draw(
+            self, scene, tmp_path, monkeypatch, capsys, where, command):
+        blocker = _write(tmp_path, "taken", "a file\n")
+        out = blocker if where == "file" else blocker / "out"
+        draws = []
+        monkeypatch.setattr(SnapshotSampler, "draw", lambda *args: draws.append(args))
+        assert main([*command, "--config", str(scene), "--out-dir", str(out)]) == 2
+        assert f"--out-dir {out} cannot be made: {blocker} is not a directory" in (
+            capsys.readouterr().err)
+        assert draws == [] and blocker.read_text() == "a file\n"
+
+    def test_out_dir_taken_during_the_run_is_config_error(self, scene, tmp_path, capsys,
+                                                          monkeypatch):
+        # the path is free when checked, and a file by the time it is made
+        out = tmp_path / "out"
+        draw = SnapshotSampler.draw
+
+        def taking(sampler, *args):
+            out.write_text("a file\n")
+            return draw(sampler, *args)
+
+        monkeypatch.setattr(SnapshotSampler, "draw", taking)
+        assert main(["detect", "--config", str(scene), "--out-dir", str(out)]) == 2
+        assert f"cannot make --out-dir {out}" in capsys.readouterr().err
 
     def test_spike_at_noise_floor_is_config_error(self, tmp_path):
         scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0,

@@ -17,6 +17,7 @@ from cluttercov import (
 )
 from cluttercov.detector import _pd_series
 from cluttercov.rng import complex_normal, substream
+from oracles import decomposed
 
 
 def h0_cubes(p, n_train, trials, seed, spikes=()):
@@ -40,13 +41,14 @@ class TestDetectStatistic:
 
     def test_rank_zero_is_the_plain_matched_filter(self):
         train, y, s = self._data()
-        report = detect(train, y, s, 0, 0.1)
-        sigma2_hat = estimate_noise(eigh(sample_covariance(train)), AspectRatio(self.P, self.N_TRAIN))
+        decomp, ratio = decomposed(train)
+        report = detect(decomp, ratio, y, s, 0, 0.1)
+        sigma2_hat = estimate_noise(decomp, ratio)
         raw = abs(np.vdot(s, y)) ** 2 / np.real(np.vdot(s, s))
         assert report.raw_statistic == pytest.approx(raw, rel=1e-12)
         assert report.statistic == pytest.approx(raw / sigma2_hat, rel=1e-12)
         orthogonal = y - s * (np.vdot(s, y) / np.real(np.vdot(s, s)))
-        assert detect(train, orthogonal, s, 0, 0.1).statistic == pytest.approx(0.0, abs=1e-20)
+        assert detect(decomp, ratio, orthogonal, s, 0, 0.1).statistic == pytest.approx(0.0, abs=1e-20)
 
     def test_leading_span_component_leaves_the_statistic_unchanged(self):
         # P annihilates the leading sample eigenvectors, so clutter along them
@@ -54,28 +56,28 @@ class TestDetectStatistic:
         train, y, s = self._data()
         v = eigh(sample_covariance(train)).leading(2)
         shifted = y + v @ np.array([3.0 - 1.0j, 0.5j])
-        base, moved = (detect(train, x, s, 2, 0.1) for x in (y, shifted))
+        base, moved = (detect(*decomposed(train), x, s, 2, 0.1) for x in (y, shifted))
         assert moved.statistic == pytest.approx(base.statistic, rel=1e-9)
         assert moved.raw_statistic == pytest.approx(base.raw_statistic, rel=1e-9)
-        plain, plain_moved = (detect(train, x, s, 0, 0.1) for x in (y, shifted))
+        plain, plain_moved = (detect(*decomposed(train), x, s, 0, 0.1) for x in (y, shifted))
         assert plain_moved.statistic != pytest.approx(plain.statistic, rel=1e-3)
 
     @pytest.mark.parametrize("rank", [-1, 16, 17])
     def test_rank_outside_zero_to_p_rejected(self, rank):
         train, y, s = self._data()
         with pytest.raises(ValueError, match="rank must satisfy"):
-            detect(train, y, s, rank, 0.1)
+            detect(*decomposed(train), y, s, rank, 0.1)
 
     def test_target_inside_clutter_subspace_rejected(self):
         train, y, _ = self._data()
         v = eigh(sample_covariance(train)).leading(1)
         with pytest.raises(ValueError, match="target in clutter subspace"):
-            detect(train, y, 4.0 * v[:, 0], 1, 0.1)
+            detect(*decomposed(train), y, 4.0 * v[:, 0], 1, 0.1)
 
     def test_phase_invariance(self):
         train, y, s = self._data()
-        base = detect(train, y, s, 2, 0.1)
-        rotated = detect(train, np.exp(1.3j) * y, s, 2, 0.1)
+        base = detect(*decomposed(train), y, s, 2, 0.1)
+        rotated = detect(*decomposed(train), np.exp(1.3j) * y, s, 2, 0.1)
         assert rotated.statistic == pytest.approx(base.statistic, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -83,7 +85,7 @@ class TestDetectStatistic:
     )
     def test_threshold_is_minus_log_pfa(self, p_fa, want):
         train, y, s = self._data()
-        report = detect(train, y, s, 0, p_fa)
+        report = detect(*decomposed(train), y, s, 0, p_fa)
         assert report.threshold == -np.log(p_fa)
         assert report.threshold == pytest.approx(want, abs=1e-6)
 
@@ -91,7 +93,7 @@ class TestDetectStatistic:
     def test_pfa_domain(self, bad):
         train, y, s = self._data()
         with pytest.raises(ValueError, match="p_fa must lie in"):
-            detect(train, y, s, 0, bad)
+            detect(*decomposed(train), y, s, 0, bad)
 
 
 class TestNullLaw:
@@ -254,7 +256,7 @@ class TestDetect:
         s = steering_vector(SteeringSpec(0.5, 0.25, 4, 8))
         hits = 0
         for cube in h0_cubes(p, n_train, trials, seed=204):
-            report = detect(cube[:, :-1], cube[:, -1], s, 0, pfa)
+            report = detect(*decomposed(cube[:, :-1]), cube[:, -1], s, 0, pfa)
             hits += int(report.decision)
         rate = hits / trials
         assert 0.094 <= rate <= 0.106
@@ -267,14 +269,14 @@ class TestDetect:
         hits = 0
         for cube in h0_cubes(p, n_train, trials, seed=205):
             y = inject_target(cube[:, -1], s, amp)
-            report = detect(cube[:, :-1], y, s, 0, 1e-3)
+            report = detect(*decomposed(cube[:, :-1]), y, s, 0, 1e-3)
             hits += int(report.decision)
         assert hits / trials >= 0.99
 
     def test_report_invariants(self):
         cube = next(h0_cubes(16, 64, 1, seed=206))
         s = steering_vector(SteeringSpec(0.2, 0.2, 4, 4))
-        report = detect(cube[:, :-1], cube[:, -1], s, 0, 0.05)
+        report = detect(*decomposed(cube[:, :-1]), cube[:, -1], s, 0, 0.05)
         assert report.decision == (report.statistic > report.threshold)
         out = report.to_dict()
         assert out["theoretical_pfa"] == 0.05
@@ -307,8 +309,8 @@ class TestDetect:
         detected = detect_spikes(dec, AspectRatio(p, n_train))[1]
         assert detected.size == shrink_spectrum(dec, AspectRatio(p, n_train)).r == 2
         s = steering_vector(SteeringSpec(0.8, 0.4, 4, 8))
-        r_none = detect(cube[:, :-1], cube[:, -1], s, None, 0.1)
-        r_true = detect(cube[:, :-1], cube[:, -1], s, 2, 0.1)
+        r_none = detect(dec, AspectRatio(p, n_train), cube[:, -1], s, None, 0.1)
+        r_true = detect(dec, AspectRatio(p, n_train), cube[:, -1], s, 2, 0.1)
         assert r_none.statistic == r_true.statistic
 
     def test_statistic_identical_for_both_estimators(self):
@@ -323,70 +325,47 @@ class TestDetect:
         shrunk = shrink_spectrum(dec, ratio)
         clipped = rcml_estimate(dec, shrunk.sigma2, shrunk.r)
         s = steering_vector(SteeringSpec(0.8, 0.4, 4, 8))
-        train, y = cube[:, :-1], cube[:, -1]
-        rep_a = detect(train, y, s, shrunk.r, 0.01)
-        rep_b = detect(train, y, s, clipped.r, 0.01)
+        rep_a = detect(dec, ratio, cube[:, -1], s, shrunk.r, 0.01)
+        rep_b = detect(dec, ratio, cube[:, -1], s, clipped.r, 0.01)
         assert rep_a.statistic == rep_b.statistic
-
-    def test_insufficient_training(self):
-        s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
-        with pytest.raises(ValueError, match="insufficient samples"):
-            detect(np.eye(8, 7, dtype=complex), np.ones(8, dtype=complex), s,
-                   0, 0.1)
 
     def test_nonfinite_test_snapshot_rejected(self):
         cube = next(h0_cubes(8, 32, 1, seed=209))
         cube[3, -1] = np.nan
         s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
         with pytest.raises(ValueError, match="test snapshot must be finite"):
-            detect(cube[:, :-1], cube[:, -1], s, 0, 0.1)
-
-    def test_nonfinite_training_rejected(self):
-        cube = next(h0_cubes(8, 32, 1, seed=209))
-        cube[3, 0] = np.inf
-        s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
-        with pytest.raises(ValueError, match="invalid matrix"), np.errstate(invalid="ignore"):
-            detect(cube[:, :-1], cube[:, -1], s, 0, 0.1)
+            detect(*decomposed(cube[:, :-1]), cube[:, -1], s, 0, 0.1)
 
     @pytest.mark.parametrize("shape", [(6,), (8, 1)], ids=["short", "column"])
     def test_steering_dimension_mismatch_rejected(self, shape):
         cube = next(h0_cubes(8, 32, 1, seed=209))
         with pytest.raises(ValueError, match="steering dimension"):
-            detect(cube[:, :-1], cube[:, -1], np.ones(shape, dtype=complex),
+            detect(*decomposed(cube[:, :-1]), cube[:, -1], np.ones(shape, dtype=complex),
                    0, 0.1)
 
     def test_test_snapshot_and_training_shapes_checked(self):
         cube = next(h0_cubes(8, 32, 1, seed=209))
         s = steering_vector(SteeringSpec(0.1, 0.1, 2, 4))
+        decomp, ratio = decomposed(cube[:, :-1])
         with pytest.raises(ValueError, match="test snapshot dimension"):
-            detect(cube[:, :-1], cube[:-1, -1], s, 0, 0.1)
-        with pytest.raises(ValueError, match="p x n"):
-            detect(cube[:, 0], cube[:, -1], s, 0, 0.1)
+            detect(decomp, ratio, cube[:-1, -1], s, 0, 0.1)
+        with pytest.raises(ValueError, match="decomposition dimension"):
+            detect(decomp, AspectRatio(6, 32), cube[:, -1], s, 0, 0.1)
 
-    def test_training_view_matches_copy(self):
-        # the training block is a view of all but the last column: its SCM
-        # equals the SCM of a contiguous copy in either order bit for bit,
-        # and in a column-major draw that view is itself contiguous
-        cube = next(h0_cubes(32, 128, 1, seed=210, spikes=(40.0,)))
-        view = cube[:, :-1]
-        assert np.shares_memory(view, cube)
-        want = sample_covariance(view).tobytes(order="C")
-        for copy in (np.ascontiguousarray(view), np.asfortranarray(view)):
-            assert sample_covariance(copy).tobytes(order="C") == want
-        draw = np.asfortranarray(cube)
-        train = draw[:, :-1]
-        assert train.flags.f_contiguous and np.shares_memory(train, draw)
-        assert sample_covariance(train).tobytes(order="C") == want
-
-    def test_working_set_is_the_scm_and_its_reduction(self, peak_bytes):
-        # the training view of a column-major draw is read in place, and its
-        # column-major SCM is reduced in place: above its inputs a call holds
-        # that one p x p array, the p x p float block of ``leading``'s
-        # ``dstemr`` solve, and O(p) vectors and workspace (32 columns bound
-        # them); no copy of the p x n training block (8.4 MB here) or of the SCM
-        p, n = 512, 1024
-        draw = np.asfortranarray(next(h0_cubes(p, n, 1, seed=211, spikes=(40.0, 20.0))))
-        s = steering_vector(SteeringSpec(0.3, 0.1, 8, 64))
-        scm, stemr_block = p * p * 16, p * p * 8
-        bound = scm + stemr_block + 32 * p * 16
-        assert peak_bytes(detect, draw[:, :-1], draw[:, -1], s, None, 0.01) <= bound
+    @pytest.mark.parametrize("rank", [None, 2, 0])
+    def test_leaves_its_decomposition_unchanged(self, rank):
+        # one decomposition serves every false-alarm rate of a trial: each
+        # rate's report is, bit for bit, that of a fresh decomposition, and
+        # afterwards the decomposition reads as a fresh one does
+        cube = np.asfortranarray(next(h0_cubes(32, 128, 1, seed=213, spikes=(40.0, 20.0))))
+        train, y = cube[:, :-1], cube[:, -1]
+        s = steering_vector(SteeringSpec(0.3, 0.1, 4, 8))
+        shared, ratio = decomposed(train)
+        for p_fa in (1e-1, 1e-2):
+            assert detect(shared, ratio, y, s, rank, p_fa) == detect(*decomposed(train), y, s,
+                                                                      rank, p_fa)
+        fresh = decomposed(train)[0]
+        assert shared.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert [a.tobytes() for a in shared._reduction] == [a.tobytes() for a in fresh._reduction]
+        for k in (2, 3):
+            assert shared.leading(k).tobytes() == fresh.leading(k).tobytes()

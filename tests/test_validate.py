@@ -46,7 +46,7 @@ from cluttercov.validate import (
     SWEEP_HEADER,
     _kolmogorov_sf,
 )
-from oracles import DenseTruth, shrink_whitened
+from oracles import DenseTruth, decomposed, shrink_whitened
 
 
 def lawley_location(ells, i, p, n):
@@ -539,7 +539,7 @@ class TestEigenbasisEquivalence:
                 snaps = factor @ complex_normal(substream(plan.seed, t), scn.p, scn.n + 1)
                 y = inject_target(snaps[:, -1], s, amp)
                 for pfa in pfa_list:
-                    hits[pfa] += detect(snaps[:, :-1], y, s, None, pfa).decision
+                    hits[pfa] += detect(*decomposed(snaps[:, :-1]), y, s, None, pfa).decision
             want += [hits[pfa] for pfa in pfa_list]
         got = [round(float(row[2]) * plan.trials) for row in rows]
         assert got == want and 0 < sum(want) < len(want) * plan.trials
@@ -554,13 +554,90 @@ class TestEigenbasisEquivalence:
         s = steering_vector(plan.target)
         amp = 0.4
         snaps = dense_colouring_factor(r) @ complex_normal(substream(12, stream), scn.p, scn.n + 1)
-        original = detect(snaps[:, :-1], inject_target(snaps[:, -1], s, amp), s, rank, 1e-2)
+        original = detect(*decomposed(snaps[:, :-1]), inject_target(snaps[:, -1], s, amp), s,
+                          rank, 1e-2)
         s_rot = sampler.to_eigenbasis(s)
         w = sampler.draw(scn.n + 1, 12, stream)
-        rotated = detect(w[:, :-1], inject_target(w[:, -1], s_rot, amp), s_rot, rank, 1e-2)
+        rotated = detect(*decomposed(w[:, :-1]), inject_target(w[:, -1], s_rot, amp), s_rot,
+                         rank, 1e-2)
         assert rotated.statistic == pytest.approx(original.statistic, rel=1e-9)
         assert rotated.raw_statistic == pytest.approx(original.raw_statistic, rel=1e-9)
         assert rotated.decision == original.decision
+
+
+class TestDetectionTrial:
+    """One detection trial: a draw, one decomposition of its training view per rate."""
+
+    P, N = 32, 128
+
+    def _trial(self, draw, rank=None, pfas=(1e-1,)):
+        """``_detection_trial`` on a fixed p x (n + 1) ``draw``, at 0 dB, with its reports."""
+        p, n = np.shape(draw)[0], np.shape(draw)[1] - 1
+        s = steering_vector(SteeringSpec(0.3, 0.1, 8, p // 8))
+        amp = amplitude_for_snr(0.0, 1.0, 8, p // 8)
+        return validate._detection_trial(lambda *_: draw, AspectRatio(p, n), 0, 0, s, amp, rank,
+                                         pfas)
+
+    @staticmethod
+    def _draw(p, n, seed, spikes=(40.0,)):
+        root = np.sqrt(SpikedCovariance.diagonal(p, 1.0, np.asarray(spikes)).spectrum())
+        return complex_normal(substream(seed, 0), p, n + 1, root)  # column-major
+
+    def test_training_view_matches_copy(self, monkeypatch):
+        # each rate's SCM reads the training view w[:, :n] of the column-major
+        # draw in place, and that SCM equals, bit for bit, the SCM of a
+        # contiguous copy in either order and of the view of a row-major draw
+        draw = self._draw(self.P, self.N, 210)
+        seen = []
+        scm = rmt.sample_covariance
+
+        def spy(data):
+            seen.append(data)
+            return scm(data)
+
+        monkeypatch.setattr(rmt, "sample_covariance", spy)
+        assert len(self._trial(draw, pfas=(1e-1, 1e-2))) == 2
+        assert len(seen) == 2  # one decomposition per rate
+        for train in seen:
+            assert train.shape == (self.P, self.N)
+            assert train.flags.f_contiguous and np.shares_memory(train, draw)
+        want = scm(seen[0]).tobytes(order="C")
+        row_major_view = np.ascontiguousarray(draw)[:, :-1]
+        assert not row_major_view.flags.c_contiguous
+        for copy in (np.ascontiguousarray(seen[0]), np.asfortranarray(seen[0]), row_major_view):
+            assert scm(copy).tobytes(order="C") == want
+
+    def test_insufficient_training(self, monkeypatch):
+        # n < p: a trial's AspectRatio cannot hold it, and the snr sweep
+        # refuses it before it builds its sampler or draws
+        built = []
+        monkeypatch.setattr(SnapshotSampler, "__init__", lambda *args: built.append(args))
+        scn = small_scene(n=31)
+        assert scn.p == 32
+        with pytest.raises(ValueError, match="insufficient samples"):
+            sweep(plan_for(scn, trials=1), "snr", values=[0.0], pfa_list=(1e-1,))
+        assert built == []
+        with pytest.raises(ValueError, match="insufficient samples"):
+            AspectRatio(scn.p, scn.n)
+
+    def test_nonfinite_training_rejected(self):
+        draw = self._draw(8, 32, 209)
+        draw[3, 0] = np.inf
+        with pytest.raises(ValueError, match="invalid matrix"), np.errstate(invalid="ignore"):
+            self._trial(draw, rank=0)
+
+    def test_working_set_is_the_scm_and_its_reduction(self, peak_bytes):
+        # the training view of a column-major draw is read in place, and its
+        # column-major SCM is reduced in place: above the draw a trial holds
+        # that one p x p array, the p x p float block of ``leading``'s
+        # ``dstemr`` solve, and O(p) vectors and workspace (32 columns bound
+        # them, the test cell with its target among them); no copy of the
+        # p x n training block (8.4 MB here) or of the SCM
+        p, n = 512, 1024
+        draw = self._draw(p, n, 211, spikes=(40.0, 20.0))
+        scm, stemr_block = p * p * 16, p * p * 8
+        bound = scm + stemr_block + 32 * p * 16
+        assert peak_bytes(self._trial, draw, None, (0.01,)) <= bound
 
 
 class TestTrialWorkingSet:
@@ -609,8 +686,8 @@ class TestTrialWorkingSet:
         assert max(live) - before <= held + square / 2
         # eigh reduces each SCM in place, so a trial holds one p x p array
         if axis == "snr":
-            # the draw lives through detect, which forms its SCM, reduces it
-            # and solves for the leading vectors in dstemr's p x p float block
+            # the draw lives through the trial, whose SCM is reduced in place
+            # and whose leading vectors are solved in dstemr's p x p float block
             steps = p * (n + 1) * 16 + square + p * p * 8
         else:
             # the draw is freed once its SCM is formed
