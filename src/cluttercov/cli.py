@@ -2,7 +2,9 @@
 
 A command parses its flags, builds the scene and its sampler, calls
 ``validate``, whose trial code ``estimate`` and ``detect`` share with the
-sweeps, and writes through one output path.
+sweeps, and writes through one output path, which formats what ``validate``
+returns: a sweep's table as CSV, the other results as JSON, and an estimate
+through ``matio``.
 
 Every run is driven by one root seed, writes its outputs under --out-dir, and
 drops a manifest.json recording the command, configuration, the seed the run
@@ -17,7 +19,9 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -54,21 +58,33 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """A scene JSON number that must be real: 4 and 2.7 are, true, "2.7" and [2.7] are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ConfigError(f"{name} must be within the float range, got {value!r}") from None
+
+
 def _clutter_from_json(spec: dict):
     if not isinstance(spec, dict):
         raise ConfigError(f"clutter must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "spiked":
-        return SpikedClutter(spikes=spec["spikes"])
+        return SpikedClutter([_real(v, f"spikes[{i}]") for i, v in enumerate(spec["spikes"])])
     if kind == "scatterers":
         return ScattererClutter(
             tuple(
-                Scatterer(amplitude=s["amplitude"], theta=s["theta"], doppler=s["doppler"])
-                for s in spec["scatterers"]
+                Scatterer(**{key: _real(s[key], f"scatterers[{i}].{key}")
+                             for key in ("amplitude", "theta", "doppler")})
+                for i, s in enumerate(spec["scatterers"])
             )
         )
     if kind == "toeplitz":
-        taps = np.asarray([complex(re, im) for re, im in spec["taps"]])
+        taps = np.asarray([complex(_real(re, f"taps[{i}]"), _real(im, f"taps[{i}]"))
+                           for i, (re, im) in enumerate(spec["taps"])])
         return ToeplitzClutter(taps=taps, pulse_len=_integer(spec["pulse_len"], "pulse_len"))
     if kind in (None, "none"):
         return None
@@ -91,7 +107,7 @@ def _scene_and_seed(args) -> tuple[ScenarioConfig, int]:
                 N=_integer(raw["N"], "N"),
                 K=_integer(raw["K"], "K"),
                 n=_integer(raw["n"], "n") if n_flag is None else n_flag,
-                sigma2=float(raw["sigma2"]),
+                sigma2=_real(raw["sigma2"], "sigma2"),
                 clutter=_clutter_from_json(raw.get("clutter", {})),
                 seed=_integer(raw.get("seed", 0), "seed"),
                 name=raw.get("name", path.stem),
@@ -195,6 +211,18 @@ def _write_json(args, seed: int, name: str, payload) -> int:
                           [_write_text(out_dir / name, json.dumps(payload, indent=2) + "\n")])
 
 
+def _write_csv(args, seed: int, name: str, header: list[str], rows: list[list]) -> int:
+    """The output tail of a command whose one file is the table ``header``, ``rows`` as
+    CSV, floats to 10 significant digits; it prints the file's path."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.10g}" if isinstance(v, float) else str(v) for v in row])
+    return _write_outputs(args, seed, Path(args.out_dir) / name, lambda out_dir:
+                          [_write_text(out_dir / name, buf.getvalue())])
+
+
 def _cmd_estimate(args) -> int:
     scn, seed = _scene_and_seed(args)
     if args.rank is not None and args.estimator != "rcml":
@@ -233,6 +261,14 @@ def _check_rank(rank: int | None, p: int) -> None:
         raise ConfigError(f"--rank must satisfy 0 <= rank < p = {p}, got {rank}")
 
 
+def _amplitude(snr_db: float, flag: str, scn: ScenarioConfig) -> float:
+    """The target amplitude at ``snr_db`` in ``scn``; ConfigError naming ``flag`` if not finite."""
+    try:
+        return amplitude_for_snr(snr_db, scn.sigma2, scn.N, scn.K)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 # sweep flags that one axis alone reads: flag -> (that axis, its default)
 _SWEEP_AXIS_FLAGS = {
     "--doppler-grid": ("doppler", 16),
@@ -265,43 +301,45 @@ def _cmd_sweep(args) -> int:
         rows = getattr(args, f"{args.axis}_grid")
         if rows < 1:
             raise ConfigError(f"--{args.axis}-grid must be positive, got {rows}")
-    pfa_list = None
+    pfa_list = values = None  # the n axis defaults to multiples of p up to the scene's n
     if args.axis == "snr":
         pfa_list = _parse_list(args.pfa)
         _check_pfa(pfa_list)
         _check_rank(args.rank, scn.p)
+        for flag in ("--snr-lo", "--snr-hi", "--snr-step"):
+            if not np.isfinite(getattr(args, flag[2:].replace("-", "_"))):
+                raise ConfigError(f"{flag} must be finite")
         if not (args.snr_step > 0 and args.snr_lo <= args.snr_hi):
             raise ConfigError("the SNR grid needs --snr-step > 0 and --snr-lo <= --snr-hi")
+        values = np.arange(args.snr_lo, args.snr_hi + 1e-9, args.snr_step)
+        # the amplitude grows with the SNR, so the largest SNR's bounds every row's
+        _amplitude(float(np.max(values, initial=args.snr_hi)), "--snr-hi", scn)
     plan = validate.TrialPlan(
         scenario=scn,
         trials=args.trials,
         seed=seed,
         target=_target_from_args(args, scn),
     )
-    values = None  # the n axis defaults to multiples of p up to the scene's n
     if args.axis == "doppler":
         values = np.linspace(-0.5, 0.5, args.doppler_grid)
     elif args.axis == "angle":
         values = np.linspace(-np.pi / 3, np.pi / 3, args.angle_grid)
-    elif args.axis == "snr":
-        values = np.arange(args.snr_lo, args.snr_hi + 1e-9, args.snr_step)
-    csv_text = validate.sweep(plan, args.axis, values=values, pfa_list=pfa_list, rank=args.rank)
-    name = f"sweep-{args.axis}.csv"
-    return _write_outputs(args, seed, Path(args.out_dir) / name,
-                          lambda out_dir: [_write_text(out_dir / name, csv_text)])
+    header, rows = validate.sweep(plan, args.axis, values=values, pfa_list=pfa_list,
+                                  rank=args.rank)
+    return _write_csv(args, seed, f"sweep-{args.axis}.csv", header, rows)
 
 
 def _cmd_detect(args) -> int:
     scn, seed = _scene_and_seed(args)
     _check_pfa([args.pfa])
     _check_rank(args.rank, scn.p)
+    amp = _amplitude(args.snr_db, "--snr-db", scn)
     target = _target_from_args(args, scn)
     ratio = rmt.AspectRatio(scn.p, scn.n)  # n < p is a numeric failure, before any work
     sampler = SnapshotSampler(synthesize_clutter_covariance(scn))
     # the draw is in R's eigenbasis, so the steering vector is rotated into it
     steering = sampler.to_eigenbasis(steering_vector(target))
     sampler.release_basis()  # the trial reads root and the rotated steering vector only
-    amp = amplitude_for_snr(args.snr_db, scn.sigma2, scn.N, scn.K)
     if args.rank == 0 and scn.clutter is not None:
         print("warning: rank 0 disables the clutter projection on a clutter-bearing scene",
               file=sys.stderr)
@@ -314,8 +352,10 @@ def _cmd_detect(args) -> int:
 def _cmd_verify_clt(args) -> int:
     if args.trials < 2:
         raise ConfigError(f"--trials must be at least 2, got {args.trials}")
-    if args.p < 1 or not 0.0 < args.gamma <= 1.0 or not args.sigma2 > 0.0:
-        raise ConfigError("verify-clt needs --p >= 1, --gamma in (0, 1] and --sigma2 > 0")
+    if args.p < 1 or not 0.0 < args.gamma <= 1.0:
+        raise ConfigError("verify-clt needs --p >= 1 and --gamma in (0, 1]")
+    if not 0.0 < args.sigma2 < np.inf:
+        raise ConfigError(f"--sigma2 must be positive and finite, got {args.sigma2!r}")
     _check_draw_size(args.p, args.p / args.gamma)
     # the exact ratio p / n that verify_clt runs at, and its detection edge
     edge = 1.0 + np.sqrt(args.p / round(args.p / args.gamma))

@@ -5,7 +5,8 @@ independent substream keyed by the trial index, so results do not depend on
 execution order, and aggregations are plain commutative reductions. Sweep
 rows that train on one snapshot count share each trial's draw and estimates,
 so a sweep costs its distinct training sizes times its trials, not its rows
-times its trials.
+times its trials. A sweep returns its table as numbers, a header and its
+rows, and formats no text: the CLI writes the table as CSV.
 
 Every trial, the CLI's single-shot ``estimate`` and ``detect`` included,
 runs through ``_trial_estimates`` or ``_detection_trial``, and only their
@@ -32,8 +33,6 @@ vectors, from the clutter's m x m Gram, in the original frame.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 
@@ -294,26 +293,7 @@ def _detection_trial(draw, ratio: rmt.AspectRatio, seed: int, t: int, steering: 
     return [detect(_decomposition(w[:, :n]), ratio, y, steering, rank, pfa) for pfa in pfas]
 
 
-def _format_row(values) -> list[str]:
-    out = []
-    for v in values:
-        if isinstance(v, float):
-            out.append(f"{v:.10g}")
-        else:
-            out.append(str(v))
-    return out
-
-
-def _rows_to_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(_format_row(row))
-    return buf.getvalue()
-
-
-def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> str:
+def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> list:
     scn = plan.scenario
 
     def rotated(specs):
@@ -359,11 +339,11 @@ def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> st
         for (value, _), row_sums in zip(group, sums):
             rows.append([scn.name, axis, float(value), n, ratio.gamma, plan.trials,
                          *(total / plan.trials for total in row_sums.values())])
-    return _rows_to_csv(SWEEP_HEADER, rows)
+    return rows
 
 
 def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
-                     spiked, sampler) -> str:
+                     spiked, sampler) -> list:
     scn = plan.scenario
     ratio = rmt.AspectRatio(scn.p, scn.n)
     steering = steering_vector(plan.target)  # theoretical_pd reads it in R's frame
@@ -380,7 +360,7 @@ def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
         for pfa, hit in zip(pfa_list, hits):
             pd_theory = theoretical_pd(spiked, steering, amp, pfa, ratio.gamma)
             rows.append([float(snr_db), float(pfa), hit / plan.trials, pd_theory, plan.trials])
-    return _rows_to_csv(DETECTION_HEADER, rows)
+    return rows
 
 
 def sweep(
@@ -389,8 +369,8 @@ def sweep(
     values=None,
     pfa_list: tuple[float, ...] | None = None,
     rank: int | None = None,
-) -> str:
-    """Monte Carlo sweep along one axis; returns the CSV text.
+) -> tuple[list[str], list[list]]:
+    """Monte Carlo sweep along one axis; returns its table as ``(header, rows)``.
 
     axis "n" averages normalized SCNR, MVDR ratio, and Stein loss over trials
     at each training size (default: multiples of p up to the scene's n). Axis
@@ -422,13 +402,15 @@ def sweep(
     The "n" axis makes its rows as it reaches them, so its grid may be any
     lazy iterable and costs one row's memory.
 
-    A zero-trial plan short-circuits to a header-only table.
+    The header is ``SWEEP_HEADER``, or ``DETECTION_HEADER`` on the "snr" axis,
+    and each row a list of its columns' values: names as str, counts as int,
+    every other column a float. A zero-trial plan returns the header and no
+    rows.
     """
     if axis not in ("n", "doppler", "angle", "snr"):
         raise ValueError("axis must be one of n, doppler, angle, snr")
     if plan.trials == 0:
-        header = DETECTION_HEADER if axis == "snr" else SWEEP_HEADER
-        return _rows_to_csv(header, [])
+        return DETECTION_HEADER if axis == "snr" else SWEEP_HEADER, []
     scn = plan.scenario
     if values is None and axis != "n":
         raise ValueError(f"the {axis} axis needs its grid values")
@@ -447,5 +429,6 @@ def sweep(
     if axis == "snr" and spiked.r:
         spiked = replace(spiked, vectors=clutter_spikes(scn)[1])
     if axis == "snr":
-        return _sweep_detection(plan, values, tuple(pfa_list), rank, spiked, sampler)
-    return _sweep_estimation(plan, axis, values, spiked, sampler)
+        return DETECTION_HEADER, _sweep_detection(plan, values, tuple(pfa_list), rank, spiked,
+                                                  sampler)
+    return SWEEP_HEADER, _sweep_estimation(plan, axis, values, spiked, sampler)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -344,6 +346,23 @@ class TestEndToEnd:
         assert lines[0] == "snr_db,p_fa,empirical_pd,theoretical_pd,trials"
         assert len(lines) == 1 + 3 * 2  # three SNR values, two false-alarm rates
 
+    @pytest.mark.parametrize("name", ["sweep-n", "sweep-snr", "sweep-doppler", "sweep-angle"])
+    def test_sweep_csv_is_the_table_sweep_returns(self, scene, tmp_path, monkeypatch, name):
+        # the CLI writes validate.sweep's header and rows as CSV, floats to 10 significant digits
+        tables = []
+        sweep = validate.sweep
+        monkeypatch.setattr(validate, "sweep", lambda *args, **kwargs:
+                            tables.append(sweep(*args, **kwargs)) or tables[-1])
+        argv, output = DETERMINISTIC[name]
+        assert _run([*argv, "--config", str(scene)], tmp_path)[0] == 0
+        ((header, rows),) = tables
+        assert rows and all(isinstance(v, (str, int, float)) for row in rows for v in row)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{v:.10g}" if isinstance(v, float) else v for v in row] for row in rows)
+        assert (tmp_path / output).read_text() == want.getvalue()
+
     def test_detect_report_keys(self, scene, tmp_path):
         argv, output = DETERMINISTIC["detect"]
         assert _run([*argv, "--config", str(scene)], tmp_path)[0] == 0
@@ -455,15 +474,42 @@ class TestExitCodes:
         path = _write(tmp_path, "floor.json", json.dumps(scene))
         assert main(["estimate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("snr_db", ["1e300", "nan"])
-    def test_nonfinite_target_amplitude_is_numeric_failure(self, scene, tmp_path, snr_db):
-        argv = ["detect", "--config", str(scene), "--snr-db", snr_db, "--out-dir", str(tmp_path)]
-        assert main(argv) == 3
+    # an SNR flag whose value, or whose target amplitude, is not finite: each a
+    # configuration error naming the flag, before the scene's sampler is built
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["detect", "--snr-db", "nan"], "--snr-db"),
+         (["detect", "--snr-db", "inf"], "--snr-db"),
+         (["detect", "--snr-db", "1e6"], "--snr-db"),
+         (["detect", "--snr-db", "1e300"], "--snr-db"),
+         (["sweep", "--axis", "snr", "--trials", "1", "--snr-hi", "inf"], "--snr-hi"),
+         (["sweep", "--axis", "snr", "--trials", "1", "--snr-lo=-inf"], "--snr-lo"),
+         (["sweep", "--axis", "snr", "--trials", "1", "--snr-step", "inf"], "--snr-step"),
+         (["sweep", "--axis", "snr", "--trials", "1", "--snr-lo", "1e6", "--snr-hi", "1e6"],
+          "--snr-hi"),
+         (["sweep", "--axis", "snr", "--trials", "1", "--snr-lo", "3100", "--snr-hi", "3100"],
+          "--snr-hi"),
+         (["sweep", "--axis", "snr", "--trials", "1", "--snr-lo", "0", "--snr-hi", "4000",
+           "--snr-step", "1000"], "--snr-hi")],
+        ids=["detect-nan", "detect-inf", "detect-1e6", "detect-1e300", "sweep-hi-inf",
+             "sweep-lo-inf", "sweep-step-inf", "sweep-1e6", "sweep-3100", "sweep-last-row"],
+    )
+    def test_nonfinite_snr_is_config_error_naming_the_flag(self, scene, tmp_path, capsys,
+                                                           monkeypatch, argv, flag):
+        built = []
+        monkeypatch.setattr(SnapshotSampler, "__init__", lambda self, *args: built.append(args))
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(scene), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {flag}")
+        assert built == [] and not out.exists()
 
-    def test_overflowing_snr_grid_is_numeric_failure(self, scene, tmp_path):
-        argv = ["sweep", "--axis", "snr", "--config", str(scene), "--trials", "1",
-                "--snr-lo", "3100", "--snr-hi", "3100", "--out-dir", str(tmp_path)]
-        assert main(argv) == 3
+    def test_infinite_sigma2_is_config_error_naming_it(self, tmp_path, capsys):
+        argv = ["verify-clt", "--p", "16", "--gamma", "0.25", "--trials", "4", "--sigma2", "inf",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--sigma2 must be positive and finite" in err and "--spikes" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "grid", [["--snr-step", "0"], ["--snr-step", "-4"], ["--snr-lo", "10", "--snr-hi", "0"]]
@@ -652,6 +698,40 @@ class TestExitCodes:
         assert main(["estimate", "--config", str(path), "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    # a real field given as anything but a JSON number: each a configuration
+    # error naming the field, where float() or complex() would have taken it
+    @pytest.mark.parametrize(
+        "fields,name",
+        [({"sigma2": True}, "sigma2"),
+         ({"sigma2": "1.0"}, "sigma2"),
+         ({"clutter": {"kind": "scatterers",
+                       "scatterers": [{"amplitude": "3", "theta": 0.1, "doppler": 0.1}]}},
+          "scatterers[0].amplitude"),
+         ({"clutter": {"kind": "scatterers",
+                       "scatterers": [{"amplitude": 3.0, "theta": 0.1, "doppler": 0.1},
+                                      {"amplitude": 3.0, "theta": True, "doppler": 0.1}]}},
+          "scatterers[1].theta"),
+         ({"clutter": {"kind": "scatterers",
+                       "scatterers": [{"amplitude": 3.0, "theta": 0.1, "doppler": "0.1"}]}},
+          "scatterers[0].doppler"),
+         ({"sigma2": 0.5, "clutter": {"kind": "spiked", "spikes": ["5", True]}}, "spikes[0]"),
+         ({"sigma2": 0.5, "clutter": {"kind": "spiked", "spikes": [5.0, True]}}, "spikes[1]"),
+         ({"clutter": {"kind": "toeplitz", "taps": [[True, 0.0]], "pulse_len": 1}}, "taps[0]"),
+         ({"clutter": {"kind": "toeplitz", "taps": [[1.0, 0.0], [0.5, False]],
+                       "pulse_len": 1}}, "taps[1]")],
+        ids=["sigma2-boolean", "sigma2-string", "amplitude-string", "theta-boolean",
+             "doppler-string", "spike-string", "spike-boolean", "tap-real-boolean",
+             "tap-imaginary-boolean"],
+    )
+    def test_real_field_that_is_not_a_number_is_config_error(self, tmp_path, capsys, fields,
+                                                             name):
+        scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0, **fields}
+        path = _write(tmp_path, "bad.json", json.dumps(scene))
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {name} must be a number")
+        assert not out.exists()
+
     def test_integral_floats_are_integers(self, tmp_path, capsys):
         scene = {"N": 2.0, "K": 8.0, "n": 64.0, "sigma2": 1.0, "seed": 3.0,
                  "clutter": {"kind": "toeplitz", "taps": [[1.0, 0.0]], "pulse_len": 1.0}}
@@ -802,6 +882,10 @@ class TestImport:
             # load from their files alone: on Windows, it puts their DLLs on
             # the search path
             assert scipy_imported == [False, False]
+
+    def test_package_import_loads_no_csv(self):
+        # a sweep returns numbers, and only the CLI's output path writes CSV
+        assert _run_python("import sys, cluttercov\nprint('csv' in sys.modules)") == "False"
 
     def test_a_failed_direct_load_falls_back_to_importing_scipy(self):
         # as where scipy's folder is not found or its DLLs are not yet on the search path

@@ -1,5 +1,3 @@
-import csv
-import io
 import tracemalloc
 
 import numpy as np
@@ -65,11 +63,6 @@ def lawley_location(ells, i, p, n):
     others = np.delete(ells, i)
     bulk = (p - len(ells)) * ell / (ell - 1.0)
     return ell + (bulk + np.sum(ell * others / (ell - others))) / n
-
-
-def parse_csv(text):
-    rows = list(csv.reader(io.StringIO(text)))
-    return rows[0], rows[1:]
 
 
 class TestKsTwoSample:
@@ -288,23 +281,19 @@ def plan_for(scene, **kwargs):
 class TestSweep:
     def test_zero_trials_header_only(self):
         plan = plan_for(small_scene(), trials=0, seed=0)
-        header, rows = parse_csv(sweep(plan, "n"))
-        assert header == SWEEP_HEADER
-        assert rows == []
-        header, rows = parse_csv(sweep(plan, "snr"))
-        assert header == DETECTION_HEADER
-        assert rows == []
+        assert sweep(plan, "n") == (SWEEP_HEADER, [])
+        assert sweep(plan, "snr") == (DETECTION_HEADER, [])
 
     def test_n_axis_estimators_agree(self):
         plan = plan_for(small_scene(), trials=6, seed=5)
-        header, rows = parse_csv(sweep(plan, "n"))
+        header, rows = sweep(plan, "n")
         assert header == SWEEP_HEADER
-        assert [int(r[3]) for r in rows] == [32, 64, 96, 128, 160]
+        assert [r[3] for r in rows] == [32, 64, 96, 128, 160]
         for r in rows:
-            rho_s, rho_r = float(r[6]), float(r[7])
+            rho_s, rho_r = r[6], r[7]
             assert 0 < rho_s <= 1 and 0 < rho_r <= 1
             assert abs(rho_s - rho_r) < 0.01
-            assert float(r[8]) <= rho_s  # bound respected row-wise
+            assert r[8] <= rho_s  # bound respected row-wise
 
     def test_doppler_sweep_dips_at_ridge(self):
         # The Doppler axis averages SCNR over the uniform angle grid, so a
@@ -324,9 +313,9 @@ class TestSweep:
         )
         plan = plan_for(cfg, trials=4, seed=6)
         values = np.linspace(-0.5, 0.5, 21)
-        header, rows = parse_csv(sweep(plan, "doppler", values=values))
-        rho = np.array([float(r[6]) for r in rows])
-        vals = np.array([float(r[2]) for r in rows])
+        _, rows = sweep(plan, "doppler", values=values)
+        rho = np.array([r[6] for r in rows])
+        vals = np.array([r[2] for r in rows])
         ridge = np.abs(vals - 0.25) < 0.08
         assert rho[ridge].min() < rho[~ridge].mean() - 0.02
 
@@ -339,13 +328,11 @@ class TestSweep:
     def test_snr_axis_schema(self):
         cfg = ScenarioConfig(N=2, K=8, n=64, sigma2=1.0, seed=3, name="clean")
         plan = plan_for(cfg, trials=50, seed=8)
-        header, rows = parse_csv(
-            sweep(plan, "snr", values=[0.0, 10.0], pfa_list=(1e-1, 1e-2), rank=0)
-        )
+        header, rows = sweep(plan, "snr", values=[0.0, 10.0], pfa_list=(1e-1, 1e-2), rank=0)
         assert header == DETECTION_HEADER
         assert len(rows) == 4
         for r in rows:
-            emp, theo = float(r[2]), float(r[3])
+            emp, theo = r[2], r[3]
             assert 0.0 <= emp <= 1.0
             assert 0.0 <= theo <= 1.0
 
@@ -354,10 +341,10 @@ class TestSweep:
         spiked = SpikedClutter(np.array([6.0, 3.0]))
         cfg = ScenarioConfig(N=2, K=8, n=64, sigma2=1.0, clutter=spiked, seed=3, name="p16")
         plan = plan_for(cfg, trials=20, seed=8)
-        _, single = parse_csv(sweep(plan, "snr", values=[20.0], pfa_list=(1e-1,)))
-        _, twice = parse_csv(sweep(plan, "snr", values=[20.0], pfa_list=(1e-1, 1e-1)))
+        _, single = sweep(plan, "snr", values=[20.0], pfa_list=(1e-1,))
+        _, twice = sweep(plan, "snr", values=[20.0], pfa_list=(1e-1, 1e-1))
         assert twice == single * 2
-        assert 0.0 < float(single[0][2]) <= 1.0
+        assert 0.0 < single[0][2] <= 1.0
 
     @pytest.mark.parametrize("axis", ["doppler", "angle"])
     @pytest.mark.parametrize("values", [[], [0.2], [-0.3, 0.0, 0.3]])
@@ -377,10 +364,10 @@ class TestSweep:
     def test_each_row_equals_its_one_value_sweep(self, axis):
         plan = plan_for(small_scene(), trials=2, seed=3)
         values = [-0.3, 0.1, 0.45]
-        header, *rows = sweep(plan, axis, values=values).splitlines()
+        header, rows = sweep(plan, axis, values=values)
         assert len(rows) == len(values)
         for value, row in zip(values, rows):
-            assert sweep(plan, axis, values=[value]).splitlines() == [header, row]
+            assert sweep(plan, axis, values=[value]) == (header, [row])
 
     @pytest.mark.parametrize("axis", ["doppler", "angle", "snr"])
     def test_grid_axis_needs_values(self, axis):
@@ -515,8 +502,8 @@ class TestEigenbasisEquivalence:
     )
     def test_sweep_rows_match_the_original_frame(self, axis, values):
         plan = plan_for(small_scene(), trials=2, seed=4)
-        header, rows = parse_csv(sweep(plan, axis, values=values))
-        ours = np.array([[float(v) for v in row[6:]] for row in rows])
+        header, rows = sweep(plan, axis, values=values)
+        ours = np.array([row[6:] for row in rows])
         assert header[6:] == SWEEP_HEADER[6:] and ours.shape == (len(values), 7)
         np.testing.assert_allclose(ours, original_frame_rows(plan, axis, values), rtol=1e-9, atol=0)
 
@@ -528,7 +515,7 @@ class TestEigenbasisEquivalence:
         # the 30 dB cell detects whatever the BLAS kernel's draws, so the
         # guard below does not rest on one kernel's low-SNR hits
         snr_grid, pfa_list = [-6.0, -3.0, 0.0, 3.0, 30.0], (1e-1, 1e-2)
-        header, rows = parse_csv(sweep(plan, "snr", values=snr_grid, pfa_list=pfa_list))
+        _, rows = sweep(plan, "snr", values=snr_grid, pfa_list=pfa_list)
         factor = dense_colouring_factor(synthesize_clutter_covariance(scn))
         s = steering_vector(plan.target)
         want = []
@@ -541,7 +528,7 @@ class TestEigenbasisEquivalence:
                 for pfa in pfa_list:
                     hits[pfa] += detect(*decomposed(snaps[:, :-1]), y, s, None, pfa).decision
             want += [hits[pfa] for pfa in pfa_list]
-        got = [round(float(row[2]) * plan.trials) for row in rows]
+        got = [round(row[2] * plan.trials) for row in rows]
         assert got == want and 0 < sum(want) < len(want) * plan.trials
 
     @pytest.mark.parametrize("rank", [None, 2, 0])
