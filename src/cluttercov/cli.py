@@ -68,23 +68,33 @@ def _real(value, name: str) -> float:
         raise ConfigError(f"{name} must be within the float range, got {value!r}") from None
 
 
+def _list(value, name: str, length: int | None = None) -> list:
+    """A scene JSON field that must be a list, of ``length`` items if given: [1, 2] is, 1 is not."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length} numbers"
+        raise ConfigError(f"{name} must be {shape}, got {value!r}")
+    return value
+
+
 def _clutter_from_json(spec: dict):
     if not isinstance(spec, dict):
         raise ConfigError(f"clutter must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "spiked":
-        return SpikedClutter([_real(v, f"spikes[{i}]") for i, v in enumerate(spec["spikes"])])
+        spikes = _list(spec["spikes"], "spikes")
+        return SpikedClutter([_real(v, f"spikes[{i}]") for i, v in enumerate(spikes)])
     if kind == "scatterers":
-        return ScattererClutter(
-            tuple(
-                Scatterer(**{key: _real(s[key], f"scatterers[{i}].{key}")
-                             for key in ("amplitude", "theta", "doppler")})
-                for i, s in enumerate(spec["scatterers"])
-            )
-        )
+        scatterers = []
+        for i, s in enumerate(_list(spec["scatterers"], "scatterers")):
+            if not isinstance(s, dict):
+                raise ConfigError(f"scatterers[{i}] must be a JSON object, got {s!r}")
+            scatterers.append(Scatterer(**{key: _real(s[key], f"scatterers[{i}].{key}")
+                                           for key in ("amplitude", "theta", "doppler")}))
+        return ScattererClutter(tuple(scatterers))
     if kind == "toeplitz":
+        pairs = [_list(tap, f"taps[{i}]", 2) for i, tap in enumerate(_list(spec["taps"], "taps"))]
         taps = np.asarray([complex(_real(re, f"taps[{i}]"), _real(im, f"taps[{i}]"))
-                           for i, (re, im) in enumerate(spec["taps"])])
+                           for i, (re, im) in enumerate(pairs)])
         return ToeplitzClutter(taps=taps, pulse_len=_integer(spec["pulse_len"], "pulse_len"))
     if kind in (None, "none"):
         return None
@@ -362,12 +372,17 @@ def _cmd_verify_clt(args) -> int:
     spikes = np.asarray(sorted(_parse_list(args.spikes), reverse=True))
     if spikes.size == 0 or not np.all(spikes > edge):
         raise ConfigError(f"--spikes needs whitened spikes above the detection edge {edge:.6g}")
+    with np.errstate(over="ignore"):
+        powers = spikes * args.sigma2
+    if np.all(np.isfinite(spikes)) and not np.all(np.isfinite(powers)):
+        raise ConfigError(f"--spikes times --sigma2 overflows: {float(spikes[0])!r} times "
+                          f"{args.sigma2!r}")
     try:
-        model = SpikedCovariance.diagonal(args.p, args.sigma2, spikes * args.sigma2)
+        model = SpikedCovariance.diagonal(args.p, args.sigma2, powers)
     except ValueError as exc:
         raise ConfigError(f"bad --spikes: {exc}") from exc
     seed = 0 if args.seed is None else args.seed
-    results = validate.verify_clt(model, args.gamma, args.trials, seed, ensemble=args.ensemble)
+    results = validate.verify_clt(model, args.gamma, args.trials, seed)
     payload = [
         {
             "spike": r.ell,
@@ -449,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "verify-clt",
         help="distributional check of the shrunk eigenvalues",
-        description="KS test of the shrunk spike eigenvalues against their CLT law. The "
+        description="KS test of the shrunk spike eigenvalues of circular complex Gaussian "
+        "snapshots against their CLT law. The "
         "centring is asymptotic: at moderate p the finite-n term between two spikes can make "
         "it reject a correct pipeline (spikes 5,3 at p = 120, n = 600: 28.75% of seeds), so "
         "read small p-values at small p with care.",
@@ -460,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=400)
     sp.add_argument("--sigma2", type=float, default=1.0)
     sp.add_argument("--trials", type=int, default=validate.DEFAULT_TRIALS)
-    sp.add_argument("--ensemble", choices=["real", "complex"], default="complex")
     sp.set_defaults(func=_cmd_verify_clt)
     return parser
 

@@ -5,7 +5,9 @@ on three primitives: the MP CDF and median at aspect ratio gamma = p/n,
 both in closed form (the median by Newton's method on the CDF),
 the sample covariance of a p x n snapshot array (a Hermitian rank-n update,
 returned as a plain Hermitian p x p array), and a descending-order Hermitian
-eigendecomposition. The estimators need every eigenvalue but only the r
+eigendecomposition. Every matrix they form is complex128 and column-major,
+as LAPACK's complex routines take it: real input is read as complex. The
+estimators need every eigenvalue but only the r
 leading eigenvectors, so ``eigh`` does one Householder tridiagonal reduction
 (O(p^3), about a third of a full dense ``zheevd``), takes all eigenvalues
 from the tridiagonal in O(p^2), and returns an ``EigenDecomposition`` that
@@ -178,12 +180,12 @@ class EigenDecomposition:
     ``to_eigenbasis(x)`` = V^H x and ``from_eigenbasis(x)`` = V x apply the
     full basis V, columns in descending eigenvalue order, without forming
     it: V = Q Z, with Z the real eigenvectors of T by divide and
-    conquer (``dstedc``). That is how LAPACK's ``zheevd`` (``dsyevd``) builds
+    conquer (``dstedc``). That is how LAPACK's ``zheevd`` builds
     its basis from the same reduction, so V is numpy's dense ``eigh`` basis to
     roundoff, ties included, and not ``leading``'s. A rotation of m vectors
-    is one pass of the reflectors and one real product with Z, O(p^2 m). Z
-    is solved at the first rotation and kept: p^2 floats beside the
-    reduction's p^2 entries.
+    is one pass of the reflectors and one real product with Z, O(p^2 m), in
+    complex128 whatever the dtype of x. Z is solved at the first rotation
+    and kept: p^2 floats beside the reduction's p^2 entries.
     """
 
     def __init__(self, eigenvalues: np.ndarray, reduction: tuple):
@@ -207,13 +209,13 @@ class EigenDecomposition:
             raise ValueError("k must satisfy 0 <= k <= p")
         if self._leading is not None and k <= self._leading.shape[1]:
             return self._leading[:, :k].copy()
-        packed, d, e, tau = self._reduction
+        _, d, e, _ = self._reduction
         if k == 0:
-            return np.zeros((p, 0), dtype=packed.dtype)
+            return np.zeros((p, 0), dtype=complex)
         # the ``dstemr`` wrapper returns a p x p block for any k; the p x k
         # result is allocated before it and the block freed at once, so the
         # block's memory is not left as a hole below a live array
-        vec = np.empty((p, k), dtype=packed.dtype)
+        vec = np.empty((p, k), dtype=complex)
         z = _tridiagonal_leading(d, e, k)
         vec[...] = z[:, ::-1]
         del z
@@ -223,8 +225,7 @@ class EigenDecomposition:
 
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """V^H x = Z^T Q^H x for a p-vector or the columns of a p x m block."""
-        block, dtype = self._operand(x)
-        c = np.array(block, dtype=dtype, order="C")
+        c = np.array(self._operand(x), dtype=complex, order="C")
         self._reflect(c, "C")
         # Z's columns ascend, so the descending coordinates are its rows reversed
         out = np.ascontiguousarray(_real_product(self._z().T, c)[::-1])
@@ -232,18 +233,17 @@ class EigenDecomposition:
 
     def from_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """V x = Q Z x for a p-vector or the columns of a p x m block, x in descending order."""
-        block, dtype = self._operand(x)
-        c = _real_product(self._z(), np.array(block[::-1], dtype=dtype, order="C"))  # Z's columns ascend
+        # Z's columns ascend
+        c = _real_product(self._z(), np.array(self._operand(x)[::-1], dtype=complex, order="C"))
         self._reflect(c, "N")
         return c[:, 0] if np.ndim(x) == 1 else c
 
-    def _operand(self, x) -> tuple:
-        """x as a p x m block (a p-vector is one column) and the dtype of its rotation."""
+    def _operand(self, x) -> np.ndarray:
+        """x as a p x m block: a p-vector is one column."""
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[0] != self.p:
             raise ValueError(f"expected a p-vector or a p x m block, p = {self.p}")
-        dtype = np.result_type(self._reduction[0].dtype, x.dtype)
-        return (x[:, None] if x.ndim == 1 else x), dtype
+        return x[:, None] if x.ndim == 1 else x
 
     def _z(self) -> np.ndarray:
         """Z, the p x p real eigenvectors of T in ascending eigenvalue order, solved once."""
@@ -264,27 +264,20 @@ class EigenDecomposition:
     def _reflect(self, c: np.ndarray, trans: str) -> None:
         """Q c (``trans`` "N") or Q^H c ("C") in place, for the reduction's Q.
 
-        ``c`` is a C-ordered p x m block of the reduction's dtype, or a
-        complex block over a real reduction, whose real and imaginary parts
-        the real Q maps alike.
+        ``c`` is a C-ordered complex p x m block.
         """
         packed, _, _, tau = self._reduction
         p = packed.shape[0]
         if p == 1 or c.shape[1] == 0:
             return
-        # ?unmtr with uplo = L is ?unmqr on rows 1: with the reflectors below
+        # zunmtr with uplo = L is zunmqr on rows 1: with the reflectors below
         # the diagonal, a block one element into packed's column-major buffer
         # with leading dimension p. The view has it in its first p - 1 rows,
-        # all that ?unmqr reads, so the reflectors are never copied.
+        # all that zunmqr reads, so the reflectors are never copied.
         reflectors = packed.ravel(order="F")[1 : 1 + p * (p - 1)].reshape((p, p - 1), order="F")
-        if np.iscomplexobj(packed):
-            unmqr = lapack.zunmqr
-        else:
-            unmqr, trans = lapack.dormqr, ("T" if trans == "C" else trans)
-            c = c.view(float)  # a complex block's columns as (real, imaginary) pairs
-        work = unmqr("L", trans, reflectors, tau, c[1:], lwork=-1)[1]
-        out, _, info = unmqr("L", trans, reflectors, tau, c[1:], lwork=int(work[0].real))
-        _check_info(info, "?unmqr")
+        work = lapack.zunmqr("L", trans, reflectors, tau, c[1:], lwork=-1)[1]
+        out, _, info = lapack.zunmqr("L", trans, reflectors, tau, c[1:], lwork=int(work[0].real))
+        _check_info(info, "zunmqr")
         c[1:] = out
 
 
@@ -333,13 +326,11 @@ def _tridiagonal_leading(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
 
 
 def _real_product(m: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """m @ c for a real matrix m and a C-ordered block c, with no complex copy of m.
+    """m @ c for a real matrix m and a C-ordered complex block c, with no complex copy of m.
 
-    A complex c is multiplied as its real view, (real, imaginary) column pairs.
+    c is multiplied as its real view, (real, imaginary) column pairs.
     """
-    if np.iscomplexobj(c):
-        return (m @ c.view(float)).view(complex)
-    return m @ c
+    return (m @ c.view(float)).view(complex)
 
 
 def _mp_cdf_of_gamma(x: float, gamma: float) -> float:
@@ -412,20 +403,16 @@ def mp_median(law: MPLaw) -> float:
 def sample_covariance(data: np.ndarray) -> np.ndarray:
     """Sample covariance (1/n) Y Y^H of snapshot columns Y (p x n), as a Hermitian p x p array.
 
-    Formed by one Hermitian rank-n update (BLAS ``zherk``, ``dsyrk`` for real
-    data), half the flops of a general product, and never on a copy of Y
-    when Y is contiguous in either order. A column-major Y, such as the
-    training block ``w[:, :n]`` of a ``complex_normal`` draw, is the
-    update's own operand: it gives Y Y^H in the lower triangle of a
-    Fortran-ordered result. A row-major Y runs on Y^T, which is then
-    column-major: (Y^T)^H Y^T = conj(Y Y^H) in the lower triangle, whose
-    transpose is the upper triangle of Y Y^H in a C-ordered result. Any
-    other layout is copied by the BLAS wrapper on that second path. The
-    two paths give bitwise the same matrix. The filled triangle is mirrored
-    into the other in place, so the result is Hermitian exactly with a real
-    diagonal. Finiteness is left to ``eigh``, which checks it. n < p is
-    accepted (the matrix is still well defined) but flagged with a
-    RegimeWarning: downstream shrinkage refuses such decompositions.
+    Formed by one Hermitian rank-n update (BLAS ``zherk``), half the flops
+    of a general product, in the lower triangle of a Fortran-ordered
+    result. A complex128 column-major Y, such as the training block
+    ``w[:, :n]`` of a ``complex_normal`` draw, is the update's own operand;
+    the BLAS wrapper copies any other Y into one, so real data is read as
+    complex. The filled triangle is mirrored into the other in place, so
+    the result is Hermitian exactly with a real diagonal. Finiteness is
+    left to ``eigh``, which checks it. n < p is accepted (the matrix is
+    still well defined) but flagged with a RegimeWarning: downstream
+    shrinkage refuses such decompositions.
     """
     data = np.asarray(data)
     if data.ndim == 1:
@@ -438,14 +425,10 @@ def sample_covariance(data: np.ndarray) -> np.ndarray:
             f"n = {n} < p = {p}: sample covariance is singular", RegimeWarning,
             stacklevel=2,
         )
-    rank_n_update = blas.zherk if np.iscomplexobj(data) else blas.dsyrk
-    if data.flags.f_contiguous:
-        # Y Y^H in the lower triangle of a Fortran-ordered array, whose
-        # C-ordered transpose holds conj(Y Y^H) in its upper triangle
-        scm = rank_n_update(1.0 / n, data, trans=0, lower=1)
-        upper = scm.T
-    else:
-        scm = upper = rank_n_update(1.0 / n, data.T, trans=2, lower=1).T
+    # Y Y^H in the lower triangle of a Fortran-ordered array, whose
+    # C-ordered transpose holds conj(Y Y^H) in its upper triangle
+    scm = blas.zherk(1.0 / n, data, trans=0, lower=1)
+    upper = scm.T
     # mirroring ``upper`` makes it Hermitian, and with it ``scm``, its transpose
     for i in range(0, p, _MIRROR_BLOCK):
         j = min(i + _MIRROR_BLOCK, p)
@@ -461,32 +444,26 @@ def symmetrized(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
 
     The lower triangle, diagonal included, is the result, all that
     LAPACK's ``uplo = L`` routines read; the strictly upper triangle is not
-    part of it. Complex input stays complex and any other input becomes
-    float, so a real matrix keeps a real result. With ``overwrite_a`` and a
-    writeable column-major ``m`` of that dtype the result is formed in ``m``
-    itself, which is returned, and ``m``'s contents are undefined if a
-    check fails. A real row-major ``m`` counts as its transpose, which is
-    column-major and has bitwise the same (m + m^T) / 2, so it too is
-    overwritten. Any other input is left as it is and the pass runs in a
-    column-major copy. The pass runs over pairs of ``_MIRROR_BLOCK`` square
-    tiles, (I, J) and its mirror (J, I): each pair is checked finite before
-    any arithmetic on it but |.|, and its lower result tile is formed while
-    the pair is in cache. Besides the array, the only scratch is two tiles,
-    one of the result's dtype and one real. Every entry is the same
-    expression either way, so the lower triangle is bitwise that of
-    (m + m^H) / 2.
+    part of it, and it is complex128 whatever the input's dtype. With
+    ``overwrite_a`` and a writeable complex128 column-major ``m`` the result
+    is formed in ``m`` itself, which is returned, and ``m``'s contents are
+    undefined if a check fails. Any other input is left as it is and the
+    pass runs in a complex128 column-major copy. The pass runs over pairs
+    of ``_MIRROR_BLOCK`` square tiles, (I, J) and its mirror (J, I): each
+    pair is checked finite before any arithmetic on it but |.|, and its
+    lower result tile is formed while the pair is in cache. Besides the
+    array, the only scratch is two tiles, one complex and one real. Every
+    entry is the same expression either way, so the lower triangle is
+    bitwise that of (m + m^H) / 2.
     """
-    dtype = np.dtype(complex if np.iscomplexobj(m) else float)
-    if overwrite_a and dtype == float and m.flags.c_contiguous:
-        m = m.T
-    if not (overwrite_a and m.dtype == dtype and m.flags.f_contiguous and m.flags.writeable):
-        m = np.array(m, dtype=dtype, order="F")
+    if not (overwrite_a and m.dtype == complex and m.flags.f_contiguous and m.flags.writeable):
+        m = np.array(m, dtype=complex, order="F")
     # C-ordered tiles of m^T, for contiguous writes: a pair's upper tile of
     # m^T is its lower tile of m, written only once both tiles are read
     t = m.T
     p = m.shape[0]
     side = min(_MIRROR_BLOCK, p)
-    sym_tile, abs_tile = np.empty((side, side), dtype=dtype), np.empty((side, side))
+    sym_tile, abs_tile = np.empty((side, side), dtype=complex), np.empty((side, side))
     scale, skew = 1.0, 0.0
     for i in range(0, p, _MIRROR_BLOCK):
         rows = slice(i, min(i + _MIRROR_BLOCK, p))
@@ -518,7 +495,7 @@ def eigh(matrix: np.ndarray, overwrite_a: bool = False) -> EigenDecomposition:
 
     The input is symmetrized as (A + A^H)/2, which absorbs the accumulation
     error of covariance averaging. One blocked Householder reduction to
-    tridiagonal form (``zhetrd``, ``dsytrd`` for real input) then yields all
+    tridiagonal form (``zhetrd``, real input read as complex) then yields all
     eigenvalues through ``dsterf``; eigenvectors are left to
     ``EigenDecomposition.leading``, which computes only the ones asked for.
 
@@ -533,9 +510,8 @@ def eigh(matrix: np.ndarray, overwrite_a: bool = False) -> EigenDecomposition:
     rotations of the decomposition read.
 
     ``overwrite_a`` is scipy's ownership flag. With it, a writeable
-    column-major input of the reduction's dtype (complex128, or float64 for
-    real input, which may also be row-major) is checked, symmetrized and
-    reduced where it is, and the decomposition keeps it: the caller hands
+    complex128 column-major input is checked, symmetrized and reduced where
+    it is, and the decomposition keeps it: the caller hands
     the array over and must not read or write it again. Besides the input
     the working set is then two tiles of scratch or the reduction's
     workspace. Any other input, and any input without the flag, is left
@@ -546,12 +522,8 @@ def eigh(matrix: np.ndarray, overwrite_a: bool = False) -> EigenDecomposition:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError("invalid matrix")
     packed = symmetrized(m, overwrite_a)
-    p = packed.shape[0]
-    if np.iscomplexobj(packed):
-        reduce, lwork = lapack.zhetrd, lapack.zhetrd_lwork(p, lower=1)[0].real
-    else:
-        reduce, lwork = lapack.dsytrd, lapack.dsytrd_lwork(p, lower=1)[0]
-    reduced, d, e, tau, info = reduce(packed, lower=1, lwork=int(lwork), overwrite_a=1)
-    _check_info(info, "?hetrd/?sytrd")
+    lwork = lapack.zhetrd_lwork(packed.shape[0], lower=1)[0].real
+    reduced, d, e, tau, info = lapack.zhetrd(packed, lower=1, lwork=int(lwork), overwrite_a=1)
+    _check_info(info, "zhetrd")
     lam = _tridiagonal_eigenvalues(d, e)
     return EigenDecomposition(lam[::-1].copy(), (reduced, d, e, tau))

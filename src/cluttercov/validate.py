@@ -168,16 +168,16 @@ class CltSpikeResult:
 
 
 def verify_clt(
-    model: SpikedCovariance, gamma: float, trials: int, seed: int, ensemble: str = "complex"
+    model: SpikedCovariance, gamma: float, trials: int, seed: int
 ) -> list[CltSpikeResult]:
     """Check the distributional law of the shrunk spike eigenvalues by simulation.
 
     For each spike, collects sqrt(n) * (shrunk eigenvalue - its limit) over
     trials of the full estimation pipeline and KS-tests the whitened values
     against reference normal draws with the prescribed scale
-    alpha * eta_prime(beta). The prescribed variance alpha^2 is exact for real
-    Gaussian snapshots; circular complex snapshots halve it, so the reference
-    scale carries a 1/sqrt(2) factor for ensemble="complex".
+    alpha * eta_prime(beta) / sqrt(2). The prescribed variance alpha^2 is that
+    of real Gaussian snapshots; the draws are circular complex
+    (``complex_normal``), which halves it, so the scale carries 1/sqrt(2).
 
     The snapshots are p = ``model.p`` dimensional, drawn with the diagonal
     covariance diag(model.spectrum()), as the eigenvalue law is basis-free.
@@ -188,13 +188,11 @@ def verify_clt(
     The centring is asymptotic. At moderate p the sample spike eigenvalue
     still carries an O(1/n) location term (Lawley's expansion), dominated
     between two spikes by ell_i ell_j / (n (ell_i - ell_j)): in the (5, 3)
-    scene at p = 120, n = 600 (complex) the ell = 3 samples sit about
-    -0.15 sd off zero, and the KS test rejects that correct pipeline at
-    28.75% of seeds (40 seeds, both ensembles), while a lone ell = 3 sits
+    scene at p = 120, n = 600 the ell = 3 samples sit about -0.15 sd off
+    zero, and the KS test rejects that correct pipeline at 28.75% of seeds
+    (40 seeds, real and complex draws), while a lone ell = 3 sits
     -0.01 to -0.06 sd off. So a small p-value at small p is no fault.
     """
-    if ensemble not in ("real", "complex"):
-        raise ValueError("ensemble must be 'real' or 'complex'")
     if model.r == 0:
         raise ValueError("model must have at least one spike")
     if trials < 2:
@@ -206,16 +204,11 @@ def verify_clt(
     ells = model.whitened_spikes()
     params = [CltParams(ell, g) for ell in ells]
     sigma2 = model.sigma2
-    scale_fix = 1.0 if ensemble == "real" else 1.0 / np.sqrt(2.0)
-
+    complex_scale = 1.0 / np.sqrt(2.0)
     root = np.sqrt(model.spectrum())
 
     def draw(n, seed, stream):
-        if ensemble == "complex":
-            return complex_normal(substream(seed, stream), p, n, root)
-        w = substream(seed, stream).standard_normal((p, n))
-        w *= root[:, None]  # in place, so one p x n block is alive
-        return w
+        return complex_normal(substream(seed, stream), p, n, root)
 
     shrunk = np.empty((trials, model.r))
     ests = _trial_estimates(draw, n, seed, trials, lambda decomp: shrink_spectrum(decomp, ratio))
@@ -230,7 +223,7 @@ def verify_clt(
         limit = sigma2 * prm.eta_of_beta
         samples = np.sqrt(n) * (shrunk[:, i] - limit) / sigma2
         ref_rng = substream(seed, 10_000_000 + i)
-        ref = ref_rng.standard_normal(trials) * np.sqrt(prm.alpha2) * prm.eta_prime * scale_fix
+        ref = ref_rng.standard_normal(trials) * np.sqrt(prm.alpha2) * prm.eta_prime * complex_scale
         results.append(
             CltSpikeResult(
                 ell=float(ells[i]),

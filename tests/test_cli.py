@@ -511,6 +511,23 @@ class TestExitCodes:
         assert "--sigma2 must be positive and finite" in err and "--spikes" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_spike_power_is_config_error_naming_both_flags(self, tmp_path, capsys):
+        argv = ["verify-clt", "--p", "16", "--gamma", "0.25", "--trials", "4", "--sigma2", "1e308",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --spikes times --sigma2 overflows")
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_clt_has_no_ensemble_flag(self, tmp_path, capsys):
+        # its draws are circular complex, as the paper's snapshots are
+        argv = ["verify-clt", "--p", "16", "--gamma", "0.25", "--trials", "4", "--ensemble", "real",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "unrecognized arguments: --ensemble real" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "grid", [["--snr-step", "0"], ["--snr-step", "-4"], ["--snr-lo", "10", "--snr-hi", "0"]]
     )
@@ -730,6 +747,29 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["estimate", "--config", str(path), "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {name} must be a number")
+        assert not out.exists()
+
+    # a list field, or an item of one, of the wrong JSON shape: each a
+    # configuration error naming it, where iterating or unpacking would fail
+    @pytest.mark.parametrize(
+        "clutter,message",
+        [({"kind": "spiked", "spikes": 5}, "spikes must be a list"),
+         ({"kind": "scatterers", "scatterers": 3}, "scatterers must be a list"),
+         ({"kind": "scatterers", "scatterers": [3]}, "scatterers[0] must be a JSON object"),
+         ({"kind": "toeplitz", "taps": 1, "pulse_len": 1}, "taps must be a list"),
+         ({"kind": "toeplitz", "taps": [1, 2], "pulse_len": 1}, "taps[0] must be a list of 2"),
+         ({"kind": "toeplitz", "taps": [[1.0, 0.0], [0.5, 0.0, 0.0]], "pulse_len": 1},
+          "taps[1] must be a list of 2")],
+        ids=["spikes-number", "scatterers-number", "scatterer-number", "taps-number",
+             "tap-number", "tap-triple"],
+    )
+    def test_list_field_of_the_wrong_shape_is_config_error(self, tmp_path, capsys, clutter,
+                                                          message):
+        scene = {"N": 2, "K": 8, "n": 64, "sigma2": 1.0, "clutter": clutter}
+        path = _write(tmp_path, "bad.json", json.dumps(scene))
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
         assert not out.exists()
 
     def test_integral_floats_are_integers(self, tmp_path, capsys):

@@ -194,17 +194,13 @@ class TestSampleCovariance:
 
     # p = 150 spans three blocks of the triangle mirror, p = 24 one
     @pytest.mark.parametrize("p", [24, 150])
-    @pytest.mark.parametrize(
-        "kind", ["complex", "real", "one-snapshot", "training-view", "fortran", "fortran-real"]
-    )
+    @pytest.mark.parametrize("kind", ["complex", "one-snapshot", "training-view", "fortran"])
     def test_matches_dense_product_and_is_exactly_hermitian(self, kind, p):
         rng = substream(6, p)
-        data = rng.standard_normal((p, 2 * p + 1))
-        if not kind.endswith("real"):
-            data = data + 1j * rng.standard_normal((p, 2 * p + 1))
-        if kind.startswith("fortran"):
+        data = rng.standard_normal((p, 2 * p + 1)) + 1j * rng.standard_normal((p, 2 * p + 1))
+        if kind == "fortran":
             # a column-major block is the rank-n update's own operand: bitwise
-            # the result of the row-major path
+            # the result of the wrapper's column-major copy of a row-major one
             c_order = sample_covariance(data)
             data = np.asfortranarray(data)
             assert sample_covariance(data).tobytes(order="C") == c_order.tobytes(order="C")
@@ -220,7 +216,7 @@ class TestSampleCovariance:
                 scm = sample_covariance(data)
         else:
             scm = sample_covariance(data)
-        assert scm.dtype == (float if kind.endswith("real") else complex)
+        assert scm.dtype == complex
         assert np.abs(scm - ref).max() <= 1e-13 * np.abs(ref).max()
         np.testing.assert_array_equal(scm, scm.conj().T)
         np.testing.assert_array_equal(np.diagonal(scm).imag, 0.0)
@@ -292,44 +288,52 @@ class TestEigh:
         dec = eigh(m)
         assert np.abs(reconstruct(dec) - m).max() < 1e-8 * np.abs(m).max()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_real_symmetric_input_is_reduced_as_complex(self, order):
+        z = substream(5, 1).standard_normal((64, 192))
+        m = np.asarray(z @ z.T / 192, order=order)
+        before = m.copy(order="A")
+        dec = eigh(m, overwrite_a=True)  # a real array is never the reduction's own
+        assert m.tobytes(order="A") == before.tobytes(order="A")
+        ref = np.linalg.eigvalsh(m)[::-1]
+        assert np.abs(dec.eigenvalues - ref).max() <= 1e-12 * np.abs(ref).max()
+        v = dec.leading(3)
+        assert v.dtype == complex
+        assert np.abs(v.conj().T @ v - np.eye(3)).max() <= 1e-10
+        assert np.abs(m @ v - v * dec.eigenvalues[:3]).max() <= 1e-10 * np.abs(m).max()
+
 
 B = rmt._MIRROR_BLOCK
 P_PARTIAL = 2 * B + 5  # two full blocks of eigh's row pass and a partial one
 
 
-def exactly_hermitian(p, seed, real=False):
+def exactly_hermitian(p, seed):
     rng = substream(9, p, seed)
-    z = rng.standard_normal((p, p))
-    if not real:
-        z = z + 1j * rng.standard_normal((p, p))
+    z = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
     return (z + z.conj().T) / 2  # entry (j, i) is the exact conjugate of (i, j)
 
 
 def spy_on_reduction(monkeypatch):
     """Copies of the symmetrized matrices ``eigh`` hands to the tridiagonal reduction."""
     seen = []
-    for name in ("zhetrd", "dsytrd"):
-        real = getattr(rmt.lapack, name)
+    zhetrd = rmt.lapack.zhetrd
 
-        def spy(a, *args, real=real, **kwargs):
-            seen.append(a.copy(order="K"))  # in the layout the reduction reads
-            return real(a, *args, **kwargs)
+    def spy(a, *args, **kwargs):
+        seen.append(a.copy(order="K"))  # in the layout the reduction reads
+        return zhetrd(a, *args, **kwargs)
 
-        monkeypatch.setattr(rmt.lapack, name, spy)
+    monkeypatch.setattr(rmt.lapack, "zhetrd", spy)
     return seen
 
 
 class TestBlockedEigh:
     """The row-block symmetrize-and-check pass of ``eigh``."""
 
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("p", [1, B - 1, B, B + 1, P_PARTIAL])
-    def test_packed_matrix_is_bitwise_the_symmetrized_input(self, monkeypatch, p, real):
+    def test_packed_matrix_is_bitwise_the_symmetrized_input(self, monkeypatch, p):
         # a general product, so the input carries a rounding-level skew
-        rng = substream(10, p, int(real))
-        z = rng.standard_normal((p, 2 * p))
-        if not real:
-            z = z + 1j * rng.standard_normal((p, 2 * p))
+        rng = substream(10, p, 0)
+        z = rng.standard_normal((p, 2 * p)) + 1j * rng.standard_normal((p, 2 * p))
         m = z @ z.conj().T / (2 * p)
         seen = spy_on_reduction(monkeypatch)
         dec = eigh(m)
@@ -349,29 +353,25 @@ class TestBlockedEigh:
                                    atol=1e-12)
 
     @pytest.mark.parametrize(
-        "real,value",
-        [(False, np.nan), (False, np.inf), (False, -np.inf), (False, complex(0.0, np.nan)),
-         (True, np.nan), (True, np.inf), (True, -np.inf)],
-        ids=["complex-nan", "complex-inf", "complex-neg-inf", "complex-imag-nan",
-             "real-nan", "real-inf", "real-neg-inf"],
+        "value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+        ids=["nan", "inf", "neg-inf", "imag-nan"],
     )
     @pytest.mark.parametrize(
         "where",
         [(3, P_PARTIAL - 2), (P_PARTIAL - 2, 3), (P_PARTIAL - 1, P_PARTIAL - 1), (2 * B + 1, B)],
         ids=["upper", "lower", "last-block-diagonal", "last-block-lower"],
     )
-    def test_nonfinite_entry_rejected_wherever_it_sits(self, where, real, value):
+    def test_nonfinite_entry_rejected_wherever_it_sits(self, where, value):
         # an entry below the first block also enters that block's mirror, where
         # a maximum would drop a NaN: the finiteness check must see every row
-        m = exactly_hermitian(P_PARTIAL, 1, real=real)
+        m = exactly_hermitian(P_PARTIAL, 1)
         m[where] = value
         with pytest.raises(ValueError, match="invalid matrix"):
             eigh(m)
 
     @pytest.mark.parametrize("gain", [1e-3, 1.0, 1e3], ids=["scale-floor", "unit", "large"])
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_skew_threshold_is_relative_to_max_abs_or_one(self, gain, real):
-        m = exactly_hermitian(P_PARTIAL, 2, real=real) * gain
+    def test_skew_threshold_is_relative_to_max_abs_or_one(self, gain):
+        m = exactly_hermitian(P_PARTIAL, 2) * gain
         scale = max(np.abs(m).max(), 1.0)
         i, j = P_PARTIAL - 1, 1  # an off-diagonal entry of the partial last block
         below, above = m.copy(), m.copy()
@@ -388,33 +388,30 @@ class TestBlockedEigh:
         with pytest.raises(ValueError, match="invalid matrix"):
             eigh(np.zeros(shape))
 
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_working_set_is_one_copy_plus_a_few_tiles(self, peak_bytes, real):
+    def test_working_set_is_one_copy_plus_a_few_tiles(self, peak_bytes):
         # the pass's two scratch tiles and the ufuncs' buffers for the
         # strided tile operands, not a B x p block of rows (8 tiles at this p)
         p = 8 * B + 5
-        m = exactly_hermitian(p, 3, real=real)
+        m = exactly_hermitian(p, 3)
         budget = (p * p + 6 * B * B) * m.itemsize
         assert peak_bytes(eigh, m) <= budget
 
 
     @pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in-place"])
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("p", [1, B + 1, P_PARTIAL])
-    def test_strictly_upper_triangle_is_never_read(self, monkeypatch, p, real, in_place):
+    def test_strictly_upper_triangle_is_never_read(self, monkeypatch, p, in_place):
         # NaN in the strictly upper triangle the reduction is handed moves no
         # output of the decomposition: LAPACK's uplo = L contract, which lets
         # ``symmetrized`` form the lower triangle only
-        a = skewed(p, 2, real)
+        a = skewed(p, 2)
         want = eigh(a)
-        for name in ("zhetrd", "dsytrd"):
-            real_routine = getattr(rmt.lapack, name)
+        zhetrd = rmt.lapack.zhetrd
 
-            def poison(x, *args, real_routine=real_routine, **kwargs):
-                x[np.triu_indices(x.shape[0], 1)] = np.nan
-                return real_routine(x, *args, **kwargs)
+        def poison(x, *args, **kwargs):
+            x[np.triu_indices(x.shape[0], 1)] = np.nan
+            return zhetrd(x, *args, **kwargs)
 
-            monkeypatch.setattr(rmt.lapack, name, poison)
+        monkeypatch.setattr(rmt.lapack, "zhetrd", poison)
         got = eigh(np.asfortranarray(a), overwrite_a=True) if in_place else eigh(a)
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         k = min(3, p)
@@ -427,27 +424,25 @@ class TestBlockedEigh:
 class TestSymmetrized:
     """The tiled symmetrize-and-check pass on its own."""
 
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("p", [1, B + 1, 3 * B + 7])
-    def test_bitwise_the_expression(self, p, order, real):
+    def test_bitwise_the_expression(self, p, order):
         # a general product carries a rounding-level skew; a Fortran-ordered
-        # input is what ``sample_covariance`` returns for column-major data
-        rng = substream(11, p, int(real))
-        z = rng.standard_normal((p, 2 * p))
-        if not real:
-            z = z + 1j * rng.standard_normal((p, 2 * p))
+        # input is what ``sample_covariance`` returns
+        rng = substream(11, p, 0)
+        z = rng.standard_normal((p, 2 * p)) + 1j * rng.standard_normal((p, 2 * p))
         m = np.asarray(z @ z.conj().T / (2 * p), order=order)
         ours = rmt.symmetrized(m)
         want = (m + m.conj().T) / 2
         assert ours.flags.f_contiguous and ours.dtype == want.dtype
         assert np.tril(ours).tobytes() == np.tril(want).tobytes()
 
-    def test_integer_input_becomes_float(self):
+    def test_integer_input_becomes_complex128(self):
         m = np.arange(9).reshape(3, 3)
         m = m + m.T
         ours = rmt.symmetrized(m)
-        assert ours.dtype == np.float64 and ours.tobytes() == ((m + m.T) / 2.0).tobytes()
+        want = np.asfortranarray((m + m.T) / 2.0, dtype=complex)
+        assert ours.dtype == np.complex128 and ours.tobytes(order="A") == want.tobytes(order="A")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan), "skew"])
     @pytest.mark.parametrize("where", [(B + 3, 2 * B + 5), (2 * B + 5, B + 3)],
@@ -462,12 +457,10 @@ class TestSymmetrized:
                 rmt.symmetrized(m)
 
 
-def skewed(p, seed, real=False):
+def skewed(p, seed):
     """A general product, so the matrix carries a rounding-level skew inside the tolerance."""
     rng = substream(13, p, seed)
-    z = rng.standard_normal((p, 2 * p))
-    if not real:
-        z = z + 1j * rng.standard_normal((p, 2 * p))
+    z = rng.standard_normal((p, 2 * p)) + 1j * rng.standard_normal((p, 2 * p))
     return z @ z.conj().T / (2 * p)
 
 
@@ -478,28 +471,24 @@ def read_only(a):
 
 
 class TestOverwrite:
-    """``eigh(a, overwrite_a=True)``: a column-major array of the reduction's dtype, or a real row-major one, is reduced in place."""
+    """``eigh(a, overwrite_a=True)``: a complex128 column-major array is reduced in place."""
 
-    # a real row-major array is reduced as its transpose, which is column-major
-    @pytest.mark.parametrize("real,order", [(False, "F"), (True, "F"), (True, "C")],
-                             ids=["complex", "real", "real-row-major"])
     @pytest.mark.parametrize("p", [1, B + 1, P_PARTIAL])
     @pytest.mark.parametrize("skew", ["rounding", "near-tolerance"])
-    def test_bitwise_the_copying_decomposition(self, monkeypatch, p, real, order, skew):
-        a = skewed(p, 0, real)
+    def test_bitwise_the_copying_decomposition(self, monkeypatch, p, skew):
+        a = skewed(p, 0)
         if skew == "near-tolerance" and p > 1:
             a[p - 1, 1] += 0.99e-10 * max(np.abs(a).max(), 1.0)
         want = eigh(a)
-        owned = a.copy(order=order)
+        owned = a.copy(order="F")
         reduced = []
-        for name in ("zhetrd", "dsytrd"):
-            real_routine = getattr(rmt.lapack, name)
+        zhetrd = rmt.lapack.zhetrd
 
-            def spy(x, *args, real_routine=real_routine, **kwargs):
-                reduced.append(np.shares_memory(x, owned))
-                return real_routine(x, *args, **kwargs)
+        def spy(x, *args, **kwargs):
+            reduced.append(np.shares_memory(x, owned))
+            return zhetrd(x, *args, **kwargs)
 
-            monkeypatch.setattr(rmt.lapack, name, spy)
+        monkeypatch.setattr(rmt.lapack, "zhetrd", spy)
         got = eigh(owned, overwrite_a=True)
         assert reduced == [True]  # the caller's array, not a copy
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
@@ -508,17 +497,15 @@ class TestOverwrite:
         x = substream(13, p, 1).standard_normal((p, 2)) + 0j
         assert got.to_eigenbasis(x).tobytes() == want.to_eigenbasis(x).tobytes()
 
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, "skew"])
     @pytest.mark.parametrize("where", [(3, P_PARTIAL - 2), (P_PARTIAL - 1, 1)], ids=["upper", "lower"])
-    def test_invalid_input_rejected_as_by_the_copy(self, where, bad, real):
-        a = exactly_hermitian(P_PARTIAL, 5, real=real)
+    def test_invalid_input_rejected_as_by_the_copy(self, where, bad):
+        a = exactly_hermitian(P_PARTIAL, 5)
         a[where] += 1.01e-10 * max(np.abs(a).max(), 1.0) if bad == "skew" else bad
         with pytest.raises(ValueError, match="invalid matrix"):
             eigh(a)
-        for order in ("F", "C") if real else ("F",):
-            with pytest.raises(ValueError, match="invalid matrix"):
-                eigh(a.copy(order=order), overwrite_a=True)
+        with pytest.raises(ValueError, match="invalid matrix"):
+            eigh(a.copy(order="F"), overwrite_a=True)
 
     @pytest.mark.parametrize(
         "make",
@@ -548,12 +535,10 @@ class TestOverwrite:
         assert peak_bytes(eigh, scm, overwrite_a=True) < square
 
 
-def hermitian(p, seed, real=False, spikes=(40.0, 20.0, 10.0)):
+def hermitian(p, seed, spikes=(40.0, 20.0, 10.0)):
     """A sample-covariance-like Hermitian matrix with a few separated top eigenvalues."""
     rng = substream(8, p, seed)
-    z = rng.standard_normal((p, 3 * p))
-    if not real:
-        z = z + 1j * rng.standard_normal((p, 3 * p))
+    z = rng.standard_normal((p, 3 * p)) + 1j * rng.standard_normal((p, 3 * p))
     z[: len(spikes)] *= np.sqrt(np.asarray(spikes[:p]))[:, None]
     return z @ z.conj().T / (3 * p)
 
@@ -561,18 +546,16 @@ def hermitian(p, seed, real=False, spikes=(40.0, 20.0, 10.0)):
 class TestLeadingEigenvectors:
     """The tridiagonal path of ``eigh`` against ``np.linalg.eigh`` as the oracle."""
 
-    @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("p", [1, 2, 8, 64, 200])
-    def test_eigenvalues_match_eigvalsh(self, p, real):
-        m = hermitian(p, 0, real)
+    def test_eigenvalues_match_eigvalsh(self, p):
+        m = hermitian(p, 0)
         ref = np.linalg.eigvalsh(m)[::-1]
         lam = eigh(m).eigenvalues
         assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("p", [1, 2, 8, 64, 200])
-    def test_leading_blocks(self, p, real):
-        m = hermitian(p, 1, real)
+    def test_leading_blocks(self, p):
+        m = hermitian(p, 1)
         dec = eigh(m)
         ref_lam, ref_vec = np.linalg.eigh(m)
         ref_lam, ref_vec = ref_lam[::-1], ref_vec[:, ::-1]
@@ -580,7 +563,7 @@ class TestLeadingEigenvectors:
         for k in sorted({0, 1, p - 1, p}):
             v = dec.leading(k)
             assert v.shape == (p, k)
-            assert v.dtype == (float if real else complex)
+            assert v.dtype == complex
             if k == 0:
                 continue
             assert np.abs(v.conj().T @ v - np.eye(k)).max() <= 1e-10
@@ -631,24 +614,22 @@ LAPACK_SIZES = [1, 2, 40, 512]
 class TestLapackPath:
     """``eigh`` and ``leading`` call ``dsterf`` and ``dstemr`` as ``scipy.linalg``'s wrappers do."""
 
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("p", LAPACK_SIZES)
-    def test_eigenvalues_are_scipys_sterf(self, p, real):
-        dec = eigh(hermitian(p, 2, real))
+    def test_eigenvalues_are_scipys_sterf(self, p):
+        dec = eigh(hermitian(p, 2))
         _, d, e, _ = dec._reduction
         ref = linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")[::-1]
         np.testing.assert_array_equal(dec.eigenvalues, ref)
 
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("p", LAPACK_SIZES)
-    def test_leading_is_scipys_stemr_then_the_reflectors(self, p, real):
-        dec = eigh(hermitian(p, 3, real))
-        packed, d, e, _ = dec._reduction
+    def test_leading_is_scipys_stemr_then_the_reflectors(self, p):
+        dec = eigh(hermitian(p, 3))
+        _, d, e, _ = dec._reduction
         for k in sorted({1, min(3, p), p}):  # each block larger than the last, so solved afresh
             z = linalg.eigh_tridiagonal(
                 d, e, select="i", select_range=(p - k, p - 1), lapack_driver="stemr"
             )[1]
-            ref = np.array(z[:, ::-1], dtype=packed.dtype, order="C")
+            ref = np.array(z[:, ::-1], dtype=complex, order="C")
             dec._reflect(ref, "N")
             np.testing.assert_array_equal(dec.leading(k), ref)
 
@@ -690,10 +671,9 @@ class TestLapackPath:
 class TestEigenbasisRotations:
     """``to_eigenbasis`` and ``from_eigenbasis``: V^H x and V x from the stored reduction."""
 
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("p", [1, 2, 8, 64, 200])
-    def test_frame_is_lapacks_basis(self, p, real):
-        m = hermitian(p, 3, real)
+    def test_frame_is_lapacks_basis(self, p):
+        m = hermitian(p, 3)
         dec = eigh(m)
         ref = np.linalg.eigh(m)[1][:, ::-1]
         basis = dec.from_eigenbasis(np.eye(p))
@@ -703,16 +683,14 @@ class TestEigenbasisRotations:
         assert np.abs(basis - ref).max() <= 1e-12
         np.testing.assert_allclose(dec.to_eigenbasis(np.eye(p)), ref.conj().T, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_shapes_dtypes_and_round_trip(self, real):
+    def test_shapes_dtypes_and_round_trip(self):
         p = 24
-        dec = eigh(hermitian(p, 4, real))
+        dec = eigh(hermitian(p, 4))
         x = substream(11, 0).standard_normal((p, 3)) + 1j * substream(11, 1).standard_normal((p, 3))
         for block in (x, x.real, np.asfortranarray(x), x[:, :0]):
-            want = np.result_type(float if real else complex, block.dtype)
             there = dec.to_eigenbasis(block)
             back = dec.from_eigenbasis(there)
-            assert there.shape == back.shape == block.shape and there.dtype == back.dtype == want
+            assert there.shape == back.shape == block.shape and there.dtype == back.dtype == complex
             np.testing.assert_allclose(back, block, rtol=0, atol=1e-13)
         vec = dec.to_eigenbasis(x[:, 1])
         assert vec.shape == (p,)
@@ -741,14 +719,13 @@ class TestEigenbasisRotations:
         dec.from_eigenbasis(np.ones((40, 2)))
         assert len(solves) == 1
 
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_z_is_the_divide_and_conquer_basis_of_the_tridiagonal(self, real):
+    def test_z_is_the_divide_and_conquer_basis_of_the_tridiagonal(self):
         # dsbevd on T runs dstedc on d and e as they are: dstevd's Z, entry for
         # entry (a zero may differ in sign)
         stevd = getattr(rmt.lapack, "dstevd", None)
         if stevd is None:
             pytest.skip("this scipy does not wrap dstevd")
-        dec = eigh(hermitian(150, 8, real))
+        dec = eigh(hermitian(150, 8))
         _, d, e, _ = dec._reduction
         _, ref, info = stevd(d, e)
         assert info == 0

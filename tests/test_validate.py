@@ -156,8 +156,7 @@ class TestVerifyClt:
         for a, b in zip(ours, ref):
             assert a.samples.tobytes() == b.samples.tobytes()
 
-    @pytest.mark.parametrize("ensemble", ["real", "complex"])
-    def test_draws_at_the_model_dimension(self, ensemble):
+    def test_draws_at_the_model_dimension(self):
         # bitwise the former verify_clt(model, gamma, p, ...) at p = model.p:
         # n = round(p / gamma), and trial t draws p x n snapshots from substream(seed, t)
         model = SpikedCovariance.diagonal(30, 2.0, np.array([40.0, 12.0]))
@@ -168,16 +167,12 @@ class TestVerifyClt:
         root = np.sqrt(model.spectrum())
         shrunk = np.empty((trials, model.r))
         for t in range(trials):
-            rng = substream(seed, t)
-            if ensemble == "real":
-                w = rng.standard_normal((p, n)) * root[:, None]
-            else:
-                w = complex_normal(rng, p, n, root)
+            w = complex_normal(substream(seed, t), p, n, root)
             est = shrink_spectrum(eigh(sample_covariance(w)), ratio)
             k = min(est.r, model.r)
             shrunk[t] = est.sigma2
             shrunk[t, :k] = est.spikes[:k]
-        res = verify_clt(model, gamma, trials, seed, ensemble=ensemble)
+        res = verify_clt(model, gamma, trials, seed)
         assert len(res) == model.r
         for i, spike in enumerate(res):
             limit = model.sigma2 * CltParams(model.whitened_spikes()[i], ratio.gamma).eta_of_beta
@@ -185,17 +180,13 @@ class TestVerifyClt:
             want = np.sqrt(n) * (shrunk[:, i] - limit) / model.sigma2
             assert spike.samples.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("ensemble,itemsize", [("complex", 16), ("real", 8)])
-    def test_working_set_is_one_trial_of_snapshots_and_their_scm(
-        self, peak_bytes, ensemble, itemsize
-    ):
+    def test_working_set_is_one_trial_of_snapshots_and_their_scm(self, peak_bytes):
         # a trial's snapshots are dropped once their SCM is formed, and
-        # nothing of it but the estimate is alive at the next draw; the real
-        # draw is scaled in place, so one p x n block is alive, not two
+        # nothing of it but the estimate is alive at the next draw
         p, n = 256, 512
         model = SpikedCovariance.diagonal(p, 1.0, np.array([5.0, 3.0, 2.5]))
-        budget = (p * n + p * p) * itemsize
-        assert peak_bytes(verify_clt, model, p / n, 3, 0, ensemble=ensemble) <= 1.1 * budget
+        budget = (p * n + p * p) * 16
+        assert peak_bytes(verify_clt, model, p / n, 3, 0) <= 1.1 * budget
 
     def test_subcritical_rejected(self):
         model = SpikedCovariance.diagonal(40, 1.0, np.array([1.3]))
@@ -212,26 +203,24 @@ class TestVerifyClt:
         assert np.isfinite(res[0].ks.statistic)
         assert np.isfinite(res[0].mean_estimate)
 
-    @pytest.mark.parametrize("ensemble", ["real", "complex"])
-    def test_moderate_scale_distribution(self, ensemble):
-        # p = 120: both ensembles follow the spike law with their prescribed
-        # scales. verify_clt centres each spike at its asymptotic limit, but
-        # at n = 600 the sample spike eigenvalue still carries Lawley's O(1/n)
-        # location term, which the CLT drops: -0.15 sd on the complex ell = 3
-        # spike, enough for a 256-vs-256 KS to reject it at many seeds. The
+    def test_moderate_scale_distribution(self):
+        # p = 120: the spike law with its prescribed scale, whose variance
+        # circular complex draws halve. verify_clt centres each spike at its
+        # asymptotic limit, but at n = 600 the sample spike eigenvalue still
+        # carries Lawley's O(1/n) location term, which the CLT drops: -0.15 sd
+        # on the ell = 3 spike, enough for a 256-vs-256 KS to reject it at many seeds. The
         # returned samples are therefore judged against the law shifted by
         # the first-order Lawley eigenvalue term only (the noise-median bias,
         # about -0.05 sd, and the curvature of shrink_whitened are left out),
-        # and their spread against each ensemble's scale. Even so a correct
-        # pipeline fails this test at about 10% of seeds (4 of 40 real, 5 of
-        # 40 complex over seeds 200-239); seed 3 is kept from the original.
+        # and their spread against that scale. Even so a correct pipeline
+        # fails this test at about 10% of seeds (5 of 40 over seeds
+        # 200-239); seed 3 is kept from the original.
         p, gamma, trials, seed = 120, 0.2, 256, 3
         ells = np.array([5.0, 3.0])
         model = SpikedCovariance.diagonal(p, 1.0, ells)
-        res = verify_clt(model, gamma=gamma, trials=trials, seed=seed, ensemble=ensemble)
+        res = verify_clt(model, gamma=gamma, trials=trials, seed=seed)
         n = int(round(p / gamma))
         g = p / n
-        ensemble_scale = 1.0 if ensemble == "real" else 1.0 / np.sqrt(2.0)
         sd_tol = 3.0 / np.sqrt(2.0 * (trials - 1))  # 3 standard errors of a sample sd
         for i, spike_res in enumerate(res):
             ell = ells[i]
@@ -242,9 +231,9 @@ class TestVerifyClt:
                 shrink_whitened(lawley_location(ells, i, p, n), g) - spike_res.limit_value
             )
             prm = CltParams(ell, g)
-            scale = np.sqrt(prm.alpha2) * prm.eta_prime * ensemble_scale
+            scale = np.sqrt(prm.alpha2) * prm.eta_prime * (1.0 / np.sqrt(2.0))
             # verify_clt's own reference draws: its reported KS verdict must be
-            # the one against the asymptotic law at this ensemble's scale
+            # the one against the asymptotic law at this scale
             ref0 = substream(seed, 10_000_000 + i).standard_normal(trials) * scale
             assert spike_res.ks.statistic == pytest.approx(
                 ks_two_sample(spike_res.samples, ref0).statistic
