@@ -194,11 +194,15 @@ class TestSampleCovariance:
 
     # p = 150 spans three blocks of the triangle mirror, p = 24 one
     @pytest.mark.parametrize("p", [24, 150])
-    @pytest.mark.parametrize("kind", ["complex", "one-snapshot", "training-view", "fortran"])
+    @pytest.mark.parametrize(
+        "kind", ["complex", "real", "one-snapshot", "training-view", "fortran", "fortran-real"]
+    )
     def test_matches_dense_product_and_is_exactly_hermitian(self, kind, p):
         rng = substream(6, p)
-        data = rng.standard_normal((p, 2 * p + 1)) + 1j * rng.standard_normal((p, 2 * p + 1))
-        if kind == "fortran":
+        data = rng.standard_normal((p, 2 * p + 1))
+        if not kind.endswith("real"):
+            data = data + 1j * rng.standard_normal((p, 2 * p + 1))
+        if kind.startswith("fortran"):
             # a column-major block is the rank-n update's own operand: bitwise
             # the result of the wrapper's column-major copy of a row-major one
             c_order = sample_covariance(data)
@@ -216,7 +220,7 @@ class TestSampleCovariance:
                 scm = sample_covariance(data)
         else:
             scm = sample_covariance(data)
-        assert scm.dtype == complex
+        assert scm.dtype == complex  # real snapshots are read as complex
         assert np.abs(scm - ref).max() <= 1e-13 * np.abs(ref).max()
         np.testing.assert_array_equal(scm, scm.conj().T)
         np.testing.assert_array_equal(np.diagonal(scm).imag, 0.0)
@@ -307,9 +311,11 @@ B = rmt._MIRROR_BLOCK
 P_PARTIAL = 2 * B + 5  # two full blocks of eigh's row pass and a partial one
 
 
-def exactly_hermitian(p, seed):
+def exactly_hermitian(p, seed, real=False):
     rng = substream(9, p, seed)
-    z = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    z = rng.standard_normal((p, p))
+    if not real:
+        z = z + 1j * rng.standard_normal((p, p))
     return (z + z.conj().T) / 2  # entry (j, i) is the exact conjugate of (i, j)
 
 
@@ -329,15 +335,19 @@ def spy_on_reduction(monkeypatch):
 class TestBlockedEigh:
     """The row-block symmetrize-and-check pass of ``eigh``."""
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("p", [1, B - 1, B, B + 1, P_PARTIAL])
-    def test_packed_matrix_is_bitwise_the_symmetrized_input(self, monkeypatch, p):
-        # a general product, so the input carries a rounding-level skew
-        rng = substream(10, p, 0)
-        z = rng.standard_normal((p, 2 * p)) + 1j * rng.standard_normal((p, 2 * p))
+    def test_packed_matrix_is_bitwise_the_symmetrized_input(self, monkeypatch, p, real):
+        # a general product, so the input carries a rounding-level skew; a
+        # real input is reduced as complex
+        rng = substream(10, p, int(real))
+        z = rng.standard_normal((p, 2 * p))
+        if not real:
+            z = z + 1j * rng.standard_normal((p, 2 * p))
         m = z @ z.conj().T / (2 * p)
         seen = spy_on_reduction(monkeypatch)
         dec = eigh(m)
-        want = (m + m.conj().T) / 2
+        want = ((m + m.conj().T) / 2).astype(complex)
         assert len(seen) == 1 and seen[0].dtype == want.dtype and seen[0].flags.f_contiguous
         # the reduction reads the lower triangle only, so that is all that is formed
         assert np.tril(seen[0]).tobytes() == np.tril(want).tobytes()
@@ -353,25 +363,29 @@ class TestBlockedEigh:
                                    atol=1e-12)
 
     @pytest.mark.parametrize(
-        "value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
-        ids=["nan", "inf", "neg-inf", "imag-nan"],
+        "real,value",
+        [(False, np.nan), (False, np.inf), (False, -np.inf), (False, complex(0.0, np.nan)),
+         (True, np.nan), (True, np.inf), (True, -np.inf)],
+        ids=["complex-nan", "complex-inf", "complex-neg-inf", "complex-imag-nan",
+             "real-nan", "real-inf", "real-neg-inf"],
     )
     @pytest.mark.parametrize(
         "where",
         [(3, P_PARTIAL - 2), (P_PARTIAL - 2, 3), (P_PARTIAL - 1, P_PARTIAL - 1), (2 * B + 1, B)],
         ids=["upper", "lower", "last-block-diagonal", "last-block-lower"],
     )
-    def test_nonfinite_entry_rejected_wherever_it_sits(self, where, value):
+    def test_nonfinite_entry_rejected_wherever_it_sits(self, where, real, value):
         # an entry below the first block also enters that block's mirror, where
         # a maximum would drop a NaN: the finiteness check must see every row
-        m = exactly_hermitian(P_PARTIAL, 1)
+        m = exactly_hermitian(P_PARTIAL, 1, real=real)
         m[where] = value
         with pytest.raises(ValueError, match="invalid matrix"):
             eigh(m)
 
     @pytest.mark.parametrize("gain", [1e-3, 1.0, 1e3], ids=["scale-floor", "unit", "large"])
-    def test_skew_threshold_is_relative_to_max_abs_or_one(self, gain):
-        m = exactly_hermitian(P_PARTIAL, 2) * gain
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_skew_threshold_is_relative_to_max_abs_or_one(self, gain, real):
+        m = exactly_hermitian(P_PARTIAL, 2, real=real) * gain
         scale = max(np.abs(m).max(), 1.0)
         i, j = P_PARTIAL - 1, 1  # an off-diagonal entry of the partial last block
         below, above = m.copy(), m.copy()
@@ -388,22 +402,25 @@ class TestBlockedEigh:
         with pytest.raises(ValueError, match="invalid matrix"):
             eigh(np.zeros(shape))
 
-    def test_working_set_is_one_copy_plus_a_few_tiles(self, peak_bytes):
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_working_set_is_one_copy_plus_a_few_tiles(self, peak_bytes, real):
         # the pass's two scratch tiles and the ufuncs' buffers for the
-        # strided tile operands, not a B x p block of rows (8 tiles at this p)
+        # strided tile operands, not a B x p block of rows (8 tiles at this p);
+        # the copy, and so the tiles, are complex for a real input too
         p = 8 * B + 5
-        m = exactly_hermitian(p, 3)
-        budget = (p * p + 6 * B * B) * m.itemsize
+        m = exactly_hermitian(p, 3, real=real)
+        budget = (p * p + 6 * B * B) * np.dtype(complex).itemsize
         assert peak_bytes(eigh, m) <= budget
 
 
     @pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in-place"])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("p", [1, B + 1, P_PARTIAL])
-    def test_strictly_upper_triangle_is_never_read(self, monkeypatch, p, in_place):
+    def test_strictly_upper_triangle_is_never_read(self, monkeypatch, p, real, in_place):
         # NaN in the strictly upper triangle the reduction is handed moves no
         # output of the decomposition: LAPACK's uplo = L contract, which lets
         # ``symmetrized`` form the lower triangle only
-        a = skewed(p, 2)
+        a = skewed(p, 2, real)
         want = eigh(a)
         zhetrd = rmt.lapack.zhetrd
 
@@ -424,16 +441,19 @@ class TestBlockedEigh:
 class TestSymmetrized:
     """The tiled symmetrize-and-check pass on its own."""
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("p", [1, B + 1, 3 * B + 7])
-    def test_bitwise_the_expression(self, p, order):
+    def test_bitwise_the_expression(self, p, order, real):
         # a general product carries a rounding-level skew; a Fortran-ordered
-        # input is what ``sample_covariance`` returns
-        rng = substream(11, p, 0)
-        z = rng.standard_normal((p, 2 * p)) + 1j * rng.standard_normal((p, 2 * p))
+        # input is what ``sample_covariance`` returns, and a real one becomes complex
+        rng = substream(11, p, int(real))
+        z = rng.standard_normal((p, 2 * p))
+        if not real:
+            z = z + 1j * rng.standard_normal((p, 2 * p))
         m = np.asarray(z @ z.conj().T / (2 * p), order=order)
         ours = rmt.symmetrized(m)
-        want = (m + m.conj().T) / 2
+        want = ((m + m.conj().T) / 2).astype(complex)
         assert ours.flags.f_contiguous and ours.dtype == want.dtype
         assert np.tril(ours).tobytes() == np.tril(want).tobytes()
 
@@ -457,10 +477,12 @@ class TestSymmetrized:
                 rmt.symmetrized(m)
 
 
-def skewed(p, seed):
+def skewed(p, seed, real=False):
     """A general product, so the matrix carries a rounding-level skew inside the tolerance."""
     rng = substream(13, p, seed)
-    z = rng.standard_normal((p, 2 * p)) + 1j * rng.standard_normal((p, 2 * p))
+    z = rng.standard_normal((p, 2 * p))
+    if not real:
+        z = z + 1j * rng.standard_normal((p, 2 * p))
     return z @ z.conj().T / (2 * p)
 
 
@@ -473,14 +495,18 @@ def read_only(a):
 class TestOverwrite:
     """``eigh(a, overwrite_a=True)``: a complex128 column-major array is reduced in place."""
 
+    # a real array, of either layout, is not the reduction's own: it is copied
+    @pytest.mark.parametrize("real,order", [(False, "F"), (True, "F"), (True, "C")],
+                             ids=["complex", "real", "real-row-major"])
     @pytest.mark.parametrize("p", [1, B + 1, P_PARTIAL])
     @pytest.mark.parametrize("skew", ["rounding", "near-tolerance"])
-    def test_bitwise_the_copying_decomposition(self, monkeypatch, p, skew):
-        a = skewed(p, 0)
+    def test_bitwise_the_copying_decomposition(self, monkeypatch, p, real, order, skew):
+        a = skewed(p, 0, real)
         if skew == "near-tolerance" and p > 1:
             a[p - 1, 1] += 0.99e-10 * max(np.abs(a).max(), 1.0)
         want = eigh(a)
-        owned = a.copy(order="F")
+        owned = a.copy(order=order)
+        before = owned.tobytes(order="A")
         reduced = []
         zhetrd = rmt.lapack.zhetrd
 
@@ -490,22 +516,26 @@ class TestOverwrite:
 
         monkeypatch.setattr(rmt.lapack, "zhetrd", spy)
         got = eigh(owned, overwrite_a=True)
-        assert reduced == [True]  # the caller's array, not a copy
+        assert reduced == [not real]  # the caller's complex array, not a copy
+        if real:
+            assert owned.tobytes(order="A") == before
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         k = min(3, p)
         assert got.leading(k).tobytes() == want.leading(k).tobytes()
         x = substream(13, p, 1).standard_normal((p, 2)) + 0j
         assert got.to_eigenbasis(x).tobytes() == want.to_eigenbasis(x).tobytes()
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, "skew"])
     @pytest.mark.parametrize("where", [(3, P_PARTIAL - 2), (P_PARTIAL - 1, 1)], ids=["upper", "lower"])
-    def test_invalid_input_rejected_as_by_the_copy(self, where, bad):
-        a = exactly_hermitian(P_PARTIAL, 5)
+    def test_invalid_input_rejected_as_by_the_copy(self, where, bad, real):
+        a = exactly_hermitian(P_PARTIAL, 5, real=real)
         a[where] += 1.01e-10 * max(np.abs(a).max(), 1.0) if bad == "skew" else bad
         with pytest.raises(ValueError, match="invalid matrix"):
             eigh(a)
-        with pytest.raises(ValueError, match="invalid matrix"):
-            eigh(a.copy(order="F"), overwrite_a=True)
+        for order in ("F", "C") if real else ("F",):
+            with pytest.raises(ValueError, match="invalid matrix"):
+                eigh(a.copy(order=order), overwrite_a=True)
 
     @pytest.mark.parametrize(
         "make",
@@ -535,10 +565,12 @@ class TestOverwrite:
         assert peak_bytes(eigh, scm, overwrite_a=True) < square
 
 
-def hermitian(p, seed, spikes=(40.0, 20.0, 10.0)):
+def hermitian(p, seed, real=False, spikes=(40.0, 20.0, 10.0)):
     """A sample-covariance-like Hermitian matrix with a few separated top eigenvalues."""
     rng = substream(8, p, seed)
-    z = rng.standard_normal((p, 3 * p)) + 1j * rng.standard_normal((p, 3 * p))
+    z = rng.standard_normal((p, 3 * p))
+    if not real:
+        z = z + 1j * rng.standard_normal((p, 3 * p))
     z[: len(spikes)] *= np.sqrt(np.asarray(spikes[:p]))[:, None]
     return z @ z.conj().T / (3 * p)
 
@@ -546,16 +578,18 @@ def hermitian(p, seed, spikes=(40.0, 20.0, 10.0)):
 class TestLeadingEigenvectors:
     """The tridiagonal path of ``eigh`` against ``np.linalg.eigh`` as the oracle."""
 
+    @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("p", [1, 2, 8, 64, 200])
-    def test_eigenvalues_match_eigvalsh(self, p):
-        m = hermitian(p, 0)
+    def test_eigenvalues_match_eigvalsh(self, p, real):
+        m = hermitian(p, 0, real)
         ref = np.linalg.eigvalsh(m)[::-1]
         lam = eigh(m).eigenvalues
         assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("p", [1, 2, 8, 64, 200])
-    def test_leading_blocks(self, p):
-        m = hermitian(p, 1)
+    def test_leading_blocks(self, p, real):
+        m = hermitian(p, 1, real)
         dec = eigh(m)
         ref_lam, ref_vec = np.linalg.eigh(m)
         ref_lam, ref_vec = ref_lam[::-1], ref_vec[:, ::-1]
@@ -563,7 +597,7 @@ class TestLeadingEigenvectors:
         for k in sorted({0, 1, p - 1, p}):
             v = dec.leading(k)
             assert v.shape == (p, k)
-            assert v.dtype == complex
+            assert v.dtype == complex  # a real input too
             if k == 0:
                 continue
             assert np.abs(v.conj().T @ v - np.eye(k)).max() <= 1e-10
@@ -614,16 +648,18 @@ LAPACK_SIZES = [1, 2, 40, 512]
 class TestLapackPath:
     """``eigh`` and ``leading`` call ``dsterf`` and ``dstemr`` as ``scipy.linalg``'s wrappers do."""
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("p", LAPACK_SIZES)
-    def test_eigenvalues_are_scipys_sterf(self, p):
-        dec = eigh(hermitian(p, 2))
+    def test_eigenvalues_are_scipys_sterf(self, p, real):
+        dec = eigh(hermitian(p, 2, real))
         _, d, e, _ = dec._reduction
         ref = linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")[::-1]
         np.testing.assert_array_equal(dec.eigenvalues, ref)
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("p", LAPACK_SIZES)
-    def test_leading_is_scipys_stemr_then_the_reflectors(self, p):
-        dec = eigh(hermitian(p, 3))
+    def test_leading_is_scipys_stemr_then_the_reflectors(self, p, real):
+        dec = eigh(hermitian(p, 3, real))
         _, d, e, _ = dec._reduction
         for k in sorted({1, min(3, p), p}):  # each block larger than the last, so solved afresh
             z = linalg.eigh_tridiagonal(
@@ -671,21 +707,23 @@ class TestLapackPath:
 class TestEigenbasisRotations:
     """``to_eigenbasis`` and ``from_eigenbasis``: V^H x and V x from the stored reduction."""
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("p", [1, 2, 8, 64, 200])
-    def test_frame_is_lapacks_basis(self, p):
-        m = hermitian(p, 3)
+    def test_frame_is_lapacks_basis(self, p, real):
+        m = hermitian(p, 3, real)
         dec = eigh(m)
         ref = np.linalg.eigh(m)[1][:, ::-1]
         basis = dec.from_eigenbasis(np.eye(p))
-        assert basis.shape == (p, p) and basis.dtype == ref.dtype
+        assert basis.shape == (p, p) and basis.dtype == complex
         # numpy and scipy may link different LAPACK builds; the vectors of
         # this spectrum's closest eigenvalues then differ by eps over the gap
         assert np.abs(basis - ref).max() <= 1e-12
         np.testing.assert_allclose(dec.to_eigenbasis(np.eye(p)), ref.conj().T, rtol=0, atol=1e-12)
 
-    def test_shapes_dtypes_and_round_trip(self):
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_shapes_dtypes_and_round_trip(self, real):
         p = 24
-        dec = eigh(hermitian(p, 4))
+        dec = eigh(hermitian(p, 4, real))
         x = substream(11, 0).standard_normal((p, 3)) + 1j * substream(11, 1).standard_normal((p, 3))
         for block in (x, x.real, np.asfortranarray(x), x[:, :0]):
             there = dec.to_eigenbasis(block)
@@ -719,13 +757,14 @@ class TestEigenbasisRotations:
         dec.from_eigenbasis(np.ones((40, 2)))
         assert len(solves) == 1
 
-    def test_z_is_the_divide_and_conquer_basis_of_the_tridiagonal(self):
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_z_is_the_divide_and_conquer_basis_of_the_tridiagonal(self, real):
         # dsbevd on T runs dstedc on d and e as they are: dstevd's Z, entry for
         # entry (a zero may differ in sign)
         stevd = getattr(rmt.lapack, "dstevd", None)
         if stevd is None:
             pytest.skip("this scipy does not wrap dstevd")
-        dec = eigh(hermitian(150, 8))
+        dec = eigh(hermitian(150, 8, real))
         _, d, e, _ = dec._reduction
         _, ref, info = stevd(d, e)
         assert info == 0

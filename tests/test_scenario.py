@@ -468,8 +468,8 @@ class TestSampleSnapshots:
         assert peak_bytes(sampler.draw, n, 48) <= 1.1 * p * n * 16 + chunk
 
     # the preset's R has a 487-fold noise floor, whose basis is LAPACK's choice;
-    # the others are full rank and rank 24 of 48
-    @pytest.mark.parametrize("case", ["preset", "rank-deficient", "complex"])
+    # the others are full rank, complex and real (reduced as complex), and rank 24 of 48
+    @pytest.mark.parametrize("case", ["preset", "rank-deficient", "complex", "real"])
     def test_frame_is_lapacks_basis_of_the_symmetrized_covariance(self, case):
         if case == "preset":
             r = synthesize_clutter_covariance(challenge_synthetic())
@@ -477,9 +477,12 @@ class TestSampleSnapshots:
             r = random_covariance(39, 48, 24)
         else:
             r = random_covariance(50, 3 * 64 + 7, 3 * 64 + 7)
+            if case == "real":
+                r = r.real
         r[0, 1] += 1e-13 * np.abs(r).max()  # within the Hermitian tolerance: symmetrized away
         p = r.shape[0]
-        ref = np.linalg.eigh((r + r.conj().T) / 2.0)[1][:, ::-1]
+        # a real R is read as complex: the reference is LAPACK's complex basis
+        ref = np.linalg.eigh(((r + r.conj().T) / 2.0).astype(complex))[1][:, ::-1]
         sampler = SnapshotSampler(r)
         basis = sampler.from_eigenbasis(np.eye(p))
         assert basis.dtype == ref.dtype
