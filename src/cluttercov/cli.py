@@ -132,18 +132,18 @@ def _scene_and_seed(args) -> tuple[ScenarioConfig, int]:
             cfg = preset(name, n=getattr(args, "n", None))
         except ValueError as exc:
             raise ConfigError(f"bad scenario: {exc}") from exc
-    _check_draw_size(cfg.p, cfg.n)
+    _check_size(cfg.p * (cfg.n + 1) * 16, f"a {cfg.p} x {cfg.n + 1:.6g} complex draw")
     return cfg, cfg.seed if args.seed is None else args.seed
 
 
-def _check_draw_size(p: int, n: float) -> None:
-    """ConfigError when a complex p x (n + 1) draw has more bytes than numpy can size.
+def _check_size(nbytes: float, what: str) -> None:
+    """ConfigError naming ``what`` when its ``nbytes`` are more than numpy can size.
 
     numpy refuses such an array with ValueError before any allocation;
     one that it can size but not allocate is its MemoryError, exit 2 too.
     """
-    if p * (n + 1) * 16 > np.iinfo(np.intp).max:
-        raise ConfigError(f"a {p} x {n + 1:.6g} complex draw is larger than numpy can size")
+    if nbytes > np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} is larger than numpy can size")
 
 
 def _target_from_args(args, scn: ScenarioConfig) -> SteeringSpec:
@@ -216,9 +216,14 @@ def _write_outputs(args, seed: int, printed, write) -> int:
 
 
 def _write_json(args, seed: int, name: str, payload) -> int:
-    """The output tail of a command whose one file is ``payload`` as JSON, which it prints."""
-    return _write_outputs(args, seed, json.dumps(payload), lambda out_dir:
-                          [_write_text(out_dir / name, json.dumps(payload, indent=2) + "\n")])
+    """The output tail of a command whose one file is ``payload`` as strict JSON, which it
+    prints; a non-finite value is a ValueError naming the file, before anything is written."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    return _write_outputs(args, seed, json.dumps(payload, allow_nan=False), lambda out_dir:
+                          [_write_text(out_dir / name, text)])
 
 
 def _write_csv(args, seed: int, name: str, header: list[str], rows: list[list]) -> int:
@@ -311,6 +316,7 @@ def _cmd_sweep(args) -> int:
         rows = getattr(args, f"{args.axis}_grid")
         if rows < 1:
             raise ConfigError(f"--{args.axis}-grid must be positive, got {rows}")
+        _check_size(rows * 8, f"a --{args.axis}-grid of {rows} rows")
     pfa_list = values = None  # the n axis defaults to multiples of p up to the scene's n
     if args.axis == "snr":
         pfa_list = _parse_list(args.pfa)
@@ -321,7 +327,11 @@ def _cmd_sweep(args) -> int:
                 raise ConfigError(f"{flag} must be finite")
         if not (args.snr_step > 0 and args.snr_lo <= args.snr_hi):
             raise ConfigError("the SNR grid needs --snr-step > 0 and --snr-lo <= --snr-hi")
-        values = np.arange(args.snr_lo, args.snr_hi + 1e-9, args.snr_step)
+        try:  # the flags are finite and ordered, so a ValueError can only mean size
+            values = np.arange(args.snr_lo, args.snr_hi + 1e-9, args.snr_step)
+        except ValueError:
+            raise ConfigError(f"--snr-step {args.snr_step!r} makes an SNR grid larger than "
+                              "numpy can size") from None
         # the amplitude grows with the SNR, so the largest SNR's bounds every row's
         _amplitude(float(np.max(values, initial=args.snr_hi)), "--snr-hi", scn)
     plan = validate.TrialPlan(
@@ -366,12 +376,14 @@ def _cmd_verify_clt(args) -> int:
         raise ConfigError("verify-clt needs --p >= 1 and --gamma in (0, 1]")
     if not 0.0 < args.sigma2 < np.inf:
         raise ConfigError(f"--sigma2 must be positive and finite, got {args.sigma2!r}")
-    _check_draw_size(args.p, args.p / args.gamma)
+    _check_size(args.p * (args.p / args.gamma + 1) * 16,
+                f"a {args.p} x {args.p / args.gamma + 1:.6g} complex draw")
     # the exact ratio p / n that verify_clt runs at, and its detection edge
     edge = 1.0 + np.sqrt(args.p / round(args.p / args.gamma))
     spikes = np.asarray(sorted(_parse_list(args.spikes), reverse=True))
     if spikes.size == 0 or not np.all(spikes > edge):
         raise ConfigError(f"--spikes needs whitened spikes above the detection edge {edge:.6g}")
+    _check_size(args.trials * spikes.size * 8, f"--trials {args.trials} of {spikes.size} spikes")
     with np.errstate(over="ignore"):
         powers = spikes * args.sigma2
     if np.all(np.isfinite(spikes)) and not np.all(np.isfinite(powers)):

@@ -76,10 +76,6 @@ class SteeringSpec:
         if not -0.5 <= self.doppler <= 0.5:
             raise ValueError("normalized Doppler must lie in [-1/2, 1/2]")
 
-    @property
-    def p(self) -> int:
-        return self.N * self.K
-
 
 def steering_vector(spec: SteeringSpec) -> np.ndarray:
     """Kronecker product of the angle and Doppler phase ramps.

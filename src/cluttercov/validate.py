@@ -1,12 +1,14 @@
 """Monte Carlo validation: KS testing, CLT verification and metric sweeps.
 
 Every routine is deterministic given its seed: each trial draws from an
-independent substream keyed by the trial index, so results do not depend on
-execution order, and aggregations are plain commutative reductions. Sweep
-rows that train on one snapshot count share each trial's draw and estimates,
-so a sweep costs its distinct training sizes times its trials, not its rows
-times its trials. A sweep returns its table as numbers, a header and its
-rows, and formats no text: the CLI writes the table as CSV.
+independent substream keyed by the trial index, so a trial's values do not
+depend on execution order. A sweep's means are sums run in trial order,
+one float array per training size, divided by the trial count once:
+floating-point addition is not associative, so that order is what keeps
+their bits. The Doppler and angle rows, which all train on the scene's n,
+share each trial's draw and estimates, so such a sweep costs its trials,
+not its rows times its trials. A sweep returns its table as numbers, a
+header and its rows, and formats no text: the CLI writes the table as CSV.
 
 Every trial, the CLI's single-shot ``estimate`` and ``detect`` included,
 runs through ``_trial_estimates`` or ``_detection_trial``, and only their
@@ -34,7 +36,6 @@ vectors, from the clutter's m x m Gram, in the original frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -94,8 +95,7 @@ class KsResult:
 
     statistic: float
     p_value: float
-    n1: int
-    n2: int
+    n1: int  # the size of the first sample
 
     def __post_init__(self):
         if not 0.0 <= self.statistic <= 1.0:
@@ -153,7 +153,7 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> KsResult:
     stat = float(np.abs(cdf_a - cdf_b).max())
     n_eff = a.size * b.size / (a.size + b.size)
     p = 1.0 if stat == 0.0 else _kolmogorov_sf(np.sqrt(n_eff) * stat)
-    return KsResult(statistic=stat, p_value=p, n1=a.size, n2=b.size)
+    return KsResult(statistic=stat, p_value=p, n1=a.size)
 
 
 @dataclass(frozen=True)
@@ -288,50 +288,42 @@ def _detection_trial(draw, ratio: rmt.AspectRatio, seed: int, t: int, steering: 
 
 def _sweep_estimation(plan: TrialPlan, axis: str, values, spiked, sampler) -> list:
     scn = plan.scenario
-
-    def rotated(specs):
-        # a row's steering vectors in the frame of the draws, with the truth's
-        # y^H R^{-1} y of each: the one SCNR term that no trial changes
-        s_mat = sampler.to_eigenbasis(np.column_stack([steering_vector(s) for s in specs]))
-        return s_mat, spiked.quad_inv(s_mat)
-
     # the trials run in R's eigenbasis, where the spiked truth is diagonal,
-    # and every steering vector enters that frame here, before the first draw
+    # and every steering vector enters that frame here, before the first draw;
+    # a row scores its steering vectors with the truth's y^H R^{-1} y of each,
+    # the one SCNR term that no trial changes
+    s_target = sampler.to_eigenbasis(steering_vector(plan.target))
     if axis == "n":
-        column, quad = rotated([plan.target])  # one rotation serves every row and the MVDR target
-        s_target = column[:, 0]
-        cases = ((v, int(v), (column, quad)) for v in values)  # lazy: one row at a time
+        scored = [(s_target[:, None], spiked.quad_inv(s_target[:, None]))]
+        groups = ((int(v), [v], scored) for v in values)  # lazy: one row at a time
     else:
-        s_target = sampler.to_eigenbasis(steering_vector(plan.target))
+        values = [float(v) for v in values]  # read twice: by the steering grids and the rows
         if axis == "doppler":
-            specs = [[SteeringSpec(th, float(v), scn.N, scn.K) for th in ANGLE_MARGIN_GRID]
+            specs = [[SteeringSpec(th, v, scn.N, scn.K) for th in ANGLE_MARGIN_GRID]
                      for v in values]
         else:  # angle
-            specs = [[SteeringSpec(float(v), fd, scn.N, scn.K) for fd in DOPPLER_MARGIN_GRID]
+            specs = [[SteeringSpec(v, fd, scn.N, scn.K) for fd in DOPPLER_MARGIN_GRID]
                      for v in values]
-        cases = [(v, scn.n, rotated(row_specs)) for v, row_specs in zip(values, specs)]
+        s_mats = [sampler.to_eigenbasis(np.column_stack([steering_vector(s) for s in row_specs]))
+                  for row_specs in specs]
+        scored = [(s_mat, spiked.quad_inv(s_mat)) for s_mat in s_mats]
+        groups = [(scn.n, values, scored)] if scored else []  # every row trains on n
     sampler.release_basis()  # the trials read root, the spiked truth and the rotated vectors
     mvdr_truth = mvdr_error_variance(spiked, s_target)
     rows = []
-    for n, group in groupby(cases, key=lambda case: case[1]):
-        group = [(value, scored) for value, _, scored in group]
+    for n, group_values, scored in groups:
         ratio = rmt.AspectRatio(scn.p, n)
-        sums = [dict.fromkeys(SWEEP_HEADER[6:], 0.0) for _ in group]  # the averaged columns
+        sums = np.zeros((len(scored), len(SWEEP_HEADER[6:])))  # the averaged columns, by row
         for ests in _trial_estimates(sampler.draw, n, plan.seed, plan.trials,
                                      lambda decomp: _estimate_both(decomp, ratio)):
-            trial = {"scnr_bound": kantorovich_bound(spiked, ests["shrinkage"], ratio.gamma)}
-            for name, est in ests.items():
-                trial[f"mvdr_ratio_{name}"] = mvdr_error_variance(est, s_target) / mvdr_truth
-                trial[f"stein_loss_{name}"] = stein_loss(spiked, est)
-            for (_, (s_mat, quad)), row_sums in zip(group, sums):
-                for name, est in ests.items():
-                    rho = normalized_scnr_batch(est, spiked, s_mat, quad)
-                    trial[f"rho_{name}"] = float(np.mean(rho))
-                for col in row_sums:
-                    row_sums[col] += trial[col]
-        for (value, _), row_sums in zip(group, sums):
-            rows.append([scn.name, axis, float(value), n, ratio.gamma, plan.trials,
-                         *(total / plan.trials for total in row_sums.values())])
+            shared = [kantorovich_bound(spiked, ests["shrinkage"], ratio.gamma),
+                      *(mvdr_error_variance(est, s_target) / mvdr_truth for est in ests.values()),
+                      *(stein_loss(spiked, est) for est in ests.values())]
+            for row_sums, (s_mat, quad) in zip(sums, scored):
+                row_sums += [*(np.mean(normalized_scnr_batch(est, spiked, s_mat, quad))
+                               for est in ests.values()), *shared]
+        for value, means in zip(group_values, (sums / plan.trials).tolist()):
+            rows.append([scn.name, axis, float(value), n, ratio.gamma, plan.trials, *means])
     return rows
 
 
@@ -345,14 +337,14 @@ def _sweep_detection(plan: TrialPlan, snr_grid, pfa_list, rank: int | None,
     rows = []
     for snr_db in snr_grid:
         amp = amplitude_for_snr(float(snr_db), scn.sigma2, scn.N, scn.K)
-        hits = [0] * len(pfa_list)  # by position: a rate listed twice is two rows
+        hits = np.zeros(len(pfa_list))  # by position: a rate listed twice is two rows
         for t in range(plan.trials):
             reports = _detection_trial(sampler.draw, ratio, plan.seed, t, s_target, amp, rank,
                                        pfa_list)
-            hits = [hit + report.decision for hit, report in zip(hits, reports)]
-        for pfa, hit in zip(pfa_list, hits):
+            hits += [report.decision for report in reports]
+        for pfa, pd in zip(pfa_list, (hits / plan.trials).tolist()):
             pd_theory = theoretical_pd(spiked, steering, amp, pfa, ratio.gamma)
-            rows.append([float(snr_db), float(pfa), hit / plan.trials, pd_theory, plan.trials])
+            rows.append([float(snr_db), float(pfa), pd, pd_theory, plan.trials])
     return rows
 
 
@@ -375,12 +367,15 @@ def sweep(
     detector and reports empirical versus asymptotic detection probability
     for each requested false-alarm rate.
 
-    Rows at one training size share each trial's draw and both estimates, so
-    every row of a Doppler or angle sweep carries the same bound, MVDR and
-    Stein columns, and the Monte Carlo work scales with the distinct training
-    sizes times the trials. Every axis but "n" needs its grid ``values``, and
+    Of the estimating rows, only Doppler and angle rows share a trial's draw:
+    they all train on the scene's n and read both estimates of each trial, so
+    they carry the same bound, MVDR and Stein columns, and their Monte Carlo
+    work is the trials alone. Each "n" row runs its own trials, a value
+    listed twice included; trial t draws from stream (seed, t), so equal
+    values give equal rows. Every axis but "n" needs its grid ``values``, and
     the "snr" axis a nonempty ``pfa_list`` of false-alarm rates, one row per
-    entry at each SNR (a rate listed twice gives two equal rows).
+    entry at each SNR (a rate listed twice gives two equal rows); the rows of
+    one SNR share each trial's draw.
 
     Through its trials a sweep holds the sampler's draw scale, the spiked
     truth with its p x r vectors (eye(p, r), or on the "snr" axis the r
@@ -393,7 +388,8 @@ def sweep(
     once the steering vectors are rotated, before the first draw. A trial
     then holds what ``_trial_estimates`` or ``_detection_trial`` bounds.
     The "n" axis makes its rows as it reaches them, so its grid may be any
-    lazy iterable and costs one row's memory.
+    lazy iterable and costs one row's memory; a Doppler or angle grid is
+    read once, into a list.
 
     The header is ``SWEEP_HEADER``, or ``DETECTION_HEADER`` on the "snr" axis,
     and each row a list of its columns' values: names as str, counts as int,

@@ -665,6 +665,40 @@ class TestExitCodes:
         assert "larger than numpy can size" in capsys.readouterr().err
         assert not out.exists()
 
+    # a grid, or verify-clt's trials x spikes, past the bytes numpy can size:
+    # a configuration error naming its flag, before the scene's sampler is built
+    # (numpy refuses such an array with ValueError, or with IndexError from
+    # linspace at 2^63 - 1 rows)
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["sweep", "--axis", "snr", "--snr-lo", "0", "--snr-hi", "1e6", "--snr-step", "1e-15"],
+          "--snr-step"),
+         (["sweep", "--axis", "doppler", "--doppler-grid", str(10**19)], "--doppler-grid"),
+         (["sweep", "--axis", "doppler", "--doppler-grid", str(2**63 - 1)], "--doppler-grid"),
+         (["sweep", "--axis", "angle", "--angle-grid", str(10**19)], "--angle-grid"),
+         (["verify-clt", "--p", "16", "--gamma", "0.25", "--trials", str(10**20)], "--trials")],
+        ids=["snr-grid", "doppler-grid", "doppler-grid-intp-max", "angle-grid", "clt-trials"],
+    )
+    def test_size_numpy_cannot_size_is_config_error_naming_the_flag(self, tmp_path, capsys,
+                                                                    monkeypatch, argv, flag):
+        built = []
+        monkeypatch.setattr(SnapshotSampler, "__init__", lambda self, *args: built.append(args))
+        out = tmp_path / "out"
+        trials = [] if "--trials" in argv else ["--trials", "1"]
+        assert main([*argv, *trials, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and flag in err
+        assert "larger than numpy can size" in err
+        assert built == [] and not out.exists()
+
+    def test_non_finite_json_value_is_numeric_failure_naming_the_file(self, tmp_path, capsys):
+        # at 3082 dB the preset's statistic T is 1.38e308, which is finite, but
+        # its chi-square form 2T overflows; RFC 8259 JSON has no Infinity
+        out = tmp_path / "out"
+        assert main(["detect", "--snr-db", "3082", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: detection.json: ")
+        assert not (out / "detection.json").exists()
+
 
     # malformed fields of a scenario JSON: each a configuration error, raised
     # while the scene is read and before any output

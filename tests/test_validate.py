@@ -357,6 +357,64 @@ class TestSweep:
         assert len(rows) == len(values)
         for value, row in zip(values, rows):
             assert sweep(plan, axis, values=[value]) == (header, [row])
+        # a one-shot iterator is read once, so it gives the same rows
+        assert sweep(plan, axis, values=iter(values)) == (header, rows)
+
+    def test_means_are_trial_order_sums(self):
+        # each averaged column is its trials' values summed left to right from
+        # 0.0 and divided by the trial count, bit for bit: the sweep's frame,
+        # truth and trials, recomputed from the metric functions
+        scn = small_scene()
+        plan = plan_for(scn, trials=3, seed=2)
+        sampler = SnapshotSampler(synthesize_clutter_covariance(scn))
+        spiked = truth_spiked_model(scn)
+        s_target = sampler.to_eigenbasis(steering_vector(plan.target))
+        grid = [SteeringSpec(th, 0.1, scn.N, scn.K) for th in ANGLE_MARGIN_GRID]
+        s_doppler = sampler.to_eigenbasis(np.column_stack([steering_vector(s) for s in grid]))
+        mvdr_truth = mvdr_error_variance(spiked, s_target)
+        ratio = AspectRatio(scn.p, scn.n)
+        for axis, value, s_mat in [("n", scn.n, s_target[:, None]), ("doppler", 0.1, s_doppler)]:
+            quad = spiked.quad_inv(s_mat)
+            total = [0.0] * 7
+            for ests in validate._trial_estimates(sampler.draw, scn.n, plan.seed, plan.trials,
+                                                  lambda d: validate._estimate_both(d, ratio)):
+                shrunk, clipped = ests["shrinkage"], ests["rcml"]
+                trial = [
+                    float(np.mean(normalized_scnr_batch(shrunk, spiked, s_mat, quad))),
+                    float(np.mean(normalized_scnr_batch(clipped, spiked, s_mat, quad))),
+                    kantorovich_bound(spiked, shrunk, ratio.gamma),
+                    mvdr_error_variance(shrunk, s_target) / mvdr_truth,
+                    mvdr_error_variance(clipped, s_target) / mvdr_truth,
+                    stein_loss(spiked, shrunk),
+                    stein_loss(spiked, clipped),
+                ]
+                total = [t + v for t, v in zip(total, trial)]
+            (row,) = sweep(plan, axis, values=[value])[1]
+            assert row[6:] == [t / plan.trials for t in total]
+
+    def test_empirical_pd_is_the_trials_decisions_over_the_trial_count(self):
+        scn = small_scene()
+        plan = plan_for(scn, trials=3, seed=2)
+        sampler = SnapshotSampler(synthesize_clutter_covariance(scn))
+        s_target = sampler.to_eigenbasis(steering_vector(plan.target))
+        amp = amplitude_for_snr(0.0, scn.sigma2, scn.N, scn.K)
+        pfas = (3e-1, 1e-2)
+        hits = [0, 0]
+        for t in range(plan.trials):
+            reports = validate._detection_trial(sampler.draw, AspectRatio(scn.p, scn.n), plan.seed,
+                                                t, s_target, amp, None, pfas)
+            hits = [h + report.decision for h, report in zip(hits, reports)]
+        _, rows = sweep(plan, "snr", values=[0.0], pfa_list=pfas)
+        assert [row[2] for row in rows] == [h / plan.trials for h in hits]
+
+    def test_doppler_rows_share_the_n_axis_row_at_the_scenes_n(self):
+        # the bound, MVDR and Stein columns read each trial's estimates and the
+        # target alone, so every Doppler row carries the n-axis row's, bit for bit
+        scn = small_scene()
+        plan = plan_for(scn, trials=3, seed=2)
+        (n_row,) = sweep(plan, "n", values=[scn.n])[1]
+        _, rows = sweep(plan, "doppler", values=[-0.2, 0.3])
+        assert all(row[8:] == n_row[8:] for row in rows)
 
     @pytest.mark.parametrize("axis", ["doppler", "angle", "snr"])
     def test_grid_axis_needs_values(self, axis):
